@@ -20,6 +20,6 @@ from .demapper import (
 )
 from .harness import ExperimentConfig, ResultRecord, find_reach, run_point
 from .rxdsp import SymbolBatch
-from .txdsp import SampledSignal, TxFrame, generate_bits
+from .txdsp import SampledSignal, generate_bits
 
 __version__ = "0.1.0"

@@ -2,15 +2,24 @@
 
 Dual-polarization fields evolve under the Manakov equation: both
 polarizations see identical linear operators (no PMD) and a joint
-nonlinear phase rotation with the 8/9 averaging factor. Each span is
-followed by ideal lossless inline dispersion compensation and an EDFA
-whose ASE is white over the full simulated bandwidth.
+nonlinear phase rotation with the 8/9 averaging factor.
+
+Two private operators on the stacked (2, n) field are the only code for
+the physics: _disperse (FFT, phasor exp(j beta2/2 w^2 dz), inverse FFT)
+and _kerr (the Manakov rotor). ssfm_span splits a span into full steps
+plus a shorter final one and merges adjacent dispersion half-steps, so n
+steps cost n + 1 dispersion calls. The loss e^{-a dz/2} is a separate
+amplitude multiply after each Kerr rotation, which uses the
+attenuation-aware effective length. Each span is followed by ideal
+lossless inline CDC, the same dispersion operator over -L, and an EDFA
+whose ASE is white over the full simulated bandwidth. dispersion_step
+and nonlinear_step expose the operators on a SampledSignal for tests.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,10 +59,6 @@ class FiberParams:
     def loss_db(self) -> float:
         return self.alpha_db_km * self.length_km
 
-    @property
-    def accumulated_dispersion_ps_nm(self) -> float:
-        return self.disp_ps_nm_km * self.length_km
-
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -63,7 +68,6 @@ class LinkConfig:
     n_spans: int
     step_km: float = 0.1
     edfa_nf_db: float = 5.0
-    inline_cdc: bool = True
     ase_enabled: bool = True
     seed: int = 0
 
@@ -82,6 +86,20 @@ def _omega(n: int, fs: float) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(n, d=1.0 / fs)
 
 
+def _disperse(fld: np.ndarray, w2: np.ndarray, beta2: float,
+              dz: float) -> np.ndarray:
+    """All-pass dispersion exp(+j beta2/2 w^2 dz) on a stacked (2, n) field."""
+    return np.fft.ifft(np.fft.fft(fld, axis=1)
+                       * np.exp(0.5j * beta2 * w2 * dz), axis=1)
+
+
+def _kerr(fld: np.ndarray, gamma: float, dz_eff: float) -> np.ndarray:
+    """Joint Manakov Kerr rotation (8/9 factor), in place on a (2, n) field."""
+    p = np.abs(fld[0]) ** 2 + np.abs(fld[1]) ** 2
+    fld *= np.exp(1j * (8.0 / 9.0) * gamma * dz_eff * p)
+    return fld
+
+
 def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
                     dz_km: float) -> SampledSignal:
     """Apply the all-pass dispersion operator exp(+j beta2/2 w^2 dz).
@@ -89,12 +107,8 @@ def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
     dz may be negative, which realizes ideal compensation.
     """
     w2 = _omega(signal.n, signal.fs) ** 2
-    h = np.exp(0.5j * beta2_s2_km * w2 * dz_km)
-    fld = np.fft.fft(np.stack([signal.x, signal.y]), axis=1)
-    fld *= h
-    out = np.fft.ifft(fld, axis=1)
-    return SampledSignal(x=out[0], y=out[1], fs=signal.fs,
-                         f_center=signal.f_center, delay_s=signal.delay_s)
+    out = _disperse(np.stack([signal.x, signal.y]), w2, beta2_s2_km, dz_km)
+    return replace(signal, x=out[0], y=out[1])
 
 
 def nonlinear_step(signal: SampledSignal, gamma_w_km: float,
@@ -105,10 +119,8 @@ def nonlinear_step(signal: SampledSignal, gamma_w_km: float,
     """
     if dz_eff_km < 0:
         raise ValueError("effective length must be >= 0")
-    p = np.abs(signal.x) ** 2 + np.abs(signal.y) ** 2
-    rot = np.exp(1j * (8.0 / 9.0) * gamma_w_km * dz_eff_km * p)
-    return SampledSignal(x=signal.x * rot, y=signal.y * rot, fs=signal.fs,
-                         f_center=signal.f_center, delay_s=signal.delay_s)
+    out = _kerr(np.stack([signal.x, signal.y]), gamma_w_km, dz_eff_km)
+    return replace(signal, x=out[0], y=out[1])
 
 
 def ssfm_span(signal: SampledSignal, fiber: FiberParams,
@@ -126,37 +138,21 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     alpha = fiber.alpha_db_km * _LN10 / 10.0  # power Np/km
     beta2 = fiber.beta2_s2_km
     w2 = _omega(signal.n, signal.fs) ** 2
+    # merged half steps: D(h1/2) N1 D((h1+h2)/2) N2 ... D(hn/2)
+    halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
 
     fld = np.stack([signal.x, signal.y])
-    # merged half steps: D(h1/2) N1 D((h1+h2)/2) N2 ... D(hn/2)
-    pending = steps[0] / 2
-    for i, dz in enumerate(steps):
-        fld = np.fft.ifft(np.fft.fft(fld, axis=1)
-                          * np.exp(0.5j * beta2 * w2 * pending), axis=1)
-        if alpha > 0:
-            dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha
-        else:
-            dz_eff = dz
-        p = np.abs(fld[0]) ** 2 + np.abs(fld[1]) ** 2
-        fld *= np.exp(1j * (8.0 / 9.0) * fiber.gamma_w_km * dz_eff * p)
+    for dz, half in zip(steps, halves):
+        dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
+        fld = _kerr(_disperse(fld, w2, beta2, half), fiber.gamma_w_km, dz_eff)
         fld *= np.exp(-alpha * dz / 2.0)
-        pending = dz / 2
-        if i + 1 < len(steps):
-            pending += steps[i + 1] / 2
-    fld = np.fft.ifft(np.fft.fft(fld, axis=1)
-                      * np.exp(0.5j * beta2 * w2 * pending), axis=1)
-    return SampledSignal(x=fld[0], y=fld[1], fs=signal.fs,
-                         f_center=signal.f_center, delay_s=signal.delay_s)
+    fld = _disperse(fld, w2, beta2, halves[-1])
+    return replace(signal, x=fld[0], y=fld[1])
 
 
-def inline_cdc(signal: SampledSignal, accumulated_d_ps_nm: float,
-               ref_wavelength_nm: float = 1550.0) -> SampledSignal:
-    """Ideal lossless compensation of accumulated chromatic dispersion."""
-    d_si = accumulated_d_ps_nm * 1e-3  # ps/nm -> s/m
-    lam = ref_wavelength_nm * 1e-9
-    beta2_l = -d_si * lam**2 / (2 * np.pi * C_LIGHT)  # s^2, already times length
-    # reuse the step operator with unit length carrying the full phase
-    return dispersion_step(signal, -beta2_l, 1.0)
+def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
+    """Ideal lossless compensation of one span's dispersion, D(-beta2 L)."""
+    return dispersion_step(signal, fiber.beta2_s2_km, -fiber.length_km)
 
 
 def edfa(
@@ -166,13 +162,11 @@ def edfa(
     rng: np.random.Generator,
     ase_enabled: bool = True,
     ref_wavelength_nm: float = 1550.0,
-    exact_nsp: bool = False,
 ) -> SampledSignal:
     """Flat-gain amplifier with circular white Gaussian ASE.
 
     Total ASE power per polarization over the simulated bandwidth is
-    n_sp h nu (G - 1) fs, with n_sp = 10^{NF/10}/2 by default (high-gain
-    approximation) or the exact (F G - 1)/(2 (G - 1)) when requested.
+    n_sp h nu (G - 1) fs, with the high-gain n_sp = 10^{NF/10}/2.
     """
     g = 10 ** (gain_db / 10)
     x = signal.x * np.sqrt(g)
@@ -180,21 +174,16 @@ def edfa(
     if ase_enabled:
         if gain_db <= 0:
             raise ValueError("ASE model requires positive gain")
-        f_lin = 10 ** (nf_db / 10)
-        if exact_nsp:
-            n_sp = (f_lin * g - 1.0) / (2.0 * (g - 1.0))
-        else:
-            if nf_db < 3:
-                warnings.warn("NF < 3 dB gives n_sp < 1 with the high-gain formula")
-            n_sp = f_lin / 2.0
+        if nf_db < 3:
+            warnings.warn("NF < 3 dB gives n_sp < 1 with the high-gain formula")
+        n_sp = 10 ** (nf_db / 10) / 2.0
         h_nu = H_PLANCK * C_LIGHT / (ref_wavelength_nm * 1e-9)
         p_ase = n_sp * h_nu * (g - 1.0) * signal.fs  # W per polarization
         sigma = np.sqrt(p_ase / 2.0)
         n = signal.n
         x = x + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         y = y + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return SampledSignal(x=x, y=y, fs=signal.fs,
-                         f_center=signal.f_center, delay_s=signal.delay_s)
+    return replace(signal, x=x, y=y)
 
 
 def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
@@ -207,9 +196,7 @@ def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
     out = signal
     for _ in range(link.n_spans):
         out = ssfm_span(out, link.span, link.step_km)
-        if link.inline_cdc:
-            out = inline_cdc(out, link.span.accumulated_dispersion_ps_nm,
-                             link.span.ref_wavelength_nm)
+        out = inline_cdc(out, link.span)
         out = edfa(out, link.span.loss_db, link.edfa_nf_db, rng,
                    ase_enabled=link.ase_enabled,
                    ref_wavelength_nm=link.span.ref_wavelength_nm)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
@@ -211,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_grid(spec: str) -> list[float]:
     if ":" in spec:
         lo, hi, step = (float(v) for v in spec.split(":"))
+        if step == 0:
+            raise ValueError(f"grid {spec!r}: step must be nonzero")
         n = int(round((hi - lo) / step)) + 1
         return [lo + k * step for k in range(n)]
     return [float(v) for v in spec.split(",")]

@@ -9,7 +9,7 @@ first bit as MSB, so row index == integer value of the label.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -221,16 +221,11 @@ def _gray_phase_index(v: np.ndarray) -> np.ndarray:
     return inv[v]
 
 
-def xor_ring_rule(bits: np.ndarray) -> np.ndarray:
-    """Default ring selector: XOR of all six bits."""
-    return np.bitwise_xor.reduce(bits, axis=-1)
-
-
-def build_6b4d_2a8psk(ring_ratio: float, ring_rule=xor_ring_rule) -> Constellation4D:
+def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
     """Two-amplitude 8PSK over both polarizations, 6 bit/4D-sym.
 
-    Three Gray bits per polarization select the 8PSK phase; ring_rule
-    maps the 6 bits to the X-polarization ring index, and Y takes the
+    Three Gray bits per polarization select the 8PSK phase; the XOR of
+    all six bits is the X-polarization ring index, and Y takes the
     complementary ring, so the 4D modulus is constant.
     """
     if not ring_ratio > 0:
@@ -242,7 +237,7 @@ def build_6b4d_2a8psk(ring_ratio: float, ring_rule=xor_ring_rule) -> Constellati
     vx, vy = vals >> 3, vals & 7
     phx = _gray_phase_index(vx) * pi / 4
     phy = _gray_phase_index(vy) * pi / 4
-    ring_x = np.asarray(ring_rule(labels)).astype(int)
+    ring_x = np.bitwise_xor.reduce(labels, axis=1).astype(int)
     rx = radii[ring_x]
     ry = radii[1 - ring_x]
     points = np.stack(
@@ -251,7 +246,7 @@ def build_6b4d_2a8psk(ring_ratio: float, ring_rule=xor_ring_rule) -> Constellati
     )
     if min_pairwise_distance(points) < 1e-9:
         raise DegenerateGeometryError(
-            f"ring_ratio={ring_ratio} with the given ring rule collapses points"
+            f"ring_ratio={ring_ratio} collapses constellation points"
         )
     return Constellation4D(points=points, labels=labels, name="6b4d_2a8psk")
 

@@ -112,21 +112,6 @@ def estimate_point_covariances(
     return covs
 
 
-def gaussian_logpdf(y: np.ndarray, s: np.ndarray, cov: np.ndarray) -> float:
-    """Log density of an N-dimensional Gaussian with mean s, covariance cov.
-
-    Uses a Cholesky factorization; never forms an explicit inverse.
-    """
-    y = np.asarray(y, dtype=float)
-    s = np.asarray(s, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    n = y.size
-    chol = cholesky(cov, lower=True)  # raises LinAlgError if not PD
-    z = solve_triangular(chol, y - s, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (n * np.log(2 * np.pi) + logdet + z @ z))
-
-
 def _logpdf_matrix(y: np.ndarray, c: Constellation4D, model: NoiseModel) -> np.ndarray:
     """(Ns, M) matrix of log f(y_j | s_i) under the model."""
     y = np.asarray(y, dtype=float)

@@ -12,7 +12,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,12 +66,14 @@ class ExperimentConfig:
         for name in ("n_channels", "n_symbols", "n_spans", "phase_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("spacing_ghz", "baud_gbd", "span_km", "step_km",
-                     "gamma_w_km"):
+        for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.alpha_db_km < 0:
-            raise ValueError("alpha_db_km must be >= 0")
+        for name in ("baud_gbd", "span_km"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not 0 < self.step_km <= self.span_km:
+            raise ValueError("step_km must be in (0, span_km]")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
         powers = np.atleast_1d(np.asarray(self.launch_dbm, dtype=float))
@@ -176,7 +178,7 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
                         baud=baud, rolloff=cfg.rolloff)
     link = LinkConfig(span=cfg.fiber(), n_spans=cfg.n_spans,
                       step_km=cfg.step_km, edfa_nf_db=cfg.nf_db,
-                      inline_cdc=True, ase_enabled=cfg.ase_enabled,
+                      ase_enabled=cfg.ase_enabled,
                       seed=derived_seed(seed, "ase"))
     rx_sig = propagate_link(mux, link)
 
@@ -332,9 +334,7 @@ def find_reach(records: list[ResultRecord], gmi_target: float) -> float:
 def write_csv(records: list[ResultRecord], path) -> None:
     """Write records as CSV with LF endings and 10-significant-digit floats."""
     with open(path, "w", newline="\n") as f:
-        f.write(CSV_HEADER + "\n")
-        for r in records:
-            f.write(r.csv_row() + "\n")
+        f.write(records_to_csv(records))
 
 
 def records_to_csv(records: list[ResultRecord]) -> str:

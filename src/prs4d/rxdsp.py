@@ -19,7 +19,7 @@ from .txdsp import SampledSignal, rrc_taps
 class SymbolBatch:
     """Aligned transmitted bits/symbols and received 4D symbols.
 
-    rx_points must be on the constellation scale (after genie scale and
+    rx_points must be on the constellation scale (after genie gain and
     phase compensation), with TX/RX delay already removed.
     """
 
@@ -114,17 +114,6 @@ def genie_phase_compensation(
                 rc[sl] *= np.exp(-1j * np.angle(s))
         out.append(rc)
     return to_real4(out[0], out[1])
-
-
-def genie_scale(rx: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply the real scalar minimizing ||a rx - tx||^2 over the batch."""
-    rx = np.asarray(rx, dtype=float)
-    tx = np.asarray(tx, dtype=float)
-    denom = float(np.sum(rx**2))
-    if denom == 0:
-        raise ValueError("cannot scale an all-zero batch")
-    a = float(np.sum(rx * tx)) / denom
-    return a * rx, a
 
 
 def genie_gain(rx: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, float]:

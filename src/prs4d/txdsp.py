@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import fftconvolve, resample
@@ -21,7 +21,6 @@ class SampledSignal:
     x: np.ndarray
     y: np.ndarray
     fs: float
-    f_center: float = 0.0
     delay_s: float = 0.0
 
     def __post_init__(self):
@@ -39,29 +38,6 @@ class SampledSignal:
     def mean_power(self) -> float:
         """Mean instantaneous power |x|^2 + |y|^2 in W."""
         return float(np.mean(np.abs(self.x) ** 2 + np.abs(self.y) ** 2))
-
-
-@dataclass
-class TxFrame:
-    """Per-channel TX ground truth for one simulation run."""
-
-    bits: list  # per-channel bit arrays
-    indices: list  # per-channel symbol-index arrays
-    symbols: list  # per-channel Ns x 4 symbol arrays
-    seed: int
-    baud: float
-    rolloff: float
-    offsets_hz: np.ndarray
-    launch_dbm: float
-
-    def __post_init__(self):
-        ns = {len(ix) for ix in self.indices}
-        if len(ns) > 1:
-            raise ValueError("per-channel symbol counts differ")
-        off = np.asarray(self.offsets_hz, dtype=float)
-        if off.size > 1 and not np.all(np.diff(off) > 0):
-            raise ValueError("channel offsets must be strictly increasing")
-        self.offsets_hz = off
 
 
 def generate_bits(seed: int, count: int) -> np.ndarray:
@@ -145,10 +121,7 @@ def set_mean_power(sig: SampledSignal, power_dbm: float, n_symbols: int,
     if p <= 0:
         raise ValueError("zero-power waveform")
     g = np.sqrt(target_w / p)
-    return SampledSignal(
-        x=g * sig.x, y=g * sig.y, fs=sig.fs,
-        f_center=sig.f_center, delay_s=sig.delay_s,
-    )
+    return replace(sig, x=g * sig.x, y=g * sig.y)
 
 
 def wdm_mux(

@@ -97,24 +97,36 @@ class TestSsfmSpan:
         ref = ch.dispersion_step(sig, fib.beta2_s2_km, 1.0)
         assert np.max(np.abs(out.x - ref.x)) / np.max(np.abs(sig.x)) < 1e-10
 
+    def test_step_halving_better_than_first_order(self):
+        """Nonlinear paper span: each halving of the step cuts the field
+        error against a 1/16 km reference by more than 2x."""
+        sig = random_signal(power_w=10e-3)  # 10 mW per polarization
+
+        def field(step):
+            out = ch.ssfm_span(sig, LEAF, step)
+            return np.stack([out.x, out.y])
+
+        ref = field(1 / 16)
+        errs = [np.linalg.norm(field(s) - ref) / np.linalg.norm(ref)
+                for s in (8.0, 4.0, 2.0, 1.0)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine > 2.0
+
 
 class TestInlineCdc:
     def test_inverse_of_span_dispersion(self):
         sig = random_signal()
         fib = ch.FiberParams(alpha_db_km=0.0, gamma_w_km=0.0)
         disp = ch.ssfm_span(sig, fib, 0.5)
-        out = ch.inline_cdc(disp, fib.accumulated_dispersion_ps_nm)
+        out = ch.inline_cdc(disp, fib)
         err = np.max(np.abs(out.x - sig.x)) / np.max(np.abs(sig.x))
         assert err < 1e-10
 
     def test_double_application_is_not_identity(self):
         sig = random_signal()
-        once = ch.inline_cdc(sig, 340.4)
-        twice = ch.inline_cdc(once, 340.4)
+        once = ch.inline_cdc(sig, LEAF)
+        twice = ch.inline_cdc(once, LEAF)
         assert np.max(np.abs(twice.x - sig.x)) / np.max(np.abs(sig.x)) > 1e-3
-
-    def test_per_span_accumulation_value(self):
-        assert LEAF.accumulated_dispersion_ps_nm == pytest.approx(340.4)
 
 
 class TestEdfa:
@@ -148,14 +160,6 @@ class TestEdfa:
         sig = random_signal(n=64)
         with pytest.warns(UserWarning):
             ch.edfa(sig, 17.52, 2.0, np.random.default_rng(0))
-
-    def test_exact_nsp_close_to_high_gain(self):
-        sig = random_signal(n=4096, seed=2)
-        a = ch.edfa(sig, 20.0, 5.0, np.random.default_rng(3), exact_nsp=False)
-        b = ch.edfa(sig, 20.0, 5.0, np.random.default_rng(3), exact_nsp=True)
-        pa = np.mean(np.abs(a.x - sig.x * 10) ** 2)
-        pb = np.mean(np.abs(b.x - sig.x * 10) ** 2)
-        assert pb == pytest.approx(pa, rel=0.05)
 
 
 class TestPropagateLink:

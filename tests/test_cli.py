@@ -151,6 +151,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_zero_grid_step_returns_one(self, tmp_path, capsys):
+        code = cli.main(["sweep-power", "--powers", "0:4:0",
+                         "--output", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "step must be nonzero" in err
+
     def test_unknown_key_returns_one(self, tmp_path, capsys):
         code = cli.main(["simulate", "--set", "bogus=1",
                          "--output", str(tmp_path / "r.csv")])

@@ -36,6 +36,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             H.ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("kw, name", [
+        ({"baud_gbd": 0.0}, "baud_gbd"), ({"span_km": 0.0}, "span_km"),
+        ({"step_km": 0.0}, "step_km"), ({"step_km": 80.5}, "step_km"),
+    ])
+    def test_boundary_values_name_the_field(self, kw, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            H.ExperimentConfig(**kw)
+
     def test_effective_sps_single_channel(self):
         assert tiny_config().effective_sps() == 2
 
@@ -88,6 +96,22 @@ class TestRunPoint:
         a = H.run_point(cfg, launch_dbm=-1.0)
         b = H.run_point(cfg, launch_dbm=-1.0)
         assert H.records_to_csv(a) == H.records_to_csv(b)
+
+    def test_golden_nonlinear_two_span_point(self):
+        """Pinned outputs of a nonlinear 3-channel, 2-span point.
+
+        Two spans take the signal through SSFM, inline CDC and the EDFA
+        twice; a refactor of any of them that moves numerics fails here.
+        """
+        cfg = H.ExperimentConfig(n_symbols=2**12, n_channels=3, n_spans=2,
+                                 step_km=10.0, launch_dbm=6.0)
+        recs = {r.demapper: r for r in H.run_point(cfg)}
+        assert recs["iid"].gmi_bit4d == pytest.approx(5.847727387087783,
+                                                      rel=1e-12)
+        assert recs["cg"].gmi_bit4d == pytest.approx(5.908874613014766,
+                                                     rel=1e-12)
+        for r in recs.values():
+            assert r.sigma2 == pytest.approx(0.007688790140934784, rel=1e-12)
 
     def test_runtime_zero_without_timings(self):
         rec = H.run_point(tiny_config(), launch_dbm=0.0)[0]

@@ -86,32 +86,6 @@ class TestGeniePhase:
         assert np.allclose(mags_in, mags_out, rtol=1e-12)
 
 
-class TestGenieScale:
-    def test_double_amplitude(self):
-        _, _, pts, _ = shaped_channel(n_sym=256)
-        out, a = R.genie_scale(2 * pts, pts)
-        assert a == pytest.approx(0.5)
-        assert np.array_equal(out, pts)
-
-    def test_identity(self):
-        _, _, pts, _ = shaped_channel(n_sym=256)
-        _, a = R.genie_scale(pts, pts)
-        assert a == pytest.approx(1.0)
-
-    def test_matches_least_squares_fit(self):
-        rng = np.random.default_rng(2)
-        _, _, pts, _ = shaped_channel(n_sym=512)
-        rx = 1.3 * pts + rng.normal(scale=0.05, size=pts.shape)
-        _, a = R.genie_scale(rx, pts)
-        # independent LS via polynomial fit through the origin
-        a_ref = np.linalg.lstsq(rx.reshape(-1, 1), pts.reshape(-1), rcond=None)[0][0]
-        assert a == pytest.approx(a_ref, abs=1e-12)
-
-    def test_zero_batch_rejected(self):
-        with pytest.raises(ValueError):
-            R.genie_scale(np.zeros((4, 4)), np.ones((4, 4)))
-
-
 class TestFullChainIdentity:
     def test_tx_rx_identity_no_channel(self):
         bits, idx, pts, sig = shaped_channel(seed=3, n_sym=2048)

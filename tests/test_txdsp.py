@@ -126,11 +126,3 @@ class TestLaunchPower:
         )
         assert abs(10 * np.log10(p * 1e3) - 3.0) < 0.05
 
-
-class TestTxFrame:
-    def test_offset_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
-            T.TxFrame(bits=[np.zeros(6)], indices=[np.zeros(1)],
-                      symbols=[np.zeros((1, 4))], seed=0, baud=BAUD,
-                      rolloff=0.1, offsets_hz=np.array([50e9, 0.0]),
-                      launch_dbm=0.0)
