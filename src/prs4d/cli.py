@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -212,7 +213,9 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(v) for v in spec.split(":"))
         if step == 0:
             raise ValueError(f"grid {spec!r}: step must be nonzero")
-        n = int(round((hi - lo) / step)) + 1
+        n = math.floor((hi - lo) / step + 1e-9) + 1
+        if n < 1:
+            raise ValueError(f"grid {spec!r}: empty range")
         return [lo + k * step for k in range(n)]
     return [float(v) for v in spec.split(",")]
 
@@ -270,14 +273,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "export-constellation":
-        kv = dict(s.split("=", 1) for s in args.overrides)
-        c = const.build_format(
-            args.format,
-            prs_rho=float(kv["prs_rho"]) if "prs_rho" in kv else None,
-            prs_theta=float(kv["prs_theta"]) if "prs_theta" in kv else None,
-            ring_ratio=float(kv.get("ring_ratio", 1.0 / 0.65)),
-        )
-        const.export_csv(c, args.output)
+        cfg = replace(parse_config(None, args.overrides), format=args.format)
+        const.export_csv(cfg.build_constellation(), args.output)
         return 0
 
     raise ValueError(f"unhandled command {args.command}")

@@ -55,7 +55,6 @@ class ExperimentConfig:
     sps: int = 0  # 0 = auto (smallest power of two covering the WDM band)
     epsilon_reg: float = 1e-6
     ase_enabled: bool = True
-    rrc_span: int = 64
     timings: bool = False
 
     def __post_init__(self):
@@ -167,9 +166,8 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
         bits = txdsp.generate_bits(derived_seed(seed, "bits", ch),
                                    cfg.n_symbols * c.m)
         indices, points = const.map_bits_to_symbols(bits, c)
-        sig = txdsp.rrc_shape(points, sps, cfg.rolloff,
-                              span_symbols=cfg.rrc_span, baud=baud)
-        sig = txdsp.set_mean_power(sig, launch_dbm, cfg.n_symbols, baud)
+        sig = txdsp.rrc_shape(points, sps, cfg.rolloff, baud=baud)
+        sig = txdsp.set_mean_power(sig, launch_dbm)
         channels.append(sig)
         if ch == center:
             tx_center = (bits, indices, points)
@@ -182,8 +180,7 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
                       seed=derived_seed(seed, "ase"))
     rx_sig = propagate_link(mux, link)
 
-    rx = rxdsp.channel_select(rx_sig, center_offset, baud, cfg.rolloff,
-                              cfg.n_symbols, span_symbols=cfg.rrc_span)
+    rx = rxdsp.channel_select(rx_sig, center_offset, baud, cfg.rolloff)
     bits, indices, tx_points = tx_center
     rx = rxdsp.genie_phase_compensation(rx, tx_points, cfg.phase_window)
     # unbiased gain normalization: keeps clouds centered on the

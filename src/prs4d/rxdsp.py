@@ -1,8 +1,11 @@
 """Receiver chain: channel selection, matched filtering and genie recovery.
 
-All processing is data-aided (genie): delays are known from the filter
-metadata and phase/scale recovery uses the transmitted symbols, matching
-an ideal-DSP simulation methodology.
+The received waveform is the transmitter's circular Ns * sps frame, so
+symbol k is read at sample k * sps with no delay bookkeeping: the
+matched RRC filter is the transmitter's exact frequency response, and
+the carrier removed is the transmitter's FFT-bin carrier. Phase and
+scale recovery are data-aided (genie) and use the transmitted symbols,
+matching an ideal-DSP simulation methodology.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .txdsp import SampledSignal, rrc_taps
+from .txdsp import SampledSignal, carrier, rrc_response
 
 
 @dataclass
@@ -20,7 +22,7 @@ class SymbolBatch:
     """Aligned transmitted bits/symbols and received 4D symbols.
 
     rx_points must be on the constellation scale (after genie gain and
-    phase compensation), with TX/RX delay already removed.
+    phase compensation), row k received for transmitted symbol k.
     """
 
     tx_bits: np.ndarray
@@ -55,18 +57,14 @@ def to_real4(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return np.stack([cx.real, cx.imag, cy.real, cy.imag], axis=1)
 
 
-def channel_select(
-    signal: SampledSignal,
-    offset_hz: float,
-    baud: float,
-    rolloff: float,
-    n_symbols: int,
-    span_symbols: int = 64,
-) -> np.ndarray:
+def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
+                   rolloff: float) -> np.ndarray:
     """Downconvert one WDM channel and recover its Ns x 4 symbols.
 
-    Frequency-shifts by -offset_hz, applies the matched RRC filter and
-    samples at symbol instants using the known TX + RX filter delay.
+    Removes the channel's carrier, applies the matched RRC response in
+    the frequency domain and keeps every sps-th sample. The unit-energy
+    RRC pair is Nyquist with a unit main tap, so the samples are already
+    on the symbol scale.
     """
     sps = signal.fs / baud
     if abs(sps - round(sps)) > 1e-9:
@@ -75,19 +73,11 @@ def channel_select(
     if abs(offset_hz) + (1 + rolloff) * baud / 2 > signal.fs / 2:
         raise ValueError(f"channel offset {offset_hz:.3g} Hz is out of band")
 
-    t = np.arange(signal.n) / signal.fs
-    rot = np.exp(-2j * np.pi * offset_hz * t)
-    taps = rrc_taps(sps, rolloff, span_symbols)
-    x = fftconvolve(signal.x * rot, taps, mode="full")
-    y = fftconvolve(signal.y * rot, taps, mode="full")
-
-    delay = int(round(signal.delay_s * signal.fs)) + (span_symbols * sps) // 2
-    idx = delay + np.arange(n_symbols) * sps
-    if idx[-1] >= x.size:
-        raise ValueError(f"waveform too short for {n_symbols} symbols")
-    # unit-energy RRC pair is Nyquist with unit main tap, so the sampled
-    # values are already on the symbol scale
-    return to_real4(x[idx], y[idx])
+    lo = np.conj(carrier(offset_hz, signal.n, signal.fs))
+    spec = np.fft.fft(np.stack([signal.x, signal.y]) * lo, axis=1)
+    x, y = np.fft.ifft(spec * rrc_response(signal.n, sps, rolloff),
+                       axis=1)[:, ::sps]
+    return to_real4(x, y)
 
 
 def genie_phase_compensation(

@@ -1,4 +1,12 @@
-"""Transmitter chain: bit generation, RRC pulse shaping and WDM multiplexing."""
+"""Transmitter chain: bit generation, RRC pulse shaping and WDM multiplexing.
+
+Every waveform is one circular frame of exactly Ns * sps samples, the
+same periodic frame the SSFM dispersion operator and inline CDC act on.
+The root-raised-cosine filter is applied exactly in the frequency domain
+(no truncated taps, no ramp-up or ramp-down tails), symbol k sits at
+sample k * sps, and each WDM carrier is snapped to an FFT bin so that it
+is periodic in the frame as well.
+"""
 
 from __future__ import annotations
 
@@ -6,22 +14,20 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve, resample
 
 
 @dataclass
 class SampledSignal:
-    """Dual-polarization complex baseband waveform.
+    """Dual-polarization complex baseband waveform on a circular frame.
 
-    x/y are the polarization field envelopes in sqrt(W). delay_s tracks
-    the accumulated filter group delay so the receiver can sample at the
-    right instants without blind synchronization.
+    x/y are the polarization field envelopes in sqrt(W). The frame is
+    periodic: sample n wraps to sample 0, and symbol k of a frame shaped
+    at sps samples per symbol sits at sample k * sps.
     """
 
     x: np.ndarray
     y: np.ndarray
     fs: float
-    delay_s: float = 0.0
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=complex)
@@ -48,80 +54,58 @@ def generate_bits(seed: int, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def rrc_taps(sps: int, rolloff: float, span_symbols: int) -> np.ndarray:
-    """Unit-energy root-raised-cosine taps spanning span_symbols symbols."""
+def rrc_response(n: int, sps: int, rolloff: float) -> np.ndarray:
+    """Frequency response sqrt(sps * RC(f)) of the RRC filter on fftfreq(n).
+
+    RC is the raised-cosine spectrum with RC(0) = 1 and f in units of the
+    symbol rate. For n a multiple of sps the pulse has unit energy and the
+    matched pair (response squared) is exactly Nyquist with a unit main
+    tap. The response is real and even.
+    """
     if sps < 2:
         raise ValueError("sps must be >= 2 to avoid aliasing")
     if not 0 < rolloff <= 1:
         raise ValueError("rolloff must be in (0, 1]")
-    if span_symbols % 2 != 0:
-        raise ValueError("filter span must be an even number of symbols")
-    n = span_symbols * sps
-    t = np.arange(-n // 2, n // 2 + 1) / sps  # in symbol periods
-    b = rolloff
-    h = np.empty_like(t)
-    for k, tk in enumerate(t):
-        if abs(tk) < 1e-12:
-            h[k] = 1.0 - b + 4 * b / np.pi
-        elif abs(abs(tk) - 1.0 / (4 * b)) < 1e-9:
-            h[k] = (b / np.sqrt(2)) * (
-                (1 + 2 / np.pi) * np.sin(np.pi / (4 * b))
-                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * b))
-            )
-        else:
-            num = np.sin(np.pi * tk * (1 - b)) + 4 * b * tk * np.cos(
-                np.pi * tk * (1 + b)
-            )
-            den = np.pi * tk * (1 - (4 * b * tk) ** 2)
-            h[k] = num / den
-    return h / np.sqrt(np.sum(h**2))
+    f = np.abs(np.fft.fftfreq(n, 1.0 / sps))
+    edge = np.clip(f - (1 - rolloff) / 2, 0.0, rolloff)  # roll-off band
+    return np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge)))
 
 
-def rrc_shape(
-    symbols: np.ndarray,
-    sps: int,
-    rolloff: float,
-    span_symbols: int = 64,
-    baud: float = 45e9,
-) -> SampledSignal:
-    """Upsample 4D symbols and pulse-shape with a unit-energy RRC filter.
+def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
+              baud: float = 45e9) -> SampledSignal:
+    """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into Ns * sps
+    samples with a circular unit-energy RRC filter.
 
-    symbols: Ns x 4 real matrix [Re X, Im X, Re Y, Im Y]. The filter
-    delay of span_symbols/2 symbols is recorded in the output metadata.
+    Symbol k lands at sample k * sps. The spectrum of the upsampled
+    symbols is the Ns-point symbol spectrum repeated sps times, so the
+    response is applied as sps blocks of Ns bins.
     """
     symbols = np.asarray(symbols, dtype=float)
-    taps = rrc_taps(sps, rolloff, span_symbols)
     ns = symbols.shape[0]
-    out = []
-    for col in (0, 2):
-        sym = symbols[:, col] + 1j * symbols[:, col + 1]
-        up = np.zeros(ns * sps, dtype=complex)
-        up[::sps] = sym
-        out.append(fftconvolve(up, taps, mode="full"))
-    fs = sps * baud
-    return SampledSignal(
-        x=out[0], y=out[1], fs=fs, delay_s=(span_symbols * sps // 2) / fs
-    )
+    sym = (symbols[:, 0::2] + 1j * symbols[:, 1::2]).T
+    h = rrc_response(ns * sps, sps, rolloff).reshape(sps, ns)
+    spec = np.fft.fft(sym, axis=1)[:, None, :] * h
+    x, y = np.fft.ifft(spec.reshape(2, ns * sps), axis=1)
+    return SampledSignal(x=x, y=y, fs=sps * baud)
 
 
-def set_mean_power(sig: SampledSignal, power_dbm: float, n_symbols: int,
-                   baud: float) -> SampledSignal:
-    """Scale a shaped waveform so its steady-state mean power hits power_dbm.
-
-    The power is measured over the central Ns-symbol window, excluding
-    the filter ramp-up/down tails.
-    """
-    target_w = 10 ** ((power_dbm - 30) / 10)
-    sps = int(round(sig.fs / baud))
-    i0 = int(round(sig.delay_s * sig.fs))
-    i1 = min(i0 + n_symbols * sps, sig.n)
-    p = float(
-        np.mean(np.abs(sig.x[i0:i1]) ** 2 + np.abs(sig.y[i0:i1]) ** 2)
-    )
+def set_mean_power(sig: SampledSignal, power_dbm: float) -> SampledSignal:
+    """Scale a waveform so its mean power over the frame is power_dbm."""
+    p = sig.mean_power()
     if p <= 0:
         raise ValueError("zero-power waveform")
-    g = np.sqrt(target_w / p)
+    g = np.sqrt(10 ** ((power_dbm - 30) / 10) / p)
     return replace(sig, x=g * sig.x, y=g * sig.y)
+
+
+def carrier(offset_hz: float, n: int, fs: float) -> np.ndarray:
+    """exp(j 2 pi f t) on an n-sample frame, f snapped to the nearest FFT bin.
+
+    The snapped carrier is periodic in n; the frequency error is at most
+    fs / (2 n).
+    """
+    k = int(round(offset_hz * n / fs))
+    return np.exp(2j * np.pi * ((k * np.arange(n)) % n) / n)
 
 
 def wdm_mux(
@@ -133,8 +117,10 @@ def wdm_mux(
 ) -> SampledSignal:
     """Frequency-shift each channel onto a symmetric grid and sum.
 
-    Channel k is shifted to (k - (n-1)/2) * spacing_hz. Channels are
-    summed in fixed index order for bit-exact reproducibility.
+    Channel k is shifted to the carrier of (k - (n-1)/2) * spacing_hz.
+    All channels must share the frame length and the rate fs_out.
+    Channels are summed in fixed index order for bit-exact
+    reproducibility.
     """
     n_ch = len(channels)
     if n_ch == 0:
@@ -146,27 +132,14 @@ def wdm_mux(
         )
     if n_ch > 1 and spacing_hz < (1 + rolloff) * baud:
         warnings.warn("channel spacing below (1+rolloff)*baud: spectra overlap")
+    n = channels[0].n
+    if any(ch.n != n or ch.fs != fs_out for ch in channels):
+        raise ValueError("channels must share the frame length and fs_out")
 
-    resampled = []
-    for ch in channels:
-        if ch.fs == fs_out:
-            resampled.append((ch.x, ch.y))
-        else:
-            n_new = ch.n * fs_out / ch.fs
-            if abs(n_new - round(n_new)) > 1e-9:
-                raise ValueError("fs_out/fs must yield an integer sample count")
-            n_new = int(round(n_new))
-            resampled.append((resample(ch.x, n_new), resample(ch.y, n_new)))
-    n = resampled[0][0].size
-    if any(rx.size != n for rx, _ in resampled):
-        raise ValueError("channels must have equal length after resampling")
-
-    t = np.arange(n) / fs_out
     x = np.zeros(n, dtype=complex)
     y = np.zeros(n, dtype=complex)
-    for k, (cx, cy) in enumerate(resampled):
-        offset = (k - (n_ch - 1) / 2) * spacing_hz
-        rot = np.exp(2j * np.pi * offset * t)
-        x += cx * rot
-        y += cy * rot
-    return SampledSignal(x=x, y=y, fs=fs_out, delay_s=channels[0].delay_s)
+    for k, ch in enumerate(channels):
+        rot = carrier((k - (n_ch - 1) / 2) * spacing_hz, n, fs_out)
+        x += ch.x * rot
+        y += ch.y * rot
+    return SampledSignal(x=x, y=y, fs=fs_out)

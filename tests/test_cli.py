@@ -71,6 +71,15 @@ class TestParseGrid:
     def test_single_point_range(self):
         assert cli._parse_grid("10:10:1") == [10.0]
 
+    def test_range_stops_at_upper_bound(self):
+        assert cli._parse_grid("0:2:0.7") == pytest.approx([0.0, 0.7, 1.4])
+        assert cli._parse_grid("4:0:-2") == [4.0, 2.0, 0.0]
+        assert len(cli._parse_grid("0:1:0.1")) == 11
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="empty range"):
+            cli._parse_grid("5:4:1")
+
 
 def rec(fmt, dmp, x, y):
     return H.ResultRecord(launch_dbm=x, distance_km=800.0, n_channels=3,
@@ -171,6 +180,26 @@ class TestMain:
         lines = out.read_text().splitlines()
         assert lines[0] == "index,label_bits,s1,s2,s3,s4"
         assert len(lines) == 65
+
+    def test_empty_grid_returns_one(self, capsys):
+        assert cli.main(["gmi-awgn", "--snr", "5:4:1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "empty range" in captured.err
+
+    def test_export_constellation_applies_overrides(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["export-constellation", "--output", str(a)]) == 0
+        assert cli.main(["export-constellation", "--set", "prs_rho=1.2",
+                         "--output", str(b)]) == 0
+        assert a.read_text() != b.read_text()
+
+    def test_export_constellation_unknown_key_returns_one(self, tmp_path,
+                                                          capsys):
+        code = cli.main(["export-constellation", "--set", "prs_rh=1.2",
+                         "--output", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "valid keys" in capsys.readouterr().err
 
     def test_gmi_awgn_stdout(self, capsys):
         assert cli.main(["gmi-awgn", "--format", "pm8qam",

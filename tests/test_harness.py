@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from prs4d import demapper as dm
 from prs4d import harness as H
+from prs4d.channel import C_LIGHT, H_PLANCK
 
 
 def tiny_config(**kw):
@@ -106,12 +108,12 @@ class TestRunPoint:
         cfg = H.ExperimentConfig(n_symbols=2**12, n_channels=3, n_spans=2,
                                  step_km=10.0, launch_dbm=6.0)
         recs = {r.demapper: r for r in H.run_point(cfg)}
-        assert recs["iid"].gmi_bit4d == pytest.approx(5.847727387087783,
+        assert recs["iid"].gmi_bit4d == pytest.approx(5.815730259080983,
                                                       rel=1e-12)
-        assert recs["cg"].gmi_bit4d == pytest.approx(5.908874613014766,
+        assert recs["cg"].gmi_bit4d == pytest.approx(5.897838516595698,
                                                      rel=1e-12)
         for r in recs.values():
-            assert r.sigma2 == pytest.approx(0.007688790140934784, rel=1e-12)
+            assert r.sigma2 == pytest.approx(0.007880014101011485, rel=1e-12)
 
     def test_runtime_zero_without_timings(self):
         rec = H.run_point(tiny_config(), launch_dbm=0.0)[0]
@@ -120,6 +122,59 @@ class TestRunPoint:
     def test_runtime_recorded_with_timings(self):
         rec = H.run_point(tiny_config(timings=True), launch_dbm=0.0)[0]
         assert rec.runtime_s > 0.0
+
+
+class TestLinearClosure:
+    """gamma = 0: the link is 20 EDFAs of white ASE, so the measured SNR
+    and GMI must match theory to within the estimators' own errors.
+
+    Tolerances are Z standard errors, with Z = 5 (a correct run fails with
+    probability below 1e-6). sigma^2 is the mean of 4 Ns squared Gaussian
+    residuals, so its relative standard error is sqrt(2 / (4 Ns)). The GMI
+    standard error is the spread of the per-symbol penalty over sqrt(Ns),
+    taken from Ns AWGN symbols at the analytic SNR.
+    """
+
+    Z = 5.0
+    NS = 2**14
+
+    @staticmethod
+    def analytic_snr(cfg, launch_dbm):
+        """P / (2 N_spans n_sp h nu (G - 1) baud): ASE of every EDFA in the
+        symbol-rate bandwidth of both polarizations."""
+        p = 10 ** ((launch_dbm - 30) / 10)
+        n_sp = 10 ** (cfg.nf_db / 10) / 2
+        h_nu = H_PLANCK * C_LIGHT / 1550e-9
+        g = 10 ** (cfg.alpha_db_km * cfg.span_km / 10)
+        return p / (2 * cfg.n_spans * n_sp * h_nu * (g - 1) * cfg.baud_hz)
+
+    @staticmethod
+    def gmi_standard_error(c, snr, ns):
+        rng = np.random.default_rng(0)
+        sigma2 = 1.0 / (4 * snr)
+        idx = rng.integers(0, c.M, ns)
+        y = c.points[idx] + rng.normal(scale=np.sqrt(sigma2), size=(ns, 4))
+        llrs = dm.llrs_for_points(y, c, dm.NoiseModel.iid(sigma2))
+        signs = 1.0 - 2.0 * c.labels[idx]
+        penalty = np.logaddexp(0.0, -signs * llrs).sum(axis=1) / np.log(2)
+        return penalty.std() / np.sqrt(ns)
+
+    @pytest.mark.parametrize("fmt", ["4d64prs", "pm8qam"])
+    def test_snr_and_gmi_match_ase_theory(self, fmt):
+        cfg = H.ExperimentConfig(format=fmt, n_channels=1, n_spans=20,
+                                 n_symbols=self.NS, step_km=80.0,
+                                 gamma_w_km=0.0, demapper="iid")
+        rec = H.run_point(cfg, launch_dbm=-8.0)[0]
+        snr = self.analytic_snr(cfg, -8.0)
+
+        snr_err_db = 10 * np.log10(snr * 4 * rec.sigma2)
+        snr_tol_db = 10 / np.log(10) * self.Z * np.sqrt(2 / (4 * self.NS))
+        assert abs(snr_err_db) < snr_tol_db
+
+        c = cfg.build_constellation()
+        ref = dm.awgn_gmi_reference(c, 10 * np.log10(snr), n_nodes=6)
+        gmi_tol = self.Z * self.gmi_standard_error(c, snr, self.NS)
+        assert abs(rec.gmi_bit4d - ref) < gmi_tol
 
 
 class TestSweeps:

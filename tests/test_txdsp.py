@@ -26,51 +26,76 @@ class TestGenerateBits:
 
 
 class TestRrcTaps:
+    """rrc_response: the exact frequency-domain RRC filter."""
+
     def test_symmetric(self):
-        h = T.rrc_taps(4, 0.1, 64)
-        assert np.max(np.abs(h - h[::-1])) < 1e-15
+        h = T.rrc_response(4 * 64, 4, 0.1)
+        assert h.dtype == float
+        assert np.array_equal(h[1:], h[1:][::-1])
 
     def test_unit_energy(self):
-        h = T.rrc_taps(8, 0.25, 32)
-        assert abs(np.sum(h**2) - 1.0) < 1e-12
+        h = T.rrc_response(8 * 32, 8, 0.25)
+        pulse = np.fft.ifft(h)
+        assert abs(np.sum(np.abs(pulse) ** 2) - 1.0) < 1e-12
 
     def test_nyquist_cascade(self):
-        """RRC + matched RRC sampled at symbol rate: ISI below -40 dB."""
+        """Matched pair sampled at the symbol rate: a unit main tap, no ISI."""
         sps = 4
-        h = T.rrc_taps(sps, 0.1, 64)
-        rc = np.convolve(h, h)
-        center = len(rc) // 2
-        main = rc[center]
-        isi = np.concatenate([rc[center % sps::sps][: center // sps],
-                              rc[center + sps::sps]])
-        assert 20 * np.log10(np.max(np.abs(isi)) / main) < -40
+        pair = np.fft.ifft(T.rrc_response(sps * 64, sps, 0.1) ** 2)[::sps]
+        assert abs(pair[0] - 1.0) < 1e-14
+        assert np.max(np.abs(pair[1:])) < 1e-14
 
     def test_sps_too_small(self):
         with pytest.raises(ValueError):
-            T.rrc_taps(1, 0.1, 64)
+            T.rrc_response(64, 1, 0.1)
 
-    def test_odd_span_rejected(self):
+    @pytest.mark.parametrize("rolloff", [0.0, -0.1, 1.5])
+    def test_invalid_rolloff_rejected(self, rolloff):
         with pytest.raises(ValueError):
-            T.rrc_taps(4, 0.1, 63)
+            T.rrc_response(64, 4, rolloff)
 
 
 class TestRrcShape:
     def test_single_unit_symbol_energy(self):
         sym = np.zeros((1, 4))
         sym[0, 0] = 1.0
-        sig = T.rrc_shape(sym, 4, 0.1, 64, baud=BAUD)
+        sig = T.rrc_shape(sym, 4, 0.1, baud=BAUD)
         energy = np.sum(np.abs(sig.x) ** 2)
         assert abs(energy - 1.0) < 1e-12
 
-    def test_delay_metadata(self):
-        sig = T.rrc_shape(np.ones((8, 4)), 4, 0.1, 64, baud=BAUD)
-        assert sig.delay_s == pytest.approx(32 / BAUD)
+    def test_frame_is_ns_times_sps(self):
+        sig = T.rrc_shape(np.ones((8, 4)), 4, 0.1, baud=BAUD)
+        assert sig.n == 32 and sig.fs == 4 * BAUD
+
+    def test_symbol_k_at_sample_k_sps(self):
+        """A lone symbol's pulse peaks at its own sample, wrapping circularly."""
+        for k in (0, 5, 31):
+            sym = np.zeros((32, 4))
+            sym[k, 2] = 1.0
+            sig = T.rrc_shape(sym, 8, 0.1, baud=BAUD)
+            assert np.argmax(np.abs(sig.y)) == 8 * k
 
     def test_deterministic(self):
         sym = np.random.default_rng(0).normal(size=(32, 4))
-        a = T.rrc_shape(sym, 4, 0.1, 64, baud=BAUD)
-        b = T.rrc_shape(sym, 4, 0.1, 64, baud=BAUD)
+        a = T.rrc_shape(sym, 4, 0.1, baud=BAUD)
+        b = T.rrc_shape(sym, 4, 0.1, baud=BAUD)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+class TestCarrier:
+    def test_periodic_in_frame(self):
+        n, fs = 1000, 720e9
+        rot = T.carrier(123.4e9, n, fs)
+        assert np.allclose(np.roll(rot, 1) * rot[1], rot, atol=1e-12)
+        spec = np.abs(np.fft.fft(rot))
+        assert np.sum(spec > 1e-9 * n) == 1
+
+    def test_snap_error_within_half_bin(self):
+        n, fs = 1000, 720e9
+        rot = T.carrier(-123.4e9, n, fs)
+        k = np.argmax(np.abs(np.fft.fft(rot)))
+        f = np.fft.fftfreq(n, 1 / fs)[k]
+        assert abs(f - (-123.4e9)) <= fs / (2 * n)
 
 
 class TestWdmMux:
@@ -78,7 +103,7 @@ class TestWdmMux:
         c = C.build_pm8qam()
         bits = T.generate_bits(seed, n_sym * 6)
         _, pts = C.map_bits_to_symbols(bits, c)
-        return T.rrc_shape(pts, sps, 0.1, 64, baud=BAUD)
+        return T.rrc_shape(pts, sps, 0.1, baud=BAUD)
 
     def test_single_channel_identity(self):
         ch = self._channel(1)
@@ -110,19 +135,20 @@ class TestWdmMux:
         with pytest.warns(UserWarning):
             T.wdm_mux(chans, 40e9, 8 * BAUD)
 
+    def test_mismatched_channels_rejected(self):
+        short = self._channel(0, n_sym=256)
+        with pytest.raises(ValueError, match="frame length"):
+            T.wdm_mux([self._channel(1), short], 100e9, short.fs)
+        with pytest.raises(ValueError, match="frame length"):
+            T.wdm_mux([self._channel(1)], 100e9, 2 * short.fs)
+
 
 class TestLaunchPower:
     def test_set_mean_power(self):
         c = C.build_pm8qam()
         bits = T.generate_bits(5, 2048 * 6)
         _, pts = C.map_bits_to_symbols(bits, c)
-        sig = T.rrc_shape(pts, 4, 0.1, 64, baud=BAUD)
-        sig = T.set_mean_power(sig, 3.0, 2048, BAUD)
-        sps = 4
-        i0 = int(round(sig.delay_s * sig.fs))
-        p = np.mean(
-            np.abs(sig.x[i0:i0 + 2048 * sps]) ** 2
-            + np.abs(sig.y[i0:i0 + 2048 * sps]) ** 2
-        )
-        assert abs(10 * np.log10(p * 1e3) - 3.0) < 0.05
-
+        sig = T.rrc_shape(pts, 4, 0.1, baud=BAUD)
+        sig = T.set_mean_power(sig, 3.0)
+        assert 10 * np.log10(sig.mean_power() * 1e3) == pytest.approx(
+            3.0, abs=1e-12)
