@@ -220,6 +220,16 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",")]
 
 
+def _parse_counts(flag: str, spec: str) -> list[int]:
+    """A grid of counts; every value must be an integer >= 1."""
+    vals = _parse_grid(spec)
+    bad = [v for v in vals if not (v >= 1 and v.is_integer())]
+    if bad:
+        raise ValueError(f"{flag} {spec!r}: counts must be integers >= 1, "
+                         f"got {bad[0]:g}")
+    return [int(v) for v in vals]
+
+
 def _run(args) -> int:
     if args.command in ("simulate", "sweep-power", "sweep-distance",
                         "sweep-channels"):
@@ -231,11 +241,11 @@ def _run(args) -> int:
             records = harness.sweep_power(cfg, _parse_grid(args.powers))
             xf = "launch_dbm"
         elif args.command == "sweep-distance":
-            spans = [int(v) for v in _parse_grid(args.spans)]
+            spans = _parse_counts("--spans", args.spans)
             records = harness.sweep_distance(cfg, spans)
             xf = "distance_km"
         else:
-            counts = [int(v) for v in _parse_grid(args.channels)]
+            counts = _parse_counts("--channels", args.channels)
             records = harness.sweep_channels(cfg, counts,
                                              _parse_grid(args.powers))
             xf = "n_channels"

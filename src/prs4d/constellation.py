@@ -281,7 +281,8 @@ def export_csv(c: Constellation4D, path) -> None:
 
 # Shipped defaults: output of optimize_prs_params over DEFAULT_PRS_GRID at
 # DEFAULT_PRS_SNR_DB, the SNR where the best AWGN GMI is about 4.55 bit/4D-sym.
-# Regenerated by tests; do not edit by hand.
+# Pinned by tests/test_constellation.py::TestOptimize::
+# test_shipped_defaults_are_the_optimum; rerun the optimizer to change them.
 DEFAULT_PRS_SNR_DB = 8.1
 DEFAULT_PRS_GRID = {
     "rho_range": (1.2, 2.0),

@@ -2,9 +2,9 @@
 
 Two channel-law assumptions are supported: a shared scalar per-dimension
 variance (iid model) and a per-constellation-point 4x4 covariance
-(correlated model). LLRs use the convention L = log(P[bit=0] / P[bit=1]);
-the GMI penalty term is evaluated so that an LLR favoring the true bit
-contributes a small penalty and GMI approaches m at high SNR.
+(correlated model). LLRs, L = log(P[bit=0] / P[bit=1]), come in row blocks
+from one exponentiated log-pdf matrix times the label masks. An LLR favoring
+the true bit adds a small GMI penalty, so GMI approaches m at high SNR.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .constellation import Constellation4D
 from .rxdsp import SymbolBatch
 
 LLR_CLAMP_NATS = 50.0
+_BLOCK_ROWS = 4096  # rows per LLR block; 4096-8192 ran fastest, 65536 1.5-1.8x slower
 _LOG2 = np.log(2.0)
 
 
@@ -112,46 +111,53 @@ def estimate_point_covariances(
     return covs
 
 
-def _logpdf_matrix(y: np.ndarray, c: Constellation4D, model: NoiseModel) -> np.ndarray:
-    """(Ns, M) matrix of log f(y_j | s_i) under the model."""
-    y = np.asarray(y, dtype=float)
-    n_dim = c.points.shape[1]
+def _logpdf_matrix(c: Constellation4D, model: NoiseModel):
+    """Function of a (B, N) block of y giving its (B, M) log f(y_j | s_i) + const.
+
+    cg factors once, C_i = L_i L_i^T and W_i = L_i^-1, then whitens a block
+    with one (B, N) @ (N, M*N) product: |W_i y - W_i s_i|^2.
+    """
     if model.kind == "iid":
         if model.sigma2 <= 0:
             raise ValueError("sigma2 must be positive for demapping")
-        d2 = cdist(y, c.points, metric="sqeuclidean")
-        return -d2 / (2 * model.sigma2) - 0.5 * n_dim * np.log(
-            2 * np.pi * model.sigma2
-        )
-    covs = model.covariances
-    if covs.shape[0] != c.M:
+        return lambda yb: cdist(yb, c.points, "sqeuclidean") / (-2 * model.sigma2)
+    if model.covariances.shape[0] != c.M:
         raise ValueError("cg model needs one covariance per constellation point")
-    out = np.empty((y.shape[0], c.M))
-    for i in range(c.M):
-        chol = cholesky(covs[i], lower=True)
-        z = solve_triangular(chol, (y - c.points[i]).T, lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, i] = -0.5 * (
-            n_dim * np.log(2 * np.pi) + logdet + np.sum(z**2, axis=0)
-        )
-    return out
+    w = np.linalg.inv(np.linalg.cholesky(model.covariances))  # lower, diag 1/L_ii
+    w_all = w.transpose(2, 0, 1).reshape(w.shape[2], -1)
+    w_s = np.einsum("mij,mj->mi", w, c.points)
+    half_logdet = -np.log(np.diagonal(w, axis1=1, axis2=2)).sum(axis=1)
+
+    def cg(yb):
+        z = (yb @ w_all).reshape(len(yb), c.M, -1)
+        z -= w_s
+        return -0.5 * np.einsum("bmi,bmi->bm", z, z) - half_logdet
+
+    return cg
 
 
 def llrs_for_points(
-    y: np.ndarray,
-    c: Constellation4D,
-    model: NoiseModel,
-    clamp: float = LLR_CLAMP_NATS,
+    y: np.ndarray, c: Constellation4D, model: NoiseModel, clamp: float = LLR_CLAMP_NATS
 ) -> np.ndarray:
-    """(Ns, m) LLR matrix, L = log P0/P1, computed via log-sum-exp."""
-    logf = _logpdf_matrix(y, c, model)
-    llrs = np.empty((logf.shape[0], c.m))
-    for k in range(c.m):
-        zero = c.labels[:, k] == 0
-        llrs[:, k] = logsumexp(logf[:, zero], axis=1) - logsumexp(
-            logf[:, ~zero], axis=1
-        )
-    return np.clip(llrs, -clamp, clamp)
+    """(Ns, m) LLR matrix, L = log P0/P1, clipped to [-clamp, clamp].
+
+    Per row block, E = exp(logf - row max), L = log(E Z) - log(E (1 - Z)) with
+    Z = (labels == 0) the (M, m) label mask. The row maximum puts a 1 in one
+    sum, so only the losing sum can underflow (|L| > ~700 nats): its log is
+    -inf and L saturates to +-clamp with the exact sign.
+    """
+    logpdf = _logpdf_matrix(c, model)
+    y = np.asarray(y, dtype=float)
+    zero = (c.labels == 0).astype(float)
+    llrs = np.empty((y.shape[0], c.m))
+    for start in range(0, y.shape[0], _BLOCK_ROWS):
+        e = logpdf(y[start : start + _BLOCK_ROWS])
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        with np.errstate(divide="ignore"):
+            block = np.log(e @ zero) - np.log(e @ (1 - zero))
+        np.clip(block, -clamp, clamp, out=llrs[start : start + _BLOCK_ROWS])
+    return llrs
 
 
 def compute_llrs(
@@ -227,18 +233,12 @@ def awgn_gmi_reference(
         raise ValueError(f"unknown method {method!r}")
 
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    grids = np.meshgrid(*([nodes] * n_dim), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)  # (n^N, N)
-    wgrids = np.meshgrid(*([weights] * n_dim), indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    w /= np.pi ** (n_dim / 2)
+    grid = np.indices((n_nodes,) * n_dim).reshape(n_dim, -1).T.copy()  # C order
+    z, w = nodes[grid], weights[grid].prod(axis=1) / np.pi ** (n_dim / 2)
 
-    scale = np.sqrt(2 * sigma2)
     # batch all M conditional grids into one LLR evaluation
-    y = (c.points[:, None, :] + scale * z[None, :, :]).reshape(-1, n_dim)
-    llrs = llrs_for_points(y, c, model, clamp=clamp).reshape(
-        c.M, z.shape[0], c.m
-    )
+    y = (c.points[:, None, :] + np.sqrt(2 * sigma2) * z).reshape(-1, n_dim)
+    llrs = llrs_for_points(y, c, model, clamp=clamp).reshape(c.M, -1, c.m)
     penalty = np.logaddexp(0.0, -signs[:, None, :] * llrs) / _LOG2
     total = np.einsum("q,iq->", w, penalty.sum(axis=2))
     return float(c.m - total / c.M)

@@ -167,6 +167,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "step must be nonzero" in err
 
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("sweep-distance", "--spans", "1:3:0.5"),
+        ("sweep-distance", "--spans", "2.7,3.2"),
+        ("sweep-distance", "--spans", "0,2"),
+        ("sweep-channels", "--channels", "1,2.5"),
+        ("sweep-channels", "--channels", "-1"),
+    ])
+    def test_non_integral_count_returns_one(self, tmp_path, capsys, command,
+                                            flag, spec):
+        out = tmp_path / "r.csv"
+        assert cli.main([command, f"{flag}={spec}", "--output", str(out)]
+                        + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err and "integers" in err
+        assert not out.exists()
+
     def test_unknown_key_returns_one(self, tmp_path, capsys):
         code = cli.main(["simulate", "--set", "bogus=1",
                          "--output", str(tmp_path / "r.csv")])

@@ -182,6 +182,12 @@ class TestOptimize:
         with pytest.raises(ValueError):
             C.optimize_prs_params(8.1, grid)
 
+    def test_shipped_defaults_are_the_optimum(self):
+        params, _ = C.optimize_prs_params(C.DEFAULT_PRS_SNR_DB,
+                                          C.DEFAULT_PRS_GRID)
+        assert (params.rho, params.theta) == (C.DEFAULT_PRS_RHO,
+                                              C.DEFAULT_PRS_THETA)
+
     def test_best_beats_neighbors(self):
         from prs4d import demapper as D
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
@@ -188,6 +190,103 @@ class TestComputeLlrs:
         b = make_batch(pm8qam, sigma=0.0)
         with pytest.raises(ValueError):
             D.compute_llrs(b, pm8qam, D.NoiseModel.iid(0.0))
+
+
+def direct_llrs(y, c, model):
+    """Per-point log-pdf columns and per-bit sums of exponentials, long double.
+
+    One triangular solve per point (vectorized over rows, so it stays fast
+    over a few row blocks), then one sum per bit subset. Long double exp
+    reaches about -11000 nats, so neither sum underflows where float64
+    sums would.
+    """
+    logf = np.empty((y.shape[0], c.M), dtype=np.longdouble)
+    for i in range(c.M):
+        if model.kind == "iid":
+            d2 = np.sum((y - c.points[i]) ** 2, axis=1, dtype=np.longdouble)
+            logf[:, i] = -d2 / (2 * model.sigma2)
+        else:
+            chol = cholesky(model.covariances[i], lower=True)
+            z = solve_triangular(chol, (y - c.points[i]).T, lower=True)
+            logf[:, i] = -0.5 * np.sum(z**2, axis=0, dtype=np.longdouble) \
+                - np.sum(np.log(np.diag(chol)))
+    logf -= logf.max(axis=1, keepdims=True)
+    out = np.empty((y.shape[0], c.m))
+    for k in range(c.m):
+        zero = c.labels[:, k] == 0
+        num = np.log(np.sum(np.exp(logf[:, zero]), axis=1))
+        den = np.log(np.sum(np.exp(logf[:, ~zero]), axis=1))
+        out[:, k] = (num - den).astype(float)
+    return out
+
+
+def random_covariances(rng, scale, floor):
+    covs = []
+    for _ in range(64):
+        a = rng.normal(size=(4, 4)) * scale
+        covs.append(a @ a.T + floor * np.eye(4))
+    return np.array(covs)
+
+
+@pytest.fixture(scope="module")
+def prs64():
+    return C.build_format("4d64prs")
+
+
+@pytest.fixture(scope="module", params=["iid", "cg"])
+def prs64_model(request):
+    if request.param == "iid":
+        return D.NoiseModel.iid(0.07)
+    covs = random_covariances(np.random.default_rng(14), 0.1, 0.05)
+    return D.NoiseModel.cg(covs)
+
+
+class TestLlrBlocks:
+    """Row blocks: partial last block, block boundaries, saturation."""
+
+    NS = 2 * D._BLOCK_ROWS + 37
+
+    def test_matches_direct_sums_across_blocks(self, prs64, prs64_model):
+        y = np.random.default_rng(15).normal(scale=0.8, size=(self.NS, 4))
+        fast = D.llrs_for_points(y, prs64, prs64_model, clamp=1e9)
+        slow = direct_llrs(y, prs64, prs64_model)
+        assert np.max(np.abs(fast - slow)) < 1e-8
+
+    def test_each_row_alone_gives_its_row(self, prs64, prs64_model):
+        rng = np.random.default_rng(16)
+        y = prs64.points[rng.integers(0, 64, self.NS)] \
+            + rng.normal(scale=0.3, size=(self.NS, 4))
+        y[::97] *= 30  # a shift borrowed from another row would over/underflow
+        full = D.llrs_for_points(y, prs64, prs64_model, clamp=1e9)
+        rows = np.concatenate([
+            D.llrs_for_points(y[j:j + 1], prs64, prs64_model, clamp=1e9)
+            for j in range(self.NS)])
+        # equal up to rounding, as BLAS may order a one-row product
+        # differently: ~10 eps of the largest |log f|, 4.2e4 nats here
+        np.testing.assert_allclose(rows, full, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("clamp", [D.LLR_CLAMP_NATS, 1e9])
+    @pytest.mark.parametrize("kind", ["iid", "cg"])
+    def test_far_outlier_saturates_with_exact_sign(self, prs64, kind, clamp):
+        if kind == "iid":
+            model = D.NoiseModel.iid(0.01)
+        else:
+            model = D.NoiseModel.cg(
+                random_covariances(np.random.default_rng(14), 0.1, 0.05) / 5)
+        y = 30 * prs64.points[[0, 21, 42]]
+        exact = direct_llrs(y, prs64, model)
+        # in float64 the losing sum is 0 once |L| > 745 + log(32); |L| in
+        # (700, 760] would sit among subnormals and is kept out of the data
+        underflow = np.abs(exact) > 760
+        assert underflow.sum() >= 3
+        assert not np.any((np.abs(exact) > 700) & ~underflow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = D.llrs_for_points(y, prs64, model, clamp=clamp)
+        assert np.array_equal(fast[underflow],
+                              np.sign(exact[underflow]) * clamp)
+        rest = np.clip(exact[~underflow], -clamp, clamp)
+        assert np.max(np.abs(fast[~underflow] - rest)) < 1e-8
 
 
 class TestGmiFromLlrs:
