@@ -4,11 +4,13 @@ Dual-polarization fields evolve under the Manakov equation: both
 polarizations see identical linear operators (no PMD) and a joint
 nonlinear phase rotation with the 8/9 averaging factor.
 
-Two private operators on the stacked (2, n) field are the only code for
-the physics: _disperse (FFT, phasor exp(j beta2/2 w^2 dz), inverse FFT)
-and _kerr (the Manakov rotor). ssfm_span splits a span into full steps
-plus a shorter final one and merges adjacent dispersion half-steps, so n
-steps cost n + 1 dispersion calls. The loss e^{-a dz/2} is a separate
+Two operators on a private (2, n) copy of the field are the only code for
+the physics: dispersion (the _phasors exp(j beta2/2 w^2 dz), applied by
+txdsp.spectral_filter to each polarization in place) and _kerr (the
+Manakov rotor). ssfm_span splits a span into full steps plus a shorter
+final one and merges adjacent dispersion half-steps, so n steps cost n + 1
+dispersion calls, with one phasor built per distinct half-step (at most
+four) before the loop. The loss e^{-a dz/2} is a separate
 amplitude multiply after each Kerr rotation, which uses the
 attenuation-aware effective length. Each span is followed by ideal
 lossless inline CDC, the same dispersion operator over -L, and an EDFA
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .txdsp import SampledSignal
+from .txdsp import SampledSignal, spectral_filter
 
 C_LIGHT = 299792458.0  # m/s
 H_PLANCK = 6.62607015e-34  # J s
@@ -82,15 +84,10 @@ class LinkConfig:
         return self.n_spans * self.span.length_km
 
 
-def _omega(n: int, fs: float) -> np.ndarray:
-    return 2 * np.pi * np.fft.fftfreq(n, d=1.0 / fs)
-
-
-def _disperse(fld: np.ndarray, w2: np.ndarray, beta2: float,
-              dz: float) -> np.ndarray:
-    """All-pass dispersion exp(+j beta2/2 w^2 dz) on a stacked (2, n) field."""
-    return np.fft.ifft(np.fft.fft(fld, axis=1)
-                       * np.exp(0.5j * beta2 * w2 * dz), axis=1)
+def _phasors(signal: SampledSignal, beta2: float, dzs) -> dict:
+    """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz."""
+    w2 = (2 * np.pi * np.fft.fftfreq(signal.n, d=1.0 / signal.fs)) ** 2
+    return {dz: np.exp(0.5j * beta2 * w2 * dz) for dz in set(dzs)}
 
 
 def _kerr(fld: np.ndarray, gamma: float, dz_eff: float) -> np.ndarray:
@@ -106,8 +103,8 @@ def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
 
     dz may be negative, which realizes ideal compensation.
     """
-    w2 = _omega(signal.n, signal.fs) ** 2
-    out = _disperse(np.stack([signal.x, signal.y]), w2, beta2_s2_km, dz_km)
+    phasor = _phasors(signal, beta2_s2_km, [dz_km])[dz_km]
+    out = spectral_filter(np.stack([signal.x, signal.y]), phasor)
     return replace(signal, x=out[0], y=out[1])
 
 
@@ -137,17 +134,17 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     if rem > 1e-9 * fiber.length_km:
         steps.append(rem)
     alpha = fiber.alpha_db_km * _LN10 / 10.0  # power Np/km
-    beta2 = fiber.beta2_s2_km
-    w2 = _omega(signal.n, signal.fs) ** 2
     # merged half steps: D(h1/2) N1 D((h1+h2)/2) N2 ... D(hn/2)
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
+    phasors = _phasors(signal, fiber.beta2_s2_km, halves)
 
     fld = np.stack([signal.x, signal.y])
     for dz, half in zip(steps, halves):
         dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
-        fld = _kerr(_disperse(fld, w2, beta2, half), fiber.gamma_w_km, dz_eff)
+        spectral_filter(fld, phasors[half])
+        _kerr(fld, fiber.gamma_w_km, dz_eff)
         fld *= np.exp(-alpha * dz / 2.0)
-    fld = _disperse(fld, w2, beta2, halves[-1])
+    spectral_filter(fld, phasors[halves[-1]])
     return replace(signal, x=fld[0], y=fld[1])
 
 

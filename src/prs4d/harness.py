@@ -65,7 +65,8 @@ class ExperimentConfig:
         for name in ("n_channels", "n_symbols", "n_spans", "phase_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km"):
+        for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km",
+                     "epsilon_reg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("baud_gbd", "span_km"):
@@ -73,6 +74,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be > 0")
         if not 0 < self.step_km <= self.span_km:
             raise ValueError("step_km must be in (0, span_km]")
+        if self.sps < 0 or self.sps == 1:
+            raise ValueError("sps must be 0 (auto) or >= 2")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
         powers = np.atleast_1d(np.asarray(self.launch_dbm, dtype=float))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txdsp import SampledSignal, carrier, rrc_response
+from .txdsp import SampledSignal, carrier, rrc_response, spectral_filter
 
 
 @dataclass
@@ -61,10 +61,10 @@ def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
                    rolloff: float) -> np.ndarray:
     """Downconvert one WDM channel and recover its Ns x 4 symbols.
 
-    Removes the channel's carrier, applies the matched RRC response in
-    the frequency domain and keeps every sps-th sample. The unit-energy
-    RRC pair is Nyquist with a unit main tap, so the samples are already
-    on the symbol scale.
+    Downconverts a copy of the field, filters each polarization in place
+    with the matched RRC response and keeps every sps-th sample. The
+    unit-energy RRC pair is Nyquist with a unit main tap, so the samples
+    are already on the symbol scale.
     """
     sps = signal.fs / baud
     if abs(sps - round(sps)) > 1e-9:
@@ -74,10 +74,9 @@ def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
         raise ValueError(f"channel offset {offset_hz:.3g} Hz is out of band")
 
     lo = np.conj(carrier(offset_hz, signal.n, signal.fs))
-    spec = np.fft.fft(np.stack([signal.x, signal.y]) * lo, axis=1)
-    x, y = np.fft.ifft(spec * rrc_response(signal.n, sps, rolloff),
-                       axis=1)[:, ::sps]
-    return to_real4(x, y)
+    fld = spectral_filter(np.stack([signal.x, signal.y]) * lo,
+                          rrc_response(signal.n, sps, rolloff))
+    return to_real4(fld[0, ::sps], fld[1, ::sps])
 
 
 def genie_phase_compensation(

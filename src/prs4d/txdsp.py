@@ -54,6 +54,15 @@ def generate_bits(seed: int, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
+def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Filter each row of a complex (2, n) field by h, in place."""
+    for row in fld:
+        np.fft.fft(row, out=row)
+        row *= h
+        np.fft.ifft(row, out=row)
+    return fld
+
+
 def rrc_response(n: int, sps: int, rolloff: float) -> np.ndarray:
     """Frequency response sqrt(sps * RC(f)) of the RRC filter on fftfreq(n).
 
@@ -78,15 +87,17 @@ def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
 
     Symbol k lands at sample k * sps. The spectrum of the upsampled
     symbols is the Ns-point symbol spectrum repeated sps times, so the
-    response is applied as sps blocks of Ns bins.
+    response is applied as sps blocks of Ns bins; each polarization's
+    spectrum is then inverse-transformed in place.
     """
     symbols = np.asarray(symbols, dtype=float)
     ns = symbols.shape[0]
     sym = (symbols[:, 0::2] + 1j * symbols[:, 1::2]).T
     h = rrc_response(ns * sps, sps, rolloff).reshape(sps, ns)
-    spec = np.fft.fft(sym, axis=1)[:, None, :] * h
-    x, y = np.fft.ifft(spec.reshape(2, ns * sps), axis=1)
-    return SampledSignal(x=x, y=y, fs=sps * baud)
+    fld = (np.fft.fft(sym, axis=1)[:, None, :] * h).reshape(2, ns * sps)
+    for row in fld:
+        np.fft.ifft(row, out=row)
+    return SampledSignal(x=fld[0], y=fld[1], fs=sps * baud)
 
 
 def set_mean_power(sig: SampledSignal, power_dbm: float) -> SampledSignal:

@@ -16,6 +16,7 @@ def random_signal(n=4096, fs=180e9, seed=0, power_w=1e-3):
 
 
 LEAF = ch.FiberParams()  # paper fiber: 0.219 dB/km, 4.255 ps/nm/km, 1.464 /W/km
+SHORT = ch.FiberParams(length_km=1.0)  # paper fiber, 1 km span
 
 
 class TestDispersion:
@@ -125,6 +126,56 @@ class TestSsfmSpan:
                 for s in (8.0, 4.0, 2.0, 1.0)]
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine > 2.0
+
+    def test_matches_plain_reference_stepper(self):
+        """Lossy nonlinear 1 km span in 0.3 km steps (0.1 km remainder)
+        against a plain stepper: stacked FFT pair with a fresh phasor at
+        every merged half-step, Manakov rotor, then the loss."""
+        sig = random_signal(n=1024, power_w=10e-3)  # 10 mW per polarization
+        alpha = SHORT.alpha_db_km * np.log(10) / 10
+        w2 = (2 * np.pi * np.fft.fftfreq(sig.n, 1 / sig.fs)) ** 2
+
+        def disperse(f, dz):
+            phasor = np.exp(0.5j * SHORT.beta2_s2_km * w2 * dz)
+            return np.fft.ifft(np.fft.fft(f, axis=1) * phasor, axis=1)
+
+        fld, prev = np.stack([sig.x, sig.y]), 0.0
+        for dz in (0.3, 0.3, 0.3, 0.1):
+            fld = disperse(fld, (prev + dz) / 2)
+            p = np.abs(fld[0]) ** 2 + np.abs(fld[1]) ** 2
+            dz_eff = (1 - np.exp(-alpha * dz)) / alpha
+            fld = fld * np.exp(1j * (8 / 9) * SHORT.gamma_w_km * dz_eff * p)
+            fld = fld * np.exp(-alpha * dz / 2)
+            prev = dz
+        ref = disperse(fld, prev / 2)
+
+        out = ch.ssfm_span(sig, SHORT, 0.3)
+        err = np.linalg.norm(np.stack([out.x, out.y]) - ref)
+        assert err / np.linalg.norm(ref) <= 1e-14
+
+
+class TestInputsUnchanged:
+    """The operators work in place on private copies only: the caller's
+    x and y come back bit for bit and share no memory with the output."""
+
+    OPS = {
+        "dispersion_step": lambda s: ch.dispersion_step(s, LEAF.beta2_s2_km,
+                                                        1.0),
+        "nonlinear_step": lambda s: ch.nonlinear_step(s, 1.464, 1.0),
+        "ssfm_span": lambda s: ch.ssfm_span(s, SHORT, 0.3),
+        "inline_cdc": lambda s: ch.inline_cdc(s, LEAF),
+        "propagate_link": lambda s: ch.propagate_link(s, ch.LinkConfig(
+            span=SHORT, n_spans=2, step_km=0.3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_caller_field_unchanged(self, name):
+        sig = random_signal(n=1024, power_w=10e-3)
+        x, y = sig.x.copy(), sig.y.copy()
+        out = self.OPS[name](sig)
+        assert np.array_equal(sig.x, x) and np.array_equal(sig.y, y)
+        assert not np.shares_memory(out.x, sig.x)
+        assert not np.shares_memory(out.y, sig.y)
 
 
 class TestInlineCdc:

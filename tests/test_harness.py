@@ -41,6 +41,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("kw, name", [
         ({"baud_gbd": 0.0}, "baud_gbd"), ({"span_km": 0.0}, "span_km"),
         ({"step_km": 0.0}, "step_km"), ({"step_km": 80.5}, "step_km"),
+        ({"sps": -4}, "sps"), ({"sps": 1}, "sps"),
+        ({"epsilon_reg": -1.0}, "epsilon_reg"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -61,6 +61,12 @@ class TestChannelSelect:
         err_center = np.sum((rx - refs[1]) ** 2)
         assert err_neighbor < err_center
 
+    def test_caller_field_unchanged(self):
+        _, _, _, sig = shaped_channel()
+        x, y = sig.x.copy(), sig.y.copy()
+        R.channel_select(sig, 0.0, BAUD, 0.1)
+        assert np.array_equal(sig.x, x) and np.array_equal(sig.y, y)
+
     def test_offset_out_of_band(self):
         _, _, _, sig = shaped_channel(sps=4)
         with pytest.raises(ValueError):
