@@ -12,7 +12,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,13 +58,18 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite")
         if self.format not in VALID_FORMATS:
             raise ValueError(f"format must be one of {VALID_FORMATS}")
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
         for name in ("n_channels", "n_symbols", "n_spans", "phase_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km",
                      "epsilon_reg"):
             if getattr(self, name) < 0:
@@ -74,12 +79,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be > 0")
         if not 0 < self.step_km <= self.span_km:
             raise ValueError("step_km must be in (0, span_km]")
-        if self.sps < 0 or self.sps == 1:
-            raise ValueError("sps must be 0 (auto) or >= 2")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
-        powers = np.atleast_1d(np.asarray(self.launch_dbm, dtype=float))
-        if powers.size == 0:
+        if self.sps and (self.sps < 2 or self.sps != int(self.sps)
+                         or self.sps * self.baud_hz < self.band_hz):
+            raise ValueError(f"sps must be 0 (auto) or an integer >= 2 that "
+                             f"carries the {self.band_hz:.3g} Hz WDM band")
+        self.sps = int(self.sps)
+        if np.size(self.launch_dbm) == 0:
             raise ValueError("launch_dbm list must be non-empty")
 
     @property
@@ -90,13 +97,16 @@ class ExperimentConfig:
     def spacing_hz(self) -> float:
         return self.spacing_ghz * 1e9
 
+    @property
+    def band_hz(self) -> float:
+        return ((self.n_channels - 1) * self.spacing_hz
+                + (1 + self.rolloff) * self.baud_hz)
+
     def effective_sps(self) -> int:
         if self.sps:
             return self.sps
-        band = ((self.n_channels - 1) * self.spacing_hz
-                + (1 + self.rolloff) * self.baud_hz)
         sps = 2
-        while sps * self.baud_hz < 1.1 * band:
+        while sps * self.baud_hz < 1.1 * self.band_hz:
             sps *= 2
         return sps
 

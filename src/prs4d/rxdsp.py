@@ -1,11 +1,10 @@
 """Receiver chain: channel selection, matched filtering and genie recovery.
 
 The received waveform is the transmitter's circular Ns * sps frame, so
-symbol k is read at sample k * sps with no delay bookkeeping: the
-matched RRC filter is the transmitter's exact frequency response, and
-the carrier removed is the transmitter's FFT-bin carrier. Phase and
-scale recovery are data-aided (genie) and use the transmitted symbols,
-matching an ideal-DSP simulation methodology.
+symbol k is read at sample k * sps with no delay bookkeeping; channel
+selection works in the spectrum. Phase and scale recovery are data-aided
+(genie) and use the transmitted symbols, matching an ideal-DSP
+simulation methodology.
 """
 
 from __future__ import annotations
@@ -13,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
-from .txdsp import SampledSignal, carrier, rrc_response, spectral_filter
+from .txdsp import SampledSignal, rrc_support
 
 
 @dataclass
@@ -61,22 +61,25 @@ def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
                    rolloff: float) -> np.ndarray:
     """Downconvert one WDM channel and recover its Ns x 4 symbols.
 
-    Downconverts a copy of the field, filters each polarization in place
-    with the matched RRC response and keeps every sps-th sample. The
-    unit-energy RRC pair is Nyquist with a unit main tap, so the samples
-    are already on the symbol scale.
+    The RRC support around the channel's FFT bin is weighted by the
+    matched response and folded onto Ns bins: decimation by sps aliases
+    the spectrum in blocks of Ns bins, scaled by 1/sps.
     """
     sps = signal.fs / baud
-    if abs(sps - round(sps)) > 1e-9:
-        raise ValueError("sample rate must be an integer multiple of baud")
+    if abs(sps - round(sps)) > 1e-9 or signal.n % round(sps):
+        raise ValueError("frame must hold whole symbols at an integer sps")
     sps = int(round(sps))
     if abs(offset_hz) + (1 + rolloff) * baud / 2 > signal.fs / 2:
         raise ValueError(f"channel offset {offset_hz:.3g} Hz is out of band")
 
-    lo = np.conj(carrier(offset_hz, signal.n, signal.fs))
-    fld = spectral_filter(np.stack([signal.x, signal.y]) * lo,
-                          rrc_response(signal.n, sps, rolloff))
-    return to_real4(fld[0, ::sps], fld[1, ::sps])
+    n, ns = signal.n, signal.n // sps
+    j, h = rrc_support(ns, sps, rolloff)
+    at = (j + round(offset_hz * n / signal.fs)) % n
+    fold = np.zeros((2, 2 * ns), dtype=complex)  # bin j at j + ns
+    for row, pol in zip(fold, (signal.x, signal.y)):
+        row[j + ns] = sfft.fft(pol)[at] * h
+    sym = sfft.ifft(fold[:, :ns] + fold[:, ns:], axis=1) / sps
+    return to_real4(sym[0], sym[1])
 
 
 def genie_phase_compensation(

@@ -1,11 +1,11 @@
 """Transmitter chain: bit generation, RRC pulse shaping and WDM multiplexing.
 
 Every waveform is one circular frame of exactly Ns * sps samples, the
-same periodic frame the SSFM dispersion operator and inline CDC act on.
-The root-raised-cosine filter is applied exactly in the frequency domain
-(no truncated taps, no ramp-up or ramp-down tails), symbol k sits at
-sample k * sps, and each WDM carrier is snapped to an FFT bin so that it
-is periodic in the frame as well.
+same periodic frame the SSFM dispersion operator and inline CDC act on,
+with symbol k at sample k * sps. The frame is built in the spectrum: a
+shaped channel is its symbol spectrum times the exact RRC response, kept
+on the response's support, and wdm_mux shifts each channel to an FFT
+bin, sums, and takes one inverse FFT per polarization.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 
 @dataclass
@@ -21,8 +22,7 @@ class SampledSignal:
     """Dual-polarization complex baseband waveform on a circular frame.
 
     x/y are the polarization field envelopes in sqrt(W). The frame is
-    periodic: sample n wraps to sample 0, and symbol k of a frame shaped
-    at sps samples per symbol sits at sample k * sps.
+    periodic: sample n wraps to sample 0.
     """
 
     x: np.ndarray
@@ -41,9 +41,16 @@ class SampledSignal:
     def n(self) -> int:
         return self.x.size
 
-    def mean_power(self) -> float:
-        """Mean instantaneous power |x|^2 + |y|^2 in W."""
-        return float(np.mean(np.abs(self.x) ** 2 + np.abs(self.y) ** 2))
+
+@dataclass
+class ChannelSpectrum:
+    """One shaped channel at baseband: bins[p, i] is the n-point DFT of
+    polarization p (0 = x, 1 = y) at signed bin index[i], zero elsewhere."""
+
+    bins: np.ndarray
+    index: np.ndarray
+    n: int
+    fs: float
 
 
 def generate_bits(seed: int, count: int) -> np.ndarray:
@@ -57,81 +64,54 @@ def generate_bits(seed: int, count: int) -> np.ndarray:
 def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Filter each row of a complex (2, n) field by h, in place."""
     for row in fld:
-        np.fft.fft(row, out=row)
-        row *= h
-        np.fft.ifft(row, out=row)
+        spec = sfft.fft(row, overwrite_x=True)
+        spec *= h
+        row[...] = sfft.ifft(spec, overwrite_x=True)
     return fld
 
 
-def rrc_response(n: int, sps: int, rolloff: float) -> np.ndarray:
-    """Frequency response sqrt(sps * RC(f)) of the RRC filter on fftfreq(n).
-
-    RC is the raised-cosine spectrum with RC(0) = 1 and f in units of the
-    symbol rate. For n a multiple of sps the pulse has unit energy and the
-    matched pair (response squared) is exactly Nyquist with a unit main
-    tap. The response is real and even.
-    """
+def rrc_support(ns: int, sps: int, rolloff: float):
+    """Signed bins j of an ns * sps frame, all in (-ns, ns), where the RRC
+    response sqrt(sps * RC(j / ns)) is non-zero, and the response there.
+    The pulse has unit energy; the matched pair is exactly Nyquist."""
     if sps < 2:
         raise ValueError("sps must be >= 2 to avoid aliasing")
     if not 0 < rolloff <= 1:
         raise ValueError("rolloff must be in (0, 1]")
-    f = np.abs(np.fft.fftfreq(n, 1.0 / sps))
-    edge = np.clip(f - (1 - rolloff) / 2, 0.0, rolloff)  # roll-off band
-    return np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge)))
+    j = np.arange(-ns, ns)
+    edge = np.clip(np.abs(j) / ns - (1 - rolloff) / 2, 0.0, rolloff)
+    h = np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge)))
+    return j[h > 0], h[h > 0]
 
 
 def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
-              baud: float = 45e9) -> SampledSignal:
-    """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into Ns * sps
-    samples with a circular unit-energy RRC filter.
-
-    Symbol k lands at sample k * sps. The spectrum of the upsampled
-    symbols is the Ns-point symbol spectrum repeated sps times, so the
-    response is applied as sps blocks of Ns bins; each polarization's
-    spectrum is then inverse-transformed in place.
-    """
+              baud: float = 45e9) -> ChannelSpectrum:
+    """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into the spectrum
+    of an Ns * sps frame: bin j is symbol bin j mod Ns times the response."""
     symbols = np.asarray(symbols, dtype=float)
     ns = symbols.shape[0]
     sym = (symbols[:, 0::2] + 1j * symbols[:, 1::2]).T
-    h = rrc_response(ns * sps, sps, rolloff).reshape(sps, ns)
-    fld = (np.fft.fft(sym, axis=1)[:, None, :] * h).reshape(2, ns * sps)
-    for row in fld:
-        np.fft.ifft(row, out=row)
-    return SampledSignal(x=fld[0], y=fld[1], fs=sps * baud)
+    j, h = rrc_support(ns, sps, rolloff)
+    bins = sfft.fft(sym, axis=1, overwrite_x=True)[:, j] * h
+    return ChannelSpectrum(bins=bins, index=j, n=ns * sps, fs=sps * baud)
 
 
-def set_mean_power(sig: SampledSignal, power_dbm: float) -> SampledSignal:
-    """Scale a waveform so its mean power over the frame is power_dbm."""
-    p = sig.mean_power()
+def set_mean_power(sig: ChannelSpectrum, power_dbm: float) -> ChannelSpectrum:
+    """Scale a channel so its mean power over the frame is power_dbm."""
+    p = float(np.sum(np.abs(sig.bins) ** 2)) / sig.n**2  # Parseval
     if p <= 0:
         raise ValueError("zero-power waveform")
     g = np.sqrt(10 ** ((power_dbm - 30) / 10) / p)
-    return replace(sig, x=g * sig.x, y=g * sig.y)
+    return replace(sig, bins=g * sig.bins)
 
 
-def carrier(offset_hz: float, n: int, fs: float) -> np.ndarray:
-    """exp(j 2 pi f t) on an n-sample frame, f snapped to the nearest FFT bin.
+def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, fs_out: float,
+            baud: float = 45e9, rolloff: float = 0.1) -> SampledSignal:
+    """Shift each channel onto a symmetric grid, sum, and return the frame.
 
-    The snapped carrier is periodic in n; the frequency error is at most
-    fs / (2 n).
-    """
-    k = int(round(offset_hz * n / fs))
-    return np.exp(2j * np.pi * ((k * np.arange(n)) % n) / n)
-
-
-def wdm_mux(
-    channels: list[SampledSignal],
-    spacing_hz: float,
-    fs_out: float,
-    baud: float = 45e9,
-    rolloff: float = 0.1,
-) -> SampledSignal:
-    """Frequency-shift each channel onto a symmetric grid and sum.
-
-    Channel k is shifted to the carrier of (k - (n-1)/2) * spacing_hz.
-    All channels must share the frame length and the rate fs_out.
-    Channels are summed in fixed index order for bit-exact
-    reproducibility.
+    Channel k moves to the FFT bin nearest (k - (n-1)/2) * spacing_hz.
+    Channels share the frame length and fs_out, and are summed in index
+    order for bit-exact reproducibility.
     """
     n_ch = len(channels)
     if n_ch == 0:
@@ -147,10 +127,10 @@ def wdm_mux(
     if any(ch.n != n or ch.fs != fs_out for ch in channels):
         raise ValueError("channels must share the frame length and fs_out")
 
-    x = np.zeros(n, dtype=complex)
-    y = np.zeros(n, dtype=complex)
+    spec = np.zeros((2, n), dtype=complex)
     for k, ch in enumerate(channels):
-        rot = carrier((k - (n_ch - 1) / 2) * spacing_hz, n, fs_out)
-        x += ch.x * rot
-        y += ch.y * rot
-    return SampledSignal(x=x, y=y, fs=fs_out)
+        shift = round((k - (n_ch - 1) / 2) * spacing_hz * n / fs_out)
+        spec[:, (ch.index + shift) % n] += ch.bins
+    for row in spec:
+        row[...] = sfft.ifft(row, overwrite_x=True)
+    return SampledSignal(x=spec[0], y=spec[1], fs=fs_out)

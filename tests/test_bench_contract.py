@@ -37,3 +37,24 @@ def test_every_target_is_callable(tracing):
 def test_counted_arguments_keep_their_names(mod, attr, params):
     fn = getattr(importlib.import_module(f"prs4d.{mod}"), attr)
     assert tuple(inspect.signature(fn).parameters)[:3] == params
+
+
+def test_run_point_passes_the_traced_transmitter(tracing):
+    """One run_point shapes and scales each channel once and multiplexes
+    once into a time-domain frame of Ns * sps samples; otherwise the
+    txdsp.* metrics would read 0 without any error."""
+    from prs4d import harness
+
+    cfg = harness.ExperimentConfig(
+        format="pm8qam", n_channels=3, n_symbols=256, n_spans=1,
+        step_km=80.0, launch_dbm=0.0, demapper="iid")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        harness.run_point(cfg, seed=1)
+    names = [s["name"] for s in tracer.ops[0]]
+    assert names.count("txdsp.rrc_shape") == cfg.n_channels
+    assert names.count("txdsp.set_mean_power") == cfg.n_channels
+    assert names.count("txdsp.wdm_mux") == 1
+    metrics = tracing.op_layer_metrics(tracer.ops[0], ["txdsp.frame_samples"],
+                                       tracer.absent)
+    assert metrics["txdsp.frame_samples"] == cfg.n_symbols * cfg.effective_sps()

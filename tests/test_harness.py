@@ -43,6 +43,13 @@ class TestExperimentConfig:
         ({"step_km": 0.0}, "step_km"), ({"step_km": 80.5}, "step_km"),
         ({"sps": -4}, "sps"), ({"sps": 1}, "sps"),
         ({"epsilon_reg": -1.0}, "epsilon_reg"),
+        ({"sps": 2.5}, "sps"), ({"sps": 2, "n_channels": 11}, "sps"),
+        ({"epsilon_reg": np.nan}, "epsilon_reg"),
+        ({"gamma_w_km": np.nan}, "gamma_w_km"),
+        ({"launch_dbm": np.nan}, "launch_dbm"),
+        ({"launch_dbm": [0.0, np.inf]}, "launch_dbm"),
+        ({"nf_db": np.nan}, "nf_db"),
+        ({"n_symbols": 256.5}, "n_symbols"), ({"n_channels": 1.5}, "n_channels"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -17,9 +17,29 @@ def shaped_channel(seed=0, n_sym=1024, sps=4):
     return bits, idx, pts, sig
 
 
+def frame(ch):
+    """Time-domain frame of one channel at baseband."""
+    return T.wdm_mux([ch], 50e9, ch.fs)
+
+
+def full_frame_select(signal, offset_hz, sps):
+    """Oracle receiver: mix down by the bin carrier, filter the whole frame
+    by the matched RRC response, keep every sps-th sample."""
+    n = signal.n
+    k = round(offset_hz * n / signal.fs)
+    lo = np.exp(-2j * np.pi * ((k * np.arange(n)) % n) / n)
+    j, h = T.rrc_support(n // sps, sps, 0.1)
+    resp = np.zeros(n)
+    resp[j] = h
+    fld = np.fft.ifft(np.fft.fft(np.stack([signal.x, signal.y]) * lo, axis=1)
+                      * resp, axis=1)
+    return R.to_real4(fld[0, ::sps], fld[1, ::sps])
+
+
 class TestChannelSelect:
     def test_single_channel_b2b_evm(self):
         _, _, pts, sig = shaped_channel()
+        sig = frame(sig)
         rx = R.channel_select(sig, 0.0, BAUD, 0.1)
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
         assert evm < -40
@@ -49,6 +69,22 @@ class TestChannelSelect:
             evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
             assert evm < -200, (k, evm)
 
+    @pytest.mark.parametrize("n_ch, n_sym, sps", [(11, 256, 16), (3, 301, 8),
+                                                  (1, 301, 2)])
+    def test_matches_full_frame_matched_filter(self, n_ch, n_sym, sps):
+        """On a white field, so that every bin off the channel's support
+        carries power, each channel equals mix-down, a full-frame matched
+        filter and decimation by sps."""
+        rng = np.random.default_rng(5)
+        fld = rng.standard_normal((2, n_sym * sps)) \
+            + 1j * rng.standard_normal((2, n_sym * sps))
+        sig = T.SampledSignal(x=fld[0], y=fld[1], fs=sps * BAUD)
+        for k in range(n_ch):
+            offset = (k - (n_ch - 1) / 2) * 50e9
+            ref = full_frame_select(sig, offset, sps)
+            out = R.channel_select(sig, offset, BAUD, 0.1)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_wrong_offset_selects_neighbor(self):
         chans, refs = [], []
         for s in range(3):
@@ -63,12 +99,14 @@ class TestChannelSelect:
 
     def test_caller_field_unchanged(self):
         _, _, _, sig = shaped_channel()
+        sig = frame(sig)
         x, y = sig.x.copy(), sig.y.copy()
         R.channel_select(sig, 0.0, BAUD, 0.1)
         assert np.array_equal(sig.x, x) and np.array_equal(sig.y, y)
 
     def test_offset_out_of_band(self):
         _, _, _, sig = shaped_channel(sps=4)
+        sig = frame(sig)
         with pytest.raises(ValueError):
             R.channel_select(sig, 200e9, BAUD, 0.1)
 
@@ -128,6 +166,7 @@ class TestGeniePhase:
 class TestFullChainIdentity:
     def test_tx_rx_identity_no_channel(self):
         bits, idx, pts, sig = shaped_channel(seed=3, n_sym=2048)
+        sig = frame(sig)
         rx = R.channel_select(sig, 0.0, BAUD, 0.1)
         rx = R.genie_phase_compensation(rx, pts, 128)
         rx, _ = R.genie_gain(rx, pts)

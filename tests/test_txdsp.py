@@ -7,6 +7,35 @@ from prs4d import txdsp as T
 BAUD = 45e9
 
 
+def rrc_response(n, sps, rolloff):
+    """rrc_support on the full fftfreq(n) grid: zero off the support."""
+    j, h = T.rrc_support(n // sps, sps, rolloff)
+    out = np.zeros(n)
+    out[j] = h
+    return out
+
+
+def pm8qam_points(seed, n_sym):
+    bits = T.generate_bits(seed, n_sym * 6)
+    return C.map_bits_to_symbols(bits, C.build_pm8qam())[1]
+
+
+def frame(ch):
+    """Time-domain frame of one channel at baseband."""
+    return T.wdm_mux([ch], 50e9, ch.fs)
+
+
+def time_domain_shape(points, sps, rolloff=0.1):
+    """Oracle shaper: zero-stuff the symbols by sps, then filter the whole
+    frame by the RRC response."""
+    n = len(points) * sps
+    up = np.zeros((2, n), dtype=complex)
+    up[0, ::sps] = points[:, 0] + 1j * points[:, 1]
+    up[1, ::sps] = points[:, 2] + 1j * points[:, 3]
+    return np.fft.ifft(np.fft.fft(up, axis=1) * rrc_response(n, sps, rolloff),
+                       axis=1)
+
+
 class TestGenerateBits:
     def test_deterministic(self):
         a = T.generate_bits(1, 12)
@@ -26,33 +55,33 @@ class TestGenerateBits:
 
 
 class TestRrcTaps:
-    """rrc_response: the exact frequency-domain RRC filter."""
+    """rrc_support: the exact frequency-domain RRC filter."""
 
     def test_symmetric(self):
-        h = T.rrc_response(4 * 64, 4, 0.1)
+        h = rrc_response(4 * 64, 4, 0.1)
         assert h.dtype == float
         assert np.array_equal(h[1:], h[1:][::-1])
 
     def test_unit_energy(self):
-        h = T.rrc_response(8 * 32, 8, 0.25)
+        h = rrc_response(8 * 32, 8, 0.25)
         pulse = np.fft.ifft(h)
         assert abs(np.sum(np.abs(pulse) ** 2) - 1.0) < 1e-12
 
     def test_nyquist_cascade(self):
         """Matched pair sampled at the symbol rate: a unit main tap, no ISI."""
         sps = 4
-        pair = np.fft.ifft(T.rrc_response(sps * 64, sps, 0.1) ** 2)[::sps]
+        pair = np.fft.ifft(rrc_response(sps * 64, sps, 0.1) ** 2)[::sps]
         assert abs(pair[0] - 1.0) < 1e-14
         assert np.max(np.abs(pair[1:])) < 1e-14
 
     def test_sps_too_small(self):
         with pytest.raises(ValueError):
-            T.rrc_response(64, 1, 0.1)
+            rrc_response(64, 1, 0.1)
 
     @pytest.mark.parametrize("rolloff", [0.0, -0.1, 1.5])
     def test_invalid_rolloff_rejected(self, rolloff):
         with pytest.raises(ValueError):
-            T.rrc_response(64, 4, rolloff)
+            rrc_response(64, 4, rolloff)
 
 
 class TestSpectralFilter:
@@ -70,7 +99,7 @@ class TestRrcShape:
     def test_single_unit_symbol_energy(self):
         sym = np.zeros((1, 4))
         sym[0, 0] = 1.0
-        sig = T.rrc_shape(sym, 4, 0.1, baud=BAUD)
+        sig = frame(T.rrc_shape(sym, 4, 0.1, baud=BAUD))
         energy = np.sum(np.abs(sig.x) ** 2)
         assert abs(energy - 1.0) < 1e-12
 
@@ -83,50 +112,60 @@ class TestRrcShape:
         for k in (0, 5, 31):
             sym = np.zeros((32, 4))
             sym[k, 2] = 1.0
-            sig = T.rrc_shape(sym, 8, 0.1, baud=BAUD)
+            sig = frame(T.rrc_shape(sym, 8, 0.1, baud=BAUD))
             assert np.argmax(np.abs(sig.y)) == 8 * k
 
     def test_deterministic(self):
         sym = np.random.default_rng(0).normal(size=(32, 4))
-        a = T.rrc_shape(sym, 4, 0.1, baud=BAUD)
-        b = T.rrc_shape(sym, 4, 0.1, baud=BAUD)
+        a = frame(T.rrc_shape(sym, 4, 0.1, baud=BAUD))
+        b = frame(T.rrc_shape(sym, 4, 0.1, baud=BAUD))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 class TestCarrier:
+    """wdm_mux moves each channel to an FFT-bin carrier of the frame."""
+
+    def _offset_channel(self):
+        # channel 1 of 2 at +123.4 GHz on a 1024-sample, 720 GS/s frame
+        ch = T.rrc_shape(pm8qam_points(0, 64), 16, 0.1, baud=BAUD)
+        zero = T.ChannelSpectrum(bins=0 * ch.bins, index=ch.index, n=ch.n,
+                                 fs=ch.fs)
+        return frame(ch), T.wdm_mux([zero, ch], 246.8e9, ch.fs)
+
     def test_periodic_in_frame(self):
-        n, fs = 1000, 720e9
-        rot = T.carrier(123.4e9, n, fs)
-        assert np.allclose(np.roll(rot, 1) * rot[1], rot, atol=1e-12)
-        spec = np.abs(np.fft.fft(rot))
-        assert np.sum(spec > 1e-9 * n) == 1
+        base, out = self._offset_channel()
+        k = round(123.4e9 * base.n / base.fs)
+        rot = np.exp(2j * np.pi * k * np.arange(base.n) / base.n)
+        assert np.allclose(out.x, base.x * rot, atol=1e-12)
 
     def test_snap_error_within_half_bin(self):
-        n, fs = 1000, 720e9
-        rot = T.carrier(-123.4e9, n, fs)
-        k = np.argmax(np.abs(np.fft.fft(rot)))
-        f = np.fft.fftfreq(n, 1 / fs)[k]
-        assert abs(f - (-123.4e9)) <= fs / (2 * n)
+        base, out = self._offset_channel()
+        spec, ref = np.fft.fft(out.x), np.fft.fft(base.x)
+        k = max(range(base.n),
+                key=lambda k: abs(np.vdot(np.roll(ref, k), spec)))
+        assert np.allclose(spec, np.roll(ref, k), atol=1e-9)
+        f = np.fft.fftfreq(base.n, 1 / base.fs)[k]
+        assert abs(f - 123.4e9) <= base.fs / (2 * base.n)
 
 
 class TestWdmMux:
     def _channel(self, seed, n_sym=512, sps=8):
-        c = C.build_pm8qam()
-        bits = T.generate_bits(seed, n_sym * 6)
-        _, pts = C.map_bits_to_symbols(bits, c)
-        return T.rrc_shape(pts, sps, 0.1, baud=BAUD)
+        return T.rrc_shape(pm8qam_points(seed, n_sym), sps, 0.1, baud=BAUD)
 
     def test_single_channel_identity(self):
         ch = self._channel(1)
         out = T.wdm_mux([ch], 50e9, ch.fs)
-        assert np.allclose(out.x, ch.x) and np.allclose(out.y, ch.y)
+        ref = T.SampledSignal(*time_domain_shape(pm8qam_points(1, 512), 8),
+                              fs=ch.fs)
+        assert np.allclose(out.x, ref.x) and np.allclose(out.y, ref.y)
 
     def test_total_power_additive(self):
         chans = [self._channel(s) for s in range(3)]
         fs = chans[0].fs
         out = T.wdm_mux(chans, 100e9, fs)
         p_out = np.mean(np.abs(out.x) ** 2 + np.abs(out.y) ** 2)
-        p_sum = sum(np.mean(np.abs(c.x) ** 2 + np.abs(c.y) ** 2) for c in chans)
+        p_sum = sum(np.mean(np.abs(c.x) ** 2 + np.abs(c.y) ** 2)
+                    for c in map(frame, chans))
         # 0.01 dB for non-overlapping spectra
         assert abs(10 * np.log10(p_out / p_sum)) < 0.01
 
@@ -153,6 +192,21 @@ class TestWdmMux:
         with pytest.raises(ValueError, match="frame length"):
             T.wdm_mux([self._channel(1)], 100e9, 2 * short.fs)
 
+    @pytest.mark.parametrize("n_ch, n_sym, sps", [(11, 256, 16), (3, 301, 8)])
+    def test_matches_time_domain_carriers(self, n_ch, n_sym, sps):
+        """The spectral frame equals per-channel time-domain shaping times
+        exp(2 pi j k m / n) bin carriers, summed in index order."""
+        chans = [self._channel(s, n_sym, sps) for s in range(n_ch)]
+        out = T.wdm_mux(chans, 50e9, sps * BAUD)
+        n = n_sym * sps
+        ref = np.zeros((2, n), dtype=complex)
+        for k in range(n_ch):
+            shift = round((k - (n_ch - 1) / 2) * 50e9 * n / (sps * BAUD))
+            rot = np.exp(2j * np.pi * ((shift * np.arange(n)) % n) / n)
+            ref += time_domain_shape(pm8qam_points(k, n_sym), sps) * rot
+        err = np.max(np.abs(np.stack([out.x, out.y]) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestLaunchPower:
     def test_set_mean_power(self):
@@ -160,6 +214,7 @@ class TestLaunchPower:
         bits = T.generate_bits(5, 2048 * 6)
         _, pts = C.map_bits_to_symbols(bits, c)
         sig = T.rrc_shape(pts, 4, 0.1, baud=BAUD)
-        sig = T.set_mean_power(sig, 3.0)
-        assert 10 * np.log10(sig.mean_power() * 1e3) == pytest.approx(
+        sig = frame(T.set_mean_power(sig, 3.0))
+        p = np.mean(np.abs(sig.x) ** 2 + np.abs(sig.y) ** 2)
+        assert 10 * np.log10(p * 1e3) == pytest.approx(
             3.0, abs=1e-12)
