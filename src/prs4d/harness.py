@@ -232,7 +232,11 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
 
 def _worker_count() -> int:
     env = os.environ.get("PRS4D_WORKERS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def _run_grid(tasks, workers=None):

@@ -5,9 +5,11 @@ their arguments by name. A renamed function or argument there would drop a
 per-layer metric silently, so this checks the contract directly.
 """
 
+import functools
 import importlib
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,37 @@ def test_run_point_passes_the_traced_transmitter(tracing):
     metrics = tracing.op_layer_metrics(tracer.ops[0], ["txdsp.frame_samples"],
                                        tracer.absent)
     assert metrics["txdsp.frame_samples"] == cfg.n_symbols * cfg.effective_sps()
+
+
+def test_shimmed_calls_stay_on_the_calling_thread(tracing, monkeypatch):
+    """The tracer keeps one span stack, which is not thread-safe, so every
+    shimmed call of a traced run_point must run on the calling thread:
+    ssfm_span's helper thread may run only private, unshimmed code. Two
+    CPUs are reported so that the helper runs on any host."""
+    from prs4d import channel, harness
+
+    threads = {}
+
+    def recorded(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    for name, places in tracing.TARGETS.items():
+        for mod, attr in places:
+            module = importlib.import_module(f"prs4d.{mod}")
+            monkeypatch.setattr(module, attr,
+                                recorded(name, getattr(module, attr)))
+    monkeypatch.setattr(channel, "_kerr", recorded("_kerr", channel._kerr))
+    cfg = harness.ExperimentConfig(
+        format="pm8qam", n_channels=3, n_symbols=256, n_spans=1,
+        step_km=20.0, launch_dbm=0.0, demapper="iid")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        harness.run_point(cfg, seed=1)
+    assert len(threads.pop("_kerr")) == 2  # the helper thread did run
+    assert "channel.ssfm_span" in threads
+    assert all(t == {threading.get_ident()} for t in threads.values()), threads

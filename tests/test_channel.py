@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from prs4d import channel as ch
-from prs4d.txdsp import SampledSignal
+from prs4d.txdsp import SampledSignal, spectral_filter
 
 
 def random_signal(n=4096, fs=180e9, seed=0, power_w=1e-3):
@@ -30,6 +32,23 @@ class TestFiberParams:
     def test_non_finite_field_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ch.FiberParams(**{name: value})
+
+
+class TestLinkConfig:
+    @pytest.mark.parametrize("kw, name", [
+        ({"n_spans": 2.5}, "n_spans"), ({"n_spans": 2.0}, "n_spans"),
+        ({"n_spans": 0}, "n_spans"),
+        ({"edfa_nf_db": np.nan}, "edfa_nf_db"),
+        ({"edfa_nf_db": -np.inf}, "edfa_nf_db"),
+        ({"step_km": np.nan}, "step_km"), ({"step_km": np.inf}, "step_km"),
+    ])
+    def test_bad_field_named(self, kw, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ch.LinkConfig(**{"span": SHORT, "n_spans": 1, **kw})
+
+    def test_numpy_integer_span_count(self):
+        link = ch.LinkConfig(span=SHORT, n_spans=np.int64(3))
+        assert link.distance_km == 3.0
 
 
 class TestDispersion:
@@ -165,6 +184,40 @@ class TestSsfmSpan:
         out = ch.ssfm_span(sig, SHORT, 0.3)
         err = np.linalg.norm(np.stack([out.x, out.y]) - ref)
         assert err / np.linalg.norm(ref) <= 1e-14
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
+                             ids=["one_cpu", "two_cpus"])
+    @pytest.mark.parametrize("n", [301, 4097])
+    def test_bit_identical_to_single_thread_stepper(self, monkeypatch, n,
+                                                    cpus):
+        """Either schedule (one thread, or rows through dispersion and
+        sample halves through the rotor on two; odd n makes the halves
+        unequal) equals spectral_filter + whole-field _kerr bit for bit
+        over a 1 km span in 0.3 km steps (0.1 km remainder)."""
+        kerr, threads = ch._kerr, set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return kerr(*args)
+
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(ch, "_kerr", spy)
+        sig = random_signal(n=n, power_w=10e-3)
+        alpha = SHORT.alpha_db_km * ch._LN10 / 10.0
+        n_full, rem = divmod(SHORT.length_km, 0.3)
+        steps = [0.3] * int(n_full) + [rem]
+        halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
+        ph = ch._phasors(sig, SHORT.beta2_s2_km, halves)
+        fld = np.stack([sig.x, sig.y])
+        for dz, half in zip(steps, halves):
+            spectral_filter(fld, ph[half])
+            dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha
+            kerr(fld, SHORT.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2.0))
+        spectral_filter(fld, ph[halves[-1]])
+
+        out = ch.ssfm_span(sig, SHORT, 0.3)
+        assert np.array_equal(out.x, fld[0]) and np.array_equal(out.y, fld[1])
+        assert len(threads) == len(cpus)
 
 
 class TestInputsUnchanged:

@@ -183,6 +183,16 @@ class TestMain:
         assert err.count("\n") == 1 and flag in err and "integers" in err
         assert not out.exists()
 
+    def test_bad_worker_count_returns_one(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setenv("PRS4D_WORKERS", "two")
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep-power", "--powers=0", "--output", str(out)]
+                        + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: PRS4D_WORKERS") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_key_returns_one(self, tmp_path, capsys):
         code = cli.main(["simulate", "--set", "bogus=1",
                          "--output", str(tmp_path / "r.csv")])

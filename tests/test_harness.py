@@ -200,6 +200,26 @@ class TestSweeps:
         with pytest.raises(ValueError):
             H.sweep_power(tiny_config(), [])
 
+    def test_process_pool_grid_equals_serial(self, monkeypatch):
+        """Two pool workers give the serial records and CSV. The pool forks
+        after a two-thread span in this process, and its workers, being
+        multiprocessing children, take the one-thread schedule."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
+        H.run_point(cfg)
+        serial = H.sweep_power(cfg, [-1.0, 3.0], workers=1)
+        pooled = H.sweep_power(cfg, [-1.0, 3.0], workers=2)
+        assert pooled == serial
+        assert H.records_to_csv(pooled) == H.records_to_csv(serial)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+    def test_bad_worker_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("PRS4D_WORKERS", value)
+        with pytest.raises(ValueError,
+                           match=f"^PRS4D_WORKERS must be an integer >= 1, "
+                                 f"got '{value}'$"):
+            H.sweep_power(tiny_config(), [0.0])
+
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])
         assert [r.distance_km for r in recs] == [80.0, 160.0, 240.0]
