@@ -5,11 +5,11 @@ polarizations see identical linear operators (no PMD) and a joint
 nonlinear phase rotation with the 8/9 averaging factor.
 
 Two operators on a private (2, n) copy of the field are the only code for
-the physics: dispersion (the _phasors exp(j beta2/2 w^2 dz), applied per
-row as txdsp.spectral_filter does) and _kerr (the Manakov rotor, whose
-real gain carries each SSFM step's loss). Each span is followed by ideal
-lossless inline CDC, the same dispersion operator over -L, and an EDFA
-whose ASE is white over the full simulated bandwidth.
+the physics: dispersion (the _phasors exp(j beta2/2 w^2 dz), applied by
+txdsp.spectral_filter) and _kerr (the Manakov rotor, whose real gain
+carries each SSFM step's loss). Each span is followed by ideal lossless
+inline CDC, the same dispersion operator over -L, and an EDFA whose ASE
+is white over the full simulated bandwidth.
 
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
@@ -19,7 +19,6 @@ thread; the helper lives one span, so no thread is alive at a grid's fork.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .txdsp import SampledSignal, _filter_row, spectral_filter
+from .txdsp import SampledSignal, spectral_filter
 
 C_LIGHT = 299792458.0  # m/s
 H_PLANCK = 6.62607015e-34  # J s
@@ -164,15 +163,16 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     phasors = _phasors(signal, fiber.beta2_s2_km, halves)
 
     fld = np.stack([signal.x, signal.y])
+    rows = (fld[:1], fld[1:])
     cut = (fld[:, :signal.n // 2], fld[:, signal.n // 2:])
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    two = len(cpus) > 1 and mp.parent_process() is None
+    two = len(cpus) > 1
     with ThreadPoolExecutor(1) if two else contextlib.nullcontext() as pool:
         for dz, half in zip(steps, halves):
             dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
-            _split(pool, _filter_row, fld, phasors[half])
+            _split(pool, spectral_filter, rows, phasors[half])
             _split(pool, _kerr, cut, fiber.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2))
-        _split(pool, _filter_row, fld, phasors[halves[-1]])
+        _split(pool, spectral_filter, rows, phasors[halves[-1]])
     return replace(signal, x=fld[0], y=fld[1])
 
 
@@ -181,16 +181,22 @@ def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
     return dispersion_step(signal, fiber.beta2_s2_km, -fiber.length_km)
 
 
-def edfa(signal: SampledSignal, gain_db: float, nf_db: float,
-         rng: np.random.Generator, ase_enabled: bool = True,
-         ref_wavelength_nm: float = 1550.0) -> SampledSignal:
+def edfa(
+    signal: SampledSignal,
+    gain_db: float,
+    nf_db: float,
+    rng: np.random.Generator,
+    ase_enabled: bool = True,
+    ref_wavelength_nm: float = 1550.0,
+) -> SampledSignal:
     """Flat-gain amplifier with circular white Gaussian ASE.
 
     Total ASE power per polarization over the simulated bandwidth is
     n_sp h nu (G - 1) fs, with the high-gain n_sp = 10^{NF/10}/2.
     """
     g = 10 ** (gain_db / 10)
-    x, y = signal.x * np.sqrt(g), signal.y * np.sqrt(g)
+    x = signal.x * np.sqrt(g)
+    y = signal.y * np.sqrt(g)
     if ase_enabled:
         if gain_db <= 0:
             raise ValueError("ASE model requires positive gain")

@@ -61,16 +61,12 @@ def generate_bits(seed: int, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def _filter_row(row: np.ndarray, h: np.ndarray) -> None:
-    spec = sfft.fft(row, overwrite_x=True)
-    spec *= h
-    row[...] = sfft.ifft(spec, overwrite_x=True)
-
-
 def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Filter each row of a complex (2, n) field by h, in place."""
+    """Filter each row of a complex (rows, n) field by h, in place."""
     for row in fld:
-        _filter_row(row, h)
+        spec = sfft.fft(row, overwrite_x=True)
+        spec *= h
+        row[...] = sfft.ifft(spec, overwrite_x=True)
     return fld
 
 

@@ -202,8 +202,8 @@ class TestSweeps:
 
     def test_process_pool_grid_equals_serial(self, monkeypatch):
         """Two pool workers give the serial records and CSV. The pool forks
-        after a two-thread span in this process, and its workers, being
-        multiprocessing children, take the one-thread schedule."""
+        after a two-thread span in this process, and each forked worker
+        runs its own spans on two threads again."""
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
         H.run_point(cfg)
