@@ -4,12 +4,12 @@ Dual-polarization fields evolve under the Manakov equation: both
 polarizations see identical linear operators (no PMD) and a joint
 nonlinear phase rotation with the 8/9 averaging factor.
 
-Two operators on a private (2, n) copy of the field are the only code for
-the physics: dispersion (the _phasors exp(j beta2/2 w^2 dz), applied by
-txdsp.spectral_filter) and _kerr (the Manakov rotor, whose real gain
-carries each SSFM step's loss). Each span is followed by ideal lossless
-inline CDC, the same dispersion operator over -L, and an EDFA whose ASE
-is white over the full simulated bandwidth.
+Every operator works on a private copy of the signal's (2, n) X/Y field,
+and two are the only code for the physics: dispersion (the _phasors
+exp(j beta2/2 w^2 dz), applied by txdsp.spectral_filter) and _kerr (the
+Manakov rotor, whose real gain carries each SSFM step's loss). Each span
+is followed by ideal lossless inline CDC, the same dispersion operator
+over -L, and an EDFA whose ASE is white over the full simulated bandwidth.
 
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
@@ -84,6 +84,8 @@ class LinkConfig:
             raise ValueError("edfa_nf_db must be finite")
         if not 0 < self.step_km <= self.span.length_km:
             raise ValueError("step_km must be in (0, span length]")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
 
     @property
     def distance_km(self) -> float:
@@ -128,8 +130,7 @@ def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
     dz may be negative, which realizes ideal compensation.
     """
     phasor = _phasors(signal, beta2_s2_km, [dz_km])[dz_km]
-    out = spectral_filter(np.stack([signal.x, signal.y]), phasor)
-    return replace(signal, x=out[0], y=out[1])
+    return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
 
 
 def nonlinear_step(signal: SampledSignal, gamma_w_km: float,
@@ -141,8 +142,8 @@ def nonlinear_step(signal: SampledSignal, gamma_w_km: float,
     """
     if dz_eff_km < 0:
         raise ValueError("effective length must be >= 0")
-    out = _kerr(np.stack([signal.x, signal.y]), gamma_w_km, dz_eff_km)
-    return replace(signal, x=out[0], y=out[1])
+    return replace(signal, field=_kerr(signal.field.copy(), gamma_w_km,
+                                       dz_eff_km))
 
 
 def ssfm_span(signal: SampledSignal, fiber: FiberParams,
@@ -162,7 +163,7 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
     phasors = _phasors(signal, fiber.beta2_s2_km, halves)
 
-    fld = np.stack([signal.x, signal.y])
+    fld = signal.field.copy()
     rows = (fld[:1], fld[1:])
     cut = (fld[:, :signal.n // 2], fld[:, signal.n // 2:])
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
@@ -173,7 +174,7 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
             _split(pool, spectral_filter, rows, phasors[half])
             _split(pool, _kerr, cut, fiber.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2))
         _split(pool, spectral_filter, rows, phasors[halves[-1]])
-    return replace(signal, x=fld[0], y=fld[1])
+    return replace(signal, field=fld)
 
 
 def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
@@ -195,8 +196,7 @@ def edfa(
     n_sp h nu (G - 1) fs, with the high-gain n_sp = 10^{NF/10}/2.
     """
     g = 10 ** (gain_db / 10)
-    x = signal.x * np.sqrt(g)
-    y = signal.y * np.sqrt(g)
+    fld = signal.field * np.sqrt(g)
     if ase_enabled:
         if gain_db <= 0:
             raise ValueError("ASE model requires positive gain")
@@ -205,11 +205,11 @@ def edfa(
         n_sp = 10 ** (nf_db / 10) / 2.0
         h_nu = H_PLANCK * C_LIGHT / (ref_wavelength_nm * 1e-9)
         p_ase = n_sp * h_nu * (g - 1.0) * signal.fs  # W per polarization
-        sigma = np.sqrt(p_ase / 2.0)
-        n = signal.n
-        x = x + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        y = y + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return replace(signal, x=x, y=y)
+        ase = rng.standard_normal((2, 2, signal.n))  # x re, x im, y re, y im
+        ase *= np.sqrt(p_ase / 2.0)
+        fld.real += ase[:, 0]
+        fld.imag += ase[:, 1]
+    return replace(signal, field=fld)
 
 
 def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:

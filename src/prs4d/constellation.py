@@ -205,9 +205,8 @@ def build_pm8qam() -> Constellation4D:
     labels = _canonical_labels(6)
     vals = labels @ (1 << np.arange(5, -1, -1))
     vx, vy = vals >> 3, vals & 7
-    cx = pts2d[point_of_label[vx]]
-    cy = pts2d[point_of_label[vy]]
-    points = np.stack([cx.real, cx.imag, cy.real, cy.imag], axis=1)
+    pairs = pts2d[point_of_label[np.stack([vx, vy], axis=1)]]
+    points = pairs.view(float)  # (64, 2) complex X/Y -> (64, 4) real
     points /= sqrt(np.mean(np.sum(points**2, axis=1)))
     return Constellation4D(points=points, labels=labels, name="pm8qam")
 

@@ -20,6 +20,7 @@ from .rxdsp import SymbolBatch
 LLR_CLAMP_NATS = 50.0
 _BLOCK_ROWS = 4096  # rows per LLR block; 4096-8192 ran fastest, 65536 1.5-1.8x slower
 _LOG2 = np.log(2.0)
+_MIN_OCCURRENCES = 30  # transmissions per point for a covariance estimate
 
 
 @dataclass(frozen=True)
@@ -81,30 +82,22 @@ def estimate_iid_sigma2(batch: SymbolBatch) -> float:
     return float(np.sum(resid**2) / (n_dim * batch.ns))
 
 
-def estimate_point_covariances(
-    batch: SymbolBatch,
-    c: Constellation4D,
-    epsilon: float | None = None,
-    min_occurrences: int = 30,
-) -> np.ndarray:
+def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
+                               epsilon: float) -> np.ndarray:
     """Per-point sample covariance of the residual rx - s_i.
 
     Second moment about the true constellation point, not the sample
-    mean. epsilon * I is added for positive definiteness; the default is
-    1e-6 times the overall per-dimension variance.
+    mean. epsilon * I is added for positive definiteness.
     """
     n_dim = c.points.shape[1]
-    if epsilon is None:
-        resid = batch.rx_points - batch.tx_points
-        epsilon = 1e-6 * float(np.sum(resid**2) / (n_dim * batch.ns))
     covs = np.empty((c.M, n_dim, n_dim))
     for i in range(c.M):
         sel = batch.tx_indices == i
         n_i = int(sel.sum())
-        if n_i < min_occurrences:
+        if n_i < _MIN_OCCURRENCES:
             raise ValueError(
                 f"constellation point {i} transmitted {n_i} times; "
-                f"need at least {min_occurrences}"
+                f"need at least {_MIN_OCCURRENCES}"
             )
         r = batch.rx_points[sel] - c.points[i]
         covs[i] = (r.T @ r) / n_i + epsilon * np.eye(n_dim)
@@ -220,15 +213,13 @@ def awgn_gmi_reference(
     n_dim = c.points.shape[1]
     sigma2 = _sigma2_per_dim(snr_db, n_dim)
     model = NoiseModel.iid(sigma2)
-    signs = 1.0 - 2.0 * c.labels.astype(float)  # (M, m)
 
     if method == "monte_carlo":
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, c.M, ns)
         y = c.points[idx] + rng.normal(scale=np.sqrt(sigma2), size=(ns, n_dim))
         llrs = llrs_for_points(y, c, model, clamp=clamp)
-        penalty = np.logaddexp(0.0, -signs[idx] * llrs) / _LOG2
-        return float(c.m - penalty.sum() / ns)
+        return gmi_from_llrs(LlrBatch(llrs, c.labels[idx]), c.m)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
@@ -239,6 +230,7 @@ def awgn_gmi_reference(
     # batch all M conditional grids into one LLR evaluation
     y = (c.points[:, None, :] + np.sqrt(2 * sigma2) * z).reshape(-1, n_dim)
     llrs = llrs_for_points(y, c, model, clamp=clamp).reshape(c.M, -1, c.m)
+    signs = 1.0 - 2.0 * c.labels.astype(float)  # (M, m)
     penalty = np.logaddexp(0.0, -signs[:, None, :] * llrs) / _LOG2
     total = np.einsum("q,iq->", w, penalty.sum(axis=2))
     return float(c.m - total / c.M)

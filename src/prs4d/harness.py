@@ -88,6 +88,8 @@ class ExperimentConfig:
         self.sps = int(self.sps)
         if np.size(self.launch_dbm) == 0:
             raise ValueError("launch_dbm list must be non-empty")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
 
     @property
     def baud_hz(self) -> float:

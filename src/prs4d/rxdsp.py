@@ -1,10 +1,12 @@
 """Receiver chain: channel selection, matched filtering and genie recovery.
 
-The received waveform is the transmitter's circular Ns * sps frame, so
-symbol k is read at sample k * sps with no delay bookkeeping; channel
-selection works in the spectrum. Phase and scale recovery are data-aided
-(genie) and use the transmitted symbols, matching an ideal-DSP
-simulation methodology.
+The received waveform is the transmitter's circular Ns * sps frame, a
+(2, n) X/Y field, so symbol k is read at sample k * sps with no delay
+bookkeeping; channel selection works in the spectrum. Ns x 4 real
+symbols are handled as Ns x 2 complex X/Y pairs through .view(complex)
+of a C-ordered array, and back through .view(float). Phase and scale
+recovery are data-aided (genie) and use the transmitted symbols,
+matching an ideal-DSP simulation methodology.
 """
 
 from __future__ import annotations
@@ -46,17 +48,6 @@ class SymbolBatch:
         return self.tx_indices.size
 
 
-def to_complex_pair(points4d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an Ns x 4 real matrix into (X, Y) complex symbol arrays."""
-    p = np.asarray(points4d, dtype=float)
-    return p[:, 0] + 1j * p[:, 1], p[:, 2] + 1j * p[:, 3]
-
-
-def to_real4(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Stack complex X/Y symbols back into an Ns x 4 real matrix."""
-    return np.stack([cx.real, cx.imag, cy.real, cy.imag], axis=1)
-
-
 def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
                    rolloff: float) -> np.ndarray:
     """Downconvert one WDM channel and recover its Ns x 4 symbols.
@@ -76,10 +67,10 @@ def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
     j, h = rrc_support(ns, sps, rolloff)
     at = (j + round(offset_hz * n / signal.fs)) % n
     fold = np.zeros((2, 2 * ns), dtype=complex)  # bin j at j + ns
-    for row, pol in zip(fold, (signal.x, signal.y)):
+    for row, pol in zip(fold, signal.field):
         row[j + ns] = sfft.fft(pol)[at] * h
     sym = sfft.ifft(fold[:, :ns] + fold[:, ns:], axis=1) / sps
-    return to_real4(sym[0], sym[1])
+    return np.ascontiguousarray(sym.T).view(float)
 
 
 def genie_phase_compensation(
@@ -91,21 +82,19 @@ def genie_phase_compensation(
     otherwise one rotation per window of that many symbols. Zero-energy
     windows are left untouched. Per-symbol magnitudes are preserved.
     """
-    rcx, rcy = to_complex_pair(rx)
-    tcx, tcy = to_complex_pair(tx)
-    ns = rcx.size
+    out = np.array(rx, dtype=float, order="C")  # rotated in place below
+    ref = np.ascontiguousarray(tx, dtype=float).view(complex)
+    ns = out.shape[0]
     w = ns if window_symbols is None else int(window_symbols)
     if w < 1:
         raise ValueError("window must be >= 1 symbol")
-    out = []
-    for rc, tc in ((rcx.copy(), tcx), (rcy.copy(), tcy)):
+    for rc, tc in zip(out.view(complex).T, ref.T):
         for start in range(0, ns, w):
             sl = slice(start, min(start + w, ns))
             s = np.sum(rc[sl] * np.conj(tc[sl]))
             if np.abs(s) > 0:
                 rc[sl] *= np.exp(-1j * np.angle(s))
-        out.append(rc)
-    return to_real4(out[0], out[1])
+    return out
 
 
 def genie_gain(rx: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, float]:

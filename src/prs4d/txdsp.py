@@ -2,10 +2,15 @@
 
 Every waveform is one circular frame of exactly Ns * sps samples, the
 same periodic frame the SSFM dispersion operator and inline CDC act on,
-with symbol k at sample k * sps. The frame is built in the spectrum: a
-shaped channel is its symbol spectrum times the exact RRC response, kept
-on the response's support, and wdm_mux shifts each channel to an FFT
-bin, sums, and takes one inverse FFT per polarization.
+with symbol k at sample k * sps. A SampledSignal holds both
+polarizations as one complex (2, n) field, row 0 = X and row 1 = Y. Ns x 4
+real symbols [Re X, Im X, Re Y, Im Y] are, in C order, the same bytes as
+Ns x 2 complex X/Y pairs, so they are viewed, not converted.
+
+The frame is built in the spectrum: a shaped channel is its symbol
+spectrum times the exact RRC response, kept on the response's support,
+and wdm_mux shifts each channel to an FFT bin, sums, and takes one
+inverse FFT per polarization.
 """
 
 from __future__ import annotations
@@ -21,25 +26,31 @@ import scipy.fft as sfft
 class SampledSignal:
     """Dual-polarization complex baseband waveform on a circular frame.
 
-    x/y are the polarization field envelopes in sqrt(W). The frame is
+    field is the (2, n) X/Y field envelope in sqrt(W). The frame is
     periodic: sample n wraps to sample 0.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    field: np.ndarray
     fs: float
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=complex)
-        self.y = np.asarray(self.y, dtype=complex)
-        if self.x.size != self.y.size or self.x.size == 0:
-            raise ValueError("x and y must be equal-length, non-empty")
+        self.field = np.asarray(self.field, dtype=complex)
+        if self.field.ndim != 2 or self.field.shape[0] != 2 or not self.n:
+            raise ValueError("field must be a non-empty (2, n) array")
         if not self.fs > 0:
             raise ValueError("fs must be positive")
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.field.shape[1]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.field[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.field[1]
 
 
 @dataclass
@@ -88,9 +99,9 @@ def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
               baud: float = 45e9) -> ChannelSpectrum:
     """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into the spectrum
     of an Ns * sps frame: bin j is symbol bin j mod Ns times the response."""
-    symbols = np.asarray(symbols, dtype=float)
-    ns = symbols.shape[0]
-    sym = (symbols[:, 0::2] + 1j * symbols[:, 1::2]).T
+    # a copy: the FFT below overwrites its input
+    sym = np.array(symbols, dtype=float, order="C").view(complex).T
+    ns = sym.shape[1]
     j, h = rrc_support(ns, sps, rolloff)
     bins = sfft.fft(sym, axis=1, overwrite_x=True)[:, j] * h
     return ChannelSpectrum(bins=bins, index=j, n=ns * sps, fs=sps * baud)
@@ -133,4 +144,4 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, fs_out: float,
         spec[:, (ch.index + shift) % n] += ch.bins
     for row in spec:
         row[...] = sfft.ifft(row, overwrite_x=True)
-    return SampledSignal(x=spec[0], y=spec[1], fs=fs_out)
+    return SampledSignal(spec, fs_out)

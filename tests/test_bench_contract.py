@@ -43,8 +43,9 @@ def test_counted_arguments_keep_their_names(mod, attr, params):
 
 def test_run_point_passes_the_traced_transmitter(tracing):
     """One run_point shapes and scales each channel once and multiplexes
-    once into a time-domain frame of Ns * sps samples; otherwise the
-    txdsp.* metrics would read 0 without any error."""
+    once into a time-domain frame of Ns * sps samples, which one SSFM step
+    propagates; otherwise the txdsp.* and channel.* metrics would read 0
+    without any error. The tracer counts samples by SampledSignal.x."""
     from prs4d import harness
 
     cfg = harness.ExperimentConfig(
@@ -57,9 +58,13 @@ def test_run_point_passes_the_traced_transmitter(tracing):
     assert names.count("txdsp.rrc_shape") == cfg.n_channels
     assert names.count("txdsp.set_mean_power") == cfg.n_channels
     assert names.count("txdsp.wdm_mux") == 1
-    metrics = tracing.op_layer_metrics(tracer.ops[0], ["txdsp.frame_samples"],
-                                       tracer.absent)
-    assert metrics["txdsp.frame_samples"] == cfg.n_symbols * cfg.effective_sps()
+    metrics = tracing.op_layer_metrics(
+        tracer.ops[0], ["txdsp.frame_samples", "channel.ssfm_steps"],
+        tracer.absent)
+    frame = cfg.n_symbols * cfg.effective_sps()
+    assert metrics == {"txdsp.frame_samples": frame, "channel.ssfm_steps": 1}
+    [span] = [s for s in tracer.ops[0] if s["name"] == "channel.ssfm_span"]
+    assert span["samples"] == frame
 
 
 def test_shimmed_calls_stay_on_the_calling_thread(tracing, monkeypatch):

@@ -10,11 +10,10 @@ from prs4d.txdsp import SampledSignal, spectral_filter
 def random_signal(n=4096, fs=180e9, seed=0, power_w=1e-3):
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power_w / 2)
-    return SampledSignal(
-        x=scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-        y=scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-        fs=fs,
-    )
+    return SampledSignal(np.stack([
+        scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+    ]), fs=fs)
 
 
 def mean_power(sig):
@@ -41,6 +40,7 @@ class TestLinkConfig:
         ({"edfa_nf_db": np.nan}, "edfa_nf_db"),
         ({"edfa_nf_db": -np.inf}, "edfa_nf_db"),
         ({"step_km": np.nan}, "step_km"), ({"step_km": np.inf}, "step_km"),
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
     ])
     def test_bad_field_named(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -69,7 +69,7 @@ class TestDispersion:
         k = 37
         t = np.arange(n) / fs
         tone = np.exp(2j * np.pi * (k * fs / n) * t)
-        sig = SampledSignal(x=tone, y=tone.copy(), fs=fs)
+        sig = SampledSignal(np.stack([tone, tone]), fs=fs)
         beta2, dz = -5e-24, 50.0
         out = ch.dispersion_step(sig, beta2, dz)
         w = 2 * np.pi * k * fs / n
@@ -101,8 +101,7 @@ class TestNonlinear:
 
     def test_cw_spm_phase(self):
         p = 2e-3
-        sig = SampledSignal(x=np.full(64, np.sqrt(p), dtype=complex),
-                            y=np.zeros(64, dtype=complex), fs=1e9)
+        sig = SampledSignal([np.full(64, np.sqrt(p)), np.zeros(64)], fs=1e9)
         out = ch.nonlinear_step(sig, 1.464, 80.0)
         phase = np.angle(out.x[0])
         assert phase == pytest.approx((8 / 9) * 1.464 * p * 80.0, abs=1e-12)
@@ -131,8 +130,8 @@ class TestSsfmSpan:
     def test_cw_spm_analytic(self):
         p = 1e-3
         fib = ch.FiberParams(alpha_db_km=0.0, disp_ps_nm_km=0.0)
-        sig = SampledSignal(x=np.full(256, np.sqrt(p), dtype=complex),
-                            y=np.zeros(256, dtype=complex), fs=1e9)
+        sig = SampledSignal([np.full(256, np.sqrt(p)), np.zeros(256)],
+                            fs=1e9)
         out = ch.ssfm_span(sig, fib, 0.1)
         expect = (8 / 9) * fib.gamma_w_km * p * fib.length_km
         assert abs(np.angle(out.x[0]) - expect) < 1e-6
@@ -150,8 +149,7 @@ class TestSsfmSpan:
         sig = random_signal(power_w=10e-3)  # 10 mW per polarization
 
         def field(step):
-            out = ch.ssfm_span(sig, LEAF, step)
-            return np.stack([out.x, out.y])
+            return ch.ssfm_span(sig, LEAF, step).field
 
         ref = field(1 / 16)
         errs = [np.linalg.norm(field(s) - ref) / np.linalg.norm(ref)
@@ -171,7 +169,7 @@ class TestSsfmSpan:
             phasor = np.exp(0.5j * SHORT.beta2_s2_km * w2 * dz)
             return np.fft.ifft(np.fft.fft(f, axis=1) * phasor, axis=1)
 
-        fld, prev = np.stack([sig.x, sig.y]), 0.0
+        fld, prev = sig.field, 0.0
         for dz in (0.3, 0.3, 0.3, 0.1):
             fld = disperse(fld, (prev + dz) / 2)
             p = np.abs(fld[0]) ** 2 + np.abs(fld[1]) ** 2
@@ -182,7 +180,7 @@ class TestSsfmSpan:
         ref = disperse(fld, prev / 2)
 
         out = ch.ssfm_span(sig, SHORT, 0.3)
-        err = np.linalg.norm(np.stack([out.x, out.y]) - ref)
+        err = np.linalg.norm(out.field - ref)
         assert err / np.linalg.norm(ref) <= 1e-14
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
@@ -208,7 +206,7 @@ class TestSsfmSpan:
         steps = [0.3] * int(n_full) + [rem]
         halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
         ph = ch._phasors(sig, SHORT.beta2_s2_km, halves)
-        fld = np.stack([sig.x, sig.y])
+        fld = sig.field.copy()
         for dz, half in zip(steps, halves):
             spectral_filter(fld, ph[half])
             dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha
@@ -216,13 +214,13 @@ class TestSsfmSpan:
         spectral_filter(fld, ph[halves[-1]])
 
         out = ch.ssfm_span(sig, SHORT, 0.3)
-        assert np.array_equal(out.x, fld[0]) and np.array_equal(out.y, fld[1])
+        assert np.array_equal(out.field, fld)
         assert len(threads) == len(cpus)
 
 
 class TestInputsUnchanged:
     """The operators work in place on private copies only: the caller's
-    x and y come back bit for bit and share no memory with the output."""
+    field comes back bit for bit and shares no memory with the output."""
 
     OPS = {
         "dispersion_step": lambda s: ch.dispersion_step(s, LEAF.beta2_s2_km,
@@ -237,11 +235,10 @@ class TestInputsUnchanged:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_caller_field_unchanged(self, name):
         sig = random_signal(n=1024, power_w=10e-3)
-        x, y = sig.x.copy(), sig.y.copy()
+        field = sig.field.copy()
         out = self.OPS[name](sig)
-        assert np.array_equal(sig.x, x) and np.array_equal(sig.y, y)
-        assert not np.shares_memory(out.x, sig.x)
-        assert not np.shares_memory(out.y, sig.y)
+        assert np.array_equal(sig.field, field)
+        assert not np.shares_memory(out.field, sig.field)
 
 
 class TestInlineCdc:
@@ -273,8 +270,7 @@ class TestEdfa:
 
     def test_ase_power_matches_formula(self):
         n = 2**20
-        sig = SampledSignal(x=np.zeros(n, dtype=complex),
-                            y=np.zeros(n, dtype=complex), fs=720e9)
+        sig = SampledSignal(np.zeros((2, n)), fs=720e9)
         rng = np.random.default_rng(1)
         gain_db, nf_db = 17.52, 5.0
         out = ch.edfa(sig, gain_db, nf_db, rng)
@@ -286,6 +282,20 @@ class TestEdfa:
         assert measured == pytest.approx(expect, rel=0.01)
         # photon energy sanity: h*nu at 1550 nm
         assert h_nu == pytest.approx(1.28e-19, rel=0.01)
+
+    def test_ase_equals_per_polarisation_draws(self):
+        """The one (2, 2, n) ASE draw adds, bit for bit, what four n-sample
+        draws in the order x re, x im, y re, y im would add."""
+        sig = random_signal(n=1000)
+        out = ch.edfa(sig, 17.52, 5.0, np.random.default_rng(3))
+        rng, g = np.random.default_rng(3), 10 ** (17.52 / 10)
+        n_sp = 10 ** (5.0 / 10) / 2.0
+        h_nu = ch.H_PLANCK * ch.C_LIGHT / (1550.0 * 1e-9)
+        sigma = np.sqrt(n_sp * h_nu * (g - 1.0) * sig.fs / 2.0)
+        for got, pol in zip(out.field, sig.field):
+            ref = pol * np.sqrt(g) + sigma * (rng.standard_normal(1000)
+                                              + 1j * rng.standard_normal(1000))
+            assert np.array_equal(got, ref)
 
     def test_low_nf_warns(self):
         sig = random_signal(n=64)
@@ -319,7 +329,7 @@ class TestPropagateLink:
         """X and Y see the same linear evolution."""
         rng = np.random.default_rng(7)
         f = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        sig = SampledSignal(x=f.copy(), y=f.copy(), fs=100e9)
+        sig = SampledSignal(np.stack([f, f]), fs=100e9)
         fib = ch.FiberParams(gamma_w_km=0.0)
         link = ch.LinkConfig(span=fib, n_spans=3, step_km=1.0,
                              ase_enabled=False, seed=0)

@@ -77,7 +77,7 @@ class TestPointCovariances:
             b.tx_bits.reshape(-1, 6)[keep].ravel(),
             b.tx_indices[keep], b.tx_points[keep], b.rx_points[keep])
         with pytest.raises(ValueError, match="17"):
-            D.estimate_point_covariances(short, pm8qam)
+            D.estimate_point_covariances(short, pm8qam, epsilon=1e-4)
 
 
 def gaussian_logpdf(y: np.ndarray, s: np.ndarray, cov: np.ndarray) -> float:

@@ -50,6 +50,7 @@ class TestExperimentConfig:
         ({"launch_dbm": [0.0, np.inf]}, "launch_dbm"),
         ({"nf_db": np.nan}, "nf_db"),
         ({"n_symbols": 256.5}, "n_symbols"), ({"n_channels": 1.5}, "n_channels"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -31,9 +31,9 @@ def full_frame_select(signal, offset_hz, sps):
     j, h = T.rrc_support(n // sps, sps, 0.1)
     resp = np.zeros(n)
     resp[j] = h
-    fld = np.fft.ifft(np.fft.fft(np.stack([signal.x, signal.y]) * lo, axis=1)
-                      * resp, axis=1)
-    return R.to_real4(fld[0, ::sps], fld[1, ::sps])
+    fld = np.fft.ifft(np.fft.fft(signal.field * lo, axis=1) * resp, axis=1)
+    x, y = fld[:, ::sps]
+    return np.stack([x.real, x.imag, y.real, y.imag], axis=1)
 
 
 class TestChannelSelect:
@@ -78,7 +78,7 @@ class TestChannelSelect:
         rng = np.random.default_rng(5)
         fld = rng.standard_normal((2, n_sym * sps)) \
             + 1j * rng.standard_normal((2, n_sym * sps))
-        sig = T.SampledSignal(x=fld[0], y=fld[1], fs=sps * BAUD)
+        sig = T.SampledSignal(fld, fs=sps * BAUD)
         for k in range(n_ch):
             offset = (k - (n_ch - 1) / 2) * 50e9
             ref = full_frame_select(sig, offset, sps)
@@ -100,9 +100,10 @@ class TestChannelSelect:
     def test_caller_field_unchanged(self):
         _, _, _, sig = shaped_channel()
         sig = frame(sig)
-        x, y = sig.x.copy(), sig.y.copy()
-        R.channel_select(sig, 0.0, BAUD, 0.1)
-        assert np.array_equal(sig.x, x) and np.array_equal(sig.y, y)
+        field = sig.field.copy()
+        out = R.channel_select(sig, 0.0, BAUD, 0.1)
+        assert np.array_equal(sig.field, field)
+        assert not np.shares_memory(out, sig.field)
 
     def test_offset_out_of_band(self):
         _, _, _, sig = shaped_channel(sps=4)
@@ -122,8 +123,7 @@ class TestCircularFrame:
         link = CH.LinkConfig(span=CH.FiberParams(), n_spans=1, step_km=10.0,
                              ase_enabled=False)
         r = 37
-        rolled = T.SampledSignal(x=np.roll(mux.x, 8 * r),
-                                 y=np.roll(mux.y, 8 * r), fs=mux.fs)
+        rolled = T.SampledSignal(np.roll(mux.field, 8 * r, axis=1), fs=mux.fs)
         ref = R.channel_select(CH.propagate_link(mux, link), 0.0, BAUD, 0.1)
         out = R.channel_select(CH.propagate_link(rolled, link), 0.0, BAUD, 0.1)
         err = np.max(np.abs(out - np.roll(ref, r, axis=0)))
@@ -133,8 +133,7 @@ class TestCircularFrame:
 class TestGeniePhase:
     def test_recovers_fixed_rotation(self):
         _, _, pts, _ = shaped_channel()
-        cx, cy = R.to_complex_pair(pts)
-        rot = R.to_real4(cx * np.exp(0.3j), cy * np.exp(0.3j))
+        rot = (pts.view(complex) * np.exp(0.3j)).view(float)
         out = R.genie_phase_compensation(rot, pts, None)
         assert np.max(np.abs(out - pts)) < 1e-12
 
@@ -146,12 +145,22 @@ class TestGeniePhase:
     def test_windowed_beats_global_on_phase_drift(self):
         rng = np.random.default_rng(0)
         _, _, pts, _ = shaped_channel(n_sym=4096)
-        cx, cy = R.to_complex_pair(pts)
-        drift = np.cumsum(rng.normal(scale=0.01, size=cx.size))
-        rx = R.to_real4(cx * np.exp(1j * drift), cy * np.exp(1j * drift))
+        drift = np.cumsum(rng.normal(scale=0.01, size=len(pts)))
+        rx = (pts.view(complex) * np.exp(1j * drift)[:, None]).view(float)
         glob = R.genie_phase_compensation(rx, pts, None)
         wind = R.genie_phase_compensation(rx, pts, 64)
         assert np.sum((wind - pts) ** 2) < np.sum((glob - pts) ** 2)
+
+    def test_inputs_unchanged(self):
+        """The rotation works on a copy of rx; tx is only read."""
+        rng = np.random.default_rng(2)
+        _, _, pts, _ = shaped_channel(n_sym=256)
+        rx = (pts.view(complex) * np.exp(0.7j)).view(float)
+        rx += rng.normal(scale=0.1, size=rx.shape)
+        rx_in, tx_in = rx.copy(), pts.copy()
+        out = R.genie_phase_compensation(rx, pts, 32)
+        assert np.array_equal(rx, rx_in) and np.array_equal(pts, tx_in)
+        assert not np.shares_memory(out, rx)
 
     def test_preserves_magnitudes(self):
         rng = np.random.default_rng(1)

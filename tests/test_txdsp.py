@@ -95,7 +95,25 @@ class TestSpectralFilter:
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestSampledSignal:
+    @pytest.mark.parametrize("field", [np.zeros(8), np.zeros((1, 8)),
+                                       np.zeros((3, 8)), np.zeros((2, 0)),
+                                       np.zeros((2, 2, 8))])
+    def test_bad_field_rejected(self, field):
+        with pytest.raises(ValueError,
+                           match=r"^field must be a non-empty \(2, n\) array$"):
+            T.SampledSignal(field, fs=1e9)
+
+
 class TestRrcShape:
+    def test_symbols_unchanged(self):
+        """The X/Y view of the symbols is taken of a copy: the in-place
+        FFT must not write into the caller's array."""
+        sym = pm8qam_points(4, 64)
+        before = sym.copy()
+        T.rrc_shape(sym, 4, 0.1, baud=BAUD)
+        assert np.array_equal(sym, before)
+
     def test_single_unit_symbol_energy(self):
         sym = np.zeros((1, 4))
         sym[0, 0] = 1.0
@@ -155,7 +173,7 @@ class TestWdmMux:
     def test_single_channel_identity(self):
         ch = self._channel(1)
         out = T.wdm_mux([ch], 50e9, ch.fs)
-        ref = T.SampledSignal(*time_domain_shape(pm8qam_points(1, 512), 8),
+        ref = T.SampledSignal(time_domain_shape(pm8qam_points(1, 512), 8),
                               fs=ch.fs)
         assert np.allclose(out.x, ref.x) and np.allclose(out.y, ref.y)
 
@@ -204,7 +222,7 @@ class TestWdmMux:
             shift = round((k - (n_ch - 1) / 2) * 50e9 * n / (sps * BAUD))
             rot = np.exp(2j * np.pi * ((shift * np.arange(n)) % n) / n)
             ref += time_domain_shape(pm8qam_points(k, n_sym), sps) * rot
-        err = np.max(np.abs(np.stack([out.x, out.y]) - ref))
+        err = np.max(np.abs(out.field - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
 
 
