@@ -168,6 +168,8 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
     if launch_dbm is None:
         launch_dbm = float(np.atleast_1d(np.asarray(cfg.launch_dbm))[0])
     seed = cfg.seed if seed is None else seed
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer")
 
     c = cfg.build_constellation()
     sps = cfg.effective_sps()

@@ -213,6 +213,14 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "empty range" in captured.err
 
+    @pytest.mark.parametrize("snr", ["nan", "inf"])
+    def test_gmi_awgn_bad_snr_returns_one(self, capsys, snr):
+        assert cli.main(["gmi-awgn", "--snr", snr]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: snr_db must be")
+        assert captured.err.count("\n") == 1
+
     def test_export_constellation_applies_overrides(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["export-constellation", "--output", str(a)]) == 0

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,3 +367,105 @@ class TestAwgnReference:
             g = D.gmi_from_llrs(D.compute_llrs(b, pm8qam, model), 6)
             # allow 3-sigma MC slack (~0.01 bit at this batch size)
             assert g <= g_match + 0.01
+
+    @pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
+    def test_bad_snr_named(self, pm8qam, snr_db):
+        with pytest.raises(ValueError, match="^snr_db must be"):
+            D.awgn_gmi_reference(pm8qam, snr_db)
+
+    @pytest.mark.parametrize("n_nodes", [0, -1, 2.5])
+    def test_bad_node_count_named(self, pm8qam, n_nodes):
+        with pytest.raises(ValueError, match="^n_nodes must be"):
+            D.awgn_gmi_reference(pm8qam, 8.1, n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("ns", [0, -1, 2.5])
+    def test_bad_symbol_count_named(self, pm8qam, ns):
+        with pytest.raises(ValueError, match="^ns must be"):
+            D.awgn_gmi_reference(pm8qam, 8.1, method="monte_carlo", ns=ns)
+
+
+def full_grid_gmi(c, snr_db, n_nodes):
+    """AWGN GMI from every point's conditional Gauss-Hermite grid.
+
+    The quadrature without the symmetry reduction: all M x n_nodes^4 rows
+    go through one LLR evaluation and every point's penalty is summed.
+    """
+    sigma2 = 1.0 / (4 * 10 ** (snr_db / 10))
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    grid = np.indices((n_nodes,) * 4).reshape(4, -1).T
+    z, w = nodes[grid], weights[grid].prod(axis=1) / np.pi**2
+    y = (c.points[:, None, :] + np.sqrt(2 * sigma2) * z).reshape(-1, 4)
+    llrs = D.llrs_for_points(y, c, D.NoiseModel.iid(sigma2))
+    signs = 1.0 - 2.0 * c.labels.astype(float)
+    penalty = np.logaddexp(0.0, -signs[:, None, :] * llrs.reshape(c.M, -1, c.m))
+    return float(c.m - np.einsum("q,iq->", w, penalty.sum(axis=2)) / np.log(2) / c.M)
+
+
+class TestSymmetryReduction:
+    """awgn_gmi_reference integrates one point per orbit; the oracle all M."""
+
+    FORMATS = ("4d64prs", "6b4d_2a8psk", "pm8qam")
+
+    @pytest.mark.parametrize("snr_db", [0.0, 8.1, 30.0])
+    @pytest.mark.parametrize("n_nodes", [3, 5, 8])
+    @pytest.mark.parametrize("name", FORMATS)
+    def test_matches_full_grid(self, name, n_nodes, snr_db):
+        c = C.build_format(name)
+        gmi = D.awgn_gmi_reference(c, snr_db, n_nodes=n_nodes)
+        assert abs(gmi - full_grid_gmi(c, snr_db, n_nodes)) <= 1e-12
+
+    @pytest.mark.parametrize("name, reps, sizes", [
+        ("4d64prs", [0], [64]),
+        ("6b4d_2a8psk", [0, 1, 8, 9], [16, 16, 16, 16]),
+        ("pm8qam", [0, 4, 36], [16, 32, 16]),
+    ])
+    def test_orbits_per_format(self, name, reps, sizes):
+        got_reps, got_sizes = D._orbits(C.build_format(name))
+        assert got_reps.tolist() == reps and got_sizes.tolist() == sizes
+
+    def test_random_points_have_only_the_identity(self):
+        rng = np.random.default_rng(20)
+        pts = rng.normal(size=(64, 4))
+        c = replace(C.build_format("pm8qam"),
+                    points=pts / np.sqrt(np.mean(np.sum(pts**2, axis=1))))
+        reps, sizes = D._orbits(c)
+        assert reps.tolist() == list(range(64)) and np.all(sizes == 1)
+        gmi = D.awgn_gmi_reference(c, 8.1, n_nodes=5)
+        assert abs(gmi - full_grid_gmi(c, 8.1, 5)) <= 1e-12
+
+    @pytest.mark.parametrize("snr_db", [0.0, 8.1])
+    @pytest.mark.parametrize("name, swap, sizes", [
+        ("4d64prs", 1, {2: 32}),
+        ("pm8qam", 9, {1: 8, 2: 28}),  # unequal orbits, labels not per pol
+    ])
+    def test_symmetric_points_with_asymmetric_labels(self, name, swap, sizes,
+                                                     snr_db):
+        c = C.build_format(name)
+        labels = c.labels.copy()
+        labels[[0, swap]] = labels[[swap, 0]]
+        c = replace(c, labels=labels)
+        size, count = np.unique(D._orbits(c)[1], return_counts=True)
+        assert dict(zip(size.tolist(), count.tolist())) == sizes
+        gmi = D.awgn_gmi_reference(c, snr_db, n_nodes=5)
+        assert abs(gmi - full_grid_gmi(c, snr_db, 5)) <= 1e-12
+
+    def test_generic_rotation_keeps_only_the_inversion(self, prs64):
+        q, _ = np.linalg.qr(np.random.default_rng(21).normal(size=(4, 4)))
+        c = replace(prs64, points=prs64.points @ q.T)
+        # -I commutes with every rotation, so only s -> -s survives
+        assert D._orbits(c)[1].tolist() == [2] * 32
+        gmi = D.awgn_gmi_reference(c, 8.1, n_nodes=5)
+        assert abs(gmi - full_grid_gmi(c, 8.1, 5)) <= 1e-12
+
+    def test_coincident_points_are_not_merged(self):
+        """Only point permutations count as symmetries.
+
+        Two copies of a point both match its lower index, so no g passes,
+        though the swap of a and b with labels XOR 11 would be a symmetry.
+        """
+        a = np.array([0.3, 0.7, -0.2, 0.5])
+        c = C.Constellation4D(points=[a, a, a[[1, 0, 3, 2]], a[[1, 0, 3, 2]]],
+                              labels=[[0, 0], [0, 1], [1, 1], [1, 0]], name="pairs")
+        assert D._orbits(c)[1].tolist() == [1, 1, 1, 1]
+        gmi = D.awgn_gmi_reference(c, 5.0, n_nodes=5)
+        assert abs(gmi - full_grid_gmi(c, 5.0, 5)) <= 1e-12

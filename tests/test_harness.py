@@ -103,6 +103,17 @@ class TestRunPoint:
         # invariant bounds the gap from below
         assert recs[1].gmi_bit4d >= recs[0].gmi_bit4d - 0.01
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            H.run_point(tiny_config(), launch_dbm=0.0, seed=seed)
+
+    def test_numpy_integer_seed_runs_as_int(self):
+        a = H.run_point(tiny_config(ase_enabled=True), launch_dbm=0.0, seed=3)
+        b = H.run_point(tiny_config(ase_enabled=True), launch_dbm=0.0,
+                        seed=np.int64(3))
+        assert H.records_to_csv(a) == H.records_to_csv(b)
+
     def test_deterministic_records(self):
         cfg = tiny_config(ase_enabled=True)
         a = H.run_point(cfg, launch_dbm=-1.0)
