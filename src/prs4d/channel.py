@@ -133,19 +133,6 @@ def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
     return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
 
 
-def nonlinear_step(signal: SampledSignal, gamma_w_km: float,
-                   dz_eff_km: float) -> SampledSignal:
-    """Joint Kerr phase rotation with the Manakov 8/9 factor.
-
-    Pure phase: per-sample magnitudes are unchanged to rounding (relative
-    change <= 4*eps).
-    """
-    if dz_eff_km < 0:
-        raise ValueError("effective length must be >= 0")
-    return replace(signal, field=_kerr(signal.field.copy(), gamma_w_km,
-                                       dz_eff_km))
-
-
 def ssfm_span(signal: SampledSignal, fiber: FiberParams,
               step_km: float) -> SampledSignal:
     """Symmetric split-step solution of the Manakov equation over one span.

@@ -2,10 +2,12 @@
 
 Two channel-law assumptions are supported: a shared scalar per-dimension
 variance (iid model) and a per-constellation-point 4x4 covariance
-(correlated model). LLRs, L = log(P[bit=0] / P[bit=1]), come in row blocks
-from one exponentiated log-pdf matrix times the label masks. An LLR favoring
-the true bit adds a small GMI penalty, so GMI approaches m at high SNR.
-The AWGN reference integrates one point per symmetry orbit, times its size.
+(correlated model). Both log-pdfs are quadratic in y, so one product of a
+row block's features [y_a y_b, y, 1] with a (15, M) matrix serves both.
+LLRs, L = log(P[bit=0] / P[bit=1]), are that matrix exponentiated times the
+label masks. An LLR favoring the true bit adds a small GMI penalty, so GMI
+approaches m at high SNR. The AWGN reference integrates one point per
+symmetry orbit, times its size.
 """
 
 from __future__ import annotations
@@ -93,46 +95,50 @@ def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
     """Per-point sample covariance of the residual rx - s_i.
 
     Second moment about the true constellation point, not the sample
-    mean. epsilon * I is added for positive definiteness.
+    mean: each of the distinct residual products r_a r_b is summed per
+    point with one weighted bincount. epsilon * I is added for positive
+    definiteness.
     """
     n_dim = c.points.shape[1]
+    counts = np.bincount(batch.tx_indices, minlength=c.M)[:c.M]
+    for i in np.flatnonzero(counts < _MIN_OCCURRENCES)[:1]:
+        raise ValueError(f"constellation point {i} transmitted {counts[i]} "
+                         f"times; need at least {_MIN_OCCURRENCES}")
+    r = batch.rx_points - c.points[batch.tx_indices]
     covs = np.empty((c.M, n_dim, n_dim))
-    for i in range(c.M):
-        sel = batch.tx_indices == i
-        n_i = int(sel.sum())
-        if n_i < _MIN_OCCURRENCES:
-            raise ValueError(
-                f"constellation point {i} transmitted {n_i} times; "
-                f"need at least {_MIN_OCCURRENCES}"
-            )
-        r = batch.rx_points[sel] - c.points[i]
-        covs[i] = (r.T @ r) / n_i + epsilon * np.eye(n_dim)
-    return covs
+    for a, b in zip(*np.triu_indices(n_dim)):
+        covs[:, a, b] = covs[:, b, a] = np.bincount(
+            batch.tx_indices, r[:, a] * r[:, b], c.M)[:c.M]
+    return covs / counts[:, None, None] + epsilon * np.eye(n_dim)
 
 
 def _logpdf_matrix(c: Constellation4D, model: NoiseModel):
     """Function of a (B, N) block of y giving its (B, M) log f(y_j | s_i) + const.
 
-    cg factors once, C_i = L_i L_i^T and W_i = L_i^-1, then whitens a block
-    with one (B, N) @ (N, M*N) product: |W_i y - W_i s_i|^2.
+    log f is quadratic in y: phi(y) @ A with phi(y) = [y_a y_b for a <= b, y, 1]
+    and A's columns -P_i / 2 (upper triangle, off-diagonals doubled), P_i s_i
+    and -s_i^T P_i s_i / 2 - log det C_i / 2. iid takes P_i = I / sigma2; cg
+    factors C_i = L_i L_i^T (raising unless C_i is positive definite) and
+    takes P_i = W_i^T W_i with W_i = L_i^-1.
     """
+    n_dim = c.points.shape[1]
     if model.kind == "iid":
         if model.sigma2 <= 0:
             raise ValueError("sigma2 must be positive for demapping")
-        return lambda yb: cdist(yb, c.points, "sqeuclidean") / (-2 * model.sigma2)
-    if model.covariances.shape[0] != c.M:
-        raise ValueError("cg model needs one covariance per constellation point")
-    w = np.linalg.inv(np.linalg.cholesky(model.covariances))  # lower, diag 1/L_ii
-    w_all = w.transpose(2, 0, 1).reshape(w.shape[2], -1)
-    w_s = np.einsum("mij,mj->mi", w, c.points)
-    half_logdet = -np.log(np.diagonal(w, axis1=1, axis2=2)).sum(axis=1)
-
-    def cg(yb):
-        z = (yb @ w_all).reshape(len(yb), c.M, -1)
-        z -= w_s
-        return -0.5 * np.einsum("bmi,bmi->bm", z, z) - half_logdet
-
-    return cg
+        prec = np.eye(n_dim) / model.sigma2 + np.zeros((c.M, 1, 1))
+        half_logdet = 0.0  # the same for every point
+    else:
+        if model.covariances.shape[0] != c.M:
+            raise ValueError("cg model needs one covariance per constellation point")
+        w = np.linalg.inv(np.linalg.cholesky(model.covariances))  # lower, diag 1/L_ii
+        prec = w.mT @ w
+        half_logdet = -np.log(np.diagonal(w, axis1=1, axis2=2)).sum(axis=1)
+    ia, ib = np.triu_indices(n_dim)
+    ps = np.einsum("mij,mj->mi", prec, c.points)
+    a = np.vstack((np.where(ia == ib, -0.5, -1.0)[:, None] * prec[:, ia, ib].T,
+                   ps.T,
+                   -0.5 * np.einsum("mi,mi->m", c.points, ps) - half_logdet))
+    return lambda yb: np.hstack((yb[:, ia] * yb[:, ib], yb, np.ones((len(yb), 1)))) @ a
 
 
 def llrs_for_points(
@@ -140,22 +146,25 @@ def llrs_for_points(
 ) -> np.ndarray:
     """(Ns, m) LLR matrix, L = log P0/P1, clipped to [-clamp, clamp].
 
-    Per row block, E = exp(logf - row max), L = log(E Z) - log(E (1 - Z)) with
-    Z = (labels == 0) the (M, m) label mask. The row maximum puts a 1 in one
-    sum, so only the losing sum can underflow (|L| > ~700 nats): its log is
-    -inf and L saturates to +-clamp with the exact sign.
+    Per row block, E = exp(logf - row max) and one product E [Z, 1 - Z]
+    gives both sums, Z = (labels == 0) the (M, m) label mask; L is the
+    difference of their logs. The row maximum puts a 1 in one sum, so only
+    the losing sum can underflow (|L| > ~700 nats): its log is -inf and L
+    saturates to +-clamp with the exact sign.
     """
     logpdf = _logpdf_matrix(c, model)
     y = np.asarray(y, dtype=float)
-    zero = (c.labels == 0).astype(float)
+    masks = np.hstack((c.labels == 0, c.labels != 0)).astype(float)
     llrs = np.empty((y.shape[0], c.m))
     for start in range(0, y.shape[0], _BLOCK_ROWS):
         e = logpdf(y[start : start + _BLOCK_ROWS])
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
+        sums = e @ masks
         with np.errstate(divide="ignore"):
-            block = np.log(e @ zero) - np.log(e @ (1 - zero))
-        np.clip(block, -clamp, clamp, out=llrs[start : start + _BLOCK_ROWS])
+            np.log(sums, out=sums)
+        np.clip(sums[:, :c.m] - sums[:, c.m:], -clamp, clamp,
+                out=llrs[start : start + _BLOCK_ROWS])
     return llrs
 
 
@@ -186,9 +195,12 @@ def gmi_from_llrs(llrs: LlrBatch, m: int) -> float:
     ns = L.shape[0]
     if ns < 1:
         raise ValueError("need at least one symbol")
-    sign = 1.0 - 2.0 * b  # +1 for bit 0, -1 for bit 1
-    penalty = np.logaddexp(0.0, -sign * L) / _LOG2
-    return float(m - penalty.sum() / ns)
+    return float(m - _penalty((2.0 * b - 1.0) * L).sum() / (ns * _LOG2))
+
+
+def _penalty(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) in nats, as max(z, 0) + log1p(e^-|z|)."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _orbits(c: Constellation4D) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +234,9 @@ def awgn_gmi_reference(
 
     SNR is Es/N0 per 4D symbol with Es = 1. "quadrature" integrates the
     conditional penalty on a tensor Gauss-Hermite grid around one point per
-    symmetry orbit (`_orbits`), weighted by the orbit size; "monte_carlo"
+    symmetry orbit (`_orbits`), weighted by the orbit size; it sums the
+    per-bit information 1 - penalty, so no m - total cancellation leaves
+    rounding below 0, and the result is clipped to [0, m]. "monte_carlo"
     runs the estimator end-to-end with ns symbols.
     """
     n_dim = c.points.shape[1]
@@ -252,6 +266,6 @@ def awgn_gmi_reference(
     y = (c.points[reps, None, :] + np.sqrt(2 * sigma2) * z).reshape(-1, n_dim)
     llrs = llrs_for_points(y, c, model, clamp=clamp).reshape(len(reps), -1, c.m)
     signs = 1.0 - 2.0 * c.labels[reps].astype(float)  # (R, m)
-    penalty = np.logaddexp(0.0, -signs[:, None, :] * llrs) / _LOG2
-    total = np.einsum("q,r,rq->", w, sizes, penalty.sum(axis=2))
-    return float(c.m - total / c.M)
+    info = 1.0 - _penalty(-signs[:, None, :] * llrs) / _LOG2  # per bit
+    gmi = np.einsum("q,r,rq->", w, sizes, info.sum(axis=2)) / c.M
+    return float(np.clip(gmi, 0.0, c.m))

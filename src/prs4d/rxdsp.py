@@ -89,11 +89,10 @@ def genie_phase_compensation(
     if w < 1:
         raise ValueError("window must be >= 1 symbol")
     for rc, tc in zip(out.view(complex).T, ref.T):
-        for start in range(0, ns, w):
-            sl = slice(start, min(start + w, ns))
-            s = np.sum(rc[sl] * np.conj(tc[sl]))
-            if np.abs(s) > 0:
-                rc[sl] *= np.exp(-1j * np.angle(s))
+        s = np.add.reduceat(rc * np.conj(tc), np.arange(0, ns, w))
+        rot = np.exp(-1j * np.angle(s))
+        rot[~(np.abs(s) > 0)] = 1.0
+        rc *= np.repeat(rot, min(w, ns))[:ns]
     return out
 
 

@@ -52,6 +52,16 @@ class TestSigma2Estimator:
             D.estimate_iid_sigma2(small)
 
 
+def loop_point_covariances(batch, c, epsilon):
+    """Per-point covariances from one boolean-mask pass per point."""
+    covs = np.empty((c.M, 4, 4))
+    for i in range(c.M):
+        sel = batch.tx_indices == i
+        r = batch.rx_points[sel] - c.points[i]
+        covs[i] = (r.T @ r) / sel.sum() + epsilon * np.eye(4)
+    return covs
+
+
 class TestPointCovariances:
     def test_noiseless_gives_epsilon_identity(self, pm8qam):
         b = make_batch(pm8qam, ns=2**12, sigma=0.0)
@@ -79,6 +89,20 @@ class TestPointCovariances:
             b.tx_indices[keep], b.tx_points[keep], b.rx_points[keep])
         with pytest.raises(ValueError, match="17"):
             D.estimate_point_covariances(short, pm8qam, epsilon=1e-4)
+
+    @pytest.mark.parametrize("fmt", ["pm8qam", "4d64prs"])
+    def test_matches_mask_loop(self, fmt):
+        c = C.build_format(fmt)
+        cov = np.array([[0.04, 0.01, 0.0, 0.002],
+                        [0.01, 0.05, 0.0, 0.0],
+                        [0.0, 0.0, 0.03, -0.01],
+                        [0.002, 0.0, -0.01, 0.06]])
+        b = make_batch(c, ns=2**14, seed=17, cov=cov)
+        got = D.estimate_point_covariances(b, c, epsilon=1e-3)
+        ref = loop_point_covariances(b, c, epsilon=1e-3)
+        err = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert np.max(err) <= 1e-13
+        assert np.array_equal(got, got.transpose(0, 2, 1))
 
 
 def gaussian_logpdf(y: np.ndarray, s: np.ndarray, cov: np.ndarray) -> float:
@@ -186,6 +210,12 @@ class TestComputeLlrs:
         fast = D.llrs_for_points(y, pm8qam, model, clamp=1e9)
         slow = brute_force_llrs(y, pm8qam, model)
         assert np.max(np.abs(fast - slow)) < 1e-8
+
+    def test_indefinite_covariance_rejected(self, pm8qam):
+        covs = np.tile(0.05 * np.eye(4), (64, 1, 1))
+        covs[37] = np.diag([0.05, 0.05, 0.05, -0.01])
+        with pytest.raises(np.linalg.LinAlgError):
+            D.llrs_for_points(np.zeros((4, 4)), pm8qam, D.NoiseModel.cg(covs))
 
     def test_zero_sigma_rejected(self, pm8qam):
         b = make_batch(pm8qam, sigma=0.0)
@@ -367,6 +397,13 @@ class TestAwgnReference:
             g = D.gmi_from_llrs(D.compute_llrs(b, pm8qam, model), 6)
             # allow 3-sigma MC slack (~0.01 bit at this batch size)
             assert g <= g_match + 0.01
+
+    @pytest.mark.parametrize("n_nodes", [3, 8])
+    @pytest.mark.parametrize("snr_db", [-300.0, -3000.0])
+    @pytest.mark.parametrize("name", ["pm8qam", "4d64prs", "6b4d_2a8psk"])
+    def test_no_information_is_not_negative(self, name, snr_db, n_nodes):
+        gmi = D.awgn_gmi_reference(C.build_format(name), snr_db, n_nodes=n_nodes)
+        assert 0.0 <= gmi <= 1e-15
 
     @pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
     def test_bad_snr_named(self, pm8qam, snr_db):

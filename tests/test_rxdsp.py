@@ -130,6 +130,22 @@ class TestCircularFrame:
         assert err < 1e-12 * np.max(np.abs(ref))
 
 
+def windowed_phase_oracle(rx, tx, window_symbols):
+    """One least-squares rotation per window and polarisation, window by
+    window; a zero-energy window is left as it is."""
+    out = np.array(rx, dtype=float).view(complex)
+    ref = np.asarray(tx, dtype=float).view(complex)
+    ns = out.shape[0]
+    w = ns if window_symbols is None else window_symbols
+    for pol in range(out.shape[1]):
+        for start in range(0, ns, w):
+            sl = slice(start, min(start + w, ns))
+            s = np.sum(out[sl, pol] * np.conj(ref[sl, pol]))
+            if np.abs(s) > 0:
+                out[sl, pol] *= np.exp(-1j * np.angle(s))
+    return out.view(float)
+
+
 class TestGeniePhase:
     def test_recovers_fixed_rotation(self):
         _, _, pts, _ = shaped_channel()
@@ -170,6 +186,31 @@ class TestGeniePhase:
         mags_in = np.sum(rx**2, axis=1)
         mags_out = np.sum(out**2, axis=1)
         assert np.allclose(mags_in, mags_out, rtol=1e-12)
+
+    @pytest.mark.parametrize("window", [None, 64, 100, 1, 5000])
+    def test_matches_loop(self, window):
+        """The vectorised windows against the window-by-window loop."""
+        rng = np.random.default_rng(4)
+        _, _, pts, _ = shaped_channel(n_sym=1000)  # 1000 % 64 and % 100 != 0
+        drift = np.cumsum(rng.normal(scale=0.02, size=len(pts)))
+        rx = (pts.view(complex) * np.exp(1j * drift)[:, None]).view(float)
+        rx = rx + rng.normal(scale=0.1, size=rx.shape)
+        rx[128:192, :2] = 0.0  # a zero-energy X window when w = 64
+        out = R.genie_phase_compensation(rx, pts, window)
+        ref = windowed_phase_oracle(rx, pts, window)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
+
+    def test_zero_energy_window_untouched(self):
+        _, _, pts, _ = shaped_channel(n_sym=1000)
+        rx = (pts.view(complex) * np.exp(0.4j)).view(float)
+        rx[936:, 2:] = 0.0  # the short tail window of Y
+        rx[64:128, :2] = -np.abs(rx[64:128, :2])  # third quadrant only, so
+        tx = pts.copy()  # with no reference energy the sum is -0 + 0j, angle pi
+        tx[64:128, :2] = 0.0
+        out = R.genie_phase_compensation(rx, tx, 64)
+        assert np.array_equal(out[64:128, :2], rx[64:128, :2])
+        assert np.array_equal(out[936:, 2:], rx[936:, 2:])
+        np.testing.assert_allclose(out[:64], pts[:64], rtol=0, atol=1e-12)
 
 
 class TestFullChainIdentity:
