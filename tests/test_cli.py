@@ -37,8 +37,10 @@ class TestParseConfig:
             cli.parse_config(None, ["alpha_db_km=-1"])
 
     def test_launch_power_list(self):
-        cfg = cli.parse_config(None, ["launch_dbm=-2,0,2"])
-        assert cfg.launch_dbm == [-2.0, 0.0, 2.0]
+        """A config is one point; a power list belongs to sweep-power."""
+        with pytest.raises(ValueError, match="^launch_dbm: expected a number, "
+                                             "got '-2,0,2'$"):
+            cli.parse_config(None, ["launch_dbm=-2,0,2"])
 
     def test_launch_power_scalar(self):
         cfg = cli.parse_config(None, ["launch_dbm=1.5"])
@@ -159,6 +161,26 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", [
+        "n_symbols=abc", "step_km=fast", "seed=1e3", "launch_dbm=1,x",
+        "launch_dbm=-2,0,2",
+    ])
+    def test_unparsable_value_names_the_key(self, tmp_path, capsys, override):
+        key = override.split("=")[0]
+        code = cli.main(["simulate", "--set", override,
+                         "--output", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}:") and err.count("\n") == 1
+
+    def test_sweep_distance_rejects_power_list(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep-distance", "--spans", "1,2", "--output",
+                         str(out)] + TINY + ["--set", "launch_dbm=-2,0,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "launch_dbm" in err
+        assert not out.exists()
 
     def test_zero_grid_step_returns_one(self, tmp_path, capsys):
         code = cli.main(["sweep-power", "--powers", "0:4:0",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,9 +43,11 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("kw, name", [
         ({"baud_gbd": 0.0}, "baud_gbd"), ({"span_km": 0.0}, "span_km"),
         ({"step_km": 0.0}, "step_km"), ({"step_km": 80.5}, "step_km"),
-        ({"sps": -4}, "sps"), ({"sps": 1}, "sps"),
+        ({"launch_dbm": [-2.0, 0.0, 2.0]}, "launch_dbm"),
+        ({"launch_dbm": "0"}, "launch_dbm"),
         ({"epsilon_reg": -1.0}, "epsilon_reg"),
-        ({"sps": 2.5}, "sps"), ({"sps": 2, "n_channels": 11}, "sps"),
+        ({"launch_dbm": None}, "launch_dbm"),
+        ({"launch_dbm": True}, "launch_dbm"),
         ({"epsilon_reg": np.nan}, "epsilon_reg"),
         ({"gamma_w_km": np.nan}, "gamma_w_km"),
         ({"launch_dbm": np.nan}, "launch_dbm"),
@@ -63,8 +67,9 @@ class TestExperimentConfig:
         # 11 channels x 50 GHz: band 549.5 GHz, next pow2 oversampling = 16
         assert H.ExperimentConfig().effective_sps() == 16
 
-    def test_explicit_sps_wins(self):
-        assert tiny_config(sps=8).effective_sps() == 8
+    def test_numpy_launch_power_is_a_plain_float(self):
+        cfg = tiny_config(launch_dbm=np.float64(-2.5))
+        assert type(cfg.launch_dbm) is float and cfg.launch_dbm == -2.5
 
 
 class TestDerivedSeed:
@@ -85,18 +90,18 @@ class TestDerivedSeed:
 
 class TestRunPoint:
     def test_transparent_link_full_gmi(self):
-        recs = H.run_point(tiny_config(), launch_dbm=0.0)
+        recs = H.run_point(tiny_config())
         assert len(recs) == 1
         assert recs[0].gmi_bit4d == pytest.approx(6.0, abs=1e-3)
 
     def test_ndr_cross_column(self):
-        rec = H.run_point(tiny_config(), launch_dbm=0.0)[0]
+        rec = H.run_point(tiny_config())[0]
         assert rec.ndr_gbps == rec.gmi_bit4d * 45.0
 
     def test_both_demappers_share_data(self):
         recs = H.run_point(tiny_config(n_symbols=2**12, demapper="both",
-                                       ase_enabled=True, nf_db=5.0),
-                           launch_dbm=-2.0)
+                                       ase_enabled=True, nf_db=5.0,
+                                       launch_dbm=-2.0))
         assert [r.demapper for r in recs] == ["iid", "cg"]
         assert recs[0].launch_dbm == recs[1].launch_dbm == -2.0
         # iid noise after an ASE-only link: CG may not help, but the
@@ -106,18 +111,17 @@ class TestRunPoint:
     @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), "1"])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer$"):
-            H.run_point(tiny_config(), launch_dbm=0.0, seed=seed)
+            H.run_point(tiny_config(), seed=seed)
 
     def test_numpy_integer_seed_runs_as_int(self):
-        a = H.run_point(tiny_config(ase_enabled=True), launch_dbm=0.0, seed=3)
-        b = H.run_point(tiny_config(ase_enabled=True), launch_dbm=0.0,
-                        seed=np.int64(3))
+        a = H.run_point(tiny_config(ase_enabled=True), seed=3)
+        b = H.run_point(tiny_config(ase_enabled=True), seed=np.int64(3))
         assert H.records_to_csv(a) == H.records_to_csv(b)
 
     def test_deterministic_records(self):
-        cfg = tiny_config(ase_enabled=True)
-        a = H.run_point(cfg, launch_dbm=-1.0)
-        b = H.run_point(cfg, launch_dbm=-1.0)
+        cfg = tiny_config(ase_enabled=True, launch_dbm=-1.0)
+        a = H.run_point(cfg)
+        b = H.run_point(cfg)
         assert H.records_to_csv(a) == H.records_to_csv(b)
 
     def test_golden_nonlinear_two_span_point(self):
@@ -137,11 +141,11 @@ class TestRunPoint:
             assert r.sigma2 == pytest.approx(0.007880014101011485, rel=1e-12)
 
     def test_runtime_zero_without_timings(self):
-        rec = H.run_point(tiny_config(), launch_dbm=0.0)[0]
+        rec = H.run_point(tiny_config())[0]
         assert rec.runtime_s == 0.0
 
     def test_runtime_recorded_with_timings(self):
-        rec = H.run_point(tiny_config(timings=True), launch_dbm=0.0)[0]
+        rec = H.run_point(tiny_config(timings=True))[0]
         assert rec.runtime_s > 0.0
 
 
@@ -184,8 +188,9 @@ class TestLinearClosure:
     def test_snr_and_gmi_match_ase_theory(self, fmt):
         cfg = H.ExperimentConfig(format=fmt, n_channels=1, n_spans=20,
                                  n_symbols=self.NS, step_km=80.0,
-                                 gamma_w_km=0.0, demapper="iid")
-        rec = H.run_point(cfg, launch_dbm=-8.0)[0]
+                                 gamma_w_km=0.0, demapper="iid",
+                                 launch_dbm=-8.0)
+        rec = H.run_point(cfg)[0]
         snr = self.analytic_snr(cfg, -8.0)
 
         snr_err_db = 10 * np.log10(snr * 4 * rec.sigma2)
@@ -231,6 +236,18 @@ class TestSweeps:
                            match=f"^PRS4D_WORKERS must be an integer >= 1, "
                                  f"got '{value}'$"):
             H.sweep_power(tiny_config(), [0.0])
+
+    @pytest.mark.parametrize("sweep, field, coord, value", [
+        (H.sweep_power, "launch_dbm", "power", -1.0),
+        (H.sweep_distance, "n_spans", "spans", 2),
+    ])
+    def test_sweep_is_a_loop_over_run_point(self, sweep, field, coord, value):
+        """A one-value sweep is run_point on the config with that value and
+        the seed derived from the master seed and the coordinate."""
+        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=2.0)
+        point = H.run_point(replace(cfg, **{field: value}),
+                            seed=H.derived_seed(cfg.seed, coord, value))
+        assert sweep(cfg, [value], workers=1) == point
 
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])

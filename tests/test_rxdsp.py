@@ -136,7 +136,7 @@ def windowed_phase_oracle(rx, tx, window_symbols):
     out = np.array(rx, dtype=float).view(complex)
     ref = np.asarray(tx, dtype=float).view(complex)
     ns = out.shape[0]
-    w = ns if window_symbols is None else window_symbols
+    w = window_symbols
     for pol in range(out.shape[1]):
         for start in range(0, ns, w):
             sl = slice(start, min(start + w, ns))
@@ -150,12 +150,12 @@ class TestGeniePhase:
     def test_recovers_fixed_rotation(self):
         _, _, pts, _ = shaped_channel()
         rot = (pts.view(complex) * np.exp(0.3j)).view(float)
-        out = R.genie_phase_compensation(rot, pts, None)
+        out = R.genie_phase_compensation(rot, pts, len(pts))
         assert np.max(np.abs(out - pts)) < 1e-12
 
     def test_identity_when_aligned(self):
         _, _, pts, _ = shaped_channel()
-        out = R.genie_phase_compensation(pts, pts, None)
+        out = R.genie_phase_compensation(pts, pts, len(pts))
         assert np.max(np.abs(out - pts)) < 1e-12
 
     def test_windowed_beats_global_on_phase_drift(self):
@@ -163,7 +163,7 @@ class TestGeniePhase:
         _, _, pts, _ = shaped_channel(n_sym=4096)
         drift = np.cumsum(rng.normal(scale=0.01, size=len(pts)))
         rx = (pts.view(complex) * np.exp(1j * drift)[:, None]).view(float)
-        glob = R.genie_phase_compensation(rx, pts, None)
+        glob = R.genie_phase_compensation(rx, pts, len(pts))
         wind = R.genie_phase_compensation(rx, pts, 64)
         assert np.sum((wind - pts) ** 2) < np.sum((glob - pts) ** 2)
 
@@ -187,7 +187,7 @@ class TestGeniePhase:
         mags_out = np.sum(out**2, axis=1)
         assert np.allclose(mags_in, mags_out, rtol=1e-12)
 
-    @pytest.mark.parametrize("window", [None, 64, 100, 1, 5000])
+    @pytest.mark.parametrize("window", [1000, 64, 100, 1, 5000])
     def test_matches_loop(self, window):
         """The vectorised windows against the window-by-window loop."""
         rng = np.random.default_rng(4)
