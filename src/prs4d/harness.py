@@ -27,6 +27,9 @@ CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
 
 VALID_FORMATS = ("pm8qam", "6b4d_2a8psk", "4d64prs")
 VALID_DEMAPPERS = ("iid", "cg", "both")
+_FIELD_TYPES = {"str": (str, "a string"), "bool": ((bool, np.bool_), "True or False"),
+                "int": ((int, np.integer), "an integer"),
+                "float": ((int, float, np.integer, np.floating), "one number")}
 
 
 @dataclass
@@ -58,22 +61,22 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self):
-        if isinstance(self.launch_dbm, bool) or not isinstance(
-                self.launch_dbm, (int, float, np.integer, np.floating)):
-            raise ValueError("launch_dbm must be one number of dBm "
-                             "(sweep powers with sweep-power)")
-        self.launch_dbm = float(self.launch_dbm)
-        for f in fields(self):
+        for f in fields(self):  # the type first: np.isfinite raises on the rest
             value = getattr(self, f.name)
-            if not isinstance(value, str) and not np.isfinite(value):
+            types, what = _FIELD_TYPES[f.type]
+            if not isinstance(value, types) or (
+                    f.type != "bool" and isinstance(value, (bool, np.bool_))):
+                hint = " (sweep powers with sweep-power)" if f.name == "launch_dbm" else ""
+                raise ValueError(f"{f.name} must be {what}, got {value!r}{hint}")
+            if f.type in ("int", "float") and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+        self.launch_dbm = float(self.launch_dbm)
         if self.format not in VALID_FORMATS:
             raise ValueError(f"format must be one of {VALID_FORMATS}")
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
         for name in ("n_channels", "n_symbols", "n_spans", "phase_window"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
         for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km",
                      "epsilon_reg"):
@@ -86,8 +89,6 @@ class ExperimentConfig:
             raise ValueError("step_km must be in (0, span_km]")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("seed must be an integer")
 
     @property
     def baud_hz(self) -> float:

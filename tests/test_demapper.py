@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +299,15 @@ class TestLlrBlocks:
         # differently: ~10 eps of the largest |log f|, 4.2e4 nats here
         np.testing.assert_allclose(rows, full, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("ns", [1, D._BLOCK_ROWS + 1])
+    def test_edge_row_counts_match_direct_sums(self, prs64, prs64_model, ns):
+        y = np.random.default_rng(17).normal(scale=0.8, size=(ns, 4))
+        fast = D.llrs_for_points(y, prs64, prs64_model, clamp=1e9)
+        assert np.max(np.abs(fast - direct_llrs(y, prs64, prs64_model))) < 1e-8
+
+    def test_no_rows_give_an_empty_matrix(self, prs64, prs64_model):
+        assert D.llrs_for_points(np.empty((0, 4)), prs64, prs64_model).shape == (0, 6)
+
     @pytest.mark.parametrize("clamp", [D.LLR_CLAMP_NATS, 1e9])
     @pytest.mark.parametrize("kind", ["iid", "cg"])
     def test_far_outlier_saturates_with_exact_sign(self, prs64, kind, clamp):
@@ -361,6 +373,15 @@ class TestGmiFromLlrs:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             D.LlrBatch(np.zeros((4, 6)), np.zeros((4, 5)))
+
+    def test_blocked_sum_matches_one_shot(self):
+        ns = 2 * D._BLOCK_ROWS + 37
+        rng = np.random.default_rng(18)
+        L, bits = rng.normal(scale=8.0, size=(ns, 6)), rng.integers(0, 2, (ns, 6))
+        z = (2.0 * bits - 1.0) * L
+        one_shot = 6 - np.sum(np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))) / (ns * np.log(2))
+        gmi = D.gmi_from_llrs(D.LlrBatch(L, bits), 6)
+        assert gmi == pytest.approx(one_shot, rel=1e-13, abs=0)
 
 
 class TestAwgnReference:
@@ -506,3 +527,14 @@ class TestSymmetryReduction:
         assert D._orbits(c)[1].tolist() == [1, 1, 1, 1]
         gmi = D.awgn_gmi_reference(c, 5.0, n_nodes=5)
         assert abs(gmi - full_grid_gmi(c, 5.0, 5)) <= 1e-12
+
+
+def test_import_leaves_out_scipy_spatial_and_linalg():
+    """Importing prs4d loads neither module; scipy.spatial and the
+    scipy.linalg it pulls in took ~0.12 s of every process's set-up."""
+    src = str(Path(D.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import prs4d; "
+            "print(sorted({'scipy.spatial', 'scipy.linalg'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

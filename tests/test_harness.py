@@ -55,6 +55,8 @@ class TestExperimentConfig:
         ({"nf_db": np.nan}, "nf_db"),
         ({"n_symbols": 256.5}, "n_symbols"), ({"n_channels": 1.5}, "n_channels"),
         ({"seed": 1.5}, "seed"),
+        ({"step_km": None}, "step_km"), ({"ase_enabled": None}, "ase_enabled"),
+        ({"gamma_w_km": [1.0]}, "gamma_w_km"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
