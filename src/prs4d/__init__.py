@@ -6,7 +6,6 @@ from .constellation import (
     build_4d64prs,
     build_6b4d_2a8psk,
     build_pm8qam,
-    default_prs_params,
     map_bits_to_symbols,
     optimize_prs_params,
 )

@@ -30,6 +30,9 @@ from .txdsp import SampledSignal, spectral_filter
 
 C_LIGHT = 299792458.0  # m/s
 H_PLANCK = 6.62607015e-34  # J s
+# beta2 and the ASE photon energy are taken at 1550 nm. The pinned outputs
+# use this nm -> m product, which is one ulp above the literal 1550e-9.
+REF_WAVELENGTH_M = 1550.0 * 1e-9
 _LN10 = np.log(10.0)
 
 
@@ -41,7 +44,6 @@ class FiberParams:
     disp_ps_nm_km: float = 4.255
     gamma_w_km: float = 1.464
     length_km: float = 80.0
-    ref_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -58,8 +60,7 @@ class FiberParams:
     def beta2_s2_km(self) -> float:
         """Group-velocity dispersion in s^2/km, beta2 = -D lambda^2 / (2 pi c)."""
         d_si = self.disp_ps_nm_km * 1e-6  # s/m^2
-        lam = self.ref_wavelength_nm * 1e-9
-        return -d_si * lam**2 / (2 * np.pi * C_LIGHT) * 1e3
+        return -d_si * REF_WAVELENGTH_M**2 / (2 * np.pi * C_LIGHT) * 1e3
 
     @property
     def loss_db(self) -> float:
@@ -171,7 +172,6 @@ def edfa(
     nf_db: float,
     rng: np.random.Generator,
     ase_enabled: bool = True,
-    ref_wavelength_nm: float = 1550.0,
 ) -> SampledSignal:
     """Flat-gain amplifier with circular white Gaussian ASE.
 
@@ -186,7 +186,7 @@ def edfa(
         if nf_db < 3:
             warnings.warn("NF < 3 dB gives n_sp < 1 with the high-gain formula")
         n_sp = 10 ** (nf_db / 10) / 2.0
-        h_nu = H_PLANCK * C_LIGHT / (ref_wavelength_nm * 1e-9)
+        h_nu = H_PLANCK * C_LIGHT / REF_WAVELENGTH_M
         p_ase = n_sp * h_nu * (g - 1.0) * signal.fs  # W per polarization
         ase = rng.standard_normal((2, 2, signal.n))  # x re, x im, y re, y im
         ase *= np.sqrt(p_ase / 2.0)
@@ -207,6 +207,5 @@ def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
         out = ssfm_span(out, link.span, link.step_km)
         out = inline_cdc(out, link.span)
         out = edfa(out, link.span.loss_db, link.edfa_nf_db, rng,
-                   ase_enabled=link.ase_enabled,
-                   ref_wavelength_nm=link.span.ref_wavelength_nm)
+                   ase_enabled=link.ase_enabled)
     return out

@@ -8,15 +8,10 @@ first bit as MSB, so row index == integer value of the label.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
 import numpy as np
-
-
-class DegenerateGeometryError(ValueError):
-    """Raised when geometry parameters collapse two constellation points."""
 
 
 @dataclass(frozen=True)
@@ -82,9 +77,6 @@ class Constellation4D:
         m = self.m
         return self.labels @ (1 << np.arange(m - 1, -1, -1))
 
-    def label_strings(self) -> list[str]:
-        return ["".join(str(b) for b in row) for row in self.labels]
-
 
 def _canonical_labels(m: int) -> np.ndarray:
     """M x m matrix whose row i is the binary expansion of i, MSB first."""
@@ -136,7 +128,7 @@ def build_4d64prs(params: PrsParams) -> Constellation4D:
     points = signs * families[fam]
 
     if min_pairwise_distance(points) < 1e-9:
-        raise DegenerateGeometryError(
+        raise ValueError(
             f"rho={rho}, theta={theta} collapses constellation points"
         )
     return Constellation4D(points=points, labels=labels, name="4d64prs")
@@ -153,71 +145,29 @@ def _star8_points() -> np.ndarray:
     return np.concatenate([inner, outer])
 
 
-def _star8_labeling() -> np.ndarray:
-    """Best ring-respecting 3-bit labeling of the star 8QAM.
-
-    The first bit selects the ring (0 = inner); the remaining two bits
-    are assigned by exhaustive search over the 4! x 4! per-ring
-    permutations, minimizing total Hamming distance across
-    nearest-neighbor pairs. Ties are broken by lexicographic order of
-    the label assignment, so the result is deterministic.
-    """
-    pts = _star8_points()
-    d = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(d, np.inf)
-    # nearest-neighbor adjacency: every pair achieving a point's own minimum
-    edges = set()
-    for p in range(8):
-        dmin = d[p].min()
-        for q in range(8):
-            if d[p, q] <= dmin * (1 + 1e-9):
-                edges.add((min(p, q), max(p, q)))
-    edges = sorted(edges)
-
-    best = None
-    best_cost = None
-    for perm_in in itertools.permutations(range(4)):
-        for perm_out in itertools.permutations(range(4)):
-            # labels[point] = 3-bit value
-            lab = [0] * 8
-            for k in range(4):
-                lab[k] = perm_in[k]  # ring bit 0
-                lab[4 + k] = 4 + perm_out[k]  # ring bit 1
-            cost = sum(bin(lab[p] ^ lab[q]).count("1") for p, q in edges)
-            key = (cost, tuple(lab))
-            if best_cost is None or key < (best_cost, best):
-                best, best_cost = tuple(lab), cost
-    return np.array(best)
+def _gray_decode(g: np.ndarray) -> np.ndarray:
+    """Index k < 8 whose binary reflected Gray code k ^ (k >> 1) is g."""
+    return g ^ (g >> 1) ^ (g >> 2)
 
 
 def build_pm8qam() -> Constellation4D:
     """Polarization-multiplexed star 8QAM as a 4D Cartesian product.
 
     64 points, 6-bit labels formed by concatenating the two 3-bit
-    per-polarization labels (X first).
+    per-polarization labels (X first). In each 3-bit label the first bit
+    selects the ring (0 = inner) and the other two are the binary
+    reflected Gray code of the quadrant, so label v is star-8 point
+    (v & 4) | gray_decode(v & 3). Among ring-respecting labellings this
+    minimizes the total Hamming distance over nearest-neighbor pairs
+    (Agrell et al., IEEE Trans. IT 50(12), 2004).
     """
-    pts2d = _star8_points()
-    lab2d = _star8_labeling()
-    # invert: symbol index for each 3-bit label value
-    point_of_label = np.empty(8, dtype=int)
-    point_of_label[lab2d] = np.arange(8)
-
-    labels = _canonical_labels(6)
-    vals = labels @ (1 << np.arange(5, -1, -1))
-    vx, vy = vals >> 3, vals & 7
-    pairs = pts2d[point_of_label[np.stack([vx, vy], axis=1)]]
+    vals = np.arange(64)
+    v = np.stack([vals >> 3, vals & 7], axis=1)
+    pairs = _star8_points()[(v & 4) | _gray_decode(v & 3)]
     points = pairs.view(float)  # (64, 2) complex X/Y -> (64, 4) real
     points /= sqrt(np.mean(np.sum(points**2, axis=1)))
-    return Constellation4D(points=points, labels=labels, name="pm8qam")
-
-
-def _gray_phase_index(v: np.ndarray) -> np.ndarray:
-    """Map a 3-bit label value to an 8PSK phase index with Gray adjacency."""
-    # inverse of gray(k) = k ^ (k >> 1)
-    inv = np.empty(8, dtype=int)
-    for k in range(8):
-        inv[k ^ (k >> 1)] = k
-    return inv[v]
+    return Constellation4D(points=points, labels=_canonical_labels(6),
+                           name="pm8qam")
 
 
 def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
@@ -232,10 +182,9 @@ def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
     radii = np.array([1.0, ring_ratio]) / sqrt(1.0 + ring_ratio**2)
 
     labels = _canonical_labels(6)
-    vals = labels @ (1 << np.arange(5, -1, -1))
-    vx, vy = vals >> 3, vals & 7
-    phx = _gray_phase_index(vx) * pi / 4
-    phy = _gray_phase_index(vy) * pi / 4
+    vals = np.arange(64)
+    phx = _gray_decode(vals >> 3) * pi / 4
+    phy = _gray_decode(vals & 7) * pi / 4
     ring_x = np.bitwise_xor.reduce(labels, axis=1).astype(int)
     rx = radii[ring_x]
     ry = radii[1 - ring_x]
@@ -244,7 +193,7 @@ def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
         axis=1,
     )
     if min_pairwise_distance(points) < 1e-9:
-        raise DegenerateGeometryError(
+        raise ValueError(
             f"ring_ratio={ring_ratio} collapses constellation points"
         )
     return Constellation4D(points=points, labels=labels, name="6b4d_2a8psk")
@@ -271,9 +220,9 @@ def map_bits_to_symbols(bits: np.ndarray, c: Constellation4D):
 def export_csv(c: Constellation4D, path) -> None:
     """Write the constellation as CSV: index,label_bits,s1,s2,s3,s4."""
     lines = ["index,label_bits,s1,s2,s3,s4"]
-    for i, (lab, row) in enumerate(zip(c.label_strings(), c.points)):
+    for i, (lab, row) in enumerate(zip(c.labels, c.points)):
         coords = ",".join(f"{v:.17g}" for v in row)
-        lines.append(f"{i},{lab},{coords}")
+        lines.append(f"{i},{''.join(map(str, lab))},{coords}")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -290,6 +239,7 @@ DEFAULT_PRS_GRID = {
 }
 DEFAULT_PRS_RHO = 1.6
 DEFAULT_PRS_THETA = 0.45
+DEFAULT_RING_RATIO = 1.0 / 0.65  # 6b4D-2A8PSK outer/inner ring ratio
 
 
 def optimize_prs_params(snr_db: float, grid: dict) -> tuple[PrsParams, float]:
@@ -322,24 +272,16 @@ def optimize_prs_params(snr_db: float, grid: dict) -> tuple[PrsParams, float]:
             if gmi > best_gmi:
                 best, best_gmi = params, gmi
     if best is None:
-        raise DegenerateGeometryError("all grid points are degenerate")
+        raise ValueError("all grid points are degenerate")
     return best, best_gmi
 
 
-def default_prs_params() -> PrsParams:
-    return PrsParams(rho=DEFAULT_PRS_RHO, theta=DEFAULT_PRS_THETA)
-
-
-def build_format(name: str, prs_rho: float | None = None,
-                 prs_theta: float | None = None,
-                 ring_ratio: float = 0.65 ** -1) -> Constellation4D:
+def build_format(name: str, prs_rho: float = DEFAULT_PRS_RHO,
+                 prs_theta: float = DEFAULT_PRS_THETA,
+                 ring_ratio: float = DEFAULT_RING_RATIO) -> Constellation4D:
     """Build a constellation by format name used in configs and the CLI."""
     if name == "4d64prs":
-        if prs_rho is None or prs_theta is None:
-            p = default_prs_params()
-        else:
-            p = PrsParams(rho=prs_rho, theta=prs_theta)
-        return build_4d64prs(p)
+        return build_4d64prs(PrsParams(rho=prs_rho, theta=prs_theta))
     if name == "pm8qam":
         return build_pm8qam()
     if name == "6b4d_2a8psk":

@@ -39,7 +39,7 @@ class ExperimentConfig:
     format: str = "4d64prs"
     prs_rho: float = const.DEFAULT_PRS_RHO
     prs_theta: float = const.DEFAULT_PRS_THETA
-    ring_ratio: float = 1.0 / 0.65
+    ring_ratio: float = const.DEFAULT_RING_RATIO
     n_channels: int = 11
     spacing_ghz: float = 50.0
     baud_gbd: float = 45.0
@@ -199,7 +199,7 @@ def run_point(cfg: ExperimentConfig,
     rx = rxdsp.genie_phase_compensation(rx, tx_points, cfg.phase_window)
     # unbiased gain normalization: keeps clouds centered on the
     # constellation (the LS scale shrinks them by the relative noise power)
-    rx, _ = rxdsp.genie_gain(rx, tx_points)
+    rx = rxdsp.genie_gain(rx, tx_points)
     batch = rxdsp.SymbolBatch(tx_bits=bits, tx_indices=indices,
                               tx_points=tx_points, rx_points=rx)
 
@@ -240,34 +240,33 @@ def _worker_count() -> int:
     return int(env)
 
 
-def _run_grid(tasks, workers=None):
-    """Run (cfg, seed) tasks, optionally in parallel, in order."""
-    workers = _worker_count() if workers is None else workers
+def _run_grid(tasks):
+    """Run (cfg, seed) tasks in order, on PRS4D_WORKERS processes."""
+    workers = _worker_count()
     if workers <= 1:
         return [run_point(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_point, *zip(*tasks)))
 
 
-def sweep_power(cfg: ExperimentConfig, powers, workers=None) -> list[ResultRecord]:
+def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
     """One run per launch power, each with an independent derived seed."""
     powers = list(powers)
     if not powers:
         raise ValueError("empty power list")
     tasks = [(replace(cfg, launch_dbm=float(p)),
               derived_seed(cfg.seed, "power", float(p))) for p in powers]
-    return [r for recs in _run_grid(tasks, workers) for r in recs]
+    return [r for recs in _run_grid(tasks) for r in recs]
 
 
-def sweep_distance(cfg: ExperimentConfig, span_counts,
-                   workers=None) -> list[ResultRecord]:
+def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     """One run per span count at the configured launch power."""
     span_counts = list(span_counts)
     if not span_counts:
         raise ValueError("empty span-count list")
     tasks = [(replace(cfg, n_spans=int(n)),
               derived_seed(cfg.seed, "spans", int(n))) for n in span_counts]
-    return [r for recs in _run_grid(tasks, workers) for r in recs]
+    return [r for recs in _run_grid(tasks) for r in recs]
 
 
 def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, float]:
@@ -291,8 +290,8 @@ def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, floa
     return p_opt, float(a * p_opt**2 + b * p_opt + c0)
 
 
-def sweep_channels(cfg: ExperimentConfig, channel_counts, powers,
-                   workers=None) -> list[ResultRecord]:
+def sweep_channels(cfg: ExperimentConfig, channel_counts,
+                   powers) -> list[ResultRecord]:
     """Per channel count: sweep power, report GMI at the fitted optimum."""
     channel_counts = list(channel_counts)
     if not channel_counts:
@@ -301,7 +300,7 @@ def sweep_channels(cfg: ExperimentConfig, channel_counts, powers,
     for n_ch in channel_counts:
         cfg_n = replace(cfg, n_channels=int(n_ch),
                         seed=derived_seed(cfg.seed, "channels", int(n_ch)))
-        recs = sweep_power(cfg_n, powers, workers)
+        recs = sweep_power(cfg_n, powers)
         kinds = sorted({r.demapper for r in recs})
         for kind in kinds:
             series = sorted((r for r in recs if r.demapper == kind),

@@ -95,7 +95,7 @@ def genie_phase_compensation(rx: np.ndarray, tx: np.ndarray,
     return out
 
 
-def genie_gain(rx: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, float]:
+def genie_gain(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """Undo the data-aided channel gain: scale so the signal part of rx
     lands on the constellation.
 
@@ -108,5 +108,4 @@ def genie_gain(rx: np.ndarray, tx: np.ndarray) -> tuple[np.ndarray, float]:
     proj = float(np.sum(rx * tx))
     if proj == 0:
         raise ValueError("received batch is orthogonal to the reference")
-    a = float(np.sum(tx**2)) / proj
-    return a * rx, a
+    return float(np.sum(tx**2)) / proj * rx

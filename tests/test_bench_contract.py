@@ -12,6 +12,7 @@ import inspect
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -35,10 +36,24 @@ def test_every_target_is_callable(tracing):
 @pytest.mark.parametrize("mod, attr, params", [
     ("channel", "ssfm_span", ("signal", "fiber", "step_km")),
     ("demapper", "llrs_for_points", ("y", "c", "model")),
+    # perfbench/workloads.py passes these positionally
+    ("constellation", "build_format",
+     ("name", "prs_rho", "prs_theta", "ring_ratio")),
+    ("demapper", "awgn_gmi_reference", ("c", "snr_db", "method")),
+    # perfbench/calibrate.py wraps it with this signature
+    ("demapper", "gmi_from_llrs", ("llrs", "m")),
 ])
 def test_counted_arguments_keep_their_names(mod, attr, params):
     fn = getattr(importlib.import_module(f"prs4d.{mod}"), attr)
-    assert tuple(inspect.signature(fn).parameters)[:3] == params
+    assert tuple(inspect.signature(fn).parameters)[:len(params)] == params
+
+
+def test_calibration_reads_the_llr_batch_fields():
+    """perfbench/calibrate.py recomputes the GMI from LlrBatch.llrs/.bits."""
+    from prs4d.demapper import LlrBatch
+
+    batch = LlrBatch(llrs=np.zeros((2, 3)), bits=np.ones((2, 3), np.uint8))
+    assert batch.llrs.shape == batch.bits.shape == (2, 3)
 
 
 def test_run_point_passes_the_traced_transmitter(tracing):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,7 @@ class TestBuild4d64prs:
             C.build_4d64prs(C.PrsParams(rho=1.0, theta=0.0))
 
     def test_cardinality_and_bits(self):
-        c = C.build_4d64prs(C.default_prs_params())
+        c = C.build_format("4d64prs")
         assert c.M == 64 and c.m == 6
 
     @given(rho=VALID_RHO, theta=VALID_THETA)
@@ -54,7 +57,7 @@ class TestBuild4d64prs:
 
     def test_orthant_bit_sign_flip(self):
         """Flipping b2 flips coordinate 1; (b1,b2,b4,b5) -> coords (2,1,3,4)."""
-        c = C.build_4d64prs(C.default_prs_params())
+        c = C.build_format("4d64prs")
         vals = c.label_values()
         order = np.argsort(vals)
         pts = c.points[order]  # row v = point of label value v
@@ -101,6 +104,49 @@ class TestPm8qam:
         for vx in range(8):
             block = pts[vx * 8:(vx + 1) * 8]
             assert np.allclose(block[:, :2], block[0, :2])
+
+
+def _best_ring_respecting_labeling() -> tuple:
+    """Exhaustive oracle for the star-8QAM labelling: the first bit is the
+    ring (0 = inner), and the two quadrant bits of each ring are searched
+    over all 4! x 4! assignments. Returns the lexicographically first
+    minimum of the total Hamming distance over nearest-neighbor pairs,
+    as the label value of each star-8 point."""
+    pts = C._star8_points()
+    d = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(d, np.inf)
+    # every pair achieving a point's own minimum distance
+    edges = sorted({(min(p, q), max(p, q)) for p in range(8) for q in range(8)
+                    if d[p, q] <= d[p].min() * (1 + 1e-9)})
+    def cost(lab):
+        return sum(bin(lab[p] ^ lab[q]).count("1") for p, q in edges)
+
+    labelings = (inner + tuple(4 + k for k in outer)
+                 for inner in itertools.permutations(range(4))
+                 for outer in itertools.permutations(range(4)))
+    return min((cost(lab), lab) for lab in labelings)[1]
+
+
+class TestGrayLabeling:
+    def test_gray_decode_inverts_the_reflected_code(self):
+        k = np.arange(8)
+        assert np.array_equal(C._gray_decode(k ^ (k >> 1)), k)
+
+    def test_star8_gray_labeling_is_the_search_optimum(self):
+        """Label v sits on star-8 point (v & 4) | gray_decode(v & 3)."""
+        v = np.arange(8)
+        label_of_point = np.empty(8, dtype=int)
+        label_of_point[(v & 4) | C._gray_decode(v & 3)] = v
+        assert tuple(label_of_point) == _best_ring_respecting_labeling()
+
+    def test_pm8qam_x_labels_follow_the_gray_ring_map(self):
+        c = C.build_pm8qam()
+        star = C._star8_points()
+        star = star / np.sqrt(2 * np.mean(np.abs(star) ** 2))
+        x = c.points[:, 0] + 1j * c.points[:, 1]
+        vx = c.label_values() >> 3
+        np.testing.assert_allclose(
+            x, star[(vx & 4) | C._gray_decode(vx & 3)], rtol=0, atol=1e-15)
 
 
 class TestTwoAmplitude8psk:
@@ -151,7 +197,7 @@ class TestMapping:
 
 class TestBitGenAndExport:
     def test_export_format(self, tmp_path):
-        c = C.build_4d64prs(C.default_prs_params())
+        c = C.build_format("4d64prs")
         path = tmp_path / "c.csv"
         C.export_csv(c, path)
         lines = path.read_text().splitlines()
@@ -162,11 +208,40 @@ class TestBitGenAndExport:
         assert set(first[1]) <= {"0", "1"}
 
     def test_export_deterministic(self, tmp_path):
-        c = C.build_4d64prs(C.default_prs_params())
+        c = C.build_format("4d64prs")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         C.export_csv(c, p1)
         C.export_csv(c, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBuildFormat:
+    # sha256 of points.tobytes() + labels.tobytes() of each format at its
+    # defaults and two other geometries (numpy 2.4, x86-64): points and
+    # labels are pinned bit for bit.
+    @pytest.mark.parametrize("args, digest", [
+        (("4d64prs",), "ad0507a9a46d3d28"),
+        (("4d64prs", 1.2, 0.3), "869b29195b7158ee"),
+        (("4d64prs", 2.0, 0.7), "b4f3d50526259bb2"),
+        (("pm8qam",), "2221334dddc99ee0"),
+        (("6b4d_2a8psk",), "e75e9421d5569b8c"),
+        (("6b4d_2a8psk", 1.6, 0.45, 1.0), "0a7b195f983d024b"),
+        (("6b4d_2a8psk", 1.6, 0.45, 2.5), "b4dacb41c443a5a0"),
+    ])
+    def test_golden_points_and_labels(self, args, digest):
+        c = C.build_format(*args)
+        got = hashlib.sha256(c.points.tobytes() + c.labels.tobytes())
+        assert got.hexdigest()[:16] == digest
+
+    def test_lone_prs_rho_keeps_default_theta(self):
+        got = C.build_format("4d64prs", prs_rho=1.8)
+        ref = C.build_4d64prs(C.PrsParams(1.8, C.DEFAULT_PRS_THETA))
+        assert np.array_equal(got.points, ref.points)
+
+    def test_lone_prs_theta_keeps_default_rho(self):
+        got = C.build_format("4d64prs", prs_theta=0.3)
+        ref = C.build_4d64prs(C.PrsParams(C.DEFAULT_PRS_RHO, 0.3))
+        assert np.array_equal(got.points, ref.points)
 
 
 class TestOptimize:

@@ -226,8 +226,10 @@ class TestSweeps:
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
         H.run_point(cfg)
-        serial = H.sweep_power(cfg, [-1.0, 3.0], workers=1)
-        pooled = H.sweep_power(cfg, [-1.0, 3.0], workers=2)
+        monkeypatch.setenv("PRS4D_WORKERS", "1")
+        serial = H.sweep_power(cfg, [-1.0, 3.0])
+        monkeypatch.setenv("PRS4D_WORKERS", "2")
+        pooled = H.sweep_power(cfg, [-1.0, 3.0])
         assert pooled == serial
         assert H.records_to_csv(pooled) == H.records_to_csv(serial)
 
@@ -243,13 +245,15 @@ class TestSweeps:
         (H.sweep_power, "launch_dbm", "power", -1.0),
         (H.sweep_distance, "n_spans", "spans", 2),
     ])
-    def test_sweep_is_a_loop_over_run_point(self, sweep, field, coord, value):
+    def test_sweep_is_a_loop_over_run_point(self, sweep, field, coord, value,
+                                            monkeypatch):
         """A one-value sweep is run_point on the config with that value and
         the seed derived from the master seed and the coordinate."""
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=2.0)
         point = H.run_point(replace(cfg, **{field: value}),
                             seed=H.derived_seed(cfg.seed, coord, value))
-        assert sweep(cfg, [value], workers=1) == point
+        monkeypatch.setenv("PRS4D_WORKERS", "1")
+        assert sweep(cfg, [value]) == point
 
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])

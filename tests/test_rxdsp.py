@@ -219,6 +219,6 @@ class TestFullChainIdentity:
         sig = frame(sig)
         rx = R.channel_select(sig, 0.0, BAUD, 0.1)
         rx = R.genie_phase_compensation(rx, pts, 128)
-        rx, _ = R.genie_gain(rx, pts)
+        rx = R.genie_gain(rx, pts)
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
         assert evm < -40
