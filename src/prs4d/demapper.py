@@ -1,9 +1,10 @@
-"""Soft demapping under mismatched Gaussian channel laws and GMI estimation.
+"""Soft demapping under a mismatched Gaussian channel law and GMI estimation.
 
-Two channel-law assumptions are supported: a shared scalar per-dimension
-variance (iid model) and a per-constellation-point 4x4 covariance
-(correlated model). Both log-pdfs are quadratic in y, so one (M, 15) matrix
-times a row block's point-major features [y_a y_b; y; 1] (15, B) serves both.
+One law serves both assumptions: y = s_i + n with n ~ N(0, C_i), where the
+iid model shares one C = sigma2 * I among all points and the correlated
+model (Eriksson et al., JLT 2016) holds one 4x4 C_i per constellation point.
+Its log-pdf is quadratic in y, so one (M, 15) matrix times a row block's
+point-major features [y_a y_b; y; 1] (15, B) gives every log f(y | s_i).
 LLRs, L = log(P[bit=0] / P[bit=1]), are the label masks times that (M, B)
 product exponentiated, in buffers reused across blocks. An LLR favoring the
 true bit adds a small GMI penalty, so GMI approaches m at high SNR. The AWGN
@@ -34,34 +35,36 @@ _SIGNED_PERMS = np.array([np.eye(4)[list(p)] * sg  # the 384 as (4, 4) matrices
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Demapper channel-law assumption.
+    """Demapper channel law: a stack of 4x4 noise covariances.
 
-    kind "iid": sigma2 is the shared per-dimension noise variance.
-    kind "cg": covariances is an (M, N, N) stack of per-point covariance
-    matrices (symmetric positive-definite after regularization).
+    covariances is (M, 4, 4), one per constellation point ("cg"), or
+    (1, 4, 4), one shared by all of them ("iid": sigma2 * I). kind only
+    names the assumption. Every entry must be finite; the demapper rejects
+    a matrix that is not positive definite.
     """
 
     kind: str
-    sigma2: float | None = None
-    covariances: np.ndarray | None = None
+    covariances: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "iid":
-            if self.sigma2 is None or self.sigma2 < 0:
-                raise ValueError("iid model requires sigma2 >= 0")
-        elif self.kind == "cg":
-            if self.covariances is None:
-                raise ValueError("cg model requires covariances")
-        else:
+        if self.kind not in ("iid", "cg"):
             raise ValueError(f"unknown noise model kind {self.kind!r}")
+        covs = np.asarray(self.covariances, dtype=float)
+        if covs.ndim != 3 or covs.shape[1:] != (4, 4):
+            raise ValueError(f"covariances must be (K, 4, 4), got {covs.shape}")
+        if not np.all(np.isfinite(covs)):
+            raise ValueError("noise covariances must be finite")
+        object.__setattr__(self, "covariances", covs)
 
     @classmethod
     def iid(cls, sigma2: float) -> "NoiseModel":
-        return cls(kind="iid", sigma2=float(sigma2))
+        if sigma2 < 0:
+            raise ValueError("iid model requires sigma2 >= 0")
+        return cls("iid", np.diag(np.full(4, float(sigma2)))[None])
 
     @classmethod
     def cg(cls, covariances: np.ndarray) -> "NoiseModel":
-        return cls(kind="cg", covariances=np.asarray(covariances, dtype=float))
+        return cls("cg", covariances)
 
 
 @dataclass
@@ -78,17 +81,16 @@ class LlrBatch:
             raise ValueError("llrs/bits shape mismatch")
 
 
-def estimate_iid_sigma2(batch: SymbolBatch) -> float:
-    """Average per-dimension residual variance over the batch.
+def estimate_iid_sigma2(batch: SymbolBatch, c: Constellation4D) -> float:
+    """Average per-dimension residual variance about the sent points.
 
     Returns 0.0 for a noiseless batch; demapping with sigma2 = 0 is an
     error downstream.
     """
     if batch.ns < 100:
         raise ValueError(f"need at least 100 symbols, got {batch.ns}")
-    resid = batch.rx_points - batch.tx_points
-    n_dim = batch.tx_points.shape[1]
-    return float(np.sum(resid**2) / (n_dim * batch.ns))
+    resid = batch.rx_points - np.take(c.points, batch.tx_indices, axis=0)
+    return float(np.sum(resid**2) / (resid.shape[1] * batch.ns))
 
 
 def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
@@ -105,7 +107,7 @@ def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
     for i in np.flatnonzero(counts < _MIN_OCCURRENCES)[:1]:
         raise ValueError(f"constellation point {i} transmitted {counts[i]} "
                          f"times; need at least {_MIN_OCCURRENCES}")
-    r = batch.rx_points - c.points[batch.tx_indices]
+    r = batch.rx_points - np.take(c.points, batch.tx_indices, axis=0)
     covs = np.empty((c.M, n_dim, n_dim))
     for a, b in zip(*np.triu_indices(n_dim)):
         covs[:, a, b] = covs[:, b, a] = np.bincount(
@@ -119,22 +121,16 @@ def _logpdf_matrix(c: Constellation4D, model: NoiseModel):
     log f(y | s_i) + const is quadratic in y: A^T @ phi for the (F, B) point-major
     features phi = [y_a y_b for (a, b) in zip(ia, ib), y, 1] of a row block, with
     A's columns -P_i / 2 (upper triangle, off-diagonals doubled), P_i s_i and
-    -s_i^T P_i s_i / 2 - log det C_i / 2. iid takes P_i = I / sigma2; cg
-    factors C_i = L_i L_i^T (raising unless C_i is positive definite) and
-    takes P_i = W_i^T W_i with W_i = L_i^-1.
+    -s_i^T P_i s_i / 2 - log det C_i / 2. Each C_i of the stack is factored
+    C_i = L_i L_i^T (LinAlgError, a ValueError, unless positive definite) and
+    P_i = W_i^T W_i with W_i = L_i^-1; a shared C serves all M points.
     """
     n_dim = c.points.shape[1]
-    if model.kind == "iid":
-        if model.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive for demapping")
-        prec = np.eye(n_dim) / model.sigma2 + np.zeros((c.M, 1, 1))
-        half_logdet = 0.0  # the same for every point
-    else:
-        if model.covariances.shape[0] != c.M:
-            raise ValueError("cg model needs one covariance per constellation point")
-        w = np.linalg.inv(np.linalg.cholesky(model.covariances))  # lower, diag 1/L_ii
-        prec = w.mT @ w
-        half_logdet = -np.log(np.diagonal(w, axis1=1, axis2=2)).sum(axis=1)
+    if len(model.covariances) not in (1, c.M):
+        raise ValueError("noise model needs one shared covariance or one per point")
+    w = np.linalg.inv(np.linalg.cholesky(model.covariances))  # lower, diag 1/L_ii
+    prec = np.broadcast_to(w.mT @ w, (c.M, n_dim, n_dim))
+    half_logdet = -np.log(np.diagonal(w, axis1=1, axis2=2)).sum(axis=1)
     ia, ib = np.triu_indices(n_dim)
     ps = np.einsum("mij,mj->mi", prec, c.points)
     at = np.hstack((np.where(ia == ib, -0.5, -1.0) * prec[:, ia, ib], ps,
@@ -188,8 +184,7 @@ def compute_llrs(
 ) -> LlrBatch:
     """Demap a batch of received 4D symbols into per-bit LLRs."""
     llrs = llrs_for_points(batch.rx_points, c, model, clamp=clamp)
-    bits = batch.tx_bits.reshape(batch.ns, c.m)
-    return LlrBatch(llrs=llrs, bits=bits)
+    return LlrBatch(llrs=llrs, bits=np.take(c.labels, batch.tx_indices, axis=0))
 
 
 def gmi_from_llrs(llrs: LlrBatch, m: int) -> float:
@@ -274,8 +269,7 @@ def awgn_gmi_reference(
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, c.M, ns)
         y = c.points[idx] + rng.normal(scale=np.sqrt(sigma2), size=(ns, n_dim))
-        llrs = llrs_for_points(y, c, model, clamp=clamp)
-        return gmi_from_llrs(LlrBatch(llrs, c.labels[idx]), c.m)
+        return gmi_from_llrs(compute_llrs(SymbolBatch(idx, y), c, model, clamp), c.m)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 

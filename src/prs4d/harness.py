@@ -161,7 +161,7 @@ def run_point(cfg: ExperimentConfig,
 
     Evaluates the center WDM channel. Returns one record per requested
     demapper (iid, cg or both), deterministic for a fixed seed (cfg.seed
-    unless given).
+    unless given); with cfg.timings each carries the whole point's runtime.
     """
     t0 = time.perf_counter()
     seed = cfg.seed if seed is None else seed
@@ -175,7 +175,6 @@ def run_point(cfg: ExperimentConfig,
     center_offset = (center - (cfg.n_channels - 1) / 2) * cfg.spacing_hz
 
     channels = []
-    tx_center = None
     for ch in range(cfg.n_channels):
         bits = txdsp.generate_bits(derived_seed(seed, "bits", ch),
                                    cfg.n_symbols * c.m)
@@ -184,7 +183,7 @@ def run_point(cfg: ExperimentConfig,
         sig = txdsp.set_mean_power(sig, cfg.launch_dbm)
         channels.append(sig)
         if ch == center:
-            tx_center = (bits, indices, points)
+            tx_indices = indices
 
     mux = txdsp.wdm_mux(channels, cfg.spacing_hz, sps * baud,
                         baud=baud, rolloff=cfg.rolloff)
@@ -195,40 +194,29 @@ def run_point(cfg: ExperimentConfig,
     rx_sig = propagate_link(mux, link)
 
     rx = rxdsp.channel_select(rx_sig, center_offset, baud, cfg.rolloff)
-    bits, indices, tx_points = tx_center
+    tx_points = np.take(c.points, tx_indices, axis=0)
     rx = rxdsp.genie_phase_compensation(rx, tx_points, cfg.phase_window)
     # unbiased gain normalization: keeps clouds centered on the
     # constellation (the LS scale shrinks them by the relative noise power)
     rx = rxdsp.genie_gain(rx, tx_points)
-    batch = rxdsp.SymbolBatch(tx_bits=bits, tx_indices=indices,
-                              tx_points=tx_points, rx_points=rx)
+    batch = rxdsp.SymbolBatch(tx_indices, rx)
 
-    sigma2 = dm.estimate_iid_sigma2(batch)
+    sigma2 = dm.estimate_iid_sigma2(batch, c)
     wanted = ("iid", "cg") if cfg.demapper == "both" else (cfg.demapper,)
-    records = []
+    gmis = {}
     for kind in wanted:
         if kind == "iid":
             model = dm.NoiseModel.iid(sigma2)
         else:
-            covs = dm.estimate_point_covariances(
-                batch, c, epsilon=cfg.epsilon_reg * sigma2)
-            model = dm.NoiseModel.cg(covs)
-        llrs = dm.compute_llrs(batch, c, model)
-        gmi = dm.gmi_from_llrs(llrs, c.m)
-        runtime = time.perf_counter() - t0 if cfg.timings else 0.0
-        records.append(ResultRecord(
-            launch_dbm=cfg.launch_dbm,
-            distance_km=cfg.n_spans * cfg.span_km,
-            n_channels=cfg.n_channels,
-            format=cfg.format,
-            demapper=kind,
-            gmi_bit4d=gmi,
-            ndr_gbps=gmi * cfg.baud_gbd,
-            seed=seed,
-            runtime_s=runtime,
-            sigma2=sigma2,
-        ))
-    return records
+            model = dm.NoiseModel.cg(dm.estimate_point_covariances(
+                batch, c, epsilon=cfg.epsilon_reg * sigma2))
+        gmis[kind] = dm.gmi_from_llrs(dm.compute_llrs(batch, c, model), c.m)
+    runtime = time.perf_counter() - t0 if cfg.timings else 0.0
+    return [ResultRecord(
+        launch_dbm=cfg.launch_dbm, distance_km=cfg.n_spans * cfg.span_km,
+        n_channels=cfg.n_channels, format=cfg.format, demapper=kind,
+        gmi_bit4d=gmi, ndr_gbps=gmi * cfg.baud_gbd, seed=seed,
+        runtime_s=runtime, sigma2=sigma2) for kind, gmi in gmis.items()]
 
 
 def _worker_count() -> int:

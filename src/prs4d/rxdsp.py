@@ -21,27 +21,24 @@ from .txdsp import SampledSignal, rrc_support
 
 @dataclass
 class SymbolBatch:
-    """Aligned transmitted bits/symbols and received 4D symbols.
+    """Sent constellation indices and received 4D symbols, row k for symbol k.
 
-    rx_points must be on the constellation scale (after genie gain and
-    phase compensation), row k received for transmitted symbol k.
+    Sent points and bits are c.points[tx_indices] and c.labels[tx_indices],
+    so a negative index, which numpy would read from the end, is rejected.
+    rx_points must be on the constellation scale (after genie gain and phase
+    compensation).
     """
 
-    tx_bits: np.ndarray
     tx_indices: np.ndarray
-    tx_points: np.ndarray
     rx_points: np.ndarray
 
     def __post_init__(self):
-        self.tx_bits = np.asarray(self.tx_bits).ravel()
         self.tx_indices = np.asarray(self.tx_indices, dtype=np.int64).ravel()
-        self.tx_points = np.asarray(self.tx_points, dtype=float)
         self.rx_points = np.asarray(self.rx_points, dtype=float)
-        ns = self.tx_indices.size
-        if self.tx_points.shape[0] != ns or self.rx_points.shape[0] != ns:
-            raise ValueError("batch arrays are length-inconsistent")
-        if self.tx_bits.size % ns != 0:
-            raise ValueError("tx_bits not divisible by symbol count")
+        if self.rx_points.shape != (self.ns, 4):
+            raise ValueError(f"rx_points must be ({self.ns}, 4), got {self.rx_points.shape}")
+        if self.ns and self.tx_indices.min() < 0:
+            raise ValueError("tx_indices must be non-negative")
 
     @property
     def ns(self) -> int:

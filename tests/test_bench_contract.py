@@ -82,6 +82,27 @@ def test_run_point_passes_the_traced_transmitter(tracing):
     assert span["samples"] == frame
 
 
+
+def test_run_point_names_one_llr_span_per_law(tracing):
+    """The tracer names each llrs_for_points span from NoiseModel.kind, so
+    a run_point with demapper="both" must pass one model of kind "iid" and
+    one of kind "cg"; a model without kind, or with other kind values,
+    would drop demapper.llrs_iid_s and demapper.llrs_cg_s silently."""
+    from prs4d import harness
+
+    cfg = harness.ExperimentConfig(
+        format="pm8qam", n_channels=1, n_symbols=2**13, n_spans=1,
+        step_km=80.0, launch_dbm=0.0, demapper="both")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        harness.run_point(cfg, seed=1)
+    names = [s["name"] for s in tracer.ops[0]]
+    assert names.count("demapper.llrs_iid") == names.count("demapper.llrs_cg") == 1
+    wanted = ["demapper.llrs_iid_s", "demapper.llrs_cg_s"]
+    metrics = tracing.op_layer_metrics(tracer.ops[0], wanted, tracer.absent)
+    assert sorted(metrics) == sorted(wanted)
+    assert all(v > 0 for v in metrics.values()), metrics
+
 def test_shimmed_calls_stay_on_the_calling_thread(tracing, monkeypatch):
     """The tracer keeps one span stack, which is not thread-safe, so every
     shimmed call of a traced run_point must run on the calling thread:

@@ -27,32 +27,31 @@ def make_batch(c, ns=2**12, sigma=0.15, seed=0, cov=None):
         noise = rng.normal(scale=sigma, size=pts.shape)
     else:
         noise = rng.multivariate_normal(np.zeros(4), cov, size=ns)
-    return SymbolBatch(bits, idx, pts, pts + noise)
+    return SymbolBatch(idx, pts + noise)
 
 
 class TestSigma2Estimator:
     def test_noiseless_returns_zero(self, pm8qam):
         b = make_batch(pm8qam, sigma=0.0)
-        assert D.estimate_iid_sigma2(b) == 0.0
+        assert D.estimate_iid_sigma2(b, pm8qam) == 0.0
 
     def test_recovers_known_variance(self, pm8qam):
         b = make_batch(pm8qam, ns=2**16, sigma=np.sqrt(0.05), seed=1)
-        est = D.estimate_iid_sigma2(b)
+        est = D.estimate_iid_sigma2(b, pm8qam)
         assert est == pytest.approx(0.05, rel=0.02)
 
     def test_variance_homogeneity(self, pm8qam):
         b = make_batch(pm8qam, ns=2**12, sigma=0.1, seed=2)
-        b2 = SymbolBatch(b.tx_bits, b.tx_indices, b.tx_points,
-                         b.tx_points + 2 * (b.rx_points - b.tx_points))
-        assert D.estimate_iid_sigma2(b2) == pytest.approx(
-            4 * D.estimate_iid_sigma2(b), rel=1e-12)
+        tx = pm8qam.points[b.tx_indices]
+        b2 = SymbolBatch(b.tx_indices, tx + 2 * (b.rx_points - tx))
+        assert D.estimate_iid_sigma2(b2, pm8qam) == pytest.approx(
+            4 * D.estimate_iid_sigma2(b, pm8qam), rel=1e-12)
 
     def test_too_few_symbols(self, pm8qam):
         b = make_batch(pm8qam, ns=2**8, sigma=0.1)
-        small = SymbolBatch(b.tx_bits[:60], b.tx_indices[:10],
-                            b.tx_points[:10], b.rx_points[:10])
+        small = SymbolBatch(b.tx_indices[:10], b.rx_points[:10])
         with pytest.raises(ValueError):
-            D.estimate_iid_sigma2(small)
+            D.estimate_iid_sigma2(small, pm8qam)
 
 
 def loop_point_covariances(batch, c, epsilon):
@@ -87,9 +86,7 @@ class TestPointCovariances:
     def test_missing_point_reported(self, pm8qam):
         b = make_batch(pm8qam, ns=2**12, sigma=0.1, seed=4)
         keep = b.tx_indices != 17
-        short = SymbolBatch(
-            b.tx_bits.reshape(-1, 6)[keep].ravel(),
-            b.tx_indices[keep], b.tx_points[keep], b.rx_points[keep])
+        short = SymbolBatch(b.tx_indices[keep], b.rx_points[keep])
         with pytest.raises(ValueError, match="17"):
             D.estimate_point_covariances(short, pm8qam, epsilon=1e-4)
 
@@ -158,8 +155,8 @@ def brute_force_llrs(y, c, model):
     for i in range(c.M):
         if model.kind == "iid":
             d2 = np.sum((y - c.points[i]) ** 2, axis=1, dtype=np.longdouble)
-            logf[:, i] = -d2 / (2 * model.sigma2) \
-                - 2 * np.log(2 * np.pi * model.sigma2)
+            s2 = model.covariances[0, 0, 0]
+            logf[:, i] = -d2 / (2 * s2) - 2 * np.log(2 * np.pi * s2)
         else:
             for j in range(y.shape[0]):
                 logf[j, i] = gaussian_logpdf(y[j], c.points[i],
@@ -226,6 +223,57 @@ class TestComputeLlrs:
             D.compute_llrs(b, pm8qam, D.NoiseModel.iid(0.0))
 
 
+
+class TestOneLaw:
+    """iid is one shared sigma2 * I on the covariance path of the cg law."""
+
+    @pytest.mark.parametrize("fmt", ["4d64prs", "pm8qam"])
+    def test_iid_matches_tiled_cg(self, fmt):
+        c = C.build_format(fmt)
+        rng = np.random.default_rng(22)
+        y = c.points[rng.integers(0, c.M, 3000)] + rng.normal(scale=0.3, size=(3000, 4))
+        tiled = D.NoiseModel.cg(np.tile(0.07 * np.eye(4), (c.M, 1, 1)))
+        iid = D.llrs_for_points(y, c, D.NoiseModel.iid(0.07), clamp=1e9)
+        cg = D.llrs_for_points(y, c, tiled, clamp=1e9)
+        assert np.max(np.abs(iid - cg)) <= 1e-12
+
+    def test_iid_is_one_shared_covariance(self):
+        model = D.NoiseModel.iid(0.07)
+        assert model.kind == "iid"
+        np.testing.assert_array_equal(model.covariances, 0.07 * np.eye(4)[None])
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_non_finite_sigma2_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="^noise covariances must be finite$"):
+            D.NoiseModel.iid(sigma2)
+
+    def test_non_finite_covariance_rejected(self):
+        covs = np.tile(0.05 * np.eye(4), (64, 1, 1))
+        covs[9, 1, 2] = covs[9, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="^noise covariances must be finite$"):
+            D.NoiseModel.cg(covs)
+
+    def test_negative_sigma2_rejected(self):
+        with pytest.raises(ValueError, match="^iid model requires sigma2 >= 0$"):
+            D.NoiseModel.iid(-0.1)
+
+    @pytest.mark.parametrize("covs", [np.zeros((64, 4, 4)),
+                                      np.diag([0.05, 0.05, 0.05, -0.01])[None]])
+    def test_not_positive_definite_rejected(self, pm8qam, covs):
+        """A per-point zero stack and a shared indefinite C fail the same
+        Cholesky as iid's sigma2 = 0 and a per-point indefinite C_i."""
+        with pytest.raises(ValueError):  # LinAlgError from the Cholesky
+            D.llrs_for_points(np.zeros((4, 4)), pm8qam, D.NoiseModel.cg(covs))
+
+    def test_bad_stacks_rejected(self, pm8qam):
+        with pytest.raises(ValueError, match="^covariances must be"):
+            D.NoiseModel.cg(np.tile(np.eye(3), (64, 1, 1)))
+        with pytest.raises(ValueError, match="^unknown noise model kind"):
+            D.NoiseModel("pooled", np.eye(4)[None])
+        with pytest.raises(ValueError, match="one shared covariance or one per point"):
+            D.llrs_for_points(np.zeros((4, 4)), pm8qam,
+                              D.NoiseModel.cg(np.tile(np.eye(4), (5, 1, 1))))
+
 def direct_llrs(y, c, model):
     """Per-point log-pdf columns and per-bit sums of exponentials, long double.
 
@@ -238,7 +286,7 @@ def direct_llrs(y, c, model):
     for i in range(c.M):
         if model.kind == "iid":
             d2 = np.sum((y - c.points[i]) ** 2, axis=1, dtype=np.longdouble)
-            logf[:, i] = -d2 / (2 * model.sigma2)
+            logf[:, i] = -d2 / (2 * model.covariances[0, 0, 0])
         else:
             chol = cholesky(model.covariances[i], lower=True)
             z = solve_triangular(chol, (y - c.points[i]).T, lower=True)
@@ -364,7 +412,7 @@ class TestGmiFromLlrs:
 
     def test_clamp_effect_negligible(self, pm8qam):
         b = make_batch(pm8qam, ns=2**12, sigma=0.05, seed=12)
-        model = D.NoiseModel.iid(D.estimate_iid_sigma2(b))
+        model = D.NoiseModel.iid(D.estimate_iid_sigma2(b, pm8qam))
         g_clamped = D.gmi_from_llrs(D.compute_llrs(b, pm8qam, model), 6)
         g_free = D.gmi_from_llrs(
             D.compute_llrs(b, pm8qam, model, clamp=1e9), 6)

@@ -150,6 +150,15 @@ class TestRunPoint:
         rec = H.run_point(tiny_config(timings=True))[0]
         assert rec.runtime_s > 0.0
 
+    def test_both_records_carry_the_point_runtime(self):
+        """The point is timed once, after the last demap, so the iid record
+        does not leave out the cg demap and the cg record does not count
+        the iid one."""
+        iid, cg = H.run_point(tiny_config(timings=True, demapper="both",
+                                          n_symbols=2**13))
+        assert (iid.demapper, cg.demapper) == ("iid", "cg")
+        assert iid.runtime_s == cg.runtime_s > 0.0
+
 
 class TestLinearClosure:
     """gamma = 0: the link is 20 EDFAs of white ASE, so the measured SNR

@@ -222,3 +222,22 @@ class TestFullChainIdentity:
         rx = R.genie_gain(rx, pts)
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
         assert evm < -40
+
+
+class TestSymbolBatch:
+    def test_points_read_through_the_constellation(self):
+        c = C.build_format("pm8qam")
+        idx, pts = C.map_bits_to_symbols(np.arange(60) % 3 == 0, c)
+        batch = R.SymbolBatch(idx, pts)
+        assert batch.ns == 10
+        assert np.array_equal(c.points[batch.tx_indices], batch.rx_points)
+
+    @pytest.mark.parametrize("shape", [(10, 3), (9, 4), (40,), (10, 4, 1)])
+    def test_misshapen_points_rejected_in_one_line(self, shape):
+        with pytest.raises(ValueError, match=r"^rx_points must be \(10, 4\), got") as err:
+            R.SymbolBatch(np.arange(10), np.zeros(shape))
+        assert "\n" not in str(err.value)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="^tx_indices must be non-negative$"):
+            R.SymbolBatch([3, -1, 2], np.zeros((3, 4)))
