@@ -187,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="4d64prs",
                    choices=harness.VALID_FORMATS)
     p.add_argument("--snr", default="0:20:2", help="SNR grid in dB")
-    p.add_argument("--method", default="quadrature",
-                   choices=["quadrature", "monte_carlo"])
     p.add_argument("--output", default="-", help="CSV path or - for stdout")
 
     p = sub.add_parser("optimize-constellation",
@@ -259,7 +257,7 @@ def _run(args) -> int:
         c = const.build_format(args.format)
         lines = ["snr_db,format,gmi_bit4d"]
         for snr in _parse_grid(args.snr):
-            gmi = dm.awgn_gmi_reference(c, snr, method=args.method)
+            gmi = dm.awgn_gmi_reference(c, snr)
             lines.append(f"{snr:.10g},{args.format},{gmi:.10g}")
         text = "\n".join(lines) + "\n"
         if args.output == "-":

@@ -1,14 +1,14 @@
 """4D modulation formats: polarization-ring-switching, PM-8QAM and 2A8PSK.
 
-All constellations are represented as an M x 4 real matrix (columns
-[Re X, Im X, Re Y, Im Y]) with an M x m bit-label matrix, normalized to
-unit average 4D symbol energy. Rows are ordered by label value with the
-first bit as MSB, so row index == integer value of the label.
+A constellation is an M x 4 real matrix (columns [Re X, Im X, Re Y, Im Y])
+normalized to unit average 4D symbol energy. The row index is the label:
+row i carries the binary expansion of i, first bit as MSB, so a builder
+chooses its labelling by the order in which it lists the points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -18,9 +18,11 @@ import numpy as np
 class PrsParams:
     """Free geometry parameters of the ring-switching format.
 
-    rho is the outer/inner ring ratio R2/R1; theta is the relative phase
-    between inner- and outer-ring points. Beyond theta = pi/4 the inner
-    8-point set self-coincides by symmetry, hence the open interval.
+    rho is the radius ratio R2/R1 of the 4-point ring (QPSK at 45 degrees)
+    to the 8-point ring; either may be the larger. theta is the angle of
+    each 8-point-ring point from its nearest QPSK diagonal, so the 8
+    phases are k pi/2 + pi/4 +- theta. At theta = 0 or pi/4 pairs of them
+    coincide, hence the open interval.
     """
 
     rho: float
@@ -35,30 +37,24 @@ class PrsParams:
 
 @dataclass(frozen=True)
 class Constellation4D:
-    """Immutable 4D constellation with bit labeling.
+    """Immutable 4D constellation whose row index is the label.
 
-    points: M x 4 float matrix, labels: M x m uint8 matrix. The labeling
-    is a bijection between {0,1}^m and rows; with the canonical row order
-    labels[i] is the binary expansion of i (b1 = MSB).
+    points is an M x 4 float matrix with M = 2^m >= 2. labels is derived,
+    not given: the read-only M x m uint8 matrix whose row i is the binary
+    expansion of i (b1 = MSB).
     """
 
     points: np.ndarray
-    labels: np.ndarray
-    name: str
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        labs = np.ascontiguousarray(np.asarray(self.labels, dtype=np.uint8))
         if pts.ndim != 2 or pts.shape[1] != 4:
-            raise ValueError("points must be M x 4")
-        if labs.shape[0] != pts.shape[0]:
-            raise ValueError("labels/points row mismatch")
-        m = labs.shape[1]
-        if pts.shape[0] != 2**m:
-            raise ValueError("M must equal 2^m")
-        vals = labs @ (1 << np.arange(m - 1, -1, -1))
-        if len(np.unique(vals)) != pts.shape[0]:
-            raise ValueError("labels must be a bijection")
+            raise ValueError(f"points must be M x 4, got shape {pts.shape}")
+        m = pts.shape[0].bit_length() - 1
+        if m < 1 or pts.shape[0] != 1 << m:
+            raise ValueError(f"M must be a power of two >= 2, got {pts.shape[0]}")
+        labs = _canonical_labels(m)
         pts.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -71,11 +67,6 @@ class Constellation4D:
     @property
     def m(self) -> int:
         return self.labels.shape[1]
-
-    def label_values(self) -> np.ndarray:
-        """Integer value of each row's label (b1 = MSB)."""
-        m = self.m
-        return self.labels @ (1 << np.arange(m - 1, -1, -1))
 
 
 def _canonical_labels(m: int) -> np.ndarray:
@@ -94,12 +85,12 @@ def min_pairwise_distance(points: np.ndarray) -> float:
 def build_4d64prs(params: PrsParams) -> Constellation4D:
     """Construct the 64-point polarization-ring-switching constellation.
 
-    One polarization of every point sits on the inner ring (radius R1)
-    and the other on the outer ring (radius R2), giving constant 4D
-    modulus. Normalization fixes R1^2 + R2^2 = 1 so every point has unit
-    energy. Bits [b3, b6] select one of the four sign-pattern families;
-    bits [b1, b2, b4, b5] select the 4D orthant (coordinate signs
-    [(-1)^b2, (-1)^b1, (-1)^b4, (-1)^b5]).
+    One polarization of every point sits on the 8-point ring (radius R1)
+    and the other on the 4-point ring (radius R2 = rho R1, QPSK at 45
+    degrees), giving constant 4D modulus. Normalization fixes
+    R1^2 + R2^2 = 1 so every point has unit energy. Bits [b3, b6] select
+    one of the four sign-pattern families; bits [b1, b2, b4, b5] select
+    the 4D orthant (coordinate signs [(-1)^b2, (-1)^b1, (-1)^b4, (-1)^b5]).
     """
     rho, theta = params.rho, params.theta
     r1 = 1.0 / sqrt(1.0 + rho * rho)
@@ -131,7 +122,7 @@ def build_4d64prs(params: PrsParams) -> Constellation4D:
         raise ValueError(
             f"rho={rho}, theta={theta} collapses constellation points"
         )
-    return Constellation4D(points=points, labels=labels, name="4d64prs")
+    return Constellation4D(points)
 
 
 # Star 8QAM: inner QPSK plus outer QPSK rotated 45 degrees.
@@ -166,8 +157,7 @@ def build_pm8qam() -> Constellation4D:
     pairs = _star8_points()[(v & 4) | _gray_decode(v & 3)]
     points = pairs.view(float)  # (64, 2) complex X/Y -> (64, 4) real
     points /= sqrt(np.mean(np.sum(points**2, axis=1)))
-    return Constellation4D(points=points, labels=_canonical_labels(6),
-                           name="pm8qam")
+    return Constellation4D(points)
 
 
 def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
@@ -196,25 +186,20 @@ def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
         raise ValueError(
             f"ring_ratio={ring_ratio} collapses constellation points"
         )
-    return Constellation4D(points=points, labels=labels, name="6b4d_2a8psk")
+    return Constellation4D(points)
 
 
 def map_bits_to_symbols(bits: np.ndarray, c: Constellation4D):
     """Map a flat bit array onto constellation symbols.
 
-    Returns (indices, points): consecutive m-bit groups interpreted MSB
-    first and looked up through the constellation labeling.
+    Returns (indices, points): consecutive m-bit groups read MSB first
+    are the row indices, since the row index is the label.
     """
     bits = np.asarray(bits).ravel()
     if bits.size % c.m != 0:
         raise ValueError(f"bit count {bits.size} not divisible by m={c.m}")
-    groups = bits.reshape(-1, c.m).astype(np.int64)
-    vals = groups @ (1 << np.arange(c.m - 1, -1, -1))
-    # row index for each label value (identity for canonical ordering)
-    row_of_val = np.empty(c.M, dtype=np.int64)
-    row_of_val[c.label_values()] = np.arange(c.M)
-    indices = row_of_val[vals]
-    return indices, c.points[indices]
+    indices = bits.reshape(-1, c.m).astype(np.int64) @ (1 << np.arange(c.m - 1, -1, -1))
+    return indices, np.take(c.points, indices, axis=0)
 
 
 def export_csv(c: Constellation4D, path) -> None:

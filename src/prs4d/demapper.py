@@ -81,6 +81,13 @@ class LlrBatch:
             raise ValueError("llrs/bits shape mismatch")
 
 
+def _sent(batch: SymbolBatch, rows: np.ndarray, M: int) -> np.ndarray:
+    """rows[tx_indices], the sent points or labels, with every index checked < M."""
+    if batch.ns and batch.tx_indices.max() >= M:
+        raise ValueError(f"tx_indices must be < M = {M}, got {batch.tx_indices.max()}")
+    return np.take(rows, batch.tx_indices, axis=0)
+
+
 def estimate_iid_sigma2(batch: SymbolBatch, c: Constellation4D) -> float:
     """Average per-dimension residual variance about the sent points.
 
@@ -89,7 +96,7 @@ def estimate_iid_sigma2(batch: SymbolBatch, c: Constellation4D) -> float:
     """
     if batch.ns < 100:
         raise ValueError(f"need at least 100 symbols, got {batch.ns}")
-    resid = batch.rx_points - np.take(c.points, batch.tx_indices, axis=0)
+    resid = batch.rx_points - _sent(batch, c.points, c.M)
     return float(np.sum(resid**2) / (resid.shape[1] * batch.ns))
 
 
@@ -103,15 +110,15 @@ def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
     definiteness.
     """
     n_dim = c.points.shape[1]
-    counts = np.bincount(batch.tx_indices, minlength=c.M)[:c.M]
+    r = batch.rx_points - _sent(batch, c.points, c.M)
+    counts = np.bincount(batch.tx_indices, minlength=c.M)
     for i in np.flatnonzero(counts < _MIN_OCCURRENCES)[:1]:
         raise ValueError(f"constellation point {i} transmitted {counts[i]} "
                          f"times; need at least {_MIN_OCCURRENCES}")
-    r = batch.rx_points - np.take(c.points, batch.tx_indices, axis=0)
     covs = np.empty((c.M, n_dim, n_dim))
     for a, b in zip(*np.triu_indices(n_dim)):
         covs[:, a, b] = covs[:, b, a] = np.bincount(
-            batch.tx_indices, r[:, a] * r[:, b], c.M)[:c.M]
+            batch.tx_indices, r[:, a] * r[:, b], c.M)
     return covs / counts[:, None, None] + epsilon * np.eye(n_dim)
 
 
@@ -183,8 +190,8 @@ def compute_llrs(
     clamp: float = LLR_CLAMP_NATS,
 ) -> LlrBatch:
     """Demap a batch of received 4D symbols into per-bit LLRs."""
-    llrs = llrs_for_points(batch.rx_points, c, model, clamp=clamp)
-    return LlrBatch(llrs=llrs, bits=np.take(c.labels, batch.tx_indices, axis=0))
+    bits = _sent(batch, c.labels, c.M)
+    return LlrBatch(llrs_for_points(batch.rx_points, c, model, clamp=clamp), bits)
 
 
 def gmi_from_llrs(llrs: LlrBatch, m: int) -> float:
@@ -238,40 +245,26 @@ def _orbits(c: Constellation4D) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(np.vstack((np.arange(c.M), pi[ok])).min(0), return_counts=True)
 
 
-def awgn_gmi_reference(
-    c: Constellation4D,
-    snr_db: float,
-    method: str = "quadrature",
-    n_nodes: int = 8,
-    ns: int = 1 << 16,
-    seed: int = 0,
-    clamp: float = LLR_CLAMP_NATS,
-) -> float:
+def awgn_gmi_reference(c: Constellation4D, snr_db: float,
+                       method: str = "quadrature", n_nodes: int = 8) -> float:
     """GMI of the constellation over 4D AWGN with a matched iid demapper.
 
-    SNR is Es/N0 per 4D symbol with Es = 1. "quadrature" integrates the
-    conditional penalty on a tensor Gauss-Hermite grid around one point per
-    symmetry orbit (`_orbits`), weighted by the orbit size; it sums the
-    per-bit information 1 - penalty, so no m - total cancellation leaves
-    rounding below 0, and the result is clipped to [0, m]. "monte_carlo"
-    runs the estimator end-to-end with ns symbols.
+    SNR is Es/N0 per 4D symbol with Es = 1. "quadrature", the only method,
+    integrates the conditional penalty on a tensor Gauss-Hermite grid of
+    n_nodes per dimension around one point per symmetry orbit (`_orbits`),
+    weighted by the orbit size. It sums the per-bit information 1 - penalty,
+    so no m - total cancellation leaves rounding below 0, and clips to [0, m].
     """
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}; the only one is 'quadrature'")
     n_dim = c.points.shape[1]
     with np.errstate(all="ignore"):
         sigma2 = 1.0 / (n_dim * np.power(10.0, snr_db / 10))  # N0 over n_dim
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"snr_db must be a finite SNR in dB, got {snr_db}")
     model = NoiseModel.iid(sigma2)
-    for name, count in (("n_nodes", n_nodes), ("ns", ns)):
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
-    if method == "monte_carlo":
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, c.M, ns)
-        y = c.points[idx] + rng.normal(scale=np.sqrt(sigma2), size=(ns, n_dim))
-        return gmi_from_llrs(compute_llrs(SymbolBatch(idx, y), c, model, clamp), c.m)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
 
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     grid = np.indices((n_nodes,) * n_dim).reshape(n_dim, -1).T.copy()  # C order
@@ -280,7 +273,7 @@ def awgn_gmi_reference(
     # batch the representatives' conditional grids into one LLR evaluation
     reps, sizes = _orbits(c)
     y = (c.points[reps, None, :] + np.sqrt(2 * sigma2) * z).reshape(-1, n_dim)
-    llrs = llrs_for_points(y, c, model, clamp=clamp).reshape(len(reps), -1, c.m)
+    llrs = llrs_for_points(y, c, model).reshape(len(reps), -1, c.m)
     signs = 1.0 - 2.0 * c.labels[reps].astype(float)  # (R, m)
     info = 1.0 - _penalty(-signs[:, None, :] * llrs) / _LOG2  # per bit
     gmi = np.einsum("q,r,rq->", w, sizes, info.sum(axis=2)) / c.M

@@ -9,6 +9,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import threading
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,26 @@ def test_every_target_is_callable(tracing):
 def test_counted_arguments_keep_their_names(mod, attr, params):
     fn = getattr(importlib.import_module(f"prs4d.{mod}"), attr)
     assert tuple(inspect.signature(fn).parameters)[:len(params)] == params
+
+
+def test_awgn_design_call_matches_its_reference():
+    """perfbench/workloads.py calls awgn_gmi_reference(c, AWGN_SNR_DB,
+    "quadrature", n_nodes=3) for each format and checks the GMI against
+    reference.json's tiny awgn_design entry within AWGN_TOL."""
+    from prs4d import constellation, demapper
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fn = demapper.awgn_gmi_reference
+    assert tuple(inspect.signature(fn).parameters) == ("c", "snr_db", "method", "n_nodes")
+    ref = json.loads(workloads.REFERENCE_PATH.read_text())["awgn_design"]["tiny"]
+    for fmt in workloads.AWGN_FORMATS:
+        c = constellation.build_format(fmt)
+        gmi = fn(c, workloads.AWGN_SNR_DB, "quadrature", n_nodes=3)
+        assert abs(gmi - ref[fmt]) <= workloads.AWGN_TOL, fmt
+    with pytest.raises(ValueError, match="^unknown method 'monte_carlo'"):
+        fn(c, workloads.AWGN_SNR_DB, method="monte_carlo")
 
 
 def test_calibration_reads_the_llr_batch_fields():

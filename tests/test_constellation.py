@@ -9,6 +9,35 @@ from prs4d import constellation as C
 
 VALID_RHO = st.floats(min_value=0.3, max_value=3.0)
 VALID_THETA = st.floats(min_value=0.02, max_value=np.pi / 4 - 0.02)
+WEIGHTS = 1 << np.arange(5, -1, -1)  # label bits -> label value, b1 = MSB
+
+
+class TestConstellation4D:
+    """The row index is the label; the constructor checks only the points."""
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 5), (4,), (2, 4, 1)])
+    def test_points_not_m_by_4_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^points must be M x 4, got shape \(.*\)$"):
+            C.Constellation4D(np.zeros(shape))
+
+    @pytest.mark.parametrize("M", [0, 1, 3, 6, 63])
+    def test_m_not_a_power_of_two_rejected(self, M):
+        with pytest.raises(ValueError,
+                           match=f"^M must be a power of two >= 2, got {M}$"):
+            C.Constellation4D(np.zeros((M, 4)))
+
+    @pytest.mark.parametrize("name", ["4d64prs", "pm8qam", "6b4d_2a8psk"])
+    def test_labels_are_the_row_index(self, name):
+        c = C.build_format(name)
+        assert c.labels.dtype == np.uint8 and c.labels.shape == (64, 6)
+        np.testing.assert_array_equal(c.labels @ WEIGHTS, np.arange(64))
+
+    def test_hand_built_labels_and_read_only(self):
+        c = C.Constellation4D([[1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, -1, 0, 0]])
+        assert c.M == 4 and c.m == 2
+        np.testing.assert_array_equal(c.labels, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        assert c.labels.dtype == np.uint8
+        assert not c.labels.flags.writeable and not c.points.flags.writeable
 
 
 class TestPrsParams:
@@ -58,7 +87,7 @@ class TestBuild4d64prs:
     def test_orthant_bit_sign_flip(self):
         """Flipping b2 flips coordinate 1; (b1,b2,b4,b5) -> coords (2,1,3,4)."""
         c = C.build_format("4d64prs")
-        vals = c.label_values()
+        vals = c.labels @ WEIGHTS
         order = np.argsort(vals)
         pts = c.points[order]  # row v = point of label value v
         for v in range(64):
@@ -97,7 +126,7 @@ class TestPm8qam:
 
     def test_label_is_per_pol_concatenation(self):
         c = C.build_pm8qam()
-        vals = c.label_values()
+        vals = c.labels @ WEIGHTS
         order = np.argsort(vals)
         pts = c.points[order]
         # same X bits -> same X projection regardless of Y bits
@@ -144,7 +173,7 @@ class TestGrayLabeling:
         star = C._star8_points()
         star = star / np.sqrt(2 * np.mean(np.abs(star) ** 2))
         x = c.points[:, 0] + 1j * c.points[:, 1]
-        vx = c.label_values() >> 3
+        vx = (c.labels @ WEIGHTS) >> 3
         np.testing.assert_allclose(
             x, star[(vx & 4) | C._gray_decode(vx & 3)], rtol=0, atol=1e-15)
 

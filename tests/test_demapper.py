@@ -64,6 +64,28 @@ def loop_point_covariances(batch, c, epsilon):
     return covs
 
 
+class TestSentIndices:
+    """Every reader of the sent rows rejects an index >= M in one line."""
+
+    READERS = {
+        "estimate_iid_sigma2": D.estimate_iid_sigma2,
+        "estimate_point_covariances":
+            lambda b, c: D.estimate_point_covariances(b, c, epsilon=1e-4),
+        "compute_llrs": lambda b, c: D.compute_llrs(b, c, D.NoiseModel.iid(0.01)),
+    }
+
+    # every index 64 would leave each point untransmitted, so the count
+    # check must not run first; one 70 among good indices passes the count
+    @pytest.mark.parametrize("rows, bad", [(slice(None), 64), ([123], 70)])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_index_of_m_or_more_named(self, pm8qam, reader, rows, bad):
+        b = make_batch(pm8qam, ns=2**12, sigma=0.1, seed=5)
+        idx = b.tx_indices.copy()
+        idx[rows] = bad
+        with pytest.raises(ValueError, match=f"^tx_indices must be < M = 64, got {bad}$"):
+            self.READERS[reader](SymbolBatch(idx, b.rx_points), pm8qam)
+
+
 class TestPointCovariances:
     def test_noiseless_gives_epsilon_identity(self, pm8qam):
         b = make_batch(pm8qam, ns=2**12, sigma=0.0)
@@ -174,8 +196,7 @@ class TestComputeLlrs:
         # 1D antipodal pair embedded in 4D: y at the midpoint
         pts = np.zeros((2, 4))
         pts[0, 0], pts[1, 0] = 1.0, -1.0
-        c = C.Constellation4D(points=pts, labels=np.array([[0], [1]],
-                              dtype=np.uint8), name="bpsk4d")
+        c = C.Constellation4D(points=pts)
         model = D.NoiseModel.iid(0.5)
         llrs = D.llrs_for_points(np.zeros((1, 4)), c, model)
         assert abs(llrs[0, 0]) < 1e-12
@@ -183,8 +204,7 @@ class TestComputeLlrs:
     def test_bpsk_closed_form(self):
         pts = np.zeros((2, 4))
         pts[0, 0], pts[1, 0] = 1.0, -1.0
-        c = C.Constellation4D(points=pts, labels=np.array([[0], [1]],
-                              dtype=np.uint8), name="bpsk4d")
+        c = C.Constellation4D(points=pts)
         s2 = 0.23
         y = np.zeros((5, 4))
         y[:, 0] = np.linspace(-1.5, 1.5, 5)
@@ -441,8 +461,12 @@ class TestAwgnReference:
 
     def test_mc_quadrature_agreement(self, pm8qam):
         q = D.awgn_gmi_reference(pm8qam, 9.0, method="quadrature", n_nodes=8)
-        mc = D.awgn_gmi_reference(pm8qam, 9.0, method="monte_carlo",
-                                  ns=1 << 16, seed=1)
+        sigma2 = 1.0 / (4 * 10 ** (9.0 / 10))
+        rng = np.random.default_rng(1)
+        idx = rng.integers(0, pm8qam.M, 1 << 16)
+        y = pm8qam.points[idx] + rng.normal(scale=np.sqrt(sigma2), size=(1 << 16, 4))
+        llrs = D.compute_llrs(SymbolBatch(idx, y), pm8qam, D.NoiseModel.iid(sigma2))
+        mc = D.gmi_from_llrs(llrs, pm8qam.m)
         assert abs(q - mc) < 0.02
 
     def test_monotone_in_snr(self, pm8qam):
@@ -484,10 +508,11 @@ class TestAwgnReference:
         with pytest.raises(ValueError, match="^n_nodes must be"):
             D.awgn_gmi_reference(pm8qam, 8.1, n_nodes=n_nodes)
 
-    @pytest.mark.parametrize("ns", [0, -1, 2.5])
-    def test_bad_symbol_count_named(self, pm8qam, ns):
-        with pytest.raises(ValueError, match="^ns must be"):
-            D.awgn_gmi_reference(pm8qam, 8.1, method="monte_carlo", ns=ns)
+    @pytest.mark.parametrize("method", ["monte_carlo", "Quadrature"])
+    def test_only_the_quadrature(self, pm8qam, method):
+        with pytest.raises(ValueError, match=f"^unknown method '{method}'; "
+                                             "the only one is 'quadrature'$"):
+            D.awgn_gmi_reference(pm8qam, 8.1, method)
 
 
 def full_grid_gmi(c, snr_db, n_nodes):
@@ -547,9 +572,10 @@ class TestSymmetryReduction:
     def test_symmetric_points_with_asymmetric_labels(self, name, swap, sizes,
                                                      snr_db):
         c = C.build_format(name)
-        labels = c.labels.copy()
-        labels[[0, swap]] = labels[[swap, 0]]
-        c = replace(c, labels=labels)
+        rows = np.arange(c.M)
+        rows[[0, swap]] = rows[[swap, 0]]
+        # swapping two points labels the same set as swapping their labels
+        c = replace(c, points=c.points[rows])
         size, count = np.unique(D._orbits(c)[1], return_counts=True)
         assert dict(zip(size.tolist(), count.tolist())) == sizes
         gmi = D.awgn_gmi_reference(c, snr_db, n_nodes=5)
@@ -570,8 +596,7 @@ class TestSymmetryReduction:
         though the swap of a and b with labels XOR 11 would be a symmetry.
         """
         a = np.array([0.3, 0.7, -0.2, 0.5])
-        c = C.Constellation4D(points=[a, a, a[[1, 0, 3, 2]], a[[1, 0, 3, 2]]],
-                              labels=[[0, 0], [0, 1], [1, 1], [1, 0]], name="pairs")
+        c = C.Constellation4D(points=[a, a, a[[1, 0, 3, 2]], a[[1, 0, 3, 2]]])
         assert D._orbits(c)[1].tolist() == [1, 1, 1, 1]
         gmi = D.awgn_gmi_reference(c, 5.0, n_nodes=5)
         assert abs(gmi - full_grid_gmi(c, 5.0, 5)) <= 1e-12
