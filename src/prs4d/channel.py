@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -195,17 +196,22 @@ def edfa(
     return replace(signal, field=fld)
 
 
-def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
-    """Run the signal through n_spans of fiber + CDC + EDFA.
+def propagate_spans(signal: SampledSignal, link: LinkConfig):
+    """Yield the field after each of n_spans of fiber + CDC + EDFA.
 
     EDFA gain exactly balances the span loss (the compensation fiber is
-    ideal and lossless). Deterministic for a fixed link seed.
+    ideal and lossless). Span k draws the k-th ASE of one stream seeded by
+    link.seed, so the field after span k does not depend on n_spans.
     """
     rng = np.random.default_rng(link.seed)
-    out = signal
     for _ in range(link.n_spans):
-        out = ssfm_span(out, link.span, link.step_km)
-        out = inline_cdc(out, link.span)
-        out = edfa(out, link.span.loss_db, link.edfa_nf_db, rng,
-                   ase_enabled=link.ase_enabled)
-    return out
+        signal = ssfm_span(signal, link.span, link.step_km)
+        signal = inline_cdc(signal, link.span)
+        signal = edfa(signal, link.span.loss_db, link.edfa_nf_db, rng,
+                      ase_enabled=link.ase_enabled)
+        yield signal
+
+
+def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
+    """The field after the whole link: the last one propagate_spans yields."""
+    return deque(propagate_spans(signal, link), maxlen=1)[0]

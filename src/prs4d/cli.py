@@ -73,8 +73,7 @@ def parse_config(path: str | None, overrides: list[str] | None = None
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def emit_plot(records, x_field: str, y_field: str, path: str,
-              x_label: str | None = None, y_label: str | None = None) -> None:
+def emit_plot(records, x_field: str, y_field: str, path: str) -> None:
     """Render one SVG polyline per (format, demapper) series.
 
     Hand-rolled SVG so identical inputs produce byte-identical files.
@@ -125,11 +124,11 @@ def emit_plot(records, x_field: str, y_field: str, path: str,
             f'text-anchor="end">{yv:.4g}</text>')
     out.append(
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 12}" '
-        f'font-size="13" text-anchor="middle">{x_label or x_field}</text>')
+        f'font-size="13" text-anchor="middle">{x_field}</text>')
     out.append(
         f'<text x="16" y="{(mt + height - mb) / 2:.1f}" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 16 '
-        f'{(mt + height - mb) / 2:.1f})">{y_label or y_field}</text>')
+        f'{(mt + height - mb) / 2:.1f})">{y_field}</text>')
 
     for i, key in enumerate(sorted(series)):
         pts = sorted(series[key], key=lambda r: getattr(r, x_field))
@@ -172,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--powers", default="-4:6:1",
                    help="launch powers in dBm, lo:hi:step or comma list")
 
-    p = sub.add_parser("sweep-distance", help="GMI vs span count")
+    p = sub.add_parser("sweep-distance", help="GMI after each span count, "
+                       "from one propagation")
     _add_common(p)
     p.add_argument("--spans", default="4,6,8,10,12,14",
                    help="comma list of span counts")

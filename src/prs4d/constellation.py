@@ -198,6 +198,8 @@ def map_bits_to_symbols(bits: np.ndarray, c: Constellation4D):
     bits = np.asarray(bits).ravel()
     if bits.size % c.m != 0:
         raise ValueError(f"bit count {bits.size} not divisible by m={c.m}")
+    if bits.size and not 0 <= bits.min() <= bits.max() <= 1:
+        raise ValueError(f"bits must be 0 or 1, got values in [{bits.min()}, {bits.max()}]")
     indices = bits.reshape(-1, c.m).astype(np.int64) @ (1 << np.arange(c.m - 1, -1, -1))
     return indices, np.take(c.points, indices, axis=0)
 

@@ -1,5 +1,6 @@
-"""Experiment orchestration: one transmission point per config, and sweeps
-that are loops of run_point over configs that differ in one field.
+"""Experiment orchestration: run_point is transmit -> propagate_link ->
+receive at one config. A power sweep runs one point per power; a distance
+sweep propagates once and receives after each requested span count.
 
 Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
@@ -20,7 +21,7 @@ import numpy as np
 from . import constellation as const
 from . import demapper as dm
 from . import rxdsp, txdsp
-from .channel import FiberParams, LinkConfig, propagate_link
+from .channel import FiberParams, LinkConfig, propagate_link, propagate_spans
 
 CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
               "gmi_bit4d,ndr_gbps,seed,runtime_s")
@@ -155,45 +156,37 @@ def derived_seed(master: int, *coords) -> int:
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
 
 
-def run_point(cfg: ExperimentConfig,
-              seed: int | None = None) -> list[ResultRecord]:
-    """Run one full TX -> link -> RX -> demap experiment at cfg's point.
-
-    Evaluates the center WDM channel. Returns one record per requested
-    demapper (iid, cg or both), deterministic for a fixed seed (cfg.seed
-    unless given); with cfg.timings each carries the whole point's runtime.
-    """
-    t0 = time.perf_counter()
-    seed = cfg.seed if seed is None else seed
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError("seed must be an integer")
-
+def _transmit(cfg: ExperimentConfig, seed: int):
+    """Shape and multiplex every WDM channel: returns the constellation,
+    the launch field, the center channel's sent indices and the link."""
     c = cfg.build_constellation()
     sps = cfg.effective_sps()
-    baud = cfg.baud_hz
-    center = (cfg.n_channels - 1) // 2
-    center_offset = (center - (cfg.n_channels - 1) / 2) * cfg.spacing_hz
-
     channels = []
     for ch in range(cfg.n_channels):
         bits = txdsp.generate_bits(derived_seed(seed, "bits", ch),
                                    cfg.n_symbols * c.m)
         indices, points = const.map_bits_to_symbols(bits, c)
-        sig = txdsp.rrc_shape(points, sps, cfg.rolloff, baud=baud)
-        sig = txdsp.set_mean_power(sig, cfg.launch_dbm)
-        channels.append(sig)
-        if ch == center:
+        sig = txdsp.rrc_shape(points, sps, cfg.rolloff, baud=cfg.baud_hz)
+        channels.append(txdsp.set_mean_power(sig, cfg.launch_dbm))
+        if ch == (cfg.n_channels - 1) // 2:
             tx_indices = indices
-
-    mux = txdsp.wdm_mux(channels, cfg.spacing_hz, sps * baud,
-                        baud=baud, rolloff=cfg.rolloff)
+    mux = txdsp.wdm_mux(channels, cfg.spacing_hz, sps * cfg.baud_hz,
+                        baud=cfg.baud_hz, rolloff=cfg.rolloff)
     link = LinkConfig(span=cfg.fiber(), n_spans=cfg.n_spans,
                       step_km=cfg.step_km, edfa_nf_db=cfg.nf_db,
                       ase_enabled=cfg.ase_enabled,
                       seed=derived_seed(seed, "ase"))
-    rx_sig = propagate_link(mux, link)
+    return c, mux, tx_indices, link
 
-    rx = rxdsp.channel_select(rx_sig, center_offset, baud, cfg.rolloff)
+
+def _receive(cfg: ExperimentConfig, seed: int, c, rx_sig, tx_indices,
+             t0: float) -> list[ResultRecord]:
+    """Select the center channel, undo phase and gain with the genie, and
+    demap; with cfg.timings each record's runtime runs from t0 to the
+    last demap."""
+    center_offset = ((cfg.n_channels - 1) // 2
+                     - (cfg.n_channels - 1) / 2) * cfg.spacing_hz
+    rx = rxdsp.channel_select(rx_sig, center_offset, cfg.baud_hz, cfg.rolloff)
     tx_points = np.take(c.points, tx_indices, axis=0)
     rx = rxdsp.genie_phase_compensation(rx, tx_points, cfg.phase_window)
     # unbiased gain normalization: keeps clouds centered on the
@@ -219,6 +212,22 @@ def run_point(cfg: ExperimentConfig,
         runtime_s=runtime, sigma2=sigma2) for kind, gmi in gmis.items()]
 
 
+def run_point(cfg: ExperimentConfig,
+              seed: int | None = None) -> list[ResultRecord]:
+    """Run one full TX -> link -> RX -> demap experiment at cfg's point.
+
+    Evaluates the center WDM channel. Returns one record per requested
+    demapper (iid, cg or both), deterministic for a fixed seed (cfg.seed
+    unless given); with cfg.timings each carries the whole point's runtime.
+    """
+    t0 = time.perf_counter()
+    seed = cfg.seed if seed is None else seed
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer")
+    c, mux, tx_indices, link = _transmit(cfg, seed)
+    return _receive(cfg, seed, c, propagate_link(mux, link), tx_indices, t0)
+
+
 def _worker_count() -> int:
     env = os.environ.get("PRS4D_WORKERS")
     if not env:
@@ -228,33 +237,38 @@ def _worker_count() -> int:
     return int(env)
 
 
-def _run_grid(tasks):
-    """Run (cfg, seed) tasks in order, on PRS4D_WORKERS processes."""
-    workers = _worker_count()
-    if workers <= 1:
-        return [run_point(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_point, *zip(*tasks)))
-
-
 def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
-    """One run per launch power, each with an independent derived seed."""
+    """One run per launch power, each with an independent derived seed,
+    in order on PRS4D_WORKERS processes."""
     powers = list(powers)
     if not powers:
         raise ValueError("empty power list")
     tasks = [(replace(cfg, launch_dbm=float(p)),
               derived_seed(cfg.seed, "power", float(p))) for p in powers]
-    return [r for recs in _run_grid(tasks) for r in recs]
+    workers = _worker_count()
+    if workers <= 1:
+        return [r for t in tasks for r in run_point(*t)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for recs in pool.map(run_point, *zip(*tasks)) for r in recs]
 
 
 def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
-    """One run per span count at the configured launch power."""
+    """GMI after each span count from one propagation at cfg.seed.
+
+    The record at n equals run_point(replace(cfg, n_spans=n)). Records come
+    in input order, duplicates kept; with cfg.timings a record's runtime
+    runs from the start of the curve to its last demap.
+    """
     span_counts = list(span_counts)
-    if not span_counts:
+    cfgs = {n: replace(cfg, n_spans=n) for n in span_counts}
+    if not cfgs:
         raise ValueError("empty span-count list")
-    tasks = [(replace(cfg, n_spans=int(n)),
-              derived_seed(cfg.seed, "spans", int(n))) for n in span_counts]
-    return [r for recs in _run_grid(tasks) for r in recs]
+    t0 = time.perf_counter()
+    c, mux, tx_indices, link = _transmit(cfgs[max(cfgs)], cfg.seed)
+    taps = {n: _receive(cfgs[n], cfg.seed, c, rx_sig, tx_indices, t0)
+            for n, rx_sig in enumerate(propagate_spans(mux, link), 1)
+            if n in cfgs}
+    return [r for n in span_counts for r in taps[n]]
 
 
 def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, float]:
@@ -286,23 +300,17 @@ def sweep_channels(cfg: ExperimentConfig, channel_counts,
         raise ValueError("empty channel-count list")
     out = []
     for n_ch in channel_counts:
-        cfg_n = replace(cfg, n_channels=int(n_ch),
+        cfg_n = replace(cfg, n_channels=n_ch,
                         seed=derived_seed(cfg.seed, "channels", int(n_ch)))
         recs = sweep_power(cfg_n, powers)
-        kinds = sorted({r.demapper for r in recs})
-        for kind in kinds:
+        for kind in sorted({r.demapper for r in recs}):
             series = sorted((r for r in recs if r.demapper == kind),
                             key=lambda r: r.launch_dbm)
-            p = np.array([r.launch_dbm for r in series])
-            g = np.array([r.gmi_bit4d for r in series])
-            p_opt, g_opt = fit_optimum_power(p, g)
-            tmpl = series[0]
-            out.append(ResultRecord(
-                launch_dbm=p_opt, distance_km=tmpl.distance_km,
-                n_channels=int(n_ch), format=tmpl.format, demapper=kind,
-                gmi_bit4d=g_opt, ndr_gbps=g_opt * cfg.baud_gbd,
-                seed=cfg_n.seed, runtime_s=0.0,
-            ))
+            p_opt, g_opt = fit_optimum_power([r.launch_dbm for r in series],
+                                             [r.gmi_bit4d for r in series])
+            out.append(replace(series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
+                               ndr_gbps=g_opt * cfg.baud_gbd, seed=cfg_n.seed,
+                               runtime_s=0.0, sigma2=0.0))
     return out
 
 

@@ -125,6 +125,37 @@ def test_run_point_names_one_llr_span_per_law(tracing):
     assert sorted(metrics) == sorted(wanted)
     assert all(v > 0 for v in metrics.values()), metrics
 
+
+def test_traced_link_calls_are_counted(monkeypatch):
+    """The tracer times the link through harness.propagate_link and each
+    span through channel.ssfm_span: one run_point calls the first once and
+    the second once per span, and a distance curve propagates once up to
+    its largest count, so channel.propagate_link_s and channel.ssfm_span_s
+    stay live and a curve costs max(counts) spans."""
+    from prs4d import channel, harness
+
+    calls = []
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "propagate_link",
+                        counted("link", harness.propagate_link))
+    monkeypatch.setattr(channel, "ssfm_span", counted("span", channel.ssfm_span))
+    cfg = harness.ExperimentConfig(
+        format="pm8qam", n_channels=1, n_symbols=256, n_spans=3,
+        step_km=80.0, launch_dbm=0.0, demapper="iid")
+    harness.run_point(cfg)
+    assert calls == ["link"] + ["span"] * cfg.n_spans
+    calls.clear()
+    harness.sweep_distance(cfg, [4, 2, 4])
+    assert calls == ["span"] * 4
+
+
 def test_shimmed_calls_stay_on_the_calling_thread(tracing, monkeypatch):
     """The tracer keeps one span stack, which is not thread-safe, so every
     shimmed call of a traced run_point must run on the calling thread:

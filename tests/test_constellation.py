@@ -223,6 +223,14 @@ class TestMapping:
         idx, pts = C.map_bits_to_symbols(bits, c)
         assert np.all(idx == 5)
 
+    @pytest.mark.parametrize("bits, lo, hi", [([0, 0, 0, 0, 0, 2], 0, 2),
+                                              ([2, 0, 0, 0, 0, 0], 0, 2),
+                                              ([0, 0, 0, 0, 0, -1], -1, 0)])
+    def test_bits_other_than_0_or_1_rejected(self, c, bits, lo, hi):
+        with pytest.raises(ValueError, match=rf"^bits must be 0 or 1, got "
+                                             rf"values in \[{lo}, {hi}\]$"):
+            C.map_bits_to_symbols(np.array(bits), c)
+
 
 class TestBitGenAndExport:
     def test_export_format(self, tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prs4d import channel
 from prs4d import demapper as dm
 from prs4d import harness as H
 from prs4d.channel import C_LIGHT, H_PLANCK
@@ -252,7 +253,6 @@ class TestSweeps:
 
     @pytest.mark.parametrize("sweep, field, coord, value", [
         (H.sweep_power, "launch_dbm", "power", -1.0),
-        (H.sweep_distance, "n_spans", "spans", 2),
     ])
     def test_sweep_is_a_loop_over_run_point(self, sweep, field, coord, value,
                                             monkeypatch):
@@ -264,9 +264,45 @@ class TestSweeps:
         monkeypatch.setenv("PRS4D_WORKERS", "1")
         assert sweep(cfg, [value]) == point
 
+    def test_sweep_distance_taps_run_point(self):
+        """One propagation at cfg.seed gives, at each count n, the records of
+        run_point(replace(cfg, n_spans=n)) bit for bit, because span k draws
+        the same ASE whatever n_spans is. Input order and duplicates are
+        kept, and the runtime runs from the start of the curve."""
+        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=2.0,
+                          n_symbols=2**12, demapper="both")
+        counts = [3, 1, 2, 3]
+        curve = H.sweep_distance(cfg, counts)
+        points = [r for n in counts for r in H.run_point(replace(cfg, n_spans=n))]
+        assert curve == points
+        assert [r.sigma2 for r in curve] == [r.sigma2 for r in points]
+        assert H.records_to_csv(curve) == H.records_to_csv(points)
+        assert {r.seed for r in curve} == {cfg.seed}
+        timed = H.sweep_distance(replace(cfg, timings=True), [1, 2, 3])
+        runtimes = [r.runtime_s for r in timed]
+        assert 0.0 < runtimes[0] and runtimes == sorted(runtimes)
+
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])
         assert [r.distance_km for r in recs] == [80.0, 160.0, 240.0]
+
+    def test_fractional_counts_rejected_before_propagation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        with pytest.raises(ValueError,
+                           match="^n_spans must be an integer, got 2.7$"):
+            H.sweep_distance(tiny_config(), [1, 2.7])
+        with pytest.raises(ValueError,
+                           match="^n_channels must be an integer, got 1.9$"):
+            H.sweep_channels(tiny_config(), [1.9], powers=[0.0])
+        assert calls == []
+
+    def test_numpy_integer_counts_run(self):
+        cfg = tiny_config(ase_enabled=True)
+        assert (H.sweep_distance(cfg, np.array([2, 1]))
+                == H.sweep_distance(cfg, [2, 1]))
+        assert (H.sweep_channels(cfg, [np.int64(1)], powers=[-1.0, 0.0, 1.0])
+                == H.sweep_channels(cfg, [1], powers=[-1.0, 0.0, 1.0]))
 
     def test_sweep_channels_structure(self):
         recs = H.sweep_channels(tiny_config(), [1], powers=[-1.0, 0.0, 1.0])
