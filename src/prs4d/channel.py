@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -213,5 +212,9 @@ def propagate_spans(signal: SampledSignal, link: LinkConfig):
 
 
 def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
-    """The field after the whole link: the last one propagate_spans yields."""
-    return deque(propagate_spans(signal, link), maxlen=1)[0]
+    """The field after the whole link: the last one propagate_spans yields,
+    each earlier one dropped as it comes, not held through the next span."""
+    spans = propagate_spans(signal, link)
+    for _ in range(link.n_spans - 1):
+        next(spans)
+    return next(spans)

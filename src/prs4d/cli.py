@@ -1,11 +1,16 @@
-"""Command-line front end: flat key=value configs, sweeps, CSV and SVG output."""
+"""Command-line front end: flat key=value configs, sweeps, CSV and SVG output.
+
+Every command but optimize-constellation, which searches the 4D-64PRS
+geometry itself, reads its constellation and link from the one config (a
+--config file, then --set overrides). Grids take lo:hi:step or a comma list.
+"""
 
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -147,13 +152,14 @@ def emit_plot(records, x_field: str, y_field: str, path: str) -> None:
         f.write("\n".join(out) + "\n")
 
 
-def _add_common(p):
+def _add_common(p, output="results.csv", plot=True):
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides", help="override a config field")
-    p.add_argument("--output", default="results.csv", help="output CSV path")
-    p.add_argument("--plot", default=None, metavar="SVG",
-                   help="also write an SVG line plot")
+    p.add_argument("--output", default=output, help="output CSV path")
+    if plot:
+        p.add_argument("--plot", default=None, metavar="SVG",
+                       help="also write an SVG line plot")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,43 +190,45 @@ def build_parser() -> argparse.ArgumentParser:
                    help="power grid used to locate the optimum")
 
     p = sub.add_parser("gmi-awgn", help="AWGN GMI reference curve")
-    p.add_argument("--format", default="4d64prs",
-                   choices=harness.VALID_FORMATS)
+    _add_common(p, output="-", plot=False)
     p.add_argument("--snr", default="0:20:2", help="SNR grid in dB")
-    p.add_argument("--output", default="-", help="CSV path or - for stdout")
 
     p = sub.add_parser("optimize-constellation",
                        help="grid-search the ring-switching geometry")
     p.add_argument("--snr", type=float, default=const.DEFAULT_PRS_SNR_DB)
-    p.add_argument("--rho-range", default=None, help="lo,hi")
-    p.add_argument("--theta-range", default=None, help="lo,hi")
-    p.add_argument("--steps", type=int,
-                   default=const.DEFAULT_PRS_GRID["steps"])
+    p.add_argument("--rho", default=None,
+                   help="rho grid (default: 9 values over [1.2, 2.0])")
+    p.add_argument("--theta", default=None,
+                   help="theta grid (default: 9 values over [0.25, 0.65])")
 
     p = sub.add_parser("export-constellation", help="write points + labels CSV")
-    p.add_argument("--format", default="4d64prs",
-                   choices=harness.VALID_FORMATS)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   dest="overrides", help="config overrides (prs_rho, ...)")
-    p.add_argument("--output", default="constellation.csv")
+    _add_common(p, output="constellation.csv", plot=False)
     return ap
 
 
-def _parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        lo, hi, step = (float(v) for v in spec.split(":"))
-        if step == 0:
-            raise ValueError(f"grid {spec!r}: step must be nonzero")
-        n = math.floor((hi - lo) / step + 1e-9) + 1
-        if n < 1:
-            raise ValueError(f"grid {spec!r}: empty range")
-        return [lo + k * step for k in range(n)]
-    return [float(v) for v in spec.split(",")]
+def _parse_grid(flag: str, spec: str) -> list[float]:
+    """Finite lo:hi:step (hi included), or a comma list of numbers."""
+    try:
+        vals = [float(v) for v in spec.split(":" if ":" in spec else ",")]
+    except ValueError:
+        vals = []
+    if vals and ":" not in spec:
+        return vals
+    if len(vals) != 3 or not all(map(math.isfinite, vals)):
+        raise ValueError(f"{flag} {spec!r}: expected lo:hi:step or a comma "
+                         "list of numbers")
+    lo, hi, step = vals
+    if step == 0:
+        raise ValueError(f"{flag} {spec!r}: step must be nonzero")
+    n = math.floor((hi - lo) / step + 1e-9) + 1
+    if n < 1:
+        raise ValueError(f"{flag} {spec!r}: empty range")
+    return [lo + k * step for k in range(n)]
 
 
 def _parse_counts(flag: str, spec: str) -> list[int]:
     """A grid of counts; every value must be an integer >= 1."""
-    vals = _parse_grid(spec)
+    vals = _parse_grid(flag, spec)
     bad = [v for v in vals if not (v >= 1 and v.is_integer())]
     if bad:
         raise ValueError(f"{flag} {spec!r}: counts must be integers >= 1, "
@@ -229,36 +237,27 @@ def _parse_counts(flag: str, spec: str) -> list[int]:
 
 
 def _run(args) -> int:
-    if args.command in ("simulate", "sweep-power", "sweep-distance",
-                        "sweep-channels"):
-        cfg = parse_config(args.config, args.overrides)
-        if args.command == "simulate":
-            records = harness.run_point(cfg)
-            xf = "launch_dbm"
-        elif args.command == "sweep-power":
-            records = harness.sweep_power(cfg, _parse_grid(args.powers))
-            xf = "launch_dbm"
-        elif args.command == "sweep-distance":
-            spans = _parse_counts("--spans", args.spans)
-            records = harness.sweep_distance(cfg, spans)
-            xf = "distance_km"
-        else:
-            counts = _parse_counts("--channels", args.channels)
-            records = harness.sweep_channels(cfg, counts,
-                                             _parse_grid(args.powers))
-            xf = "n_channels"
-        harness.write_csv(records, args.output)
-        if args.plot:
-            yf = "ndr_gbps" if args.command == "sweep-channels" else "gmi_bit4d"
-            emit_plot(records, xf, yf, args.plot)
+    if args.command == "optimize-constellation":
+        rhos = (const.DEFAULT_PRS_RHOS if args.rho is None
+                else _parse_grid("--rho", args.rho))
+        thetas = (const.DEFAULT_PRS_THETAS if args.theta is None
+                  else _parse_grid("--theta", args.theta))
+        params, gmi = const.optimize_prs_params(args.snr, rhos, thetas)
+        print(f"rho={params.rho:.10g} theta={params.theta:.10g} "
+              f"gmi={gmi:.10g}")
+        return 0
+
+    cfg = parse_config(args.config, args.overrides)
+    if args.command == "export-constellation":
+        const.export_csv(cfg.build_constellation(), args.output)
         return 0
 
     if args.command == "gmi-awgn":
-        c = const.build_format(args.format)
+        c = cfg.build_constellation()
         lines = ["snr_db,format,gmi_bit4d"]
-        for snr in _parse_grid(args.snr):
+        for snr in _parse_grid("--snr", args.snr):
             gmi = dm.awgn_gmi_reference(c, snr)
-            lines.append(f"{snr:.10g},{args.format},{gmi:.10g}")
+            lines.append(f"{snr:.10g},{cfg.format},{gmi:.10g}")
         text = "\n".join(lines) + "\n"
         if args.output == "-":
             sys.stdout.write(text)
@@ -267,25 +266,26 @@ def _run(args) -> int:
                 f.write(text)
         return 0
 
-    if args.command == "optimize-constellation":
-        grid = dict(const.DEFAULT_PRS_GRID)
-        if args.rho_range:
-            grid["rho_range"] = tuple(float(v) for v in args.rho_range.split(","))
-        if args.theta_range:
-            grid["theta_range"] = tuple(
-                float(v) for v in args.theta_range.split(","))
-        grid["steps"] = args.steps
-        params, gmi = const.optimize_prs_params(args.snr, grid)
-        print(f"rho={params.rho:.10g} theta={params.theta:.10g} "
-              f"gmi={gmi:.10g}")
-        return 0
-
-    if args.command == "export-constellation":
-        cfg = replace(parse_config(None, args.overrides), format=args.format)
-        const.export_csv(cfg.build_constellation(), args.output)
-        return 0
-
-    raise ValueError(f"unhandled command {args.command}")
+    if args.command == "simulate":
+        records = harness.run_point(cfg)
+        xf = "launch_dbm"
+    elif args.command == "sweep-power":
+        records = harness.sweep_power(cfg, _parse_grid("--powers", args.powers))
+        xf = "launch_dbm"
+    elif args.command == "sweep-distance":
+        spans = _parse_counts("--spans", args.spans)
+        records = harness.sweep_distance(cfg, spans)
+        xf = "distance_km"
+    else:
+        counts = _parse_counts("--channels", args.channels)
+        records = harness.sweep_channels(cfg, counts,
+                                         _parse_grid("--powers", args.powers))
+        xf = "n_channels"
+    harness.write_csv(records, args.output)
+    if args.plot:
+        yf = "ndr_gbps" if args.command == "sweep-channels" else "gmi_bit4d"
+        emit_plot(records, xf, yf, args.plot)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -214,37 +214,29 @@ def export_csv(c: Constellation4D, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-# Shipped defaults: output of optimize_prs_params over DEFAULT_PRS_GRID at
-# DEFAULT_PRS_SNR_DB, the SNR where the best AWGN GMI is about 4.55 bit/4D-sym.
-# Pinned by tests/test_constellation.py::TestOptimize::
-# test_shipped_defaults_are_the_optimum; rerun the optimizer to change them.
+# Shipped defaults: optimize_prs_params over DEFAULT_PRS_RHOS x
+# DEFAULT_PRS_THETAS at DEFAULT_PRS_SNR_DB, where the best AWGN GMI is about
+# 4.55 bit/4D-sym. Pinned by TestOptimize::test_shipped_defaults_are_the_optimum
+# in tests/test_constellation.py; rerun the optimizer to change them.
 DEFAULT_PRS_SNR_DB = 8.1
-DEFAULT_PRS_GRID = {
-    "rho_range": (1.2, 2.0),
-    "theta_range": (0.25, 0.65),
-    "steps": 9,
-}
+DEFAULT_PRS_RHOS = np.linspace(1.2, 2.0, 9)
+DEFAULT_PRS_THETAS = np.linspace(0.25, 0.65, 9)
 DEFAULT_PRS_RHO = 1.6
 DEFAULT_PRS_THETA = 0.45
 DEFAULT_RING_RATIO = 1.0 / 0.65  # 6b4D-2A8PSK outer/inner ring ratio
 
 
-def optimize_prs_params(snr_db: float, grid: dict) -> tuple[PrsParams, float]:
-    """Grid search over (rho, theta) maximizing AWGN GMI at snr_db.
+def optimize_prs_params(snr_db: float, rhos, thetas) -> tuple[PrsParams, float]:
+    """Grid search over rhos x thetas maximizing AWGN GMI at snr_db.
 
-    grid: {"rho_range": (lo, hi), "theta_range": (lo, hi), "steps": n}.
-    Degenerate grid points are skipped; ties broken by smaller rho then
-    smaller theta (scan order), so the result is deterministic and
-    independent of any evaluation parallelism.
+    Degenerate grid points are skipped; ties broken by the earlier rho,
+    then the earlier theta (scan order), so the result is deterministic
+    and independent of any evaluation parallelism.
     """
     from . import demapper  # deferred: demapper needs Constellation4D
 
-    steps = int(grid["steps"])
-    if steps < 1:
+    if not (len(rhos) and len(thetas)):
         raise ValueError("grid must contain at least one point")
-    rhos = np.linspace(*grid["rho_range"], steps)
-    thetas = np.linspace(*grid["theta_range"], steps)
-
     best = None
     best_gmi = -np.inf
     for rho in rhos:

@@ -48,12 +48,12 @@ class ExperimentConfig:
     n_symbols: int = 2**16
     seed: int = 1234
     n_spans: int = 30
-    span_km: float = 80.0
-    step_km: float = 0.1
-    alpha_db_km: float = 0.219
-    disp_ps_nm_km: float = 4.255
-    gamma_w_km: float = 1.464
-    nf_db: float = 5.0
+    span_km: float = FiberParams.length_km
+    step_km: float = LinkConfig.step_km
+    alpha_db_km: float = FiberParams.alpha_db_km
+    disp_ps_nm_km: float = FiberParams.disp_ps_nm_km
+    gamma_w_km: float = FiberParams.gamma_w_km
+    nf_db: float = LinkConfig.edfa_nf_db
     launch_dbm: float = 0.0
     demapper: str = "both"
     phase_window: int = 128
@@ -170,8 +170,7 @@ def _transmit(cfg: ExperimentConfig, seed: int):
         channels.append(txdsp.set_mean_power(sig, cfg.launch_dbm))
         if ch == (cfg.n_channels - 1) // 2:
             tx_indices = indices
-    mux = txdsp.wdm_mux(channels, cfg.spacing_hz, sps * cfg.baud_hz,
-                        baud=cfg.baud_hz, rolloff=cfg.rolloff)
+    mux = txdsp.wdm_mux(channels, cfg.spacing_hz, cfg.baud_hz, cfg.rolloff)
     link = LinkConfig(span=cfg.fiber(), n_spans=cfg.n_spans,
                       step_km=cfg.step_km, edfa_nf_db=cfg.nf_db,
                       ase_enabled=cfg.ase_enabled,
@@ -265,9 +264,14 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
         raise ValueError("empty span-count list")
     t0 = time.perf_counter()
     c, mux, tx_indices, link = _transmit(cfgs[max(cfgs)], cfg.seed)
-    taps = {n: _receive(cfgs[n], cfg.seed, c, rx_sig, tx_indices, t0)
-            for n, rx_sig in enumerate(propagate_spans(mux, link), 1)
-            if n in cfgs}
+    spans, taps = propagate_spans(mux, link), {}
+    for n in range(1, link.n_spans + 1):
+        # next() and del, not enumerate(spans), whose reused result tuple
+        # would keep this field alive through the next span
+        rx_sig = next(spans)
+        if n in cfgs:
+            taps[n] = _receive(cfgs[n], cfg.seed, c, rx_sig, tx_indices, t0)
+        del rx_sig
     return [r for n in span_counts for r in taps[n]]
 
 

@@ -96,7 +96,7 @@ def rrc_support(ns: int, sps: int, rolloff: float):
 
 
 def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
-              baud: float = 45e9) -> ChannelSpectrum:
+              baud: float) -> ChannelSpectrum:
     """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into the spectrum
     of an Ns * sps frame: bin j is symbol bin j mod Ns times the response."""
     # a copy: the FFT below overwrites its input
@@ -116,32 +116,32 @@ def set_mean_power(sig: ChannelSpectrum, power_dbm: float) -> ChannelSpectrum:
     return replace(sig, bins=g * sig.bins)
 
 
-def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, fs_out: float,
-            baud: float = 45e9, rolloff: float = 0.1) -> SampledSignal:
+def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
+            rolloff: float) -> SampledSignal:
     """Shift each channel onto a symmetric grid, sum, and return the frame.
 
     Channel k moves to the FFT bin nearest (k - (n-1)/2) * spacing_hz.
-    Channels share the frame length and fs_out, and are summed in index
-    order for bit-exact reproducibility.
+    Channels share the frame length and sample rate, which the frame
+    keeps, and are summed in index order for bit-exact reproducibility.
     """
     n_ch = len(channels)
     if n_ch == 0:
         raise ValueError("need at least one channel")
+    n, fs = channels[0].n, channels[0].fs
+    if any(ch.n != n or ch.fs != fs for ch in channels):
+        raise ValueError("channels must share the frame length and sample rate")
     band = (n_ch - 1) * spacing_hz + (1 + rolloff) * baud
-    if fs_out < band:
+    if fs < band:
         raise ValueError(
-            f"fs_out {fs_out:.3g} Hz cannot carry the {band:.3g} Hz WDM band"
+            f"sample rate {fs:.3g} Hz cannot carry the {band:.3g} Hz WDM band"
         )
     if n_ch > 1 and spacing_hz < (1 + rolloff) * baud:
         warnings.warn("channel spacing below (1+rolloff)*baud: spectra overlap")
-    n = channels[0].n
-    if any(ch.n != n or ch.fs != fs_out for ch in channels):
-        raise ValueError("channels must share the frame length and fs_out")
 
     spec = np.zeros((2, n), dtype=complex)
     for k, ch in enumerate(channels):
-        shift = round((k - (n_ch - 1) / 2) * spacing_hz * n / fs_out)
+        shift = round((k - (n_ch - 1) / 2) * spacing_hz * n / fs)
         spec[:, (ch.index + shift) % n] += ch.bins
     for row in spec:
         row[...] = sfft.ifft(row, overwrite_x=True)
-    return SampledSignal(spec, fs_out)
+    return SampledSignal(spec, fs)

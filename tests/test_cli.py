@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prs4d import cli, harness as H
+from prs4d import cli, constellation as C, demapper as D, harness as H
 
 
 class TestParseConfig:
@@ -65,22 +65,40 @@ class TestParseConfig:
 
 class TestParseGrid:
     def test_colon_range(self):
-        assert cli._parse_grid("-4:6:2") == [-4.0, -2.0, 0.0, 2.0, 4.0, 6.0]
+        assert cli._parse_grid("--powers", "-4:6:2") == [-4.0, -2.0, 0.0, 2.0, 4.0, 6.0]
 
     def test_comma_list(self):
-        assert cli._parse_grid("1,2.5,4") == [1.0, 2.5, 4.0]
+        assert cli._parse_grid("--powers", "1,2.5,4") == [1.0, 2.5, 4.0]
 
     def test_single_point_range(self):
-        assert cli._parse_grid("10:10:1") == [10.0]
+        assert cli._parse_grid("--powers", "10:10:1") == [10.0]
 
     def test_range_stops_at_upper_bound(self):
-        assert cli._parse_grid("0:2:0.7") == pytest.approx([0.0, 0.7, 1.4])
-        assert cli._parse_grid("4:0:-2") == [4.0, 2.0, 0.0]
-        assert len(cli._parse_grid("0:1:0.1")) == 11
+        assert cli._parse_grid("--powers", "0:2:0.7") == pytest.approx([0.0, 0.7, 1.4])
+        assert cli._parse_grid("--powers", "4:0:-2") == [4.0, 2.0, 0.0]
+        assert len(cli._parse_grid("--powers", "0:1:0.1")) == 11
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="empty range"):
-            cli._parse_grid("5:4:1")
+            cli._parse_grid("--powers", "5:4:1")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gmi-awgn", "--snr"), ("sweep-power", "--powers"),
+        ("sweep-channels", "--powers"), ("optimize-constellation", "--rho"),
+        ("optimize-constellation", "--theta"),
+    ])
+    @pytest.mark.parametrize("spec", ["1:2", "1,x", "0:nan:1"])
+    def test_malformed_grid_names_the_flag(self, tmp_path, capsys, command,
+                                           flag, spec):
+        out = tmp_path / "r.csv"
+        args = [command, f"{flag}={spec}"]
+        if command != "optimize-constellation":
+            args += ["--output", str(out)] + TINY
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {flag} {spec!r}: expected "
+                                "lo:hi:step or a comma list of numbers\n")
 
 
 def rec(fmt, dmp, x, y):
@@ -223,7 +241,7 @@ class TestMain:
 
     def test_export_constellation(self, tmp_path):
         out = tmp_path / "c.csv"
-        assert cli.main(["export-constellation", "--format", "4d64prs",
+        assert cli.main(["export-constellation", "--set", "format=4d64prs",
                          "--output", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "index,label_bits,s1,s2,s3,s4"
@@ -258,10 +276,38 @@ class TestMain:
         assert "valid keys" in capsys.readouterr().err
 
     def test_gmi_awgn_stdout(self, capsys):
-        assert cli.main(["gmi-awgn", "--format", "pm8qam",
+        assert cli.main(["gmi-awgn", "--set", "format=pm8qam",
                          "--snr", "30:30:1"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0] == "snr_db,format,gmi_bit4d"
         gmi = float(lines[1].split(",")[2])
         assert 5.99 <= gmi <= 6.0 + 1e-9
+
+    def test_gmi_awgn_scores_the_config_geometry(self, capsys):
+        assert cli.main(["gmi-awgn", "--set", "prs_rho=0.5",
+                         "--set", "prs_theta=0.4", "--snr", "8.1"]) == 0
+        ref = D.awgn_gmi_reference(C.build_format("4d64prs", 0.5, 0.4), 8.1)
+        assert capsys.readouterr().out == ("snr_db,format,gmi_bit4d\n"
+                                           f"8.1,4d64prs,{ref:.10g}\n")
+
+    def test_export_constellation_reads_format_from_config(self, tmp_path):
+        out, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
+        assert cli.main(["export-constellation", "--set", "format=pm8qam",
+                         "--output", str(out)]) == 0
+        C.export_csv(C.build_pm8qam(), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_optimize_one_point_grid(self, capsys, monkeypatch):
+        calls = []
+        score = D.awgn_gmi_reference
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(D, "awgn_gmi_reference", counted)
+        assert cli.main(["optimize-constellation", "--rho", "1.6",
+                         "--theta", "0.45"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith("rho=1.6 theta=0.45 gmi=")

@@ -283,28 +283,31 @@ class TestBuildFormat:
 
 class TestOptimize:
     def test_single_point_grid(self):
-        grid = {"rho_range": (1.6, 1.6), "theta_range": (0.45, 0.45), "steps": 1}
-        params, gmi = C.optimize_prs_params(8.1, grid)
+        params, gmi = C.optimize_prs_params(8.1, [1.6], [0.45])
         assert params.rho == 1.6 and params.theta == 0.45
         assert gmi > 0
 
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            C.optimize_prs_params(8.1, [1.6], [])
+
     def test_all_degenerate_grid(self):
         # theta outside the valid open interval everywhere
-        grid = {"rho_range": (1.0, 1.0), "theta_range": (0.0, 0.0), "steps": 1}
         with pytest.raises(ValueError):
-            C.optimize_prs_params(8.1, grid)
+            C.optimize_prs_params(8.1, [1.0], [0.0])
 
     def test_shipped_defaults_are_the_optimum(self):
         params, _ = C.optimize_prs_params(C.DEFAULT_PRS_SNR_DB,
-                                          C.DEFAULT_PRS_GRID)
+                                          C.DEFAULT_PRS_RHOS,
+                                          C.DEFAULT_PRS_THETAS)
         assert (params.rho, params.theta) == (C.DEFAULT_PRS_RHO,
                                               C.DEFAULT_PRS_THETA)
 
     def test_best_beats_neighbors(self):
         from prs4d import demapper as D
 
-        grid = {"rho_range": (1.4, 1.8), "theta_range": (0.35, 0.55), "steps": 3}
-        params, gmi = C.optimize_prs_params(8.1, grid)
+        params, gmi = C.optimize_prs_params(8.1, np.linspace(1.4, 1.8, 3),
+                                            np.linspace(0.35, 0.55, 3))
         # independent re-evaluation of every grid point
         for rho in np.linspace(1.4, 1.8, 3):
             for theta in np.linspace(0.35, 0.55, 3):

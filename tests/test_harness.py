@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,12 @@ class TestExperimentConfig:
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             H.ExperimentConfig(**kw)
+
+    def test_paper_fiber_written_once(self):
+        cfg = H.ExperimentConfig()
+        assert cfg.fiber() == channel.FiberParams()
+        assert (cfg.step_km, cfg.nf_db) == (channel.LinkConfig.step_km,
+                                            channel.LinkConfig.edfa_nf_db)
 
     def test_effective_sps_single_channel(self):
         assert tiny_config().effective_sps() == 2
@@ -281,6 +288,26 @@ class TestSweeps:
         timed = H.sweep_distance(replace(cfg, timings=True), [1, 2, 3])
         runtimes = [r.runtime_s for r in timed]
         assert 0.0 < runtimes[0] and runtimes == sorted(runtimes)
+
+    @pytest.mark.parametrize("run", [
+        H.run_point, lambda cfg: H.sweep_distance(cfg, [cfg.n_spans])])
+    def test_later_spans_hold_no_extra_frame(self, run):
+        """Going from 1 to 3 spans raises the peak traced memory by less
+        than 0.9 frame: no consumer of propagate_spans keeps a span's
+        field alive while the next span runs."""
+        cfg = tiny_config(n_channels=3, n_symbols=2**13, gamma_w_km=1.464,
+                          ase_enabled=True)
+        frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
+
+        def peak(n_spans):
+            tracemalloc.start()
+            try:
+                run(replace(cfg, n_spans=n_spans))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) - peak(1) < 0.9 * frame_bytes
 
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])

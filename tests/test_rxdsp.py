@@ -19,7 +19,7 @@ def shaped_channel(seed=0, n_sym=1024, sps=4):
 
 def frame(ch):
     """Time-domain frame of one channel at baseband."""
-    return T.wdm_mux([ch], 50e9, ch.fs)
+    return T.wdm_mux([ch], 50e9, BAUD, 0.1)
 
 
 def full_frame_select(signal, offset_hz, sps):
@@ -50,7 +50,7 @@ class TestChannelSelect:
             _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=16)
             chans.append(sig)
             refs.append(pts)
-        mux = T.wdm_mux(chans, 50e9, 16 * BAUD)
+        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
         rx = R.channel_select(mux, 0.0, BAUD, 0.1)
         pts = refs[5]
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
@@ -63,7 +63,7 @@ class TestChannelSelect:
             _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=16)
             chans.append(sig)
             refs.append(pts)
-        mux = T.wdm_mux(chans, 50e9, 16 * BAUD)
+        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
         for k, pts in enumerate(refs):
             rx = R.channel_select(mux, (k - 5) * 50e9, BAUD, 0.1)
             evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
@@ -91,7 +91,7 @@ class TestChannelSelect:
             _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=8)
             chans.append(sig)
             refs.append(pts)
-        mux = T.wdm_mux(chans, 50e9, 8 * BAUD)
+        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
         rx = R.channel_select(mux, 50e9, BAUD, 0.1)
         err_neighbor = np.sum((rx - refs[2]) ** 2)
         err_center = np.sum((rx - refs[1]) ** 2)
@@ -119,7 +119,7 @@ class TestCircularFrame:
         recovered symbols by r, with nothing lost at the frame edges."""
         chans = [shaped_channel(seed=s, n_sym=256, sps=8)[3] for s in range(3)]
         chans = [T.set_mean_power(ch, 6.0) for ch in chans]
-        mux = T.wdm_mux(chans, 50e9, 8 * BAUD)
+        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
         link = CH.LinkConfig(span=CH.FiberParams(), n_spans=1, step_km=10.0,
                              ase_enabled=False)
         r = 37
