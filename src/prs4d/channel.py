@@ -7,9 +7,11 @@ nonlinear phase rotation with the 8/9 averaging factor.
 Every operator works on a private copy of the signal's (2, n) X/Y field,
 and two are the only code for the physics: dispersion (the _phasors
 exp(j beta2/2 w^2 dz), applied by txdsp.spectral_filter) and _kerr (the
-Manakov rotor, whose real gain carries each SSFM step's loss). Each span
-is followed by ideal lossless inline CDC, the same dispersion operator
-over -L, and an EDFA whose ASE is white over the full simulated bandwidth.
+Manakov rotor, whose real gain carries each SSFM step's loss). A span is
+fiber, ideal lossless inline CDC D(-L) and an EDFA whose ASE is white over
+the full simulated bandwidth. ssfm_span folds the CDC into its last merged
+half-step, D(h_n/2 - L): one FFT pair per span fewer than a separate CDC.
+inline_cdc stays stand-alone only because the benchmark's tracer names it.
 
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
@@ -90,9 +92,18 @@ class LinkConfig:
 
 
 def _phasors(signal: SampledSignal, beta2: float, dzs) -> dict:
-    """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz."""
-    w2 = (2 * np.pi * np.fft.fftfreq(signal.n, d=1.0 / signal.fs)) ** 2
-    return {dz: np.exp(0.5j * beta2 * w2 * dz) for dz in set(dzs)}
+    """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz.
+
+    w^2 is exactly even in the bin index, so each is evaluated on bins
+    0 .. n//2 and mirrored into bins n - k, bit for bit.
+    """
+    w2 = (2 * np.pi * np.fft.rfftfreq(signal.n, d=1.0 / signal.fs)) ** 2
+    mirror = slice((signal.n - 1) // 2, 0, -1)
+    out = {}
+    for dz in set(dzs):
+        h = np.exp(0.5j * beta2 * w2 * dz)
+        out[dz] = np.concatenate([h, h[mirror]])
+    return out
 
 
 def _kerr(fld: np.ndarray, gamma: float, dz_eff: float,
@@ -132,11 +143,13 @@ def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
 
 def ssfm_span(signal: SampledSignal, fiber: FiberParams,
               step_km: float) -> SampledSignal:
-    """Symmetric split-step solution of the Manakov equation over one span.
+    """One span of the dispersion-managed link: the fiber by symmetric
+    split-step solution of the Manakov equation, then ideal inline CDC.
 
     Per step of size dz: half-step dispersion, nonlinearity over the
     attenuation-aware effective length (1 - e^{-a dz})/a, half-step
     dispersion, and the loss e^{-a dz / 2} as the Kerr rotor's gain.
+    The CDC D(-L) merges exactly into the last half-step, D(h_n/2 - L).
     """
     n_full, rem = divmod(fiber.length_km, step_km)
     steps = [step_km] * int(round(n_full))
@@ -157,7 +170,10 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
             dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
             _split(pool, spectral_filter, rows, phasors[half])
             _split(pool, _kerr, cut, fiber.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2))
-        _split(pool, spectral_filter, rows, phasors[halves[-1]])
+        del phasors  # freed first: built beside them, the CDC's raised the peak
+        cdc = halves[-1] - fiber.length_km  # D(h_n/2) D(-L) = D(h_n/2 - L)
+        last = _phasors(signal, fiber.beta2_s2_km, [cdc])[cdc]
+        _split(pool, spectral_filter, rows, last)
     return replace(signal, field=fld)
 
 
@@ -205,7 +221,6 @@ def propagate_spans(signal: SampledSignal, link: LinkConfig):
     rng = np.random.default_rng(link.seed)
     for _ in range(link.n_spans):
         signal = ssfm_span(signal, link.span, link.step_km)
-        signal = inline_cdc(signal, link.span)
         signal = edfa(signal, link.span.loss_db, link.edfa_nf_db, rng,
                       ase_enabled=link.ase_enabled)
         yield signal

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -195,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-constellation",
                        help="grid-search the ring-switching geometry")
-    p.add_argument("--snr", type=float, default=const.DEFAULT_PRS_SNR_DB)
+    p.add_argument("--snr", default=const.DEFAULT_PRS_SNR_DB,
+                   help="design SNR in dB")
     p.add_argument("--rho", default=None,
                    help="rho grid (default: 9 values over [1.2, 2.0])")
     p.add_argument("--theta", default=None,
@@ -236,18 +238,36 @@ def _parse_counts(flag: str, spec: str) -> list[int]:
     return [int(v) for v in vals]
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """Fail before the run, not after it, if path cannot be written."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path!r}: no such directory {parent!r}")
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ValueError(f"{flag} {path!r}: not a writable file")
+
+
 def _run(args) -> int:
     if args.command == "optimize-constellation":
+        try:
+            snr = float(args.snr)
+        except ValueError:
+            raise ValueError(f"--snr {args.snr!r}: expected a number") from None
         rhos = (const.DEFAULT_PRS_RHOS if args.rho is None
                 else _parse_grid("--rho", args.rho))
         thetas = (const.DEFAULT_PRS_THETAS if args.theta is None
                   else _parse_grid("--theta", args.theta))
-        params, gmi = const.optimize_prs_params(args.snr, rhos, thetas)
+        params, gmi = const.optimize_prs_params(snr, rhos, thetas)
         print(f"rho={params.rho:.10g} theta={params.theta:.10g} "
               f"gmi={gmi:.10g}")
         return 0
 
     cfg = parse_config(args.config, args.overrides)
+    if args.output != "-":
+        _check_writable("--output", args.output)
+    if getattr(args, "plot", None):
+        _check_writable("--plot", args.plot)
     if args.command == "export-constellation":
         const.export_csv(cfg.build_constellation(), args.output)
         return 0

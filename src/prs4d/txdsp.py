@@ -89,10 +89,16 @@ def rrc_support(ns: int, sps: int, rolloff: float):
         raise ValueError("sps must be >= 2 to avoid aliasing")
     if not 0 < rolloff <= 1:
         raise ValueError("rolloff must be in (0, 1]")
-    j = np.arange(-ns, ns)
-    edge = np.clip(np.abs(j) / ns - (1 - rolloff) / 2, 0.0, rolloff)
-    h = np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge)))
-    return j[h > 0], h[h > 0]
+    k = np.arange(ns + 1)  # |j|
+    edge = k / ns - (1 - rolloff) / 2  # non-decreasing in k
+    lo = np.searchsorted(edge, 0.0, side="right")  # flat band: edge <= 0
+    hi = np.searchsorted(edge, rolloff)  # stop band: edge >= rolloff
+    h = np.zeros(ns + 1)
+    h[:lo] = np.sqrt(sps * 0.5 * (1 + np.cos(0.0)))
+    h[lo:hi] = np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge[lo:hi])))
+    k = k[h > 0]
+    neg, pos = k[:0:-1], k[k < ns]  # j runs over -ns .. ns - 1
+    return np.concatenate([-neg, pos]), h[np.concatenate([neg, pos])]
 
 
 def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,26 @@ def mean_power(sig):
 def kerr_on_copy(sig, gamma, dz_eff):
     """The Kerr rotor on a copy of sig's field, as one step of ssfm_span."""
     return replace(sig, field=ch._kerr(sig.field.copy(), gamma, dz_eff))
+
+
+def unfolded_span(sig, fiber, step_km):
+    """Oracle for ssfm_span: the one-thread symmetric stepper ending in its
+    own half-step D(h_n/2), then inline_cdc as a separate FFT pair."""
+    alpha = fiber.alpha_db_km * ch._LN10 / 10.0
+    n_full, rem = divmod(fiber.length_km, step_km)
+    steps = [step_km] * int(round(n_full))
+    if rem > 1e-9 * fiber.length_km:
+        steps.append(rem)
+    halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
+    ph = ch._phasors(sig, fiber.beta2_s2_km, halves)
+    fld = sig.field.copy()
+    for dz, half in zip(steps, halves):
+        spectral_filter(fld, ph[half])
+        dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
+        ch._kerr(fld, fiber.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2.0))
+    spectral_filter(fld, ph[halves[-1]])
+    del ph
+    return ch.inline_cdc(replace(sig, field=fld), fiber)
 
 
 LEAF = ch.FiberParams()  # paper fiber: 0.219 dB/km, 4.255 ps/nm/km, 1.464 /W/km
@@ -120,12 +141,12 @@ class TestNonlinear:
 
 class TestSsfmSpan:
     def test_linear_reduction(self):
-        """alpha = 0, gamma = 0 reduces to one dispersion step."""
+        """alpha = 0, gamma = 0: the fiber's dispersion D(L) and the folded
+        CDC D(-L) cancel, so the span is transparent."""
         sig = random_signal()
         fib = ch.FiberParams(alpha_db_km=0.0, gamma_w_km=0.0)
         out = ch.ssfm_span(sig, fib, 0.5)
-        ref = ch.dispersion_step(sig, fib.beta2_s2_km, fib.length_km)
-        assert np.max(np.abs(out.x - ref.x)) / np.max(np.abs(sig.x)) < 1e-10
+        assert np.max(np.abs(out.x - sig.x)) / np.max(np.abs(sig.x)) < 1e-10
 
     def test_lossless_power_conserved(self):
         sig = random_signal()
@@ -146,8 +167,8 @@ class TestSsfmSpan:
         sig = random_signal(n=1024)
         fib = ch.FiberParams(alpha_db_km=0.0, gamma_w_km=0.0, length_km=1.0)
         out = ch.ssfm_span(sig, fib, 0.3)  # 3 full steps + 0.1 remainder
-        ref = ch.dispersion_step(sig, fib.beta2_s2_km, 1.0)
-        assert np.max(np.abs(out.x - ref.x)) / np.max(np.abs(sig.x)) < 1e-10
+        # transparent only if the steps cover the whole 1 km the CDC undoes
+        assert np.max(np.abs(out.x - sig.x)) / np.max(np.abs(sig.x)) < 1e-10
 
     def test_step_halving_better_than_first_order(self):
         """Nonlinear paper span: each halving of the step cuts the field
@@ -166,7 +187,8 @@ class TestSsfmSpan:
     def test_matches_plain_reference_stepper(self):
         """Lossy nonlinear 1 km span in 0.3 km steps (0.1 km remainder)
         against a plain stepper: stacked FFT pair with a fresh phasor at
-        every merged half-step, Manakov rotor, then the loss."""
+        every merged half-step, Manakov rotor, then the loss; the span's
+        CDC -L is folded into the last disperse."""
         sig = random_signal(n=1024, power_w=10e-3)  # 10 mW per polarization
         alpha = SHORT.alpha_db_km * np.log(10) / 10
         w2 = (2 * np.pi * np.fft.fftfreq(sig.n, 1 / sig.fs)) ** 2
@@ -183,7 +205,7 @@ class TestSsfmSpan:
             fld = fld * np.exp(1j * (8 / 9) * SHORT.gamma_w_km * dz_eff * p)
             fld = fld * np.exp(-alpha * dz / 2)
             prev = dz
-        ref = disperse(fld, prev / 2)
+        ref = disperse(fld, prev / 2 - SHORT.length_km)
 
         out = ch.ssfm_span(sig, SHORT, 0.3)
         err = np.linalg.norm(out.field - ref)
@@ -197,7 +219,8 @@ class TestSsfmSpan:
         """Either schedule (one thread, or rows through dispersion and
         sample halves through the rotor on two; odd n makes the halves
         unequal) equals spectral_filter + whole-field _kerr bit for bit
-        over a 1 km span in 0.3 km steps (0.1 km remainder)."""
+        over a 1 km span in 0.3 km steps (0.1 km remainder), the last
+        half-step folded with the CDC."""
         kerr, threads = ch._kerr, set()
 
         def spy(*args):
@@ -211,17 +234,91 @@ class TestSsfmSpan:
         n_full, rem = divmod(SHORT.length_km, 0.3)
         steps = [0.3] * int(n_full) + [rem]
         halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
-        ph = ch._phasors(sig, SHORT.beta2_s2_km, halves)
+        cdc = halves[-1] - SHORT.length_km
+        ph = ch._phasors(sig, SHORT.beta2_s2_km, halves + [cdc])
         fld = sig.field.copy()
         for dz, half in zip(steps, halves):
             spectral_filter(fld, ph[half])
             dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha
             kerr(fld, SHORT.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2.0))
-        spectral_filter(fld, ph[halves[-1]])
+        spectral_filter(fld, ph[cdc])
 
         out = ch.ssfm_span(sig, SHORT, 0.3)
         assert np.array_equal(out.field, fld)
         assert len(threads) == len(cpus)
+
+
+class TestFoldedCdc:
+    """ssfm_span is one span of the dispersion-managed link: the fiber's
+    last half-step D(h_n/2) and the inline CDC D(-L) merge into one FFT
+    pair, D(h_n/2 - L)."""
+
+    @pytest.mark.parametrize("step_km", [80.0, 10.0, 1.0],
+                             ids=["1_step", "8_steps", "80_steps"])
+    def test_matches_unfolded_chain(self, step_km):
+        sig = random_signal(power_w=10e-3)  # 10 mW per polarization
+        out = ch.ssfm_span(sig, LEAF, step_km)
+        ref = unfolded_span(sig, LEAF, step_km)
+        err = np.linalg.norm(out.field - ref.field)
+        assert err / np.linalg.norm(ref.field) <= 1e-13
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
+                             ids=["one_cpu", "two_cpus"])
+    def test_one_fft_pair_per_half_step(self, monkeypatch, cpus):
+        """A span of k steps filters each polarization k + 1 times, and
+        propagate_spans never calls inline_cdc."""
+        rows = []
+
+        def counted(fld, h):
+            rows.append(len(fld))
+            return spectral_filter(fld, h)
+
+        def no_cdc(*args):
+            raise AssertionError("inline_cdc called")
+
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(ch, "spectral_filter", counted)
+        monkeypatch.setattr(ch, "inline_cdc", no_cdc)
+        sig = random_signal(n=1024)
+        ch.ssfm_span(sig, SHORT, 0.3)  # 3 full steps + 0.1 remainder
+        assert sum(rows) == 2 * (4 + 1)
+        rows.clear()
+        link = ch.LinkConfig(span=SHORT, n_spans=3, step_km=0.5, seed=1)
+        ch.propagate_link(sig, link)
+        assert sum(rows) == 3 * 2 * (2 + 1)
+
+    @pytest.mark.parametrize("fiber, step_km", [(SHORT, 0.3), (LEAF, 10.0)],
+                             ids=["remainder", "equal_steps"])
+    def test_peak_memory_not_above_unfolded_chain(self, monkeypatch, fiber,
+                                                  step_km):
+        """The folded phasor is built after the step phasors are dropped,
+        so it adds nothing to the span's peak (half a frame if built up
+        front). One thread: the helper's ~10 kB of bookkeeping does not
+        depend on the fold and is left out of both sides."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        sig = random_signal(n=2**15, power_w=10e-3)
+
+        def peak(span):
+            tracemalloc.start()
+            try:
+                span(sig, fiber, step_km)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(ch.ssfm_span) <= peak(unfolded_span)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 301, 4096, 4097, 2**17])
+    def test_phasor_mirror_bit_identical(self, n):
+        """Each response is evaluated on bins 0 .. n//2 and mirrored; that
+        equals the exponential on every fftfreq bin, bit for bit."""
+        sig = SampledSignal(np.zeros((2, n)), fs=180e9)
+        dzs = [0.05, 0.15, 1 / 3, 80.0, 0.05 - 80.0]
+        got = ch._phasors(sig, LEAF.beta2_s2_km, dzs)
+        w2 = (2 * np.pi * np.fft.fftfreq(n, d=1.0 / sig.fs)) ** 2
+        for dz in dzs:
+            ref = np.exp(0.5j * LEAF.beta2_s2_km * w2 * dz)
+            assert np.array_equal(got[dz], ref)
 
 
 class TestInputsUnchanged:
@@ -251,7 +348,7 @@ class TestInlineCdc:
     def test_inverse_of_span_dispersion(self):
         sig = random_signal()
         fib = ch.FiberParams(alpha_db_km=0.0, gamma_w_km=0.0)
-        disp = ch.ssfm_span(sig, fib, 0.5)
+        disp = ch.dispersion_step(sig, fib.beta2_s2_km, fib.length_km)
         out = ch.inline_cdc(disp, fib)
         err = np.max(np.abs(out.x - sig.x)) / np.max(np.abs(sig.x))
         assert err < 1e-10

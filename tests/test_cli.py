@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prs4d import cli, constellation as C, demapper as D, harness as H
+from prs4d import channel, cli, constellation as C, demapper as D, harness as H
 
 
 class TestParseConfig:
@@ -297,6 +297,27 @@ class TestMain:
                          "--output", str(out)]) == 0
         C.export_csv(C.build_pm8qam(), ref)
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--output", "--plot"])
+    def test_unwritable_path_fails_before_propagation(self, tmp_path, capsys,
+                                                      monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        bad = str(tmp_path / "missing" / "x")
+        args = ["sweep-power", "--powers=-1,1", "--output",
+                str(tmp_path / "r.csv"), "--plot", str(tmp_path / "r.svg"),
+                flag, bad]  # the last occurrence of a flag wins
+        assert cli.main(args + TINY) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {flag} {bad!r}: no such directory "
+                       f"{str(tmp_path / 'missing')!r}\n")
+        assert calls == [] and not (tmp_path / "r.csv").exists()
+
+    def test_optimize_bad_snr_returns_one(self, capsys):
+        assert cli.main(["optimize-constellation", "--snr", "x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --snr 'x': expected a number\n"
 
     def test_optimize_one_point_grid(self, capsys, monkeypatch):
         calls = []

@@ -76,6 +76,20 @@ class TestRrcTaps:
         assert abs(pair[0] - 1.0) < 1e-14
         assert np.max(np.abs(pair[1:])) < 1e-14
 
+    @pytest.mark.parametrize("ns, sps, rolloff", [
+        (2**16, 2, 0.1), (2**13, 16, 0.1), (1000, 4, 0.35), (4096, 2, 1.0),
+        (777, 8, 0.01), (1, 2, 1.0),
+    ])
+    def test_equals_full_grid_formula(self, ns, sps, rolloff):
+        """The raised cosine evaluated on every bin of (-ns, ns), then
+        cut to its non-zero support, bit for bit."""
+        j = np.arange(-ns, ns)
+        edge = np.clip(np.abs(j) / ns - (1 - rolloff) / 2, 0.0, rolloff)
+        h = np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge)))
+        got_j, got_h = T.rrc_support(ns, sps, rolloff)
+        assert np.array_equal(got_j, j[h > 0])
+        assert np.array_equal(got_h, h[h > 0])
+
     def test_sps_too_small(self):
         with pytest.raises(ValueError):
             rrc_response(64, 1, 0.1)
