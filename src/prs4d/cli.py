@@ -3,6 +3,8 @@
 Every command but optimize-constellation, which searches the 4D-64PRS
 geometry itself, reads its constellation and link from the one config (a
 --config file, then --set overrides). Grids take lo:hi:step or a comma list.
+Commands render CSV and SVG text; one writer sends it to a file, or to
+stdout for '-'. Output paths and plot grids are checked before any run.
 """
 
 from __future__ import annotations
@@ -23,21 +25,19 @@ _CONFIG_FIELDS = {f.name: f for f in fields(harness.ExperimentConfig)}
 
 
 def _coerce(name: str, raw: str):
-    """Parse a config value string into the field's type."""
-    f = _CONFIG_FIELDS[name]
-    raw = raw.strip()
-    if isinstance(f.default, bool):
+    """Parse a config value string into the field's declared type."""
+    kind, raw = _CONFIG_FIELDS[name].type, raw.strip()
+    if kind == "str":
+        return raw
+    if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if not isinstance(f.default, (int, float)):
-        return raw
-    kind, what = ((int, "an integer") if isinstance(f.default, int)
-                  else (float, "a number"))
+    parse, what = (int, "an integer") if kind == "int" else (float, "a number")
     try:
-        return kind(raw)
+        return parse(raw)
     except ValueError:
         raise ValueError(f"{name}: expected {what}, got {raw!r}") from None
 
@@ -79,19 +79,18 @@ def parse_config(path: str | None, overrides: list[str] | None = None
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def emit_plot(records, x_field: str, y_field: str, path: str) -> None:
-    """Render one SVG polyline per (format, demapper) series.
+def emit_plot(records, x_field: str, y_field: str) -> str:
+    """Render one SVG polyline per (format, demapper) series as SVG text.
 
-    Hand-rolled SVG so identical inputs produce byte-identical files.
+    Hand-rolled SVG so identical inputs produce byte-identical text.
     """
     if not records:
         raise ValueError("no records to plot")
     series = {}
     for r in records:
         series.setdefault((r.format, r.demapper), []).append(r)
-    for pts in series.values():
-        if len(pts) < 2:
-            raise ValueError("each series needs at least 2 records to plot")
+    if any(len(pts) < 2 for pts in series.values()):
+        raise ValueError("each series needs at least 2 records to plot")
 
     xs = np.array([getattr(r, x_field) for r in records], dtype=float)
     ys = np.array([getattr(r, y_field) for r in records], dtype=float)
@@ -149,15 +148,15 @@ def emit_plot(records, x_field: str, y_field: str, path: str) -> None:
             f'font-size="12" text-anchor="end" fill="{color}">'
             f'{key[0]}/{key[1]}</text>')
     out.append("</svg>")
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
 def _add_common(p, output="results.csv", plot=True):
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides", help="override a config field")
-    p.add_argument("--output", default=output, help="output CSV path")
+    p.add_argument("--output", default=output,
+                   help="output CSV path, - for stdout")
     if plot:
         p.add_argument("--plot", default=None, metavar="SVG",
                        help="also write an SVG line plot")
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one transmission point")
-    _add_common(p)
+    _add_common(p, plot=False)
 
     p = sub.add_parser("sweep-power", help="GMI vs launch power")
     _add_common(p)
@@ -182,11 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "from one propagation")
     _add_common(p)
     p.add_argument("--spans", default="4,6,8,10,12,14",
-                   help="comma list of span counts")
+                   help="span counts, lo:hi:step or comma list")
 
     p = sub.add_parser("sweep-channels", help="optimum-power rate vs channels")
     _add_common(p)
-    p.add_argument("--channels", default="1,3,5", help="comma list of counts")
+    p.add_argument("--channels", default="1,3,5",
+                   help="channel counts, lo:hi:step or comma list")
     p.add_argument("--powers", default="-2:4:0.5",
                    help="power grid used to locate the optimum")
 
@@ -198,10 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid-search the ring-switching geometry")
     p.add_argument("--snr", default=const.DEFAULT_PRS_SNR_DB,
                    help="design SNR in dB")
-    p.add_argument("--rho", default=None,
-                   help="rho grid (default: 9 values over [1.2, 2.0])")
-    p.add_argument("--theta", default=None,
-                   help="theta grid (default: 9 values over [0.25, 0.65])")
+    for name, grid in (("rho", const.DEFAULT_PRS_RHOS),
+                       ("theta", const.DEFAULT_PRS_THETAS)):
+        p.add_argument(f"--{name}", default=None,
+                       help=f"{name} grid (default: {len(grid)} values over "
+                            f"[{grid[0]:g}, {grid[-1]:g}])")
 
     p = sub.add_parser("export-constellation", help="write points + labels CSV")
     _add_common(p, output="constellation.csv", plot=False)
@@ -240,12 +241,31 @@ def _parse_counts(flag: str, spec: str) -> list[int]:
 
 def _check_writable(flag: str, path: str) -> None:
     """Fail before the run, not after it, if path cannot be written."""
+    if path in (None, "-"):  # no such output, or stdout
+        return
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ValueError(f"{flag} {path!r}: no such directory {parent!r}")
     target = path if os.path.exists(path) else parent
-    if os.path.isdir(path) or not os.access(target, os.W_OK):
+    if not path or os.path.isdir(path) or not os.access(target, os.W_OK):
         raise ValueError(f"{flag} {path!r}: not a writable file")
+
+
+def _write(path: str, text: str) -> None:
+    """The one output writer: '-' is stdout, any other path a file."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="\n") as f:
+            f.write(text)
+
+
+# sweep command: (grid flag, plot x field, plot y field, harness sweep)
+_SWEEPS = {
+    "sweep-power": ("--powers", "launch_dbm", "gmi_bit4d", harness.sweep_power),
+    "sweep-distance": ("--spans", "distance_km", "gmi_bit4d", harness.sweep_distance),
+    "sweep-channels": ("--channels", "n_channels", "ndr_gbps", harness.sweep_channels),
+}
 
 
 def _run(args) -> int:
@@ -259,52 +279,36 @@ def _run(args) -> int:
         thetas = (const.DEFAULT_PRS_THETAS if args.theta is None
                   else _parse_grid("--theta", args.theta))
         params, gmi = const.optimize_prs_params(snr, rhos, thetas)
-        print(f"rho={params.rho:.10g} theta={params.theta:.10g} "
-              f"gmi={gmi:.10g}")
+        _write("-", f"rho={params.rho:.10g} theta={params.theta:.10g} "
+                    f"gmi={gmi:.10g}\n")
         return 0
 
     cfg = parse_config(args.config, args.overrides)
-    if args.output != "-":
-        _check_writable("--output", args.output)
-    if getattr(args, "plot", None):
-        _check_writable("--plot", args.plot)
+    plot = getattr(args, "plot", None)
+    _check_writable("--output", args.output)
+    _check_writable("--plot", plot)
     if args.command == "export-constellation":
-        const.export_csv(cfg.build_constellation(), args.output)
-        return 0
-
-    if args.command == "gmi-awgn":
+        text = const.constellation_to_csv(cfg.build_constellation())
+    elif args.command == "gmi-awgn":
         c = cfg.build_constellation()
-        lines = ["snr_db,format,gmi_bit4d"]
-        for snr in _parse_grid("--snr", args.snr):
-            gmi = dm.awgn_gmi_reference(c, snr)
-            lines.append(f"{snr:.10g},{cfg.format},{gmi:.10g}")
-        text = "\n".join(lines) + "\n"
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", newline="\n") as f:
-                f.write(text)
-        return 0
-
-    if args.command == "simulate":
-        records = harness.run_point(cfg)
-        xf = "launch_dbm"
-    elif args.command == "sweep-power":
-        records = harness.sweep_power(cfg, _parse_grid("--powers", args.powers))
-        xf = "launch_dbm"
-    elif args.command == "sweep-distance":
-        spans = _parse_counts("--spans", args.spans)
-        records = harness.sweep_distance(cfg, spans)
-        xf = "distance_km"
+        text = "snr_db,format,gmi_bit4d\n" + "".join(
+            f"{snr:.10g},{cfg.format},{dm.awgn_gmi_reference(c, snr):.10g}\n"
+            for snr in _parse_grid("--snr", args.snr))
+    elif args.command == "simulate":
+        text = harness.records_to_csv(harness.run_point(cfg))
     else:
-        counts = _parse_counts("--channels", args.channels)
-        records = harness.sweep_channels(cfg, counts,
-                                         _parse_grid("--powers", args.powers))
-        xf = "n_channels"
-    harness.write_csv(records, args.output)
-    if args.plot:
-        yf = "ndr_gbps" if args.command == "sweep-channels" else "gmi_bit4d"
-        emit_plot(records, xf, yf, args.plot)
+        flag, xf, yf, sweep = _SWEEPS[args.command]
+        spec = getattr(args, flag[2:])
+        grid = (_parse_grid if flag == "--powers" else _parse_counts)(flag, spec)
+        if plot and len(grid) < 2:
+            raise ValueError(f"--plot needs at least 2 values of {flag}, "
+                             f"got {spec!r}")
+        powers = [_parse_grid("--powers", args.powers)] if flag == "--channels" else []
+        records = sweep(cfg, grid, *powers)
+        text = harness.records_to_csv(records)
+    _write(args.output, text)
+    if plot:
+        _write(plot, emit_plot(records, xf, yf))
     return 0
 
 

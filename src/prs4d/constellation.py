@@ -204,14 +204,13 @@ def map_bits_to_symbols(bits: np.ndarray, c: Constellation4D):
     return indices, np.take(c.points, indices, axis=0)
 
 
-def export_csv(c: Constellation4D, path) -> None:
-    """Write the constellation as CSV: index,label_bits,s1,s2,s3,s4."""
+def constellation_to_csv(c: Constellation4D) -> str:
+    """The constellation as CSV text: index,label_bits,s1,s2,s3,s4."""
     lines = ["index,label_bits,s1,s2,s3,s4"]
     for i, (lab, row) in enumerate(zip(c.labels, c.points)):
         coords = ",".join(f"{v:.17g}" for v in row)
         lines.append(f"{i},{''.join(map(str, lab))},{coords}")
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # Shipped defaults: optimize_prs_params over DEFAULT_PRS_RHOS x

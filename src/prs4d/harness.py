@@ -83,6 +83,8 @@ class ExperimentConfig:
                      "epsilon_reg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.ase_enabled and self.alpha_db_km == 0:
+            raise ValueError("alpha_db_km must be > 0 with ase_enabled (ASE needs EDFA gain)")
         for name in ("baud_gbd", "span_km"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -140,14 +142,10 @@ class ResultRecord:
     sigma2: float = field(default=0.0, compare=False)
 
     def csv_row(self) -> str:
-        def g(v):
-            return f"{v:.10g}"
-
-        return ",".join([
-            g(self.launch_dbm), g(self.distance_km), str(self.n_channels),
-            self.format, self.demapper, g(self.gmi_bit4d), g(self.ndr_gbps),
-            str(self.seed), g(self.runtime_s),
-        ])
+        return (f"{self.launch_dbm:.10g},{self.distance_km:.10g},"
+                f"{self.n_channels},{self.format},{self.demapper},"
+                f"{self.gmi_bit4d:.10g},{self.ndr_gbps:.10g},{self.seed},"
+                f"{self.runtime_s:.10g}")
 
 
 def derived_seed(master: int, *coords) -> int:
@@ -335,11 +333,6 @@ def find_reach(records: list[ResultRecord], gmi_target: float) -> float:
     raise ValueError(f"GMI target {gmi_target} not bracketed by the records")
 
 
-def write_csv(records: list[ResultRecord], path) -> None:
-    """Write records as CSV with LF endings and 10-significant-digit floats."""
-    with open(path, "w", newline="\n") as f:
-        f.write(records_to_csv(records))
-
-
 def records_to_csv(records: list[ResultRecord]) -> str:
+    """Records as CSV text: LF endings, 10-significant-digit floats."""
     return CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in records)

@@ -24,19 +24,22 @@ class SymbolBatch:
     """Sent constellation indices and received 4D symbols, row k for symbol k.
 
     Sent points and bits are c.points[tx_indices] and c.labels[tx_indices],
-    so a negative index, which numpy would read from the end, is rejected.
-    rx_points must be on the constellation scale (after genie gain and phase
-    compensation).
+    so a non-integer index, which a cast would truncate, and a negative one,
+    which numpy would read from the end, are rejected. rx_points must be on
+    the constellation scale (after genie gain and phase compensation).
     """
 
     tx_indices: np.ndarray
     rx_points: np.ndarray
 
     def __post_init__(self):
-        self.tx_indices = np.asarray(self.tx_indices, dtype=np.int64).ravel()
+        self.tx_indices = np.asarray(self.tx_indices).ravel()
         self.rx_points = np.asarray(self.rx_points, dtype=float)
         if self.rx_points.shape != (self.ns, 4):
             raise ValueError(f"rx_points must be ({self.ns}, 4), got {self.rx_points.shape}")
+        if self.ns and self.tx_indices.dtype.kind not in "iu":
+            raise ValueError(f"tx_indices must be integers, got dtype {self.tx_indices.dtype}")
+        self.tx_indices = self.tx_indices.astype(np.int64, copy=False)
         if self.ns and self.tx_indices.min() < 0:
             raise ValueError("tx_indices must be non-negative")
 

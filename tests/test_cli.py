@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -108,39 +110,34 @@ def rec(fmt, dmp, x, y):
 
 
 class TestEmitPlot:
-    def test_two_records_one_polyline(self, tmp_path):
-        out = tmp_path / "p.svg"
-        cli.emit_plot([rec("pm8qam", "iid", -2, 5.0),
-                       rec("pm8qam", "iid", 0, 5.5)],
-                      "launch_dbm", "gmi_bit4d", str(out))
-        svg = out.read_text()
+    def test_two_records_one_polyline(self):
+        svg = cli.emit_plot([rec("pm8qam", "iid", -2, 5.0),
+                             rec("pm8qam", "iid", 0, 5.5)],
+                            "launch_dbm", "gmi_bit4d")
         assert svg.count("<polyline") == 1
         pts = svg.split('points="')[1].split('"')[0].split()
         assert len(pts) == 2
 
-    def test_series_count(self, tmp_path):
+    def test_series_count(self):
         records = [rec(f, d, x, 5.0 + 0.1 * x)
                    for f in ("pm8qam", "4d64prs") for d in ("iid", "cg")
                    for x in (-2, 0, 2)]
-        out = tmp_path / "p.svg"
-        cli.emit_plot(records, "launch_dbm", "gmi_bit4d", str(out))
-        assert out.read_text().count("<polyline") == 4
+        svg = cli.emit_plot(records, "launch_dbm", "gmi_bit4d")
+        assert svg.count("<polyline") == 4
 
-    def test_byte_identical(self, tmp_path):
+    def test_byte_identical(self):
         records = [rec("pm8qam", "iid", -2, 5.0), rec("pm8qam", "iid", 0, 5.5)]
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        cli.emit_plot(records, "launch_dbm", "gmi_bit4d", str(a))
-        cli.emit_plot(records, "launch_dbm", "gmi_bit4d", str(b))
-        assert a.read_bytes() == b.read_bytes()
+        assert (cli.emit_plot(records, "launch_dbm", "gmi_bit4d")
+                == cli.emit_plot(records, "launch_dbm", "gmi_bit4d"))
 
-    def test_single_record_series_rejected(self, tmp_path):
+    def test_single_record_series_rejected(self):
         with pytest.raises(ValueError):
             cli.emit_plot([rec("pm8qam", "iid", 0, 5.0)],
-                          "launch_dbm", "gmi_bit4d", str(tmp_path / "p.svg"))
+                          "launch_dbm", "gmi_bit4d")
 
-    def test_empty_rejected(self, tmp_path):
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cli.emit_plot([], "launch_dbm", "gmi_bit4d", str(tmp_path / "p.svg"))
+            cli.emit_plot([], "launch_dbm", "gmi_bit4d")
 
 
 TINY = ["--set", "n_channels=1", "--set", "n_symbols=2048",
@@ -292,11 +289,10 @@ class TestMain:
                                            f"8.1,4d64prs,{ref:.10g}\n")
 
     def test_export_constellation_reads_format_from_config(self, tmp_path):
-        out, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
+        out = tmp_path / "c.csv"
         assert cli.main(["export-constellation", "--set", "format=pm8qam",
                          "--output", str(out)]) == 0
-        C.export_csv(C.build_pm8qam(), ref)
-        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_bytes() == C.constellation_to_csv(C.build_pm8qam()).encode()
 
     @pytest.mark.parametrize("flag", ["--output", "--plot"])
     def test_unwritable_path_fails_before_propagation(self, tmp_path, capsys,
@@ -312,6 +308,18 @@ class TestMain:
         assert err == (f"error: {flag} {bad!r}: no such directory "
                        f"{str(tmp_path / 'missing')!r}\n")
         assert calls == [] and not (tmp_path / "r.csv").exists()
+
+    def test_lossless_span_with_ase_fails_before_propagation(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        out = tmp_path / "r.csv"
+        assert cli.main(["simulate", "--output", str(out)] + TINY
+                        + ["--set", "alpha_db_km=0", "--set", "ase_enabled=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha_db_km") and "ase_enabled" in err
+        assert err.count("\n") == 1
+        assert calls == [] and not out.exists()
 
     def test_optimize_bad_snr_returns_one(self, capsys):
         assert cli.main(["optimize-constellation", "--snr", "x"]) == 1
@@ -332,3 +340,71 @@ class TestMain:
                          "--theta", "0.45"]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.startswith("rho=1.6 theta=0.45 gmi=")
+
+
+def subcommands(option):
+    """The CLI commands whose parser takes option, so new ones are covered."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items()
+                  if option in p._option_string_actions)
+
+
+# desk-size grids; a command not listed runs on its defaults
+GRIDS = {"sweep-power": ["--powers=-1,1"], "sweep-distance": ["--spans", "1,2"],
+         "sweep-channels": ["--channels", "1,2", "--powers=-1,1"],
+         "gmi-awgn": ["--snr", "0,10"]}
+# the grid flag of each command that plots, with one value
+ONE_VALUE = {"sweep-power": ("--powers", "0"), "sweep-distance": ("--spans", "2"),
+             "sweep-channels": ("--channels", "1")}
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", subcommands("--output"))
+    def test_dash_prints_the_file_bytes(self, tmp_path, capsysbinary,
+                                        monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        args = [command] + GRIDS.get(command, []) + TINY
+        assert cli.main(args + ["--output", "f.csv"]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert cli.main(args + ["--output", "-"]) == 0
+        assert capsysbinary.readouterr().out == (tmp_path / "f.csv").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    @pytest.mark.parametrize("command", subcommands("--plot"))
+    def test_plot_of_one_grid_value_fails_before_propagation(
+            self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        flag, value = ONE_VALUE[command]
+        assert cli.main([command, flag, value, "--output", str(tmp_path / "r.csv"),
+                         "--plot", str(tmp_path / "r.svg")] + TINY) == 1
+        assert capsys.readouterr().err == (
+            f"error: --plot needs at least 2 values of {flag}, got {value!r}\n")
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--output", "--plot"])
+    def test_empty_path_fails_before_propagation(self, tmp_path, capsys,
+                                                 monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep-power", "--powers=-1,1", "--output", "r.csv",
+                         "--plot", "r.svg", flag, ""] + TINY) == 1
+        assert capsys.readouterr().err == f"error: {flag} '': not a writable file\n"
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_optimize_help_reads_the_default_grids(self, capsys, monkeypatch):
+        monkeypatch.setattr(C, "DEFAULT_PRS_RHOS", np.linspace(0.3, 2.0, 18))
+        with pytest.raises(SystemExit):
+            cli.main(["optimize-constellation", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "18 values over [0.3, 2]" in out
+        assert "9 values over [0.25, 0.65]" in out
+
+    def test_simulate_refuses_plot(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["simulate", "--plot", str(tmp_path / "p.svg")] + TINY)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

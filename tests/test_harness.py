@@ -64,6 +64,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             H.ExperimentConfig(**kw)
 
+    def test_lossless_span_with_ase_rejected(self):
+        with pytest.raises(ValueError, match="^alpha_db_km .*ase_enabled") as err:
+            H.ExperimentConfig(alpha_db_km=0.0)
+        assert "\n" not in str(err.value)
+        assert not H.ExperimentConfig(alpha_db_km=0.0, ase_enabled=False).ase_enabled
+
     def test_paper_fiber_written_once(self):
         cfg = H.ExperimentConfig()
         assert cfg.fiber() == channel.FiberParams()
@@ -397,24 +403,19 @@ class TestCsv:
         assert H.CSV_HEADER == ("launch_dbm,distance_km,n_channels,format,"
                                 "demapper,gmi_bit4d,ndr_gbps,seed,runtime_s")
 
-    def test_write_csv_roundtrip(self, tmp_path):
+    def test_write_csv_roundtrip(self):
         records = [rec(1000, 5.123456789), rec(2000, 4.0)]
-        path = tmp_path / "out.csv"
-        H.write_csv(records, path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        lines = raw.decode().splitlines()
+        raw = H.records_to_csv(records)
+        assert "\r" not in raw
+        lines = raw.splitlines()
         assert lines[0] == H.CSV_HEADER
         assert len(lines) == 3
         parts = lines[1].split(",")
         assert float(parts[6]) == pytest.approx(float(parts[5]) * 45, rel=1e-9)
 
-    def test_byte_identical_rewrite(self, tmp_path):
+    def test_byte_identical_rewrite(self):
         records = [rec(1000, 5.0)]
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        H.write_csv(records, p1)
-        H.write_csv(records, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert H.records_to_csv(records) == H.records_to_csv(records)
 
     def test_ten_significant_digits(self):
         row = rec(1234.56789, 4.0 / 3.0).csv_row()

@@ -238,6 +238,19 @@ class TestSymbolBatch:
             R.SymbolBatch(np.arange(10), np.zeros(shape))
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("indices", [np.array([1.7, 2.2]), np.array([1.0, 2.0]),
+                                         np.array([True, False])])
+    def test_non_integer_index_rejected(self, indices):
+        with pytest.raises(ValueError, match=f"^tx_indices must be integers, got dtype "
+                                             f"{indices.dtype}$"):
+            R.SymbolBatch(indices, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_integer_index_stored_as_int64(self, dtype):
+        batch = R.SymbolBatch(np.array([1, 2], dtype=dtype), np.zeros((2, 4)))
+        assert batch.tx_indices.dtype == np.int64
+        assert batch.tx_indices.tolist() == [1, 2]
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="^tx_indices must be non-negative$"):
             R.SymbolBatch([3, -1, 2], np.zeros((3, 4)))
