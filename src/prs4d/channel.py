@@ -11,7 +11,8 @@ Manakov rotor, whose real gain carries each SSFM step's loss). A span is
 fiber, ideal lossless inline CDC D(-L) and an EDFA whose ASE is white over
 the full simulated bandwidth. ssfm_span folds the CDC into its last merged
 half-step, D(h_n/2 - L): one FFT pair per span fewer than a separate CDC.
-inline_cdc stays stand-alone only because the benchmark's tracer names it.
+inline_cdc, the same D(-L) on its own, stays only because the benchmark's
+tracer names it; no other public function applies dispersion.
 
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
@@ -131,16 +132,6 @@ def _split(pool, fn, parts, *args):
     return job.result() if pool else None
 
 
-def dispersion_step(signal: SampledSignal, beta2_s2_km: float,
-                    dz_km: float) -> SampledSignal:
-    """Apply the all-pass dispersion operator exp(+j beta2/2 w^2 dz).
-
-    dz may be negative, which realizes ideal compensation.
-    """
-    phasor = _phasors(signal, beta2_s2_km, [dz_km])[dz_km]
-    return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
-
-
 def ssfm_span(signal: SampledSignal, fiber: FiberParams,
               step_km: float) -> SampledSignal:
     """One span of the dispersion-managed link: the fiber by symmetric
@@ -179,7 +170,9 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
 
 def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
     """Ideal lossless compensation of one span's dispersion, D(-beta2 L)."""
-    return dispersion_step(signal, fiber.beta2_s2_km, -fiber.length_km)
+    cdc = -fiber.length_km
+    phasor = _phasors(signal, fiber.beta2_s2_km, [cdc])[cdc]
+    return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
 
 
 def edfa(

@@ -4,7 +4,8 @@ Every command but optimize-constellation, which searches the 4D-64PRS
 geometry itself, reads its constellation and link from the one config (a
 --config file, then --set overrides). Grids take lo:hi:step or a comma list.
 Commands render CSV and SVG text; one writer sends it to a file, or to
-stdout for '-'. Output paths and plot grids are checked before any run.
+stdout for '-'. Output paths, plot grids and a plot aimed at the CSV's own
+target are checked before any run.
 """
 
 from __future__ import annotations
@@ -287,6 +288,9 @@ def _run(args) -> int:
     plot = getattr(args, "plot", None)
     _check_writable("--output", args.output)
     _check_writable("--plot", plot)
+    if plot is not None and len({p if p == "-" else os.path.abspath(p)
+                                 for p in (args.output, plot)}) == 1:
+        raise ValueError(f"--plot {plot!r}: the same target as --output")
     if args.command == "export-constellation":
         text = const.constellation_to_csv(cfg.build_constellation())
     elif args.command == "gmi-awgn":

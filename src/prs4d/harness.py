@@ -1,6 +1,8 @@
 """Experiment orchestration: run_point is transmit -> propagate_link ->
-receive at one config. A power sweep runs one point per power; a distance
-sweep propagates once and receives after each requested span count.
+receive at one config. Every sweep follows one rule: its records at a grid
+value equal run_point(replace(cfg, field=value)) bit for bit, all at
+cfg.seed. A power sweep runs one point per power; a distance sweep
+propagates once and receives after each requested span count.
 
 Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
@@ -62,14 +64,14 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # the type first: np.isfinite raises on the rest
+        for f in fields(self):
             value = getattr(self, f.name)
             types, what = _FIELD_TYPES[f.type]
             if not isinstance(value, types) or (
                     f.type != "bool" and isinstance(value, (bool, np.bool_))):
                 hint = " (sweep powers with sweep-power)" if f.name == "launch_dbm" else ""
                 raise ValueError(f"{f.name} must be {what}, got {value!r}{hint}")
-            if f.type in ("int", "float") and not np.isfinite(value):
+            if isinstance(value, (float, np.floating)) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         self.launch_dbm = float(self.launch_dbm)
         if self.format not in VALID_FORMATS:
@@ -149,19 +151,20 @@ class ResultRecord:
 
 
 def derived_seed(master: int, *coords) -> int:
-    """Stable per-grid-point seed: hash of the master seed and coordinates."""
+    """Seed of one random stream of a point: hash of the master seed and
+    the stream's coordinates."""
     tag = repr((int(master),) + tuple(coords)).encode()
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
 
 
-def _transmit(cfg: ExperimentConfig, seed: int):
+def _transmit(cfg: ExperimentConfig):
     """Shape and multiplex every WDM channel: returns the constellation,
     the launch field, the center channel's sent indices and the link."""
     c = cfg.build_constellation()
     sps = cfg.effective_sps()
     channels = []
     for ch in range(cfg.n_channels):
-        bits = txdsp.generate_bits(derived_seed(seed, "bits", ch),
+        bits = txdsp.generate_bits(derived_seed(cfg.seed, "bits", ch),
                                    cfg.n_symbols * c.m)
         indices, points = const.map_bits_to_symbols(bits, c)
         sig = txdsp.rrc_shape(points, sps, cfg.rolloff, baud=cfg.baud_hz)
@@ -172,11 +175,11 @@ def _transmit(cfg: ExperimentConfig, seed: int):
     link = LinkConfig(span=cfg.fiber(), n_spans=cfg.n_spans,
                       step_km=cfg.step_km, edfa_nf_db=cfg.nf_db,
                       ase_enabled=cfg.ase_enabled,
-                      seed=derived_seed(seed, "ase"))
+                      seed=derived_seed(cfg.seed, "ase"))
     return c, mux, tx_indices, link
 
 
-def _receive(cfg: ExperimentConfig, seed: int, c, rx_sig, tx_indices,
+def _receive(cfg: ExperimentConfig, c, rx_sig, tx_indices,
              t0: float) -> list[ResultRecord]:
     """Select the center channel, undo phase and gain with the genie, and
     demap; with cfg.timings each record's runtime runs from t0 to the
@@ -205,7 +208,7 @@ def _receive(cfg: ExperimentConfig, seed: int, c, rx_sig, tx_indices,
     return [ResultRecord(
         launch_dbm=cfg.launch_dbm, distance_km=cfg.n_spans * cfg.span_km,
         n_channels=cfg.n_channels, format=cfg.format, demapper=kind,
-        gmi_bit4d=gmi, ndr_gbps=gmi * cfg.baud_gbd, seed=seed,
+        gmi_bit4d=gmi, ndr_gbps=gmi * cfg.baud_gbd, seed=cfg.seed,
         runtime_s=runtime, sigma2=sigma2) for kind, gmi in gmis.items()]
 
 
@@ -213,16 +216,16 @@ def run_point(cfg: ExperimentConfig,
               seed: int | None = None) -> list[ResultRecord]:
     """Run one full TX -> link -> RX -> demap experiment at cfg's point.
 
-    Evaluates the center WDM channel. Returns one record per requested
-    demapper (iid, cg or both), deterministic for a fixed seed (cfg.seed
-    unless given); with cfg.timings each carries the whole point's runtime.
+    Evaluates the center WDM channel at cfg.seed. Returns one record per
+    requested demapper (iid, cg or both), deterministic for a fixed config;
+    with cfg.timings each carries the whole point's runtime. seed=s is
+    shorthand for replace(cfg, seed=s), kept for perfbench/workloads.py's
+    call form; it goes with the next benchmark change.
     """
     t0 = time.perf_counter()
-    seed = cfg.seed if seed is None else seed
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError("seed must be an integer")
-    c, mux, tx_indices, link = _transmit(cfg, seed)
-    return _receive(cfg, seed, c, propagate_link(mux, link), tx_indices, t0)
+    cfg = cfg if seed is None else replace(cfg, seed=seed)
+    c, mux, tx_indices, link = _transmit(cfg)
+    return _receive(cfg, c, propagate_link(mux, link), tx_indices, t0)
 
 
 def _worker_count() -> int:
@@ -235,18 +238,16 @@ def _worker_count() -> int:
 
 
 def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
-    """One run per launch power, each with an independent derived seed,
-    in order on PRS4D_WORKERS processes."""
-    powers = list(powers)
-    if not powers:
+    """run_point(replace(cfg, launch_dbm=p)) for each power p, all at
+    cfg.seed, in order on PRS4D_WORKERS processes."""
+    cfgs = [replace(cfg, launch_dbm=float(p)) for p in powers]
+    if not cfgs:
         raise ValueError("empty power list")
-    tasks = [(replace(cfg, launch_dbm=float(p)),
-              derived_seed(cfg.seed, "power", float(p))) for p in powers]
     workers = _worker_count()
     if workers <= 1:
-        return [r for t in tasks for r in run_point(*t)]
+        return [r for c in cfgs for r in run_point(c)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for recs in pool.map(run_point, *zip(*tasks)) for r in recs]
+        return [r for recs in pool.map(run_point, cfgs) for r in recs]
 
 
 def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
@@ -261,14 +262,14 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     if not cfgs:
         raise ValueError("empty span-count list")
     t0 = time.perf_counter()
-    c, mux, tx_indices, link = _transmit(cfgs[max(cfgs)], cfg.seed)
+    c, mux, tx_indices, link = _transmit(cfgs[max(cfgs)])
     spans, taps = propagate_spans(mux, link), {}
     for n in range(1, link.n_spans + 1):
         # next() and del, not enumerate(spans), whose reused result tuple
         # would keep this field alive through the next span
         rx_sig = next(spans)
         if n in cfgs:
-            taps[n] = _receive(cfgs[n], cfg.seed, c, rx_sig, tx_indices, t0)
+            taps[n] = _receive(cfgs[n], c, rx_sig, tx_indices, t0)
         del rx_sig
     return [r for n in span_counts for r in taps[n]]
 
@@ -296,23 +297,24 @@ def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, floa
 
 def sweep_channels(cfg: ExperimentConfig, channel_counts,
                    powers) -> list[ResultRecord]:
-    """Per channel count: sweep power, report GMI at the fitted optimum."""
+    """Per channel count n: sweep_power(replace(cfg, n_channels=n), powers)
+    at cfg.seed, one record per demapper at the fitted optimum power, with
+    no sigma2 or runtime. With one power p a record equals
+    run_point(replace(cfg, n_channels=n, launch_dbm=p))."""
     channel_counts = list(channel_counts)
     if not channel_counts:
         raise ValueError("empty channel-count list")
     out = []
     for n_ch in channel_counts:
-        cfg_n = replace(cfg, n_channels=n_ch,
-                        seed=derived_seed(cfg.seed, "channels", int(n_ch)))
-        recs = sweep_power(cfg_n, powers)
-        for kind in sorted({r.demapper for r in recs}):
+        recs = sweep_power(replace(cfg, n_channels=n_ch), powers)
+        for kind in dict.fromkeys(r.demapper for r in recs):
             series = sorted((r for r in recs if r.demapper == kind),
                             key=lambda r: r.launch_dbm)
             p_opt, g_opt = fit_optimum_power([r.launch_dbm for r in series],
                                              [r.gmi_bit4d for r in series])
             out.append(replace(series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
-                               ndr_gbps=g_opt * cfg.baud_gbd, seed=cfg_n.seed,
-                               runtime_s=0.0, sigma2=0.0))
+                               ndr_gbps=g_opt * cfg.baud_gbd, runtime_s=0.0,
+                               sigma2=0.0))
     return out
 
 

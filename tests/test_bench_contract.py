@@ -11,6 +11,7 @@ import importlib.util
 import inspect
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,14 @@ WORKLOADS = TRACING.with_name("workloads.py")
 @pytest.fixture(scope="module")
 def tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -50,15 +59,12 @@ def test_counted_arguments_keep_their_names(mod, attr, params):
     assert tuple(inspect.signature(fn).parameters)[:len(params)] == params
 
 
-def test_awgn_design_call_matches_its_reference():
+def test_awgn_design_call_matches_its_reference(workloads):
     """perfbench/workloads.py calls awgn_gmi_reference(c, AWGN_SNR_DB,
     "quadrature", n_nodes=3) for each format and checks the GMI against
     reference.json's tiny awgn_design entry within AWGN_TOL."""
     from prs4d import constellation, demapper
 
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     fn = demapper.awgn_gmi_reference
     assert tuple(inspect.signature(fn).parameters) == ("c", "snr_db", "method", "n_nodes")
     ref = json.loads(workloads.REFERENCE_PATH.read_text())["awgn_design"]["tiny"]
@@ -68,6 +74,26 @@ def test_awgn_design_call_matches_its_reference():
         assert abs(gmi - ref[fmt]) <= workloads.AWGN_TOL, fmt
     with pytest.raises(ValueError, match="^unknown method 'monte_carlo'"):
         fn(c, workloads.AWGN_SNR_DB, method="monte_carlo")
+
+
+def test_run_point_seed_keyword_is_replace(workloads):
+    """perfbench/workloads.py calls run_point(cfg, seed=s) with a 64-bit
+    op_seed. That is run_point(replace(cfg, seed=s)): the same records,
+    sigma2 and CSV, also for s >= 2**63. A bool seed is rejected by the
+    config, not run as seed 1."""
+    from prs4d import harness
+
+    cfg = harness.ExperimentConfig(
+        format="pm8qam", n_channels=1, n_symbols=2**12, n_spans=1,
+        step_km=80.0, launch_dbm=0.0, demapper="both")
+    s = next(s for i in range(64) if (s := workloads.op_seed(1, 0, i)) >= 2**63)
+    keyword = harness.run_point(cfg, seed=s)
+    replaced = harness.run_point(replace(cfg, seed=s))
+    assert keyword == replaced and [r.seed for r in keyword] == [s, s]
+    assert [r.sigma2 for r in keyword] == [r.sigma2 for r in replaced]
+    assert harness.records_to_csv(keyword) == harness.records_to_csv(replaced)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        harness.run_point(cfg, seed=True)
 
 
 def test_calibration_reads_the_llr_batch_fields():

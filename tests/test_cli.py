@@ -170,6 +170,19 @@ class TestMain:
         assert out.exists() and svg.exists()
         assert svg.read_text().count("<polyline") == 1
 
+    def test_sweep_power_rows_are_simulate_rows(self, capsysbinary):
+        """Each sweep-power row is byte for byte the simulate row at that
+        power, and every row carries the config seed."""
+        args = ["--output", "-", "--set", "ase_enabled=true",
+                "--set", "seed=11"] + TINY
+        assert cli.main(["sweep-power", "--powers=-1,1"] + args) == 0
+        header, *rows = capsysbinary.readouterr().out.splitlines(keepends=True)
+        for power, row in zip(["-1", "1"], rows, strict=True):
+            assert cli.main(["simulate", "--set", f"launch_dbm={power}"] + args) == 0
+            assert capsysbinary.readouterr().out == header + row
+        column = H.CSV_HEADER.split(",").index("seed")
+        assert [row.split(b",")[column] for row in rows] == [b"11", b"11"]
+
     def test_bad_config_returns_one(self, tmp_path, capsys):
         code = cli.main(["simulate", "--set", "alpha_db_km=-1",
                          "--output", str(tmp_path / "r.csv")])
@@ -392,6 +405,20 @@ class TestOutputPath:
         assert cli.main(["sweep-power", "--powers=-1,1", "--output", "r.csv",
                          "--plot", "r.svg", flag, ""] + TINY) == 1
         assert capsys.readouterr().err == f"error: {flag} '': not a writable file\n"
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output, plot", [
+        ("-", "-"), ("r.csv", "r.csv"), ("r.csv", "./r.csv")],
+        ids=["stdout", "same_path", "same_file"])
+    def test_plot_on_the_output_target_fails_before_propagation(
+            self, tmp_path, capsys, monkeypatch, output, plot):
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep-power", "--powers=-1,1", "--output", output,
+                         "--plot", plot] + TINY) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --plot {plot!r}: the same target as --output\n")
         assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_optimize_help_reads_the_default_grids(self, capsys, monkeypatch):

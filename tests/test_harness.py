@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -70,6 +71,13 @@ class TestExperimentConfig:
         assert "\n" not in str(err.value)
         assert not H.ExperimentConfig(alpha_db_km=0.0, ase_enabled=False).ase_enabled
 
+    @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
+    def test_seed_beyond_64_bits_runs(self, seed):
+        """An int is finite by type, so the config hands numpy no seed to
+        check, and derived_seed hashes an int of any size."""
+        recs = H.run_point(tiny_config(seed=seed, ase_enabled=True))
+        assert [r.seed for r in recs] == [seed]
+
     def test_paper_fiber_written_once(self):
         cfg = H.ExperimentConfig()
         assert cfg.fiber() == channel.FiberParams()
@@ -126,7 +134,9 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), "1"])
     def test_non_integer_seed_rejected(self, seed):
-        with pytest.raises(ValueError, match="^seed must be an integer$"):
+        """The seed keyword is replace(cfg, seed=...): the config's check."""
+        msg = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=msg):
             H.run_point(tiny_config(), seed=seed)
 
     def test_numpy_integer_seed_runs_as_int(self):
@@ -233,10 +243,11 @@ class TestSweeps:
         recs = H.sweep_power(tiny_config(ase_enabled=True), [-2.0, 0.0, 2.0])
         assert [r.launch_dbm for r in recs] == [-2.0, 0.0, 2.0]
 
-    def test_sweep_power_independent_seeds(self):
-        recs = H.sweep_power(tiny_config(), [-2.0, 0.0, 2.0])
-        assert len({r.seed for r in recs}) == 3
-        assert recs[0].seed == H.derived_seed(7, "power", -2.0)
+    def test_sweeps_run_every_value_at_the_config_seed(self):
+        cfg = tiny_config()
+        recs = (H.sweep_power(cfg, [-2.0, 0.0, 2.0])
+                + H.sweep_channels(cfg, [1, 3], powers=[-1.0, 0.0, 1.0]))
+        assert [r.seed for r in recs] == [cfg.seed] * 5
 
     def test_sweep_power_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -264,18 +275,29 @@ class TestSweeps:
                                  f"got '{value}'$"):
             H.sweep_power(tiny_config(), [0.0])
 
-    @pytest.mark.parametrize("sweep, field, coord, value", [
-        (H.sweep_power, "launch_dbm", "power", -1.0),
-    ])
-    def test_sweep_is_a_loop_over_run_point(self, sweep, field, coord, value,
-                                            monkeypatch):
-        """A one-value sweep is run_point on the config with that value and
-        the seed derived from the master seed and the coordinate."""
-        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=2.0)
-        point = H.run_point(replace(cfg, **{field: value}),
-                            seed=H.derived_seed(cfg.seed, coord, value))
-        monkeypatch.setenv("PRS4D_WORKERS", "1")
-        assert sweep(cfg, [value]) == point
+    @pytest.mark.parametrize("sweep, field, value, workers", [
+        (H.sweep_power, "launch_dbm", -1.0, "1"),
+        (H.sweep_power, "launch_dbm", -1.0, "2"),
+        (H.sweep_distance, "n_spans", 2, "1"),
+        (lambda cfg, grid: H.sweep_channels(cfg, grid, [cfg.launch_dbm]),
+         "n_channels", 3, "1"),
+    ], ids=["sweep_power", "sweep_power_2_workers", "sweep_distance",
+            "sweep_channels"])
+    def test_sweep_is_a_loop_over_run_point(self, sweep, field, value,
+                                            workers, monkeypatch):
+        """A one-value sweep is run_point(replace(cfg, field=value)) at
+        cfg.seed, bit for bit: the records, sigma2 where the record carries
+        it (a fitted optimum over channel counts does not), and the CSV.
+        At -20 dBm the GMI is below 6 bit/4D, so it shows the noise draws."""
+        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=-20.0,
+                          n_symbols=2**12, demapper="both")
+        point = H.run_point(replace(cfg, **{field: value}))
+        monkeypatch.setenv("PRS4D_WORKERS", workers)
+        recs = sweep(cfg, [value])
+        assert recs == point
+        if field != "n_channels":
+            assert [r.sigma2 for r in recs] == [r.sigma2 for r in point]
+        assert H.records_to_csv(recs) == H.records_to_csv(point)
 
     def test_sweep_distance_taps_run_point(self):
         """One propagation at cfg.seed gives, at each count n, the records of
