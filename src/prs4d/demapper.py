@@ -183,15 +183,9 @@ def llrs_for_points(
     return np.clip(llrs, -clamp, clamp, out=llrs)
 
 
-def compute_llrs(
-    batch: SymbolBatch,
-    c: Constellation4D,
-    model: NoiseModel,
-    clamp: float = LLR_CLAMP_NATS,
-) -> LlrBatch:
+def compute_llrs(batch: SymbolBatch, c: Constellation4D, model: NoiseModel) -> LlrBatch:
     """Demap a batch of received 4D symbols into per-bit LLRs."""
-    bits = _sent(batch, c.labels, c.M)
-    return LlrBatch(llrs_for_points(batch.rx_points, c, model, clamp=clamp), bits)
+    return LlrBatch(llrs_for_points(batch.rx_points, c, model), _sent(batch, c.labels, c.M))
 
 
 def gmi_from_llrs(llrs: LlrBatch, m: int) -> float:

@@ -1,8 +1,8 @@
 """Experiment orchestration: run_point is transmit -> propagate_link ->
 receive at one config. Every sweep follows one rule: its records at a grid
-value equal run_point(replace(cfg, field=value)) bit for bit, all at
-cfg.seed. A power sweep runs one point per power; a distance sweep
-propagates once and receives after each requested span count.
+value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
+but for the measured runtime_s. A power sweep runs each distinct power
+once; a distance sweep propagates once and receives after each span count.
 
 Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
@@ -30,6 +30,7 @@ CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
 
 VALID_FORMATS = ("pm8qam", "6b4d_2a8psk", "4d64prs")
 VALID_DEMAPPERS = ("iid", "cg", "both")
+_COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
 _FIELD_TYPES = {"str": (str, "a string"), "bool": ((bool, np.bool_), "True or False"),
                 "int": ((int, np.integer), "an integer"),
                 "float": ((int, float, np.integer, np.floating), "one number")}
@@ -59,9 +60,7 @@ class ExperimentConfig:
     launch_dbm: float = 0.0
     demapper: str = "both"
     phase_window: int = 128
-    epsilon_reg: float = 1e-6
     ase_enabled: bool = True
-    timings: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -81,8 +80,7 @@ class ExperimentConfig:
         for name in ("n_channels", "n_symbols", "n_spans", "phase_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km",
-                     "epsilon_reg"):
+        for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.ase_enabled and self.alpha_db_km == 0:
@@ -140,7 +138,7 @@ class ResultRecord:
     gmi_bit4d: float
     ndr_gbps: float
     seed: int
-    runtime_s: float
+    runtime_s: float = field(compare=False)
     sigma2: float = field(default=0.0, compare=False)
 
     def csv_row(self) -> str:
@@ -182,8 +180,7 @@ def _transmit(cfg: ExperimentConfig):
 def _receive(cfg: ExperimentConfig, c, rx_sig, tx_indices,
              t0: float) -> list[ResultRecord]:
     """Select the center channel, undo phase and gain with the genie, and
-    demap; with cfg.timings each record's runtime runs from t0 to the
-    last demap."""
+    demap; each record's runtime runs from t0 to the last demap."""
     center_offset = ((cfg.n_channels - 1) // 2
                      - (cfg.n_channels - 1) / 2) * cfg.spacing_hz
     rx = rxdsp.channel_select(rx_sig, center_offset, cfg.baud_hz, cfg.rolloff)
@@ -202,9 +199,9 @@ def _receive(cfg: ExperimentConfig, c, rx_sig, tx_indices,
             model = dm.NoiseModel.iid(sigma2)
         else:
             model = dm.NoiseModel.cg(dm.estimate_point_covariances(
-                batch, c, epsilon=cfg.epsilon_reg * sigma2))
+                batch, c, epsilon=_COV_RIDGE * sigma2))
         gmis[kind] = dm.gmi_from_llrs(dm.compute_llrs(batch, c, model), c.m)
-    runtime = time.perf_counter() - t0 if cfg.timings else 0.0
+    runtime = time.perf_counter() - t0
     return [ResultRecord(
         launch_dbm=cfg.launch_dbm, distance_km=cfg.n_spans * cfg.span_km,
         n_channels=cfg.n_channels, format=cfg.format, demapper=kind,
@@ -217,8 +214,8 @@ def run_point(cfg: ExperimentConfig,
     """Run one full TX -> link -> RX -> demap experiment at cfg's point.
 
     Evaluates the center WDM channel at cfg.seed. Returns one record per
-    requested demapper (iid, cg or both), deterministic for a fixed config;
-    with cfg.timings each carries the whole point's runtime. seed=s is
+    requested demapper (iid, cg or both), deterministic for a fixed config
+    but for runtime_s, the whole point's wall time. seed=s is
     shorthand for replace(cfg, seed=s), kept for perfbench/workloads.py's
     call form; it goes with the next benchmark change.
     """
@@ -238,24 +235,27 @@ def _worker_count() -> int:
 
 
 def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
-    """run_point(replace(cfg, launch_dbm=p)) for each power p, all at
-    cfg.seed, in order on PRS4D_WORKERS processes."""
-    cfgs = [replace(cfg, launch_dbm=float(p)) for p in powers]
+    """run_point(replace(cfg, launch_dbm=p)) for each power p at cfg.seed, in
+    order on PRS4D_WORKERS processes; a repeated power is run once."""
+    powers = [float(p) for p in powers]
+    cfgs = {p: replace(cfg, launch_dbm=p) for p in powers}
     if not cfgs:
         raise ValueError("empty power list")
     workers = _worker_count()
     if workers <= 1:
-        return [r for c in cfgs for r in run_point(c)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for recs in pool.map(run_point, cfgs) for r in recs]
+        points = dict(zip(cfgs, map(run_point, cfgs.values())))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = dict(zip(cfgs, pool.map(run_point, cfgs.values())))
+    return [r for p in powers for r in points[p]]
 
 
 def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     """GMI after each span count from one propagation at cfg.seed.
 
     The record at n equals run_point(replace(cfg, n_spans=n)). Records come
-    in input order, duplicates kept; with cfg.timings a record's runtime
-    runs from the start of the curve to its last demap.
+    in input order, duplicates kept; a record's runtime runs from the start
+    of the curve to its last demap.
     """
     span_counts = list(span_counts)
     cfgs = {n: replace(cfg, n_spans=n) for n in span_counts}
@@ -275,13 +275,15 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
 
 
 def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, float]:
-    """3-point quadratic fit around the grid maximum.
+    """3-point quadratic fit around the grid maximum of the sorted distinct
+    powers; a repeated power must repeat its GMI.
 
     Returns (optimum power, fitted GMI). Falls back to the grid value
     when the maximum sits on the grid edge or the fit is not concave.
     """
-    powers = np.asarray(powers, dtype=float)
-    gmis = np.asarray(gmis, dtype=float)
+    powers, gmis = np.unique(np.column_stack((powers, gmis)), axis=0).T
+    for p in powers[1:][np.diff(powers) == 0][:1]:
+        raise ValueError(f"power {p:g} dBm repeats with different GMIs")
     k = int(np.argmax(gmis))
     if k == 0 or k == powers.size - 1:
         return float(powers[k]), float(gmis[k])
@@ -297,25 +299,27 @@ def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, floa
 
 def sweep_channels(cfg: ExperimentConfig, channel_counts,
                    powers) -> list[ResultRecord]:
-    """Per channel count n: sweep_power(replace(cfg, n_channels=n), powers)
-    at cfg.seed, one record per demapper at the fitted optimum power, with
-    no sigma2 or runtime. With one power p a record equals
-    run_point(replace(cfg, n_channels=n, launch_dbm=p))."""
+    """Per distinct channel count n: sweep_power(replace(cfg, n_channels=n),
+    powers) at cfg.seed, one record per demapper at the fitted optimum
+    power, with no sigma2 and the sweep's runtime, in input order. With one
+    power p a record equals run_point(replace(cfg, n_channels=n, launch_dbm=p))."""
     channel_counts = list(channel_counts)
-    if not channel_counts:
+    cfgs = {n: replace(cfg, n_channels=n) for n in channel_counts}
+    if not cfgs:
         raise ValueError("empty channel-count list")
-    out = []
-    for n_ch in channel_counts:
-        recs = sweep_power(replace(cfg, n_channels=n_ch), powers)
+    fits = {}
+    for n, cfg_n in cfgs.items():
+        t0 = time.perf_counter()
+        recs = sweep_power(cfg_n, powers)
+        runtime = time.perf_counter() - t0
         for kind in dict.fromkeys(r.demapper for r in recs):
-            series = sorted((r for r in recs if r.demapper == kind),
-                            key=lambda r: r.launch_dbm)
+            series = [r for r in recs if r.demapper == kind]
             p_opt, g_opt = fit_optimum_power([r.launch_dbm for r in series],
                                              [r.gmi_bit4d for r in series])
-            out.append(replace(series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
-                               ndr_gbps=g_opt * cfg.baud_gbd, runtime_s=0.0,
-                               sigma2=0.0))
-    return out
+            fits.setdefault(n, []).append(replace(
+                series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
+                ndr_gbps=g_opt * cfg.baud_gbd, runtime_s=runtime, sigma2=0.0))
+    return [r for n in channel_counts for r in fits[n]]
 
 
 def find_reach(records: list[ResultRecord], gmi_target: float) -> float:

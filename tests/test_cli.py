@@ -50,7 +50,7 @@ class TestParseConfig:
 
     def test_bool_coercion(self):
         assert cli.parse_config(None, ["ase_enabled=false"]).ase_enabled is False
-        assert cli.parse_config(None, ["timings=1"]).timings is True
+        assert cli.parse_config(None, ["ase_enabled=1"]).ase_enabled is True
         with pytest.raises(ValueError):
             cli.parse_config(None, ["ase_enabled=maybe"])
 
@@ -156,11 +156,12 @@ class TestMain:
         assert len(lines) == 2
         assert float(lines[1].split(",")[5]) == pytest.approx(6.0, abs=1e-3)
 
-    def test_simulate_rerun_byte_identical(self, tmp_path):
+    def test_simulate_rerun_byte_identical(self, tmp_path, without_runtime):
+        """Two reruns differ in no byte but the measured runtime_s."""
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["simulate", "--output", str(a)] + TINY) == 0
         assert cli.main(["simulate", "--output", str(b)] + TINY) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert without_runtime(a.read_bytes()) == without_runtime(b.read_bytes())
 
     def test_sweep_power_with_plot(self, tmp_path):
         out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
@@ -170,16 +171,18 @@ class TestMain:
         assert out.exists() and svg.exists()
         assert svg.read_text().count("<polyline") == 1
 
-    def test_sweep_power_rows_are_simulate_rows(self, capsysbinary):
+    def test_sweep_power_rows_are_simulate_rows(self, capsysbinary,
+                                                without_runtime):
         """Each sweep-power row is byte for byte the simulate row at that
-        power, and every row carries the config seed."""
+        power but for runtime_s, and every row carries the config seed."""
         args = ["--output", "-", "--set", "ase_enabled=true",
                 "--set", "seed=11"] + TINY
         assert cli.main(["sweep-power", "--powers=-1,1"] + args) == 0
         header, *rows = capsysbinary.readouterr().out.splitlines(keepends=True)
         for power, row in zip(["-1", "1"], rows, strict=True):
             assert cli.main(["simulate", "--set", f"launch_dbm={power}"] + args) == 0
-            assert capsysbinary.readouterr().out == header + row
+            assert (without_runtime(capsysbinary.readouterr().out)
+                    == without_runtime(header + row))
         column = H.CSV_HEADER.split(",").index("seed")
         assert [row.split(b",")[column] for row in rows] == [b"11", b"11"]
 
@@ -242,6 +245,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: PRS4D_WORKERS") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["timings=1", "epsilon_reg=1e-6"])
+    def test_removed_config_keys_return_one(self, tmp_path, capsys, override):
+        """Every record is timed and the cg ridge is fixed, so neither is a
+        config key any more."""
+        out = tmp_path / "r.csv"
+        assert cli.main(["simulate", "--output", str(out)] + TINY
+                        + ["--set", override]) == 1
+        err = capsys.readouterr().err
+        key = override.split("=")[0]
+        assert err.startswith(f"error: unknown config key {key!r}; valid keys: ")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_unknown_key_returns_one(self, tmp_path, capsys):
         code = cli.main(["simulate", "--set", "bogus=1",
@@ -375,14 +390,46 @@ ONE_VALUE = {"sweep-power": ("--powers", "0"), "sweep-distance": ("--spans", "2"
 class TestOutputPath:
     @pytest.mark.parametrize("command", subcommands("--output"))
     def test_dash_prints_the_file_bytes(self, tmp_path, capsysbinary,
-                                        monkeypatch, command):
+                                        monkeypatch, command, without_runtime):
+        """Stdout gets the file's bytes, but for each run's own runtime_s."""
         monkeypatch.chdir(tmp_path)
         args = [command] + GRIDS.get(command, []) + TINY
         assert cli.main(args + ["--output", "f.csv"]) == 0
         assert capsysbinary.readouterr().out == b""
         assert cli.main(args + ["--output", "-"]) == 0
-        assert capsysbinary.readouterr().out == (tmp_path / "f.csv").read_bytes()
+        assert (without_runtime(capsysbinary.readouterr().out)
+                == without_runtime((tmp_path / "f.csv").read_bytes()))
         assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", *subcommands("--plot")])
+    def test_every_record_is_timed(self, capsys, command):
+        """Every row carries a measured runtime_s > 0. The iid and cg rows of
+        one point share it, and along a distance sweep it does not fall,
+        since the clock runs from the start of the curve."""
+        args = [command, "--output", "-"] + GRIDS.get(command, []) + TINY
+        assert cli.main(args + ["--set", "demapper=both",
+                                "--set", "n_symbols=4096"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        runtimes = [float(row.split(",")[-1]) for row in rows]
+        assert header.endswith(",runtime_s") and len(rows) % 2 == 0
+        assert all(t > 0 for t in runtimes)
+        assert runtimes[0::2] == runtimes[1::2]
+        if command == "sweep-distance":
+            assert runtimes == sorted(runtimes)
+
+    def test_sweep_channels_takes_a_repeated_unsorted_power_grid(
+            self, capsys, without_runtime):
+        """A repeated power is one grid point of the optimum fit, in any
+        order. This link peaks near 2 dBm, so the fit is off the grid."""
+        args = ["sweep-channels", "--channels", "1", "--output", "-"] + TINY + [
+            "--set", "ase_enabled=true", "--set", "nf_db=30",
+            "--set", "gamma_w_km=20"]
+        assert cli.main(args + ["--powers", "1,2,2,3"]) == 0
+        repeated = capsys.readouterr().out
+        assert cli.main(args + ["--powers", "3,2,1"]) == 0
+        assert without_runtime(repeated) == without_runtime(capsys.readouterr().out)
+        p_opt = float(repeated.splitlines()[1].split(",")[0])
+        assert 1 < p_opt < 3 and p_opt != 2
 
     @pytest.mark.parametrize("command", subcommands("--plot"))
     def test_plot_of_one_grid_value_fails_before_propagation(

@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -48,10 +49,10 @@ class TestExperimentConfig:
         ({"step_km": 0.0}, "step_km"), ({"step_km": 80.5}, "step_km"),
         ({"launch_dbm": [-2.0, 0.0, 2.0]}, "launch_dbm"),
         ({"launch_dbm": "0"}, "launch_dbm"),
-        ({"epsilon_reg": -1.0}, "epsilon_reg"),
+        ({"spacing_ghz": -1.0}, "spacing_ghz"),
         ({"launch_dbm": None}, "launch_dbm"),
         ({"launch_dbm": True}, "launch_dbm"),
-        ({"epsilon_reg": np.nan}, "epsilon_reg"),
+        ({"spacing_ghz": np.nan}, "spacing_ghz"),
         ({"gamma_w_km": np.nan}, "gamma_w_km"),
         ({"launch_dbm": np.nan}, "launch_dbm"),
         ({"launch_dbm": [0.0, np.inf]}, "launch_dbm"),
@@ -139,16 +140,18 @@ class TestRunPoint:
         with pytest.raises(ValueError, match=msg):
             H.run_point(tiny_config(), seed=seed)
 
-    def test_numpy_integer_seed_runs_as_int(self):
+    def test_numpy_integer_seed_runs_as_int(self, without_runtime):
         a = H.run_point(tiny_config(ase_enabled=True), seed=3)
         b = H.run_point(tiny_config(ase_enabled=True), seed=np.int64(3))
-        assert H.records_to_csv(a) == H.records_to_csv(b)
+        assert without_runtime(H.records_to_csv(a)) == without_runtime(H.records_to_csv(b))
 
-    def test_deterministic_records(self):
+    def test_deterministic_records(self, without_runtime):
+        """A rerun reproduces every column but the measured runtime_s."""
         cfg = tiny_config(ase_enabled=True, launch_dbm=-1.0)
         a = H.run_point(cfg)
         b = H.run_point(cfg)
-        assert H.records_to_csv(a) == H.records_to_csv(b)
+        assert a == b and [r.sigma2 for r in a] == [r.sigma2 for r in b]
+        assert without_runtime(H.records_to_csv(a)) == without_runtime(H.records_to_csv(b))
 
     def test_golden_nonlinear_two_span_point(self):
         """Pinned outputs of a nonlinear 3-channel, 2-span point.
@@ -166,20 +169,37 @@ class TestRunPoint:
         for r in recs.values():
             assert r.sigma2 == pytest.approx(0.007880014101011485, rel=1e-12)
 
-    def test_runtime_zero_without_timings(self):
+    def test_runtime_is_always_measured(self):
+        """Every record says what it cost; no option turns the clock on."""
         rec = H.run_point(tiny_config())[0]
-        assert rec.runtime_s == 0.0
-
-    def test_runtime_recorded_with_timings(self):
-        rec = H.run_point(tiny_config(timings=True))[0]
         assert rec.runtime_s > 0.0
+
+    def test_runtime_spans_the_whole_point(self, monkeypatch):
+        """The clock starts before the link, not at the demapper: a link
+        slowed by 50 ms shows in the runtime, which stays within the
+        caller's own wall time of the call."""
+        link = H.propagate_link
+
+        def slow_link(*args):
+            time.sleep(0.05)
+            return link(*args)
+
+        monkeypatch.setattr(H, "propagate_link", slow_link)
+        t0 = time.perf_counter()
+        rec = H.run_point(tiny_config())[0]
+        assert 0.05 <= rec.runtime_s <= time.perf_counter() - t0
+
+    def test_runtime_is_not_part_of_record_equality(self):
+        """runtime_s is a measurement, like sigma2 not a result: records
+        that differ only in it are equal."""
+        rec = H.run_point(tiny_config())[0]
+        assert replace(rec, runtime_s=rec.runtime_s + 1.0) == rec
 
     def test_both_records_carry_the_point_runtime(self):
         """The point is timed once, after the last demap, so the iid record
         does not leave out the cg demap and the cg record does not count
         the iid one."""
-        iid, cg = H.run_point(tiny_config(timings=True, demapper="both",
-                                          n_symbols=2**13))
+        iid, cg = H.run_point(tiny_config(demapper="both", n_symbols=2**13))
         assert (iid.demapper, cg.demapper) == ("iid", "cg")
         assert iid.runtime_s == cg.runtime_s > 0.0
 
@@ -253,7 +273,7 @@ class TestSweeps:
         with pytest.raises(ValueError):
             H.sweep_power(tiny_config(), [])
 
-    def test_process_pool_grid_equals_serial(self, monkeypatch):
+    def test_process_pool_grid_equals_serial(self, monkeypatch, without_runtime):
         """Two pool workers give the serial records and CSV. The pool forks
         after a two-thread span in this process, and each forked worker
         runs its own spans on two threads again."""
@@ -265,7 +285,8 @@ class TestSweeps:
         monkeypatch.setenv("PRS4D_WORKERS", "2")
         pooled = H.sweep_power(cfg, [-1.0, 3.0])
         assert pooled == serial
-        assert H.records_to_csv(pooled) == H.records_to_csv(serial)
+        assert (without_runtime(H.records_to_csv(pooled))
+                == without_runtime(H.records_to_csv(serial)))
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
@@ -284,11 +305,12 @@ class TestSweeps:
     ], ids=["sweep_power", "sweep_power_2_workers", "sweep_distance",
             "sweep_channels"])
     def test_sweep_is_a_loop_over_run_point(self, sweep, field, value,
-                                            workers, monkeypatch):
+                                            workers, monkeypatch, without_runtime):
         """A one-value sweep is run_point(replace(cfg, field=value)) at
         cfg.seed, bit for bit: the records, sigma2 where the record carries
-        it (a fitted optimum over channel counts does not), and the CSV.
-        At -20 dBm the GMI is below 6 bit/4D, so it shows the noise draws."""
+        it (a fitted optimum over channel counts does not), and the CSV but
+        for the measured runtime_s. At -20 dBm the GMI is below 6 bit/4D,
+        so it shows the noise draws."""
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=-20.0,
                           n_symbols=2**12, demapper="both")
         point = H.run_point(replace(cfg, **{field: value}))
@@ -297,13 +319,15 @@ class TestSweeps:
         assert recs == point
         if field != "n_channels":
             assert [r.sigma2 for r in recs] == [r.sigma2 for r in point]
-        assert H.records_to_csv(recs) == H.records_to_csv(point)
+        assert without_runtime(H.records_to_csv(recs)) == without_runtime(
+            H.records_to_csv(point))
 
-    def test_sweep_distance_taps_run_point(self):
+    def test_sweep_distance_taps_run_point(self, without_runtime):
         """One propagation at cfg.seed gives, at each count n, the records of
-        run_point(replace(cfg, n_spans=n)) bit for bit, because span k draws
-        the same ASE whatever n_spans is. Input order and duplicates are
-        kept, and the runtime runs from the start of the curve."""
+        run_point(replace(cfg, n_spans=n)) bit for bit but for runtime_s,
+        because span k draws the same ASE whatever n_spans is. Input order
+        and duplicates are kept, and the runtime runs from the start of the
+        curve, so it does not decrease along it."""
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=2.0,
                           n_symbols=2**12, demapper="both")
         counts = [3, 1, 2, 3]
@@ -311,10 +335,10 @@ class TestSweeps:
         points = [r for n in counts for r in H.run_point(replace(cfg, n_spans=n))]
         assert curve == points
         assert [r.sigma2 for r in curve] == [r.sigma2 for r in points]
-        assert H.records_to_csv(curve) == H.records_to_csv(points)
+        assert without_runtime(H.records_to_csv(curve)) == without_runtime(
+            H.records_to_csv(points))
         assert {r.seed for r in curve} == {cfg.seed}
-        timed = H.sweep_distance(replace(cfg, timings=True), [1, 2, 3])
-        runtimes = [r.runtime_s for r in timed]
+        runtimes = [r.runtime_s for r in H.sweep_distance(cfg, [1, 2, 3])]
         assert 0.0 < runtimes[0] and runtimes == sorted(runtimes)
 
     @pytest.mark.parametrize("run", [
@@ -359,6 +383,42 @@ class TestSweeps:
         assert (H.sweep_channels(cfg, [np.int64(1)], powers=[-1.0, 0.0, 1.0])
                 == H.sweep_channels(cfg, [1], powers=[-1.0, 0.0, 1.0]))
 
+    def test_repeated_values_run_once(self, monkeypatch):
+        """A repeated power or channel count is the same point at cfg.seed:
+        it propagates once, and its records repeat in input order."""
+        calls, span = [], channel.ssfm_span
+        monkeypatch.setattr(channel, "ssfm_span",
+                            lambda *a: calls.append(a) or span(*a))
+        cfg = tiny_config(ase_enabled=True)
+        recs = H.sweep_power(cfg, [0.0, -1.0, 0.0, 0.0])
+        assert len(calls) == 2
+        assert [r.launch_dbm for r in recs] == [0.0, -1.0, 0.0, 0.0]
+        assert recs[0] == recs[2] == recs[3] != recs[1]
+        calls.clear()
+        recs = H.sweep_channels(cfg, [1, 3, 1], powers=[-1.0, 0.0, 0.0, 1.0])
+        assert len(calls) == 2 * 3
+        assert [r.n_channels for r in recs] == [1, 3, 1]
+        assert recs[0] == recs[2] and recs[0].runtime_s == recs[2].runtime_s
+
+    def test_repeated_powers_reach_the_pool_once(self, monkeypatch):
+        """Under PRS4D_WORKERS each distinct power is one pool task, and the
+        records are the serial ones, duplicates kept."""
+        tasks = []
+
+        class Pool(H.ProcessPoolExecutor):
+            def map(self, fn, cfgs):
+                cfgs = list(cfgs)
+                tasks.extend(c.launch_dbm for c in cfgs)
+                return super().map(fn, cfgs)
+
+        monkeypatch.setattr(H, "ProcessPoolExecutor", Pool)
+        cfg = tiny_config(ase_enabled=True)
+        monkeypatch.setenv("PRS4D_WORKERS", "2")
+        pooled = H.sweep_power(cfg, [0.0, -1.0, 0.0])
+        assert tasks == [0.0, -1.0]
+        monkeypatch.setenv("PRS4D_WORKERS", "1")
+        assert pooled == H.sweep_power(cfg, [0.0, -1.0, 0.0])
+
     def test_sweep_channels_structure(self):
         recs = H.sweep_channels(tiny_config(), [1], powers=[-1.0, 0.0, 1.0])
         assert len(recs) == 1
@@ -378,6 +438,25 @@ class TestFitOptimumPower:
         p = np.array([0.0, 1.0, 2.0])
         g = np.array([3.0, 2.0, 1.0])
         assert H.fit_optimum_power(p, g) == (0.0, 3.0)
+
+    def test_repeated_power_is_one_grid_point(self):
+        """0, 1, 1, 2 is the grid 0, 1, 2: the parabola through (0, 1),
+        (1, 2), (2, 1.5) peaks at 7/6 dBm, off the grid."""
+        p_opt, g_opt = H.fit_optimum_power([0, 1, 1, 2], [1, 2, 2, 1.5])
+        assert p_opt == pytest.approx(7 / 6, abs=1e-12)
+        assert g_opt == pytest.approx(1 + 49 / 48, abs=1e-12)
+
+    def test_unsorted_grid_fits_as_sorted(self):
+        p = np.array([2.0, -1.0, 1.0, 0.0])
+        g = 5.0 - (p - 0.3) ** 2
+        order = np.argsort(p)
+        assert H.fit_optimum_power(p, g) == H.fit_optimum_power(p[order], g[order])
+        assert H.fit_optimum_power(p, g)[0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_repeated_power_with_two_gmis_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^power 1 dBm repeats with different GMIs$"):
+            H.fit_optimum_power([0, 1, 1, 2], [1, 2, 2.5, 1.5])
 
     def test_flat_series_falls_back(self):
         p = np.array([0.0, 1.0, 2.0])
