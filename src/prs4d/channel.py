@@ -149,7 +149,7 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     alpha = fiber.alpha_db_km * _LN10 / 10.0  # power Np/km
     # merged half steps: D(h1/2) N1 D((h1+h2)/2) N2 ... D(hn/2)
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
-    phasors = _phasors(signal, fiber.beta2_s2_km, halves)
+    phasors = _phasors(signal, fiber.beta2_s2_km, halves[:-1])  # h_n/2: CDC fold only
 
     fld = signal.field.copy()
     rows = (fld[:1], fld[1:])

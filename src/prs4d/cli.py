@@ -3,10 +3,12 @@
 Every command but optimize-constellation, which searches the 4D-64PRS
 geometry itself, reads its constellation and link from the one config (a
 --config file, then --set overrides). Grids take lo:hi:step or a comma list.
-Commands render CSV and SVG text; one writer sends it to a file, or to
-stdout for '-'. Output paths, plot grids and a plot aimed at the CSV's own
-target are checked before any run.
-"""
+harness.parse_field reads every config value: each file line, each --set
+and each value of --powers, --spans and --channels, which set config fields.
+A bad value fails with the config's own "KEY must be" line. Commands render
+CSV and SVG text; one writer sends it to a file, or to stdout for '-'.
+Output paths, plot grids and a plot aimed at the CSV's own target are
+checked before any run."""
 
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -22,59 +23,28 @@ from . import constellation as const
 from . import demapper as dm
 from . import harness
 
-_CONFIG_FIELDS = {f.name: f for f in fields(harness.ExperimentConfig)}
-
-
-def _coerce(name: str, raw: str):
-    """Parse a config value string into the field's declared type."""
-    kind, raw = _CONFIG_FIELDS[name].type, raw.strip()
-    if kind == "str":
-        return raw
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    parse, what = (int, "an integer") if kind == "int" else (float, "a number")
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ValueError(f"{name}: expected {what}, got {raw!r}") from None
-
 
 def parse_config(path: str | None, overrides: list[str] | None = None
                  ) -> harness.ExperimentConfig:
     """Build an ExperimentConfig from a flat key=value file plus overrides.
 
-    Missing file (path None) means pure defaults. Unknown keys are
-    rejected with the list of valid keys; field invariants are checked
-    by the config dataclass itself.
+    Missing file (path None) means pure defaults. A later line of a key
+    wins; harness.parse_field reads each value, and the config dataclass
+    checks every field's invariants.
     """
-    kv = {}
+    lines = []
     if path is not None:
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, val = (s.strip() for s in line.split("=", 1))
-                kv[key] = val
-    for ov in overrides or []:
-        if "=" not in ov:
-            raise ValueError(f"override {ov!r}: expected key=value")
-        key, val = (s.strip() for s in ov.split("=", 1))
-        kv[key] = val
-
-    parsed = {}
-    for key, val in kv.items():
-        if key not in _CONFIG_FIELDS:
-            valid = ", ".join(sorted(_CONFIG_FIELDS))
-            raise ValueError(f"unknown config key {key!r}; valid keys: {valid}")
-        parsed[key] = _coerce(key, val)
-    return harness.ExperimentConfig(**parsed)
+        with open(path) as f:  # blank lines and # comments are skipped
+            lines = [(f"{path}:{n}", text) for n, raw in enumerate(f, 1)
+                     if (text := raw.split("#", 1)[0].strip())]
+    kv = {}
+    for where, text in lines + [(f"override {ov!r}", ov) for ov in overrides or []]:
+        key, eq, val = text.partition("=")
+        if not eq:
+            raise ValueError(f"{where}: expected key=value")
+        kv[key.strip()] = val.strip()
+    return harness.ExperimentConfig(
+        **{key: harness.parse_field(key, val) for key, val in kv.items()})
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -210,17 +180,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_grid(flag: str, spec: str) -> list[float]:
-    """Finite lo:hi:step (hi included), or a comma list of numbers."""
+def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
+    """Finite lo:hi:step (hi included), or a comma list of numbers; a grid
+    that sets config field `field` reads each one with harness.parse_field."""
+    texts = spec.split(":" if ":" in spec else ",")
     try:
-        vals = [float(v) for v in spec.split(":" if ":" in spec else ",")]
+        vals = [float(t) for t in texts]
+        if ":" in spec and (len(vals) != 3 or not all(map(math.isfinite, vals))):
+            raise ValueError
     except ValueError:
-        vals = []
-    if vals and ":" not in spec:
-        return vals
-    if len(vals) != 3 or not all(map(math.isfinite, vals)):
         raise ValueError(f"{flag} {spec!r}: expected lo:hi:step or a comma "
-                         "list of numbers")
+                         "list of numbers") from None
+    if field is not None:
+        try:
+            vals = [harness.parse_field(field, t) for t in texts]
+        except ValueError as exc:
+            raise ValueError(f"{flag} {spec!r}: {exc}") from None
+    if ":" not in spec:
+        return vals
     lo, hi, step = vals
     if step == 0:
         raise ValueError(f"{flag} {spec!r}: step must be nonzero")
@@ -228,16 +205,6 @@ def _parse_grid(flag: str, spec: str) -> list[float]:
     if n < 1:
         raise ValueError(f"{flag} {spec!r}: empty range")
     return [lo + k * step for k in range(n)]
-
-
-def _parse_counts(flag: str, spec: str) -> list[int]:
-    """A grid of counts; every value must be an integer >= 1."""
-    vals = _parse_grid(flag, spec)
-    bad = [v for v in vals if not (v >= 1 and v.is_integer())]
-    if bad:
-        raise ValueError(f"{flag} {spec!r}: counts must be integers >= 1, "
-                         f"got {bad[0]:g}")
-    return [int(v) for v in vals]
 
 
 def _check_writable(flag: str, path: str) -> None:
@@ -261,11 +228,14 @@ def _write(path: str, text: str) -> None:
             f.write(text)
 
 
-# sweep command: (grid flag, plot x field, plot y field, harness sweep)
+# sweep command: ((grid flag, config field it sets), ...), plot x, plot y, sweep
 _SWEEPS = {
-    "sweep-power": ("--powers", "launch_dbm", "gmi_bit4d", harness.sweep_power),
-    "sweep-distance": ("--spans", "distance_km", "gmi_bit4d", harness.sweep_distance),
-    "sweep-channels": ("--channels", "n_channels", "ndr_gbps", harness.sweep_channels),
+    "sweep-power": ((("--powers", "launch_dbm"),), "launch_dbm", "gmi_bit4d",
+                    harness.sweep_power),
+    "sweep-distance": ((("--spans", "n_spans"),), "distance_km", "gmi_bit4d",
+                       harness.sweep_distance),
+    "sweep-channels": ((("--channels", "n_channels"), ("--powers", "launch_dbm")),
+                       "n_channels", "ndr_gbps", harness.sweep_channels),
 }
 
 
@@ -301,14 +271,14 @@ def _run(args) -> int:
     elif args.command == "simulate":
         text = harness.records_to_csv(harness.run_point(cfg))
     else:
-        flag, xf, yf, sweep = _SWEEPS[args.command]
-        spec = getattr(args, flag[2:])
-        grid = (_parse_grid if flag == "--powers" else _parse_counts)(flag, spec)
-        if plot and len(grid) < 2:
+        flags, xf, yf, sweep = _SWEEPS[args.command]
+        grids = [_parse_grid(flag, getattr(args, flag[2:]), field)
+                 for flag, field in flags]
+        flag = flags[0][0]
+        if plot and len(grids[0]) < 2:
             raise ValueError(f"--plot needs at least 2 values of {flag}, "
-                             f"got {spec!r}")
-        powers = [_parse_grid("--powers", args.powers)] if flag == "--channels" else []
-        records = sweep(cfg, grid, *powers)
+                             f"got {getattr(args, flag[2:])!r}")
+        records = sweep(cfg, *grids)
         text = harness.records_to_csv(records)
     _write(args.output, text)
     if plot:

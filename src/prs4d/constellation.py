@@ -245,8 +245,7 @@ def optimize_prs_params(snr_db: float, rhos, thetas) -> tuple[PrsParams, float]:
                 c = build_4d64prs(params)
             except ValueError:
                 continue
-            gmi = demapper.awgn_gmi_reference(c, snr_db,
-                                              method="quadrature", n_nodes=5)
+            gmi = demapper.awgn_gmi_reference(c, snr_db, n_nodes=5)
             if gmi > best_gmi:
                 best, best_gmi = params, gmi
     if best is None:

@@ -26,6 +26,7 @@ LLR_CLAMP_NATS = 50.0
 # 2-core Xeon) 22.8/23.0 at 512, 19.9/20.4 at 1024, 23.2/23.1 at 2048 and 26.1/24.2 at 4096.
 _BLOCK_ROWS = 1024
 _LOG2 = np.log(2.0)
+MIN_SYMBOLS = 100  # symbols for an iid noise estimate
 _MIN_OCCURRENCES = 30  # transmissions per point for a covariance estimate
 _SYM_TOL2 = 1e-26  # squared distance within which g s_i counts as s_j
 _SIGNED_PERMS = np.array([np.eye(4)[list(p)] * sg  # the 384 as (4, 4) matrices
@@ -94,10 +95,19 @@ def estimate_iid_sigma2(batch: SymbolBatch, c: Constellation4D) -> float:
     Returns 0.0 for a noiseless batch; demapping with sigma2 = 0 is an
     error downstream.
     """
-    if batch.ns < 100:
-        raise ValueError(f"need at least 100 symbols, got {batch.ns}")
+    if batch.ns < MIN_SYMBOLS:
+        raise ValueError(f"need at least {MIN_SYMBOLS} symbols, got {batch.ns}")
     resid = batch.rx_points - _sent(batch, c.points, c.M)
     return float(np.sum(resid**2) / (resid.shape[1] * batch.ns))
+
+
+def point_counts(tx_indices: np.ndarray, M: int) -> np.ndarray:
+    """Transmissions of each of the M points; fails below the covariance floor."""
+    counts = np.bincount(tx_indices, minlength=M)
+    for i in np.flatnonzero(counts < _MIN_OCCURRENCES)[:1]:
+        raise ValueError(f"constellation point {i} transmitted {counts[i]} "
+                         f"times; need at least {_MIN_OCCURRENCES}")
+    return counts
 
 
 def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
@@ -111,10 +121,7 @@ def estimate_point_covariances(batch: SymbolBatch, c: Constellation4D,
     """
     n_dim = c.points.shape[1]
     r = batch.rx_points - _sent(batch, c.points, c.M)
-    counts = np.bincount(batch.tx_indices, minlength=c.M)
-    for i in np.flatnonzero(counts < _MIN_OCCURRENCES)[:1]:
-        raise ValueError(f"constellation point {i} transmitted {counts[i]} "
-                         f"times; need at least {_MIN_OCCURRENCES}")
+    counts = point_counts(batch.tx_indices, c.M)
     covs = np.empty((c.M, n_dim, n_dim))
     for a, b in zip(*np.triu_indices(n_dim)):
         covs[:, a, b] = covs[:, b, a] = np.bincount(

@@ -31,9 +31,18 @@ CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
 VALID_FORMATS = ("pm8qam", "6b4d_2a8psk", "4d64prs")
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
-_FIELD_TYPES = {"str": (str, "a string"), "bool": ((bool, np.bool_), "True or False"),
-                "int": ((int, np.integer), "an integer"),
-                "float": ((int, float, np.integer, np.floating), "one number")}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+# config field type: (accepted values, description, parser of the text form)
+_FIELD_TYPES = {"str": (str, "a string", str),
+                "bool": ((bool, np.bool_), "True or False", lambda t: _BOOLS[t.lower()]),
+                "int": ((int, np.integer), "an integer", int),
+                "float": ((int, float, np.integer, np.floating), "one number", float)}
+
+
+def _type_error(name: str, kind: str, value) -> ValueError:
+    hint = " (sweep powers with sweep-power)" if name == "launch_dbm" else ""
+    return ValueError(f"{name} must be {_FIELD_TYPES[kind][1]}, got {value!r}{hint}")
 
 
 @dataclass
@@ -65,11 +74,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            types, what = _FIELD_TYPES[f.type]
-            if not isinstance(value, types) or (
+            if not isinstance(value, _FIELD_TYPES[f.type][0]) or (
                     f.type != "bool" and isinstance(value, (bool, np.bool_))):
-                hint = " (sweep powers with sweep-power)" if f.name == "launch_dbm" else ""
-                raise ValueError(f"{f.name} must be {what}, got {value!r}{hint}")
+                raise _type_error(f.name, f.type, value)
             if isinstance(value, (float, np.floating)) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         self.launch_dbm = float(self.launch_dbm)
@@ -77,9 +84,10 @@ class ExperimentConfig:
             raise ValueError(f"format must be one of {VALID_FORMATS}")
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
-        for name in ("n_channels", "n_symbols", "n_spans", "phase_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+        for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS),
+                            ("n_spans", 1), ("phase_window", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -126,6 +134,18 @@ class ExperimentConfig:
                                   self.ring_ratio)
 
 
+def parse_field(name: str, text: str):
+    """Config field name's value read from text by its type's parser."""
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
+    if name not in kinds:
+        raise ValueError(f"unknown config key {name!r}; valid keys: "
+                         f"{', '.join(sorted(kinds))}")
+    try:
+        return _FIELD_TYPES[kinds[name]][2](text)
+    except (KeyError, ValueError):  # KeyError: not a boolean word
+        raise _type_error(name, kinds[name], text) from None
+
+
 @dataclass
 class ResultRecord:
     """One (config point, demapper) GMI measurement."""
@@ -169,6 +189,8 @@ def _transmit(cfg: ExperimentConfig):
         channels.append(txdsp.set_mean_power(sig, cfg.launch_dbm))
         if ch == (cfg.n_channels - 1) // 2:
             tx_indices = indices
+            if cfg.demapper != "iid":  # the cg estimate's floor, before any span
+                dm.point_counts(tx_indices, c.M)
     mux = txdsp.wdm_mux(channels, cfg.spacing_hz, cfg.baud_hz, cfg.rolloff)
     link = LinkConfig(span=cfg.fiber(), n_spans=cfg.n_spans,
                       step_km=cfg.step_km, edfa_nf_db=cfg.nf_db,

@@ -314,6 +314,28 @@ class TestFoldedCdc:
 
         assert peak(ch.ssfm_span) <= peak(unfolded_span)
 
+    @pytest.mark.parametrize("fiber, step_km", [(SHORT, 0.3), (LEAF, 0.1)],
+                             ids=["short_0.3km", "leaf_0.1km"])
+    def test_every_phasor_built_is_applied(self, monkeypatch, fiber, step_km):
+        """No unused half-step phasor: h_n/2 enters only the CDC fold, also
+        after a remainder step (divmod(80, 0.1) leaves 0.0999... km)."""
+        built, applied = [], set()  # (dz, phasor) pairs, held so no id is reused
+        phasors = ch._phasors
+
+        def spy_phasors(*args):
+            out = phasors(*args)
+            built.extend(out.items())
+            return out
+
+        def spy_filter(fld, h):
+            applied.update(dz for dz, b in built if b is h)
+            return spectral_filter(fld, h)
+
+        monkeypatch.setattr(ch, "_phasors", spy_phasors)
+        monkeypatch.setattr(ch, "spectral_filter", spy_filter)
+        ch.ssfm_span(random_signal(n=64), fiber, step_km)
+        assert sorted(dz for dz, _ in built) == sorted(applied)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 301, 4096, 4097, 2**17])
     def test_phasor_mirror_bit_identical(self, n):
         """Each response is evaluated on bins 0 .. n//2 and mirrored; that

@@ -1,4 +1,9 @@
 import argparse
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +45,9 @@ class TestParseConfig:
 
     def test_launch_power_list(self):
         """A config is one point; a power list belongs to sweep-power."""
-        with pytest.raises(ValueError, match="^launch_dbm: expected a number, "
-                                             "got '-2,0,2'$"):
+        with pytest.raises(ValueError, match=r"^launch_dbm must be one number, "
+                                             r"got '-2,0,2' \(sweep powers "
+                                             r"with sweep-power\)$"):
             cli.parse_config(None, ["launch_dbm=-2,0,2"])
 
     def test_launch_power_scalar(self):
@@ -63,6 +69,30 @@ class TestParseConfig:
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
             cli.parse_config(None, ["step_km"])
+
+
+# a text each field type's parser, or the config's check of it, rejects
+UNPARSABLE = {"str": "bogus", "bool": "maybe", "int": "2.5", "float": "x"}
+
+
+class TestFieldRoundTrip:
+    """Every config field reads through one parser, so a field added to
+    ExperimentConfig is readable with no CLI edit."""
+
+    @pytest.mark.parametrize("f", fields(H.ExperimentConfig), ids=lambda f: f.name)
+    def test_default_as_text_gives_the_default(self, f):
+        default = getattr(H.ExperimentConfig(), f.name)
+        assert (cli.parse_config(None, [f"{f.name}={default}"])
+                == H.ExperimentConfig())
+
+    @pytest.mark.parametrize("f", fields(H.ExperimentConfig), ids=lambda f: f.name)
+    def test_unparsable_text_fails_in_one_line(self, tmp_path, capsys, f):
+        out = tmp_path / "r.csv"
+        assert cli.main(["simulate", "--output", str(out), "--set",
+                         f"{f.name}={UNPARSABLE[f.type]}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f.name} must be ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestParseGrid:
@@ -203,7 +233,7 @@ class TestMain:
                          "--output", str(tmp_path / "r.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}:") and err.count("\n") == 1
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
 
     def test_sweep_distance_rejects_power_list(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -227,14 +257,24 @@ class TestMain:
         ("sweep-channels", "--channels", "1,2.5"),
         ("sweep-channels", "--channels", "-1"),
     ])
-    def test_non_integral_count_returns_one(self, tmp_path, capsys, command,
-                                            flag, spec):
+    def test_non_integral_count_returns_one(self, tmp_path, capsys, monkeypatch,
+                                            command, flag, spec):
+        """A count the field's parser rejects names the flag; a count
+        below 1 fails the config's range check, which names the field."""
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
+        field = {"--spans": "n_spans", "--channels": "n_channels"}[flag]
         out = tmp_path / "r.csv"
         assert cli.main([command, f"{flag}={spec}", "--output", str(out)]
                         + TINY) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and flag in err and "integers" in err
-        assert not out.exists()
+        bad = [v for v in spec.replace(":", ",").split(",") if "." in v]
+        if bad:
+            assert err == (f"error: {flag} {spec!r}: {field} must be an "
+                           f"integer, got {bad[0]!r}\n")
+        else:
+            assert err == f"error: {field} must be an integer >= 1\n"
+        assert calls == [] and not out.exists()
 
     def test_bad_worker_count_returns_one(self, tmp_path, capsys,
                                           monkeypatch):
@@ -368,6 +408,29 @@ class TestMain:
                          "--theta", "0.45"]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.startswith("rho=1.6 theta=0.45 gmi=")
+
+
+class TestEntryPoint:
+    """python -m prs4d.cli, through sys.exit(main())."""
+
+    def run(self, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "prs4d.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_bad_set_exits_one_with_one_line(self, tmp_path):
+        out = tmp_path / "r.csv"
+        done = self.run("simulate", "--output", str(out), "--set", "n_spans=2.5")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "error: n_spans must be an integer, got '2.5'\n"
+        assert not out.exists()
+
+    def test_tiny_simulate_prints_the_csv(self):
+        done = self.run("simulate", "--output", "-", *TINY)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines()[0] == H.CSV_HEADER
 
 
 def subcommands(option):

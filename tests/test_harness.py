@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prs4d import channel
+from prs4d import channel, rxdsp
 from prs4d import demapper as dm
 from prs4d import harness as H
 from prs4d.channel import C_LIGHT, H_PLANCK
@@ -375,6 +375,34 @@ class TestSweeps:
                            match="^n_channels must be an integer, got 1.9$"):
             H.sweep_channels(tiny_config(), [1.9], powers=[0.0])
         assert calls == []
+
+    @pytest.mark.parametrize("demapper", ["cg", "both"])
+    def test_too_few_cg_counts_fail_before_propagation(self, monkeypatch, demapper):
+        """A cg run that the covariance estimate would reject fails with its
+        message before the first span: 1 500 PM-8QAM symbols at seed 1 send
+        point 0 only 29 times."""
+        def no_span(*args):
+            raise AssertionError("ssfm_span called")
+
+        monkeypatch.setattr(channel, "ssfm_span", no_span)
+        cfg = tiny_config(n_symbols=1500, n_spans=2, seed=1, demapper=demapper)
+        message = "^constellation point 0 transmitted 29 times; need at least 30$"
+        with pytest.raises(ValueError, match=message):
+            H.run_point(cfg)
+        with pytest.raises(ValueError, match=message):
+            H.sweep_distance(cfg, [1, 2])
+
+    def test_symbol_floor_is_the_iid_estimate_floor(self):
+        """The config rejects fewer symbols than estimate_iid_sigma2 takes, so
+        no run_point or sweep_distance reaches the first span with them."""
+        with pytest.raises(ValueError, match=f"^n_symbols must be an integer "
+                                             f">= {dm.MIN_SYMBOLS}$"):
+            tiny_config(n_symbols=dm.MIN_SYMBOLS - 1)
+        batch = rxdsp.SymbolBatch(np.zeros(dm.MIN_SYMBOLS - 1, dtype=int),
+                                  np.zeros((dm.MIN_SYMBOLS - 1, 4)))
+        with pytest.raises(ValueError, match=f"need at least {dm.MIN_SYMBOLS} symbols"):
+            dm.estimate_iid_sigma2(batch, tiny_config().build_constellation())
+        assert len(H.run_point(tiny_config(n_symbols=dm.MIN_SYMBOLS))) == 1
 
     def test_numpy_integer_counts_run(self):
         cfg = tiny_config(ase_enabled=True)
