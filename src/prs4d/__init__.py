@@ -2,12 +2,10 @@
 
 from .constellation import (
     Constellation4D,
-    PrsParams,
     build_4d64prs,
     build_6b4d_2a8psk,
     build_pm8qam,
     map_bits_to_symbols,
-    optimize_prs_params,
 )
 from .channel import FiberParams, LinkConfig, propagate_link
 from .demapper import (
@@ -17,7 +15,8 @@ from .demapper import (
     compute_llrs,
     gmi_from_llrs,
 )
-from .harness import ExperimentConfig, ResultRecord, find_reach, run_point
+from .harness import (ExperimentConfig, ResultRecord, find_reach,
+                      optimize_prs_params, run_point)
 from .rxdsp import SymbolBatch
 from .txdsp import SampledSignal, generate_bits
 

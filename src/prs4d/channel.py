@@ -69,6 +69,11 @@ class FiberParams:
     def loss_db(self) -> float:
         return self.alpha_db_km * self.length_km
 
+    def effective_length_km(self, dz: float) -> float:
+        """Attenuation-aware effective length (1 - e^{-a dz})/a of a step dz."""
+        alpha = self.alpha_db_km * _LN10 / 10.0  # power Np/km
+        return (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -158,9 +163,9 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     two = len(cpus) > 1
     with ThreadPoolExecutor(1) if two else contextlib.nullcontext() as pool:
         for dz, half in zip(steps, halves):
-            dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
             _split(pool, spectral_filter, rows, phasors[half])
-            _split(pool, _kerr, cut, fiber.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2))
+            _split(pool, _kerr, cut, fiber.gamma_w_km,
+                   fiber.effective_length_km(dz), np.exp(-alpha * dz / 2))
         del phasors  # freed first: built beside them, the CDC's raised the peak
         cdc = halves[-1] - fiber.length_km  # D(h_n/2) D(-L) = D(h_n/2 - L)
         last = _phasors(signal, fiber.beta2_s2_km, [cdc])[cdc]

@@ -228,6 +228,7 @@ def _write(path: str, text: str) -> None:
             f.write(text)
 
 
+_GRID_FLAGS = ("--powers", "--spans", "--channels", "--snr", "--rho", "--theta")
 # sweep command: ((grid flag, config field it sets), ...), plot x, plot y, sweep
 _SWEEPS = {
     "sweep-power": ((("--powers", "launch_dbm"),), "launch_dbm", "gmi_bit4d",
@@ -249,9 +250,8 @@ def _run(args) -> int:
                 else _parse_grid("--rho", args.rho))
         thetas = (const.DEFAULT_PRS_THETAS if args.theta is None
                   else _parse_grid("--theta", args.theta))
-        params, gmi = const.optimize_prs_params(snr, rhos, thetas)
-        _write("-", f"rho={params.rho:.10g} theta={params.theta:.10g} "
-                    f"gmi={gmi:.10g}\n")
+        rho, theta, gmi = harness.optimize_prs_params(snr, rhos, thetas)
+        _write("-", f"rho={rho:.10g} theta={theta:.10g} gmi={gmi:.10g}\n")
         return 0
 
     cfg = parse_config(args.config, args.overrides)
@@ -287,6 +287,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes -4:6:1 for an option
+        if argv[i - 1] in _GRID_FLAGS and argv[i].startswith("-"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

@@ -4,6 +4,8 @@ A constellation is an M x 4 real matrix (columns [Re X, Im X, Re Y, Im Y])
 normalized to unit average 4D symbol energy. The row index is the label:
 row i carries the binary expansion of i, first bit as MSB, so a builder
 chooses its labelling by the order in which it lists the points.
+FORMATS names every format build_format makes; each builder checks its own
+arguments under their config keys. The module imports nothing of prs4d.
 """
 
 from __future__ import annotations
@@ -12,27 +14,6 @@ from dataclasses import dataclass, field
 from math import cos, pi, sin, sqrt
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PrsParams:
-    """Free geometry parameters of the ring-switching format.
-
-    rho is the radius ratio R2/R1 of the 4-point ring (QPSK at 45 degrees)
-    to the 8-point ring; either may be the larger. theta is the angle of
-    each 8-point-ring point from its nearest QPSK diagonal, so the 8
-    phases are k pi/2 + pi/4 +- theta. At theta = 0 or pi/4 pairs of them
-    coincide, hence the open interval.
-    """
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if not 0 < self.theta < pi / 4:
-            raise ValueError(f"theta must be in (0, pi/4), got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -82,20 +63,27 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return float(np.sqrt(d2.min()))
 
 
-def build_4d64prs(params: PrsParams) -> Constellation4D:
+def build_4d64prs(prs_rho: float, prs_theta: float) -> Constellation4D:
     """Construct the 64-point polarization-ring-switching constellation.
 
     One polarization of every point sits on the 8-point ring (radius R1)
-    and the other on the 4-point ring (radius R2 = rho R1, QPSK at 45
-    degrees), giving constant 4D modulus. Normalization fixes
-    R1^2 + R2^2 = 1 so every point has unit energy. Bits [b3, b6] select
-    one of the four sign-pattern families; bits [b1, b2, b4, b5] select
-    the 4D orthant (coordinate signs [(-1)^b2, (-1)^b1, (-1)^b4, (-1)^b5]).
+    and the other on the 4-point ring (radius R2 = prs_rho R1, QPSK at 45
+    degrees), giving constant 4D modulus; either ring may be the larger.
+    Normalization fixes R1^2 + R2^2 = 1 so every point has unit energy.
+    Each 8-point-ring point sits prs_theta from its nearest QPSK diagonal,
+    so the 8 phases are k pi/2 + pi/4 +- prs_theta; at prs_theta = 0 or
+    pi/4 pairs of them coincide, hence the open interval. Bits [b3, b6]
+    select one of the four sign-pattern families; bits [b1, b2, b4, b5]
+    select the 4D orthant (coordinate signs [(-1)^b2, (-1)^b1, (-1)^b4,
+    (-1)^b5]).
     """
-    rho, theta = params.rho, params.theta
-    r1 = 1.0 / sqrt(1.0 + rho * rho)
-    r2 = rho * r1
-    phi2 = pi / 4 - theta  # phi1 fixed at pi/4
+    if not prs_rho > 0:
+        raise ValueError(f"prs_rho must be > 0, got {prs_rho}")
+    if not 0 < prs_theta < pi / 4:
+        raise ValueError(f"prs_theta must be in (0, pi/4), got {prs_theta}")
+    r1 = 1.0 / sqrt(1.0 + prs_rho * prs_rho)
+    r2 = prs_rho * r1
+    phi2 = pi / 4 - prs_theta  # phi1 fixed at pi/4
     nu1 = r1 * cos(phi2)
     nu3 = r1 * sin(phi2)
     nu2 = r2 / sqrt(2.0)
@@ -120,7 +108,7 @@ def build_4d64prs(params: PrsParams) -> Constellation4D:
 
     if min_pairwise_distance(points) < 1e-9:
         raise ValueError(
-            f"rho={rho}, theta={theta} collapses constellation points"
+            f"prs_rho={prs_rho}, prs_theta={prs_theta} collapses constellation points"
         )
     return Constellation4D(points)
 
@@ -213,7 +201,7 @@ def constellation_to_csv(c: Constellation4D) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Shipped defaults: optimize_prs_params over DEFAULT_PRS_RHOS x
+# Shipped defaults: harness.optimize_prs_params over DEFAULT_PRS_RHOS x
 # DEFAULT_PRS_THETAS at DEFAULT_PRS_SNR_DB, where the best AWGN GMI is about
 # 4.55 bit/4D-sym. Pinned by TestOptimize::test_shipped_defaults_are_the_optimum
 # in tests/test_constellation.py; rerun the optimizer to change them.
@@ -223,34 +211,7 @@ DEFAULT_PRS_THETAS = np.linspace(0.25, 0.65, 9)
 DEFAULT_PRS_RHO = 1.6
 DEFAULT_PRS_THETA = 0.45
 DEFAULT_RING_RATIO = 1.0 / 0.65  # 6b4D-2A8PSK outer/inner ring ratio
-
-
-def optimize_prs_params(snr_db: float, rhos, thetas) -> tuple[PrsParams, float]:
-    """Grid search over rhos x thetas maximizing AWGN GMI at snr_db.
-
-    Degenerate grid points are skipped; ties broken by the earlier rho,
-    then the earlier theta (scan order), so the result is deterministic
-    and independent of any evaluation parallelism.
-    """
-    from . import demapper  # deferred: demapper needs Constellation4D
-
-    if not (len(rhos) and len(thetas)):
-        raise ValueError("grid must contain at least one point")
-    best = None
-    best_gmi = -np.inf
-    for rho in rhos:
-        for theta in thetas:
-            try:
-                params = PrsParams(rho=float(rho), theta=float(theta))
-                c = build_4d64prs(params)
-            except ValueError:
-                continue
-            gmi = demapper.awgn_gmi_reference(c, snr_db, n_nodes=5)
-            if gmi > best_gmi:
-                best, best_gmi = params, gmi
-    if best is None:
-        raise ValueError("all grid points are degenerate")
-    return best, best_gmi
+FORMATS = ("4d64prs", "pm8qam", "6b4d_2a8psk")  # build_format's names
 
 
 def build_format(name: str, prs_rho: float = DEFAULT_PRS_RHO,
@@ -258,10 +219,9 @@ def build_format(name: str, prs_rho: float = DEFAULT_PRS_RHO,
                  ring_ratio: float = DEFAULT_RING_RATIO) -> Constellation4D:
     """Build a constellation by format name used in configs and the CLI."""
     if name == "4d64prs":
-        return build_4d64prs(PrsParams(rho=prs_rho, theta=prs_theta))
+        return build_4d64prs(prs_rho, prs_theta)
     if name == "pm8qam":
         return build_pm8qam()
     if name == "6b4d_2a8psk":
         return build_6b4d_2a8psk(ring_ratio)
-    raise ValueError(f"unknown format {name!r}; expected one of "
-                     "4d64prs, pm8qam, 6b4d_2a8psk")
+    raise ValueError(f"format must be one of {FORMATS}, got {name!r}")

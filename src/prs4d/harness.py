@@ -3,6 +3,8 @@ receive at one config. Every sweep follows one rule: its records at a grid
 value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
 but for the measured runtime_s. A power sweep runs each distinct power
 once; a distance sweep propagates once and receives after each span count.
+optimize_prs_params, the 4D-64PRS design search, scores each geometry with
+the demapper's AWGN reference, so it lives here beside the experiments.
 
 Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
@@ -28,7 +30,6 @@ from .channel import FiberParams, LinkConfig, propagate_link, propagate_spans
 CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
               "gmi_bit4d,ndr_gbps,seed,runtime_s")
 
-VALID_FORMATS = ("pm8qam", "6b4d_2a8psk", "4d64prs")
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -80,8 +81,8 @@ class ExperimentConfig:
             if isinstance(value, (float, np.floating)) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         self.launch_dbm = float(self.launch_dbm)
-        if self.format not in VALID_FORMATS:
-            raise ValueError(f"format must be one of {VALID_FORMATS}")
+        if self.format not in const.FORMATS:
+            raise ValueError(f"format must be one of {const.FORMATS}")
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
         for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS),
@@ -100,6 +101,14 @@ class ExperimentConfig:
             raise ValueError("step_km must be in (0, span_km]")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
+        if self.ase_enabled and self.nf_db < 3:
+            raise ValueError("nf_db must be >= 3 with ase_enabled (n_sp >= 1)")
+        kerr = (8 / 9 * self.gamma_w_km * self.n_channels  # rad/W per SSFM step
+                * self.fiber().effective_length_km(self.step_km))
+        if kerr > 0 and self.launch_dbm > (p_max := 30 - 10 * np.log10(kerr)):
+            raise ValueError(
+                f"launch_dbm must be <= {p_max:.4g} with step_km={self.step_km:g} "
+                f"(1 rad of mean Kerr phase per step), got {self.launch_dbm:g}")
 
     @property
     def baud_hz(self) -> float:
@@ -132,6 +141,28 @@ class ExperimentConfig:
     def build_constellation(self) -> const.Constellation4D:
         return const.build_format(self.format, self.prs_rho, self.prs_theta,
                                   self.ring_ratio)
+
+
+def optimize_prs_params(snr_db: float, rhos, thetas) -> tuple[float, float, float]:
+    """(rho, theta, gmi) of the 4D-64PRS geometry on the grid rhos x thetas
+    with the largest AWGN GMI at snr_db. Degenerate grid points are skipped;
+    a tie goes to the earlier rho, then the earlier theta (scan order).
+    """
+    if not (len(rhos) and len(thetas)):
+        raise ValueError("grid must contain at least one point")
+    best, best_gmi = None, -np.inf
+    for rho in map(float, rhos):
+        for theta in map(float, thetas):
+            try:
+                c = const.build_4d64prs(rho, theta)
+            except ValueError:
+                continue
+            gmi = dm.awgn_gmi_reference(c, snr_db, n_nodes=5)
+            if gmi > best_gmi:
+                best, best_gmi = (rho, theta), gmi
+    if best is None:
+        raise ValueError("all grid points are degenerate")
+    return (*best, best_gmi)
 
 
 def parse_field(name: str, text: str):

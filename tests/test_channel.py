@@ -66,6 +66,13 @@ class TestFiberParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ch.FiberParams(**{name: value})
 
+    def test_effective_length(self):
+        """(1 - e^{-a dz})/a with a = alpha ln(10)/10 in 1/km; dz when lossless."""
+        a = 0.219 * np.log(10.0) / 10.0
+        got = ch.FiberParams(alpha_db_km=0.219).effective_length_km(10.0)
+        assert got == pytest.approx((1.0 - np.exp(-10.0 * a)) / a, rel=1e-14)
+        assert ch.FiberParams(alpha_db_km=0.0).effective_length_km(10.0) == 10.0
+
 
 class TestLinkConfig:
     @pytest.mark.parametrize("kw, name", [

@@ -389,6 +389,49 @@ class TestMain:
         assert err.count("\n") == 1
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("overrides, key, names", [
+        (["gamma_w_km=1.464", "launch_dbm=400"], "launch_dbm", "step_km"),
+        (["ase_enabled=1", "nf_db=2"], "nf_db", "ase_enabled"),
+    ])
+    def test_unphysical_link_fails_before_propagation(
+            self, tmp_path, capsys, monkeypatch, overrides, key, names):
+        def forbidden(*args):
+            raise AssertionError("ssfm_span ran")
+
+        monkeypatch.setattr(channel, "ssfm_span", forbidden)
+        out = tmp_path / "r.csv"
+        sets = [a for ov in overrides for a in ("--set", ov)]
+        assert cli.main(["simulate", "--output", str(out)] + TINY + sets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and names in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("overrides, key", [
+        (["prs_rho=-1"], "prs_rho"),
+        (["prs_theta=0.9"], "prs_theta"),
+        (["format=6b4d_2a8psk", "ring_ratio=0"], "ring_ratio"),
+    ])
+    def test_bad_geometry_names_its_key(self, capsys, overrides, key):
+        sets = [a for ov in overrides for a in ("--set", ov)]
+        assert cli.main(["gmi-awgn", "--snr", "0"] + sets) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, flag, grid, rows", [
+        (["sweep-power", "--output", "-"] + TINY, "--powers", "-1:1:2", 3),
+        (["gmi-awgn"] + TINY, "--snr", "-2,0", 3),
+        (["optimize-constellation", "--theta", "0.45"], "--rho", "-1,1.6", 1),
+    ])
+    def test_negative_grid_takes_a_space_or_an_equals_sign(
+            self, capsys, without_runtime, args, flag, grid, rows):
+        outs = []
+        for form in ([flag, grid], [f"{flag}={grid}"]):
+            assert cli.main(args + form) == 0
+            outs.append(without_runtime(capsys.readouterr().out))
+        assert outs[0] == outs[1] and outs[0].count("\n") == rows
+
     def test_optimize_bad_snr_returns_one(self, capsys):
         assert cli.main(["optimize-constellation", "--snr", "x"]) == 1
         captured = capsys.readouterr()

@@ -1,11 +1,15 @@
+import ast
 import hashlib
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prs4d import constellation as C
+from prs4d import harness as H
 
 VALID_RHO = st.floats(min_value=0.3, max_value=3.0)
 VALID_THETA = st.floats(min_value=0.02, max_value=np.pi / 4 - 0.02)
@@ -40,23 +44,44 @@ class TestConstellation4D:
         assert not c.labels.flags.writeable and not c.points.flags.writeable
 
 
+class TestStandsAlone:
+    def test_imports_nothing_of_prs4d(self):
+        """The formats' home needs no other module of the package."""
+        for node in ast.walk(ast.parse(Path(C.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and node.module.split(".")[0] != "prs4d", \
+                    ast.unparse(node)
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "prs4d" for a in node.names), \
+                    ast.unparse(node)
+
+    def test_formats_are_the_names_build_format_and_the_config_take(self):
+        for name in C.FORMATS:
+            assert C.build_format(name).M == 64
+            assert H.ExperimentConfig(format=name).format == name
+        for check in (C.build_format, lambda name: H.ExperimentConfig(format=name)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"format must be one of {C.FORMATS}")):
+                check("qpsk")
+
+
 class TestPrsParams:
     def test_invalid_theta_rejected(self):
-        with pytest.raises(ValueError):
-            C.PrsParams(rho=1.5, theta=0.0)
-        with pytest.raises(ValueError):
-            C.PrsParams(rho=1.5, theta=np.pi / 4)
+        with pytest.raises(ValueError, match=r"^prs_theta must be in \(0, pi/4\)"):
+            C.build_4d64prs(1.5, 0.0)
+        with pytest.raises(ValueError, match=r"^prs_theta must be in \(0, pi/4\)"):
+            C.build_4d64prs(1.5, np.pi / 4)
 
     def test_invalid_rho_rejected(self):
-        with pytest.raises(ValueError):
-            C.PrsParams(rho=-1.0, theta=0.3)
+        with pytest.raises(ValueError, match="^prs_rho must be > 0, got -1.0$"):
+            C.build_4d64prs(-1.0, 0.3)
 
 
 class TestBuild4d64prs:
     def test_degenerate_theta_zero(self):
         # rho = 1, theta -> 0 makes all families coincide
         with pytest.raises(ValueError):
-            C.build_4d64prs(C.PrsParams(rho=1.0, theta=0.0))
+            C.build_4d64prs(1.0, 0.0)
 
     def test_cardinality_and_bits(self):
         c = C.build_format("4d64prs")
@@ -65,7 +90,7 @@ class TestBuild4d64prs:
     @given(rho=VALID_RHO, theta=VALID_THETA)
     @settings(max_examples=40, deadline=None)
     def test_constant_modulus_and_symmetry(self, rho, theta):
-        c = C.build_4d64prs(C.PrsParams(rho=rho, theta=theta))
+        c = C.build_4d64prs(rho, theta)
         norms = np.sum(c.points**2, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
         assert np.all(np.abs(c.points.mean(axis=0)) < 1e-12)
@@ -73,7 +98,7 @@ class TestBuild4d64prs:
     @given(rho=VALID_RHO, theta=VALID_THETA)
     @settings(max_examples=20, deadline=None)
     def test_ring_structure(self, rho, theta):
-        c = C.build_4d64prs(C.PrsParams(rho=rho, theta=theta))
+        c = C.build_4d64prs(rho, theta)
         r1 = 1.0 / np.sqrt(1 + rho**2)
         r2 = rho * r1
         px = np.sqrt(np.sum(c.points[:, :2] ** 2, axis=1))
@@ -98,9 +123,8 @@ class TestBuild4d64prs:
                 assert np.allclose(pts[w], expect, atol=1e-15)
 
     def test_deterministic(self):
-        p = C.PrsParams(rho=1.7, theta=0.4)
-        a = C.build_4d64prs(p)
-        b = C.build_4d64prs(p)
+        a = C.build_4d64prs(1.7, 0.4)
+        b = C.build_4d64prs(1.7, 0.4)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
@@ -267,45 +291,44 @@ class TestBuildFormat:
 
     def test_lone_prs_rho_keeps_default_theta(self):
         got = C.build_format("4d64prs", prs_rho=1.8)
-        ref = C.build_4d64prs(C.PrsParams(1.8, C.DEFAULT_PRS_THETA))
+        ref = C.build_4d64prs(1.8, C.DEFAULT_PRS_THETA)
         assert np.array_equal(got.points, ref.points)
 
     def test_lone_prs_theta_keeps_default_rho(self):
         got = C.build_format("4d64prs", prs_theta=0.3)
-        ref = C.build_4d64prs(C.PrsParams(C.DEFAULT_PRS_RHO, 0.3))
+        ref = C.build_4d64prs(C.DEFAULT_PRS_RHO, 0.3)
         assert np.array_equal(got.points, ref.points)
 
 
 class TestOptimize:
     def test_single_point_grid(self):
-        params, gmi = C.optimize_prs_params(8.1, [1.6], [0.45])
-        assert params.rho == 1.6 and params.theta == 0.45
+        rho, theta, gmi = H.optimize_prs_params(8.1, [1.6], [0.45])
+        assert rho == 1.6 and theta == 0.45
         assert gmi > 0
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="at least one point"):
-            C.optimize_prs_params(8.1, [1.6], [])
+            H.optimize_prs_params(8.1, [1.6], [])
 
     def test_all_degenerate_grid(self):
         # theta outside the valid open interval everywhere
         with pytest.raises(ValueError):
-            C.optimize_prs_params(8.1, [1.0], [0.0])
+            H.optimize_prs_params(8.1, [1.0], [0.0])
 
     def test_shipped_defaults_are_the_optimum(self):
-        params, _ = C.optimize_prs_params(C.DEFAULT_PRS_SNR_DB,
-                                          C.DEFAULT_PRS_RHOS,
-                                          C.DEFAULT_PRS_THETAS)
-        assert (params.rho, params.theta) == (C.DEFAULT_PRS_RHO,
-                                              C.DEFAULT_PRS_THETA)
+        rho, theta, _ = H.optimize_prs_params(C.DEFAULT_PRS_SNR_DB,
+                                              C.DEFAULT_PRS_RHOS,
+                                              C.DEFAULT_PRS_THETAS)
+        assert (rho, theta) == (C.DEFAULT_PRS_RHO, C.DEFAULT_PRS_THETA)
 
     def test_best_beats_neighbors(self):
         from prs4d import demapper as D
 
-        params, gmi = C.optimize_prs_params(8.1, np.linspace(1.4, 1.8, 3),
-                                            np.linspace(0.35, 0.55, 3))
+        _, _, gmi = H.optimize_prs_params(8.1, np.linspace(1.4, 1.8, 3),
+                                          np.linspace(0.35, 0.55, 3))
         # independent re-evaluation of every grid point
         for rho in np.linspace(1.4, 1.8, 3):
             for theta in np.linspace(0.35, 0.55, 3):
-                c = C.build_4d64prs(C.PrsParams(float(rho), float(theta)))
+                c = C.build_4d64prs(float(rho), float(theta))
                 other = D.awgn_gmi_reference(c, 8.1, n_nodes=5)
                 assert gmi >= other - 1e-12

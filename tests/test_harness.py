@@ -72,6 +72,25 @@ class TestExperimentConfig:
         assert "\n" not in str(err.value)
         assert not H.ExperimentConfig(alpha_db_km=0.0, ase_enabled=False).ase_enabled
 
+    def test_sub_quantum_noise_figure_rejected_with_ase(self):
+        """NF < 3 dB means n_sp < 1 in the high-gain ASE formula."""
+        with pytest.raises(ValueError, match=r"^nf_db must be >= 3 with ase_enabled"):
+            H.ExperimentConfig(nf_db=2.0)
+        assert H.ExperimentConfig(nf_db=2.0, ase_enabled=False).nf_db == 2.0
+
+    def test_launch_power_keeps_one_radian_per_step(self):
+        """3 channels of the paper fiber in 10 km steps: L_eff = 7.854 km, so
+        (8/9) gamma 3 P L_eff reaches 1 rad at P = 32.6 mW, 15.13 dBm."""
+        a = 0.219 * np.log(10.0) / 10.0
+        kerr = 8 / 9 * 1.464 * 3 * (1.0 - np.exp(-10.0 * a)) / a
+        assert kerr * 10 ** (15.1 / 10 - 3) < 1 < kerr * 10 ** (15.2 / 10 - 3)
+        H.ExperimentConfig(n_channels=3, step_km=10.0, launch_dbm=15.1)
+        with pytest.raises(ValueError, match=r"^launch_dbm must be <= 15\.13 "
+                           r"with step_km=10 .*got 15\.2$") as err:
+            H.ExperimentConfig(n_channels=3, step_km=10.0, launch_dbm=15.2)
+        assert "\n" not in str(err.value)
+        assert H.ExperimentConfig(gamma_w_km=0.0, launch_dbm=400.0).launch_dbm == 400.0
+
     @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
     def test_seed_beyond_64_bits_runs(self, seed):
         """An int is finite by type, so the config hands numpy no seed to
