@@ -1,14 +1,15 @@
 """Command-line front end: flat key=value configs, sweeps, CSV and SVG output.
 
-Every command but optimize-constellation, which searches the 4D-64PRS
-geometry itself, reads its constellation and link from the one config (a
---config file, then --set overrides). Grids take lo:hi:step or a comma list.
-harness.parse_field reads every config value: each file line, each --set
-and each value of --powers, --spans and --channels, which set config fields.
-A bad value fails with the config's own "KEY must be" line. Commands render
-CSV and SVG text; one writer sends it to a file, or to stdout for '-'.
-Output paths, plot grids and a plot aimed at the CSV's own target are
-checked before any run."""
+Each command that reads the config (a --config file, then --set overrides)
+is one _COMMANDS row: its help, --output default, plot axes (None: no
+--plot), grid flags as (flag, default, help, config field or None) and
+run(cfg, *grids), which returns records or CSV text. build_parser registers
+the rows in one loop, and _run takes one path: read the config, check the
+output targets, parse the grids, check --plot, run, then write the CSV and
+the plot through _write ('-' is stdout). A grid takes lo:hi:step or a comma
+list; a grid value that sets a config field is read by harness.parse_field,
+so a bad one fails with the config's own "KEY must be" line.
+optimize-constellation reads no config and keeps its own parser and branch."""
 
 from __future__ import annotations
 
@@ -122,48 +123,24 @@ def emit_plot(records, x_field: str, y_field: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _add_common(p, output="results.csv", plot=True):
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   dest="overrides", help="override a config field")
-    p.add_argument("--output", default=output,
-                   help="output CSV path, - for stdout")
-    if plot:
-        p.add_argument("--plot", default=None, metavar="SVG",
-                       help="also write an SVG line plot")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="prs4d",
         description="WDM fiber transmission simulator and 4D format evaluator",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run one transmission point")
-    _add_common(p, plot=False)
-
-    p = sub.add_parser("sweep-power", help="GMI vs launch power")
-    _add_common(p)
-    p.add_argument("--powers", default="-4:6:1",
-                   help="launch powers in dBm, lo:hi:step or comma list")
-
-    p = sub.add_parser("sweep-distance", help="GMI after each span count, "
-                       "from one propagation")
-    _add_common(p)
-    p.add_argument("--spans", default="4,6,8,10,12,14",
-                   help="span counts, lo:hi:step or comma list")
-
-    p = sub.add_parser("sweep-channels", help="optimum-power rate vs channels")
-    _add_common(p)
-    p.add_argument("--channels", default="1,3,5",
-                   help="channel counts, lo:hi:step or comma list")
-    p.add_argument("--powers", default="-2:4:0.5",
-                   help="power grid used to locate the optimum")
-
-    p = sub.add_parser("gmi-awgn", help="AWGN GMI reference curve")
-    _add_common(p, output="-", plot=False)
-    p.add_argument("--snr", default="0:20:2", help="SNR grid in dB")
+    for name, (summary, output, axes, grids, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       dest="overrides", help="override a config field")
+        p.add_argument("--output", default=output,
+                       help="output CSV path, - for stdout")
+        if axes:
+            p.add_argument("--plot", default=None, metavar="SVG",
+                           help="also write an SVG line plot")
+        for flag, default, text, _ in grids:
+            p.add_argument(flag, default=default, help=text)
 
     p = sub.add_parser("optimize-constellation",
                        help="grid-search the ring-switching geometry")
@@ -174,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", default=None,
                        help=f"{name} grid (default: {len(grid)} values over "
                             f"[{grid[0]:g}, {grid[-1]:g}])")
-
-    p = sub.add_parser("export-constellation", help="write points + labels CSV")
-    _add_common(p, output="constellation.csv", plot=False)
     return ap
 
 
@@ -201,10 +175,12 @@ def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
     lo, hi, step = vals
     if step == 0:
         raise ValueError(f"{flag} {spec!r}: step must be nonzero")
-    n = math.floor((hi - lo) / step + 1e-9) + 1
-    if n < 1:
+    span = (hi - lo) / step + 1e-9  # hi - lo may overflow to +-inf
+    if span < 0:
         raise ValueError(f"{flag} {spec!r}: empty range")
-    return [lo + k * step for k in range(n)]
+    if span == math.inf:
+        raise ValueError(f"{flag} {spec!r}: range of infinite length")
+    return [lo + k * step for k in range(math.floor(span) + 1)]
 
 
 def _check_writable(flag: str, path: str) -> None:
@@ -228,16 +204,40 @@ def _write(path: str, text: str) -> None:
             f.write(text)
 
 
-_GRID_FLAGS = ("--powers", "--spans", "--channels", "--snr", "--rho", "--theta")
-# sweep command: ((grid flag, config field it sets), ...), plot x, plot y, sweep
-_SWEEPS = {
-    "sweep-power": ((("--powers", "launch_dbm"),), "launch_dbm", "gmi_bit4d",
-                    harness.sweep_power),
-    "sweep-distance": ((("--spans", "n_spans"),), "distance_km", "gmi_bit4d",
-                       harness.sweep_distance),
-    "sweep-channels": ((("--channels", "n_channels"), ("--powers", "launch_dbm")),
-                       "n_channels", "ndr_gbps", harness.sweep_channels),
+def _gmi_awgn(cfg, snrs) -> str:
+    c = cfg.build_constellation()
+    return "snr_db,format,gmi_bit4d\n" + "".join(
+        f"{snr:.10g},{cfg.format},{dm.awgn_gmi_reference(c, snr):.10g}\n"
+        for snr in snrs)
+
+
+# name: (help, --output default, plot (x, y) record fields or None for no
+# --plot, grid flags as (flag, default, help, config field or None),
+# run(cfg, *grids) -> records or CSV text)
+_COMMANDS = {
+    "simulate": ("run one transmission point", "results.csv", None, (),
+                 harness.run_point),
+    "sweep-power": ("GMI vs launch power", "results.csv", ("launch_dbm", "gmi_bit4d"), (
+        ("--powers", "-4:6:1", "launch powers in dBm, lo:hi:step or comma list",
+         "launch_dbm"),), harness.sweep_power),
+    "sweep-distance": ("GMI after each span count, from one propagation", "results.csv",
+                       ("distance_km", "gmi_bit4d"), (
+        ("--spans", "4,6,8,10,12,14", "span counts, lo:hi:step or comma list",
+         "n_spans"),), harness.sweep_distance),
+    "sweep-channels": ("optimum-power rate vs channels", "results.csv",
+                       ("n_channels", "ndr_gbps"), (
+        ("--channels", "1,3,5", "channel counts, lo:hi:step or comma list", "n_channels"),
+        ("--powers", "-2:4:0.5", "power grid used to locate the optimum", "launch_dbm"),
+    ), harness.sweep_channels),
+    "gmi-awgn": ("AWGN GMI reference curve", "-", None, (
+        ("--snr", "0:20:2", "SNR grid in dB", None),), _gmi_awgn),
+    "export-constellation": ("write points + labels CSV", "constellation.csv", None, (),
+                             lambda cfg: const.constellation_to_csv(
+                                 cfg.build_constellation())),
 }
+# main joins each grid flag to a next value that starts with '-', which argparse
+# takes for an option (-4:6:1); optimize-constellation's --snr is gmi-awgn's flag
+_GRID_FLAGS = {g[0] for row in _COMMANDS.values() for g in row[3]} | {"--rho", "--theta"}
 
 
 def _run(args) -> int:
@@ -254,6 +254,7 @@ def _run(args) -> int:
         _write("-", f"rho={rho:.10g} theta={theta:.10g} gmi={gmi:.10g}\n")
         return 0
 
+    _, _, axes, flags, run = _COMMANDS[args.command]
     cfg = parse_config(args.config, args.overrides)
     plot = getattr(args, "plot", None)
     _check_writable("--output", args.output)
@@ -261,34 +262,22 @@ def _run(args) -> int:
     if plot is not None and len({p if p == "-" else os.path.abspath(p)
                                  for p in (args.output, plot)}) == 1:
         raise ValueError(f"--plot {plot!r}: the same target as --output")
-    if args.command == "export-constellation":
-        text = const.constellation_to_csv(cfg.build_constellation())
-    elif args.command == "gmi-awgn":
-        c = cfg.build_constellation()
-        text = "snr_db,format,gmi_bit4d\n" + "".join(
-            f"{snr:.10g},{cfg.format},{dm.awgn_gmi_reference(c, snr):.10g}\n"
-            for snr in _parse_grid("--snr", args.snr))
-    elif args.command == "simulate":
-        text = harness.records_to_csv(harness.run_point(cfg))
-    else:
-        flags, xf, yf, sweep = _SWEEPS[args.command]
-        grids = [_parse_grid(flag, getattr(args, flag[2:]), field)
-                 for flag, field in flags]
-        flag = flags[0][0]
-        if plot and len(grids[0]) < 2:
-            raise ValueError(f"--plot needs at least 2 values of {flag}, "
-                             f"got {getattr(args, flag[2:])!r}")
-        records = sweep(cfg, *grids)
-        text = harness.records_to_csv(records)
-    _write(args.output, text)
+    specs = [getattr(args, flag[2:]) for flag, *_ in flags]
+    grids = [_parse_grid(flag, spec, field)
+             for (flag, _, _, field), spec in zip(flags, specs)]
+    if plot and len(grids[0]) < 2:
+        raise ValueError(f"--plot needs at least 2 values of {flags[0][0]}, "
+                         f"got {specs[0]!r}")
+    out = run(cfg, *grids)
+    _write(args.output, out if isinstance(out, str) else harness.records_to_csv(out))
     if plot:
-        _write(plot, emit_plot(records, xf, yf))
+        _write(plot, emit_plot(out, *axes))
     return 0
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse takes -4:6:1 for an option
+    for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in _GRID_FLAGS and argv[i].startswith("-"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)

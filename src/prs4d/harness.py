@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise ValueError("step_km must be in (0, span_km]")
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
+        width = (1 + self.rolloff) * self.baud_gbd  # one channel's occupied band
+        if self.n_channels > 1 and txdsp.spectra_overlap(self.spacing_ghz, width):
+            raise ValueError(f"spacing_ghz must be >= (1 + rolloff) * baud_gbd "
+                             f"= {width:g} with n_channels > 1, got {self.spacing_ghz:g}")
         if self.ase_enabled and self.nf_db < 3:
             raise ValueError("nf_db must be >= 3 with ase_enabled (n_sp >= 1)")
         kerr = (8 / 9 * self.gamma_w_km * self.n_channels  # rad/W per SSFM step

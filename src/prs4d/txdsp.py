@@ -122,6 +122,12 @@ def set_mean_power(sig: ChannelSpectrum, power_dbm: float) -> ChannelSpectrum:
     return replace(sig, bins=g * sig.bins)
 
 
+def spectra_overlap(spacing: float, width: float) -> bool:
+    """Whether channels of this occupied width overlap at this spacing; ones
+    that just touch do not, though (1 + 0.1) * 45 is 49.50000000000001."""
+    return spacing < (1 - 1e-12) * width
+
+
 def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
             rolloff: float) -> SampledSignal:
     """Shift each channel onto a symmetric grid, sum, and return the frame.
@@ -141,7 +147,7 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
         raise ValueError(
             f"sample rate {fs:.3g} Hz cannot carry the {band:.3g} Hz WDM band"
         )
-    if n_ch > 1 and spacing_hz < (1 + rolloff) * baud:
+    if n_ch > 1 and spectra_overlap(spacing_hz, (1 + rolloff) * baud):
         warnings.warn("channel spacing below (1+rolloff)*baud: spectra overlap")
 
     spec = np.zeros((2, n), dtype=complex)

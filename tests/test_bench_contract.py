@@ -97,6 +97,16 @@ def test_run_point_seed_keyword_is_replace(workloads, without_runtime):
         harness.run_point(cfg, seed=True)
 
 
+@pytest.mark.parametrize("name", ["wdm_link", "demap_burst"])
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_run_point_configs_pass_the_config_checks(workloads, name, size):
+    """Every op builds its workload's config and replaces the seed with an
+    op_seed. A boundary check that rejected either would fail every op,
+    and success_ratio would read 0."""
+    cfg = workloads.run_point_config(name, size)
+    assert replace(cfg, seed=workloads.op_seed(1, 0, 0)).n_symbols == cfg.n_symbols
+
+
 def test_calibration_reads_the_llr_batch_fields():
     """perfbench/calibrate.py recomputes the GMI from LlrBatch.llrs/.bits."""
     from prs4d.demapper import LlrBatch

@@ -132,6 +132,49 @@ class TestParseGrid:
         assert captured.err == (f"error: {flag} {spec!r}: expected "
                                 "lo:hi:step or a comma list of numbers\n")
 
+    @pytest.mark.parametrize("command, flag, spec, reason", [
+        ("sweep-power", "--powers", "0:1e308:1e-308", "range of infinite length"),
+        ("gmi-awgn", "--snr", "1e308:-1e308:-1e308", "range of infinite length"),
+        ("gmi-awgn", "--snr", "1e308:-1e308:1e-308", "empty range"),
+    ])
+    def test_range_of_no_finite_length_names_the_flag(self, capsys, command,
+                                                      flag, spec, reason):
+        """hi - lo overflows to +-inf, and so does the value count."""
+        assert cli.main([command, f"{flag}={spec}", "--output", "-"] + TINY) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {spec!r}: {reason}\n")
+
+
+# each command's option strings in order (--plot where it plots), its
+# --output default and the default of each of its grid flags
+SURFACE = {
+    "simulate": (("--config", "--set", "--output"), "results.csv", {}),
+    "sweep-power": (("--config", "--set", "--output", "--plot", "--powers"),
+                    "results.csv", {"--powers": "-4:6:1"}),
+    "sweep-distance": (("--config", "--set", "--output", "--plot", "--spans"),
+                       "results.csv", {"--spans": "4,6,8,10,12,14"}),
+    "sweep-channels": (("--config", "--set", "--output", "--plot", "--channels",
+                        "--powers"), "results.csv",
+                       {"--channels": "1,3,5", "--powers": "-2:4:0.5"}),
+    "gmi-awgn": (("--config", "--set", "--output", "--snr"), "-", {"--snr": "0:20:2"}),
+    "optimize-constellation": (("--snr", "--rho", "--theta"), None,
+                               {"--snr": 8.1, "--rho": None, "--theta": None}),
+    "export-constellation": (("--config", "--set", "--output"), "constellation.csv",
+                             {}),
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_cli_surface(command):
+    """The options and defaults each command offers, as the parser builds them."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(SURFACE)
+    options, output, grids = SURFACE[command]
+    actions = {a.option_strings[-1]: a for a in sub.choices[command]._actions}
+    assert tuple(actions) == ("--help", *options)
+    assert (actions["--output"].default if output else None) == output
+    assert {flag: actions[flag].default for flag in grids} == grids
+
 
 def rec(fmt, dmp, x, y):
     return H.ResultRecord(launch_dbm=x, distance_km=800.0, n_channels=3,
@@ -392,6 +435,7 @@ class TestMain:
     @pytest.mark.parametrize("overrides, key, names", [
         (["gamma_w_km=1.464", "launch_dbm=400"], "launch_dbm", "step_km"),
         (["ase_enabled=1", "nf_db=2"], "nf_db", "ase_enabled"),
+        (["n_channels=3", "spacing_ghz=10"], "spacing_ghz", "n_channels"),
     ])
     def test_unphysical_link_fails_before_propagation(
             self, tmp_path, capsys, monkeypatch, overrides, key, names):

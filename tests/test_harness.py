@@ -91,6 +91,17 @@ class TestExperimentConfig:
         assert "\n" not in str(err.value)
         assert H.ExperimentConfig(gamma_w_km=0.0, launch_dbm=400.0).launch_dbm == 400.0
 
+    def test_overlapping_channels_rejected(self):
+        """WDM spectra of (1 + rolloff) * baud_gbd = 49.5 GHz must not overlap.
+        Ones that just touch pass, though (1 + 0.1) * 45 is 49.50000000000001
+        in binary; a single channel has no neighbour to overlap."""
+        with pytest.raises(ValueError, match=r"^spacing_ghz must be >= \(1 \+ rolloff\) "
+                           r"\* baud_gbd = 49\.5 with n_channels > 1, got 49\.4$") as err:
+            H.ExperimentConfig(n_channels=2, spacing_ghz=49.4)
+        assert "\n" not in str(err.value)
+        assert H.ExperimentConfig(n_channels=3, spacing_ghz=49.5).spacing_ghz == 49.5
+        assert H.ExperimentConfig(n_channels=1, spacing_ghz=10.0).n_channels == 1
+
     @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
     def test_seed_beyond_64_bits_runs(self, seed):
         """An int is finite by type, so the config hands numpy no seed to

@@ -218,6 +218,13 @@ class TestWdmMux:
         with pytest.warns(UserWarning):
             T.wdm_mux(chans, 40e9, BAUD, 0.1)
 
+    def test_touching_spectra_do_not_warn(self):
+        """(1 + 0.1) * 45e9 is 49500000000.00001 in binary; the config's
+        boundary check and this warning share one comparison."""
+        chans = [self._channel(s, sps=8) for s in range(2)]
+        assert not T.spectra_overlap(49.5e9, (1 + 0.1) * BAUD)
+        T.wdm_mux(chans, 49.5e9, BAUD, 0.1)  # a warning is an error here
+
     def test_mismatched_channels_rejected(self):
         short = self._channel(0, n_sym=256)
         with pytest.raises(ValueError, match="frame length"):
