@@ -154,6 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_MAX_GRID = 10**5  # values in one lo:hi:step range, checked before it is built
+
+
 def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
     """Finite lo:hi:step (hi included), or a comma list of numbers; a grid
     that sets config field `field` reads each one with harness.parse_field."""
@@ -180,7 +183,10 @@ def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
         raise ValueError(f"{flag} {spec!r}: empty range")
     if span == math.inf:
         raise ValueError(f"{flag} {spec!r}: range of infinite length")
-    return [lo + k * step for k in range(math.floor(span) + 1)]
+    count = math.floor(span) + 1
+    if count > _MAX_GRID:
+        raise ValueError(f"{flag} {spec!r}: {count} values, more than {_MAX_GRID}")
+    return [lo + k * step for k in range(count)]
 
 
 def _check_writable(flag: str, path: str) -> None:

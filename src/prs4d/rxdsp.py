@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .txdsp import SampledSignal, rrc_support
 
@@ -56,6 +55,7 @@ def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
     matched response and folded onto Ns bins: decimation by sps aliases
     the spectrum in blocks of Ns bins, scaled by 1/sps.
     """
+    import scipy.fft as sfft
     sps = signal.fs / baud
     if abs(sps - round(sps)) > 1e-9 or signal.n % round(sps):
         raise ValueError("frame must hold whole symbols at an integer sps")

@@ -11,6 +11,10 @@ The frame is built in the spectrum: a shaped channel is its symbol
 spectrum times the exact RRC response, kept on the response's support,
 and wdm_mux shifts each channel to an FFT bin, sums, and takes one
 inverse FFT per polarization.
+
+scipy.fft is imported inside the functions that transform, not here:
+it is most of the package's import time and memory, and the design
+commands (AWGN GMI, constellation search) never build a waveform.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 
 @dataclass
@@ -74,6 +77,7 @@ def generate_bits(seed: int, count: int) -> np.ndarray:
 
 def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Filter each row of a complex (rows, n) field by h, in place."""
+    import scipy.fft as sfft
     for row in fld:
         spec = sfft.fft(row, overwrite_x=True)
         spec *= h
@@ -105,6 +109,7 @@ def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
               baud: float) -> ChannelSpectrum:
     """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into the spectrum
     of an Ns * sps frame: bin j is symbol bin j mod Ns times the response."""
+    import scipy.fft as sfft
     # a copy: the FFT below overwrites its input
     sym = np.array(symbols, dtype=float, order="C").view(complex).T
     ns = sym.shape[1]
@@ -136,6 +141,7 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
     Channels share the frame length and sample rate, which the frame
     keeps, and are summed in index order for bit-exact reproducibility.
     """
+    import scipy.fft as sfft
     n_ch = len(channels)
     if n_ch == 0:
         raise ValueError("need at least one channel")

@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import prs4d
 
 
 def _without_runtime(csv):
@@ -23,3 +29,18 @@ def _without_runtime(csv):
 def without_runtime():
     """Compare two runs' CSV through this: only runtime_s may differ."""
     return _without_runtime
+
+
+@pytest.fixture
+def fresh_python():
+    """Run code in a new interpreter that imports prs4d from the source tree
+    under test, and return its stdout; a non-zero exit fails the test."""
+    src = str(Path(prs4d.__file__).resolve().parents[1])
+
+    def run(code: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+    return run

@@ -467,3 +467,23 @@ class TestPropagateLink:
                              ase_enabled=False, seed=0)
         out = ch.propagate_link(sig, link)
         assert np.array_equal(out.x, out.y)
+
+
+def test_first_fft_of_a_process_may_run_inside_ssfm_span(fresh_python):
+    """A process whose first transform is ssfm_span's has its caller and
+    helper thread reach the deferred scipy.fft import at once; the output
+    equals, bit for bit, that of a process that imported it before."""
+    code = ("import hashlib, os\n"
+            "import numpy as np\n"
+            "from prs4d import channel as ch\n"
+            "from prs4d.txdsp import SampledSignal\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # the helper thread on any host\n"
+            "fld = 0.05 * np.random.default_rng(3).standard_normal((2, 2 ** 14))\n"
+            "sig = SampledSignal(fld.view(complex), 720e9)\n"
+            "print('scipy.fft' in sys.modules)\n"
+            "out = ch.ssfm_span(sig, ch.FiberParams(length_km=4.0), 1.0)\n"
+            "print(hashlib.sha256(out.field.tobytes()).hexdigest())")
+    cold = fresh_python(code).split()
+    warm = fresh_python("import scipy.fft\n" + code).split()
+    assert cold[0] == "False" and warm[0] == "True"
+    assert cold[1] == warm[1]

@@ -143,6 +143,20 @@ class TestParseGrid:
         assert cli.main([command, f"{flag}={spec}", "--output", "-"] + TINY) == 1
         assert capsys.readouterr() == ("", f"error: {flag} {spec!r}: {reason}\n")
 
+    def test_range_longer_than_the_bound_fails_before_it_is_built(self, capsys):
+        """The count is checked before any value is made: one past the bound
+        fails with one line that names the count."""
+        spec = f"0:{cli._MAX_GRID}:1"
+        assert cli.main(["sweep-power", f"--powers={spec}", "--output", "-"]
+                        + TINY) == 1
+        assert capsys.readouterr() == ("", f"error: --powers {spec!r}: "
+                                       f"{cli._MAX_GRID + 1} values, more than "
+                                       f"{cli._MAX_GRID}\n")
+
+    def test_range_of_exactly_the_bound_parses(self):
+        grid = cli._parse_grid("--powers", f"1:{cli._MAX_GRID}:1")
+        assert len(grid) == cli._MAX_GRID and grid[-1] == cli._MAX_GRID
+
 
 # each command's option strings in order (--plot where it plots), its
 # --output default and the default of each of its grid flags
@@ -217,6 +231,21 @@ TINY = ["--set", "n_channels=1", "--set", "n_symbols=2048",
         "--set", "n_spans=1", "--set", "step_km=10", "--set", "gamma_w_km=0",
         "--set", "ase_enabled=false", "--set", "demapper=iid",
         "--set", "format=pm8qam"]
+
+
+@pytest.mark.parametrize("args, loads_fft", [
+    (["gmi-awgn", "--snr", "8"], False),
+    (["export-constellation", "--output", "-"], False),
+    (["optimize-constellation", "--rho", "1.2,1.6", "--theta", "0.3,0.45"], False),
+    (["simulate", "--output", "-"] + TINY, True),
+], ids=["gmi-awgn", "export-constellation", "optimize-constellation", "simulate"])
+def test_only_commands_that_build_a_waveform_load_scipy_fft(fresh_python, args,
+                                                             loads_fft):
+    """The design commands never pay the scipy.fft import; a tiny simulate
+    does, so the check cannot pass on a process that loads nothing."""
+    out = fresh_python(f"from prs4d import cli; assert cli.main({args!r}) == 0; "
+                       "print('scipy.fft' in sys.modules)")
+    assert out.splitlines()[-1] == str(loads_fft)
 
 
 class TestMain:
