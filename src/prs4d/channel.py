@@ -14,6 +14,9 @@ half-step, D(h_n/2 - L): one FFT pair per span fewer than a separate CDC.
 inline_cdc, the same D(-L) on its own, stays only because the benchmark's
 tracer names it; no other public function applies dispersion.
 
+FiberParams and LinkConfig hold every rule of the fiber and the link and
+reject a bad one at construction, so a bad link fails before its first span.
+
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
 thread; the helper lives one span, so no thread is alive at a grid's fork.
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -52,12 +54,11 @@ class FiberParams:
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        if self.alpha_db_km < 0:
-            raise ValueError("attenuation must be >= 0")
+        for name in ("alpha_db_km", "gamma_w_km"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.length_km <= 0:
-            raise ValueError("span length must be positive")
-        if self.gamma_w_km < 0:
-            raise ValueError("nonlinear coefficient must be >= 0")
+            raise ValueError("length_km must be > 0")
 
     @property
     def beta2_s2_km(self) -> float:
@@ -70,9 +71,10 @@ class FiberParams:
         return self.alpha_db_km * self.length_km
 
     def effective_length_km(self, dz: float) -> float:
-        """Attenuation-aware effective length (1 - e^{-a dz})/a of a step dz."""
+        """Attenuation-aware effective length (1 - e^{-a dz})/a of a step dz,
+        by expm1: 1 - exp cancels to 0 at a tiny a, where L_eff tends to dz."""
         alpha = self.alpha_db_km * _LN10 / 10.0  # power Np/km
-        return (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
+        return -np.expm1(-alpha * dz) / alpha if alpha > 0 else dz
 
 
 @dataclass(frozen=True)
@@ -82,33 +84,33 @@ class LinkConfig:
     span: FiberParams
     n_spans: int
     step_km: float = 0.1
-    edfa_nf_db: float = 5.0
+    nf_db: float = 5.0
     ase_enabled: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.n_spans, (int, np.integer)) or self.n_spans < 1:
             raise ValueError("n_spans must be an integer >= 1")
-        if not np.isfinite(self.edfa_nf_db):
-            raise ValueError("edfa_nf_db must be finite")
+        if not np.isfinite(self.nf_db):
+            raise ValueError("nf_db must be finite")
         if not 0 < self.step_km <= self.span.length_km:
-            raise ValueError("step_km must be in (0, span length]")
+            raise ValueError("step_km must be in (0, span_km]")
+        if self.ase_enabled and self.span.alpha_db_km == 0:
+            raise ValueError("alpha_db_km must be > 0 with ase_enabled (ASE needs EDFA gain)")
+        if self.ase_enabled and self.nf_db < 3:
+            raise ValueError("nf_db must be >= 3 with ase_enabled (n_sp >= 1)")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
 
 
 def _phasors(signal: SampledSignal, beta2: float, dzs) -> dict:
-    """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz.
-
-    w^2 is exactly even in the bin index, so each is evaluated on bins
-    0 .. n//2 and mirrored into bins n - k, bit for bit.
-    """
-    w2 = (2 * np.pi * np.fft.rfftfreq(signal.n, d=1.0 / signal.fs)) ** 2
-    mirror = slice((signal.n - 1) // 2, 0, -1)
-    out = {}
-    for dz in set(dzs):
-        h = np.exp(0.5j * beta2 * w2 * dz)
-        out[dz] = np.concatenate([h, h[mirror]])
+    """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz, on
+    the fftfreq bins, exponentiated in place: one n-sample buffer each."""
+    w2 = (2 * np.pi * np.fft.fftfreq(signal.n, d=1.0 / signal.fs)) ** 2
+    out = {dz: 0.5j * beta2 * w2 for dz in set(dzs)}
+    for dz, h in out.items():
+        h *= dz
+        np.exp(h, out=h)
     return out
 
 
@@ -197,8 +199,6 @@ def edfa(
     if ase_enabled:
         if gain_db <= 0:
             raise ValueError("ASE model requires positive gain")
-        if nf_db < 3:
-            warnings.warn("NF < 3 dB gives n_sp < 1 with the high-gain formula")
         n_sp = 10 ** (nf_db / 10) / 2.0
         h_nu = H_PLANCK * C_LIGHT / REF_WAVELENGTH_M
         p_ase = n_sp * h_nu * (g - 1.0) * signal.fs  # W per polarization
@@ -219,7 +219,7 @@ def propagate_spans(signal: SampledSignal, link: LinkConfig):
     rng = np.random.default_rng(link.seed)
     for _ in range(link.n_spans):
         signal = ssfm_span(signal, link.span, link.step_km)
-        signal = edfa(signal, link.span.loss_db, link.edfa_nf_db, rng,
+        signal = edfa(signal, link.span.loss_db, link.nf_db, rng,
                       ase_enabled=link.ase_enabled)
         yield signal
 

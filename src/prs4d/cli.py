@@ -223,14 +223,16 @@ def _gmi_awgn(cfg, snrs) -> str:
 _COMMANDS = {
     "simulate": ("run one transmission point", "results.csv", None, (),
                  harness.run_point),
-    "sweep-power": ("GMI vs launch power", "results.csv", ("launch_dbm", "gmi_bit4d"), (
+    "sweep-power": ("GMI vs launch power, on PRS4D_WORKERS processes (default 1)",
+                    "results.csv", ("launch_dbm", "gmi_bit4d"), (
         ("--powers", "-4:6:1", "launch powers in dBm, lo:hi:step or comma list",
          "launch_dbm"),), harness.sweep_power),
     "sweep-distance": ("GMI after each span count, from one propagation", "results.csv",
                        ("distance_km", "gmi_bit4d"), (
         ("--spans", "4,6,8,10,12,14", "span counts, lo:hi:step or comma list",
          "n_spans"),), harness.sweep_distance),
-    "sweep-channels": ("optimum-power rate vs channels", "results.csv",
+    "sweep-channels": ("optimum-power rate vs channels, on PRS4D_WORKERS "
+                       "processes (default 1)", "results.csv",
                        ("n_channels", "ndr_gbps"), (
         ("--channels", "1,3,5", "channel counts, lo:hi:step or comma list", "n_channels"),
         ("--powers", "-2:4:0.5", "power grid used to locate the optimum", "launch_dbm"),

@@ -3,6 +3,8 @@ receive at one config. Every sweep follows one rule: its records at a grid
 value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
 but for the measured runtime_s. A power sweep runs each distinct power
 once; a distance sweep propagates once and receives after each span count.
+sweep_power and sweep_channels run their points on PRS4D_WORKERS processes
+(an integer >= 1 in the environment, default 1).
 optimize_prs_params, the 4D-64PRS design search, scores each geometry with
 the demapper's AWGN reference, so it lives here beside the experiments.
 
@@ -10,6 +12,9 @@ Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
 and 5 dB-NF EDFAs, 0.1 km SSFM steps). Desk-scale experiments override
 symbol count, channel count, span count and step size.
+
+ExperimentConfig checks its own fields, then validates the fiber and the
+link by building them (link()): FiberParams and LinkConfig hold those rules.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class ExperimentConfig:
     alpha_db_km: float = FiberParams.alpha_db_km
     disp_ps_nm_km: float = FiberParams.disp_ps_nm_km
     gamma_w_km: float = FiberParams.gamma_w_km
-    nf_db: float = LinkConfig.edfa_nf_db
+    nf_db: float = LinkConfig.nf_db
     launch_dbm: float = 0.0
     demapper: str = "both"
     phase_window: int = 128
@@ -86,29 +91,26 @@ class ExperimentConfig:
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
         for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS),
-                            ("n_spans", 1), ("phase_window", 1)):
+                            ("phase_window", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
-        for name in ("spacing_ghz", "gamma_w_km", "alpha_db_km"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.ase_enabled and self.alpha_db_km == 0:
-            raise ValueError("alpha_db_km must be > 0 with ase_enabled (ASE needs EDFA gain)")
+        if self.spacing_ghz < 0:
+            raise ValueError("spacing_ghz must be >= 0")
+        # span_km stays here: the fiber calls it length_km
         for name in ("baud_gbd", "span_km"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if not 0 < self.step_km <= self.span_km:
-            raise ValueError("step_km must be in (0, span_km]")
+        link = self.link()  # the fiber's and the link's own checks
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
-        width = (1 + self.rolloff) * self.baud_gbd  # one channel's occupied band
-        if self.n_channels > 1 and txdsp.spectra_overlap(self.spacing_ghz, width):
+        # one channel's occupied band; ones that just touch do not overlap,
+        # though (1 + 0.1) * 45 is 49.50000000000001
+        width = (1 + self.rolloff) * self.baud_gbd
+        if self.n_channels > 1 and self.spacing_ghz < (1 - 1e-12) * width:
             raise ValueError(f"spacing_ghz must be >= (1 + rolloff) * baud_gbd "
                              f"= {width:g} with n_channels > 1, got {self.spacing_ghz:g}")
-        if self.ase_enabled and self.nf_db < 3:
-            raise ValueError("nf_db must be >= 3 with ase_enabled (n_sp >= 1)")
         kerr = (8 / 9 * self.gamma_w_km * self.n_channels  # rad/W per SSFM step
-                * self.fiber().effective_length_km(self.step_km))
+                * link.span.effective_length_km(self.step_km))
         if kerr > 0 and self.launch_dbm > (p_max := 30 - 10 * np.log10(kerr)):
             raise ValueError(
                 f"launch_dbm must be <= {p_max:.4g} with step_km={self.step_km:g} "
@@ -134,13 +136,14 @@ class ExperimentConfig:
             sps *= 2
         return sps
 
-    def fiber(self) -> FiberParams:
-        return FiberParams(
-            alpha_db_km=self.alpha_db_km,
-            disp_ps_nm_km=self.disp_ps_nm_km,
-            gamma_w_km=self.gamma_w_km,
-            length_km=self.span_km,
-        )
+    def link(self) -> LinkConfig:
+        """The run's link, ASE seeded by derived_seed(seed, "ase")."""
+        span = FiberParams(alpha_db_km=self.alpha_db_km,
+                           disp_ps_nm_km=self.disp_ps_nm_km,
+                           gamma_w_km=self.gamma_w_km, length_km=self.span_km)
+        return LinkConfig(span=span, n_spans=self.n_spans, step_km=self.step_km,
+                          nf_db=self.nf_db, ase_enabled=self.ase_enabled,
+                          seed=derived_seed(self.seed, "ase"))
 
     def build_constellation(self) -> const.Constellation4D:
         return const.build_format(self.format, self.prs_rho, self.prs_theta,
@@ -227,11 +230,7 @@ def _transmit(cfg: ExperimentConfig):
             if cfg.demapper != "iid":  # the cg estimate's floor, before any span
                 dm.point_counts(tx_indices, c.M)
     mux = txdsp.wdm_mux(channels, cfg.spacing_hz, cfg.baud_hz, cfg.rolloff)
-    link = LinkConfig(span=cfg.fiber(), n_spans=cfg.n_spans,
-                      step_km=cfg.step_km, edfa_nf_db=cfg.nf_db,
-                      ase_enabled=cfg.ase_enabled,
-                      seed=derived_seed(cfg.seed, "ase"))
-    return c, mux, tx_indices, link
+    return c, mux, tx_indices, cfg.link()
 
 
 def _receive(cfg: ExperimentConfig, c, rx_sig, tx_indices,
@@ -380,19 +379,25 @@ def sweep_channels(cfg: ExperimentConfig, channel_counts,
 
 
 def find_reach(records: list[ResultRecord], gmi_target: float) -> float:
-    """Distance where GMI crosses the target, by linear interpolation.
+    """Distance where one series' GMI crosses the target, by linear
+    interpolation.
 
-    Records may arrive in any order; they are sorted by distance first.
-    Raises if the target is not bracketed.
+    Records may arrive in any order; they are sorted by distance first. They
+    must share one (format, demapper, n_channels) series, and a repeated
+    distance must repeat its GMI. Raises if the target is not bracketed.
     """
-    recs = sorted(records, key=lambda r: r.distance_km)
-    for a, b in zip(recs, recs[1:]):
-        lo, hi = sorted((a.gmi_bit4d, b.gmi_bit4d))
-        if lo <= gmi_target <= hi:
-            if a.gmi_bit4d == b.gmi_bit4d:
-                return a.distance_km
-            frac = (gmi_target - a.gmi_bit4d) / (b.gmi_bit4d - a.gmi_bit4d)
-            return a.distance_km + frac * (b.distance_km - a.distance_km)
+    if len({(r.format, r.demapper, r.n_channels) for r in records}) > 1:
+        raise ValueError("records must come from one (format, demapper, "
+                         "n_channels) series")
+    pts = np.unique(np.reshape([(r.distance_km, r.gmi_bit4d) for r in records],
+                               (-1, 2)), axis=0)
+    for d in pts[1:, 0][np.diff(pts[:, 0]) == 0][:1]:
+        raise ValueError(f"distance {d:g} km repeats with different GMIs")
+    for (d0, g0), (d1, g1) in zip(pts.tolist(), pts[1:].tolist()):
+        if min(g0, g1) <= gmi_target <= max(g0, g1):
+            if g0 == g1:
+                return d0
+            return d0 + (gmi_target - g0) / (g1 - g0) * (d1 - d0)
     raise ValueError(f"GMI target {gmi_target} not bracketed by the records")
 
 

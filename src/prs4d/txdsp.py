@@ -19,7 +19,6 @@ commands (AWGN GMI, constellation search) never build a waveform.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,12 +126,6 @@ def set_mean_power(sig: ChannelSpectrum, power_dbm: float) -> ChannelSpectrum:
     return replace(sig, bins=g * sig.bins)
 
 
-def spectra_overlap(spacing: float, width: float) -> bool:
-    """Whether channels of this occupied width overlap at this spacing; ones
-    that just touch do not, though (1 + 0.1) * 45 is 49.50000000000001."""
-    return spacing < (1 - 1e-12) * width
-
-
 def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
             rolloff: float) -> SampledSignal:
     """Shift each channel onto a symmetric grid, sum, and return the frame.
@@ -140,6 +133,7 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
     Channel k moves to the FFT bin nearest (k - (n-1)/2) * spacing_hz.
     Channels share the frame length and sample rate, which the frame
     keeps, and are summed in index order for bit-exact reproducibility.
+    Overlapping spectra are summed as they are; ExperimentConfig rejects them.
     """
     import scipy.fft as sfft
     n_ch = len(channels)
@@ -153,8 +147,6 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
         raise ValueError(
             f"sample rate {fs:.3g} Hz cannot carry the {band:.3g} Hz WDM band"
         )
-    if n_ch > 1 and spectra_overlap(spacing_hz, (1 + rolloff) * baud):
-        warnings.warn("channel spacing below (1+rolloff)*baud: spectra overlap")
 
     spec = np.zeros((2, n), dtype=complex)
     for k, ch in enumerate(channels):

@@ -73,19 +73,36 @@ class TestFiberParams:
         assert got == pytest.approx((1.0 - np.exp(-10.0 * a)) / a, rel=1e-14)
         assert ch.FiberParams(alpha_db_km=0.0).effective_length_km(10.0) == 10.0
 
+    @pytest.mark.parametrize("alpha_db_km", [1e-18, 1e-14, 1e-10])
+    def test_effective_length_tends_to_the_step(self, alpha_db_km):
+        """At a tiny attenuation L_eff = dz (1 - a dz/2 + ...), where
+        1 - e^{-a dz} would cancel (to 0 at 1e-18 dB/km)."""
+        a = alpha_db_km * np.log(10.0) / 10.0
+        got = ch.FiberParams(alpha_db_km=alpha_db_km).effective_length_km(0.1)
+        assert got == pytest.approx(0.1 * (1 - a * 0.1 / 2), rel=1e-15)
+
 
 class TestLinkConfig:
     @pytest.mark.parametrize("kw, name", [
         ({"n_spans": 2.5}, "n_spans"), ({"n_spans": 2.0}, "n_spans"),
         ({"n_spans": 0}, "n_spans"),
-        ({"edfa_nf_db": np.nan}, "edfa_nf_db"),
-        ({"edfa_nf_db": -np.inf}, "edfa_nf_db"),
+        ({"nf_db": np.nan}, "nf_db"),
+        ({"nf_db": -np.inf}, "nf_db"),
         ({"step_km": np.nan}, "step_km"), ({"step_km": np.inf}, "step_km"),
         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
     ])
     def test_bad_field_named(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             ch.LinkConfig(**{"span": SHORT, "n_spans": 1, **kw})
+
+    def test_lossless_span_with_ase_fails_before_the_first_span(self, monkeypatch):
+        def no_span(*args):
+            raise AssertionError("ssfm_span ran")
+
+        monkeypatch.setattr(ch, "ssfm_span", no_span)
+        with pytest.raises(ValueError, match=r"^alpha_db_km must be > 0 with ase_enabled"):
+            ch.propagate_link(random_signal(n=64), ch.LinkConfig(
+                span=ch.FiberParams(alpha_db_km=0.0), n_spans=2))
 
     def test_numpy_integer_span_count(self):
         link = ch.LinkConfig(span=SHORT, n_spans=np.int64(3))
@@ -252,7 +269,7 @@ class TestSsfmSpan:
         fld = sig.field.copy()
         for dz, half in zip(steps, halves):
             spectral_filter(fld, ph[half])
-            dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha
+            dz_eff = -np.expm1(-alpha * dz) / alpha
             kerr(fld, SHORT.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2.0))
         spectral_filter(fld, ph[cdc])
 
@@ -345,8 +362,8 @@ class TestFoldedCdc:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 301, 4096, 4097, 2**17])
     def test_phasor_mirror_bit_identical(self, n):
-        """Each response is evaluated on bins 0 .. n//2 and mirrored; that
-        equals the exponential on every fftfreq bin, bit for bit."""
+        """Each response is the exponential on every fftfreq bin, bit for
+        bit, at even, odd and unit n."""
         sig = SampledSignal(np.zeros((2, n)), fs=180e9)
         dzs = [0.05, 0.15, 1 / 3, 80.0, 0.05 - 80.0]
         got = ch._phasors(sig, LEAF.beta2_s2_km, dzs)
@@ -432,11 +449,6 @@ class TestEdfa:
             ref = pol * np.sqrt(g) + sigma * (rng.standard_normal(1000)
                                               + 1j * rng.standard_normal(1000))
             assert np.array_equal(got, ref)
-
-    def test_low_nf_warns(self):
-        sig = random_signal(n=64)
-        with pytest.warns(UserWarning):
-            ch.edfa(sig, 17.52, 2.0, np.random.default_rng(0))
 
 
 class TestPropagateLink:

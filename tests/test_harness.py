@@ -91,6 +91,40 @@ class TestExperimentConfig:
         assert "\n" not in str(err.value)
         assert H.ExperimentConfig(gamma_w_km=0.0, launch_dbm=400.0).launch_dbm == 400.0
 
+    @pytest.mark.parametrize("kw, build", [
+        ({"alpha_db_km": -1.0}, lambda: channel.FiberParams(alpha_db_km=-1.0)),
+        ({"gamma_w_km": -1.0}, lambda: channel.FiberParams(gamma_w_km=-1.0)),
+        ({"n_spans": 0}, lambda: channel.LinkConfig(channel.FiberParams(), 0)),
+        ({"step_km": 0.0}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
+                                                      step_km=0.0)),
+        ({"step_km": 80.5}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
+                                                       step_km=80.5)),
+        ({"nf_db": 2.0}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
+                                                    nf_db=2.0)),
+        ({"alpha_db_km": 0.0}, lambda: channel.LinkConfig(
+            channel.FiberParams(alpha_db_km=0.0), 1)),
+    ], ids=["alpha_negative", "gamma_negative", "no_spans", "step_zero",
+            "step_over_span", "nf_2_with_ase", "lossless_with_ase"])
+    def test_link_rule_message_is_the_links(self, kw, build):
+        """The config states no link rule: its error is the link's own."""
+        with pytest.raises(ValueError) as cfg_err:
+            H.ExperimentConfig(**kw)
+        with pytest.raises(ValueError) as link_err:
+            build()
+        assert str(cfg_err.value) == str(link_err.value)
+
+    def test_tiny_attenuation_keeps_the_kerr_bound(self):
+        """L_eff at 1e-18 dB/km is the whole step, as in a lossless span, so
+        a 400 dBm launch is rejected alike (1 - e^{-a dz} cancelled to 0)."""
+        kw = dict(format="pm8qam", n_channels=1, n_symbols=2048, n_spans=2,
+                  step_km=10.0, ase_enabled=False, launch_dbm=400.0, demapper="iid")
+        errs = []
+        for alpha in (0.0, 1e-18):
+            with pytest.raises(ValueError, match="^launch_dbm must be <= ") as err:
+                H.ExperimentConfig(alpha_db_km=alpha, **kw)
+            errs.append(str(err.value))
+        assert errs[0] == errs[1]
+
     def test_overlapping_channels_rejected(self):
         """WDM spectra of (1 + rolloff) * baud_gbd = 49.5 GHz must not overlap.
         Ones that just touch pass, though (1 + 0.1) * 45 is 49.50000000000001
@@ -110,10 +144,11 @@ class TestExperimentConfig:
         assert [r.seed for r in recs] == [seed]
 
     def test_paper_fiber_written_once(self):
-        cfg = H.ExperimentConfig()
-        assert cfg.fiber() == channel.FiberParams()
-        assert (cfg.step_km, cfg.nf_db) == (channel.LinkConfig.step_km,
-                                            channel.LinkConfig.edfa_nf_db)
+        link = H.ExperimentConfig().link()
+        assert link.span == channel.FiberParams()
+        assert (link.step_km, link.nf_db) == (channel.LinkConfig.step_km,
+                                              channel.LinkConfig.nf_db)
+        assert link.seed == H.derived_seed(1234, "ase")
 
     def test_effective_sps_single_channel(self):
         assert tiny_config().effective_sps() == 2
@@ -555,6 +590,27 @@ class TestFindReach:
 
     def test_exact_grid_hit(self):
         assert H.find_reach([rec(1000, 5.0), rec(2000, 4.0)], 4.0) == 2000.0
+
+    @pytest.mark.parametrize("other", [{"demapper": "cg"}, {"format": "4d64prs"},
+                                       {"n_channels": 3}])
+    def test_mixed_series_rejected(self, other):
+        """iid at 5.5/5.6 and cg at 4.5/4.7: mixed, 5.55 seemed reached at 800 km."""
+        records = [rec(800, 5.5), rec(1600, 5.6),
+                   replace(rec(800, 4.5), **other), replace(rec(1600, 4.7), **other)]
+        with pytest.raises(ValueError, match=r"^records must come from one "
+                           r"\(format, demapper, n_channels\) series$"):
+            H.find_reach(records, 5.55)
+
+    def test_repeated_distance_with_two_gmis_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^distance 1000 km repeats with different GMIs$"):
+            H.find_reach([rec(1000, 5.0), rec(1000, 4.8), rec(2000, 4.0)], 4.5)
+
+    def test_repeated_taps_are_one_point(self):
+        """sweep_distance repeats a repeated span count's records."""
+        records = [rec(1000, 5.0), rec(2000, 4.0), rec(1000, 5.0), rec(2000, 4.0)]
+        assert H.find_reach(records, 4.5) == pytest.approx(1500.0)
+        assert H.find_reach(records, 5.0) == 1000.0
 
 
 class TestCsv:

@@ -213,17 +213,15 @@ class TestWdmMux:
         with pytest.raises(ValueError):
             T.wdm_mux(chans, 100e9, BAUD, 0.1)
 
-    def test_overlap_warning(self):
-        chans = [self._channel(s, sps=8) for s in range(2)]
-        with pytest.warns(UserWarning):
-            T.wdm_mux(chans, 40e9, BAUD, 0.1)
-
     def test_touching_spectra_do_not_warn(self):
-        """(1 + 0.1) * 45e9 is 49500000000.00001 in binary; the config's
-        boundary check and this warning share one comparison."""
+        """Spacing 49.5 GHz = (1 + 0.1) * 45 GBd, which the config accepts,
+        muxes silently (a warning is an error here) and keeps both channels."""
         chans = [self._channel(s, sps=8) for s in range(2)]
-        assert not T.spectra_overlap(49.5e9, (1 + 0.1) * BAUD)
-        T.wdm_mux(chans, 49.5e9, BAUD, 0.1)  # a warning is an error here
+        out = T.wdm_mux(chans, 49.5e9, BAUD, 0.1)
+        p_out = np.mean(np.abs(out.x) ** 2 + np.abs(out.y) ** 2)
+        p_sum = sum(np.mean(np.abs(c.x) ** 2 + np.abs(c.y) ** 2)
+                    for c in map(frame, chans))
+        assert abs(10 * np.log10(p_out / p_sum)) < 0.01
 
     def test_mismatched_channels_rejected(self):
         short = self._channel(0, n_sym=256)
