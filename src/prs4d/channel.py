@@ -16,6 +16,7 @@ tracer names it; no other public function applies dispersion.
 
 FiberParams and LinkConfig hold every rule of the fiber and the link and
 reject a bad one at construction, so a bad link fails before its first span.
+check_fields is the one type and finiteness check of every config dataclass.
 
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
@@ -51,9 +52,7 @@ class FiberParams:
     length_km: float = 80.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        check_fields(self)
         for name in ("alpha_db_km", "gamma_w_km"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -77,6 +76,33 @@ class FiberParams:
         return -np.expm1(-alpha * dz) / alpha if alpha > 0 else dz
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+# field annotation: (accepted values, description, parser of the text form)
+FIELD_TYPES = {"str": (str, "a string", str),
+               "bool": ((bool, np.bool_), "True or False", lambda t: _BOOLS[t.lower()]),
+               "int": ((int, np.integer), "an integer", int),
+               "float": ((int, float, np.integer, np.floating), "one number", float),
+               "FiberParams": (FiberParams, "a FiberParams", None)}
+
+
+def field_error(f, value) -> ValueError:
+    """Field f's type error for value, with the hint in f's metadata if any."""
+    return ValueError(f"{f.name} must be {FIELD_TYPES[f.type][1]}, "
+                      f"got {value!r}{f.metadata.get('hint', '')}")
+
+
+def check_fields(obj) -> None:
+    """Reject dataclass obj's first field of the wrong type or not finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not isinstance(value, FIELD_TYPES[f.type][0]) or (
+                f.type != "bool" and isinstance(value, (bool, np.bool_))):
+            raise field_error(f, value)
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Multi-span link: SSFM step, amplifier noise, inline compensation."""
@@ -89,17 +115,16 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_spans, (int, np.integer)) or self.n_spans < 1:
+        check_fields(self)
+        if self.n_spans < 1:
             raise ValueError("n_spans must be an integer >= 1")
-        if not np.isfinite(self.nf_db):
-            raise ValueError("nf_db must be finite")
         if not 0 < self.step_km <= self.span.length_km:
             raise ValueError("step_km must be in (0, span_km]")
         if self.ase_enabled and self.span.alpha_db_km == 0:
             raise ValueError("alpha_db_km must be > 0 with ase_enabled (ASE needs EDFA gain)")
         if self.ase_enabled and self.nf_db < 3:
             raise ValueError("nf_db must be >= 3 with ase_enabled (n_sp >= 1)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
 
 

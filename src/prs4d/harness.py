@@ -13,8 +13,8 @@ Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 and 5 dB-NF EDFAs, 0.1 km SSFM steps). Desk-scale experiments override
 symbol count, channel count, span count and step size.
 
-ExperimentConfig checks its own fields, then validates the fiber and the
-link by building them (link()): FiberParams and LinkConfig hold those rules.
+ExperimentConfig checks field types by channel.check_fields, its own rules, and
+the rest by building its constellation and link, whose builders hold the rules.
 """
 
 from __future__ import annotations
@@ -30,25 +30,14 @@ import numpy as np
 from . import constellation as const
 from . import demapper as dm
 from . import rxdsp, txdsp
-from .channel import FiberParams, LinkConfig, propagate_link, propagate_spans
+from .channel import (FIELD_TYPES, FiberParams, LinkConfig, check_fields,
+                      field_error, propagate_link, propagate_spans)
 
 CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
               "gmi_bit4d,ndr_gbps,seed,runtime_s")
 
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-          **dict.fromkeys(("0", "false", "no", "off"), False)}
-# config field type: (accepted values, description, parser of the text form)
-_FIELD_TYPES = {"str": (str, "a string", str),
-                "bool": ((bool, np.bool_), "True or False", lambda t: _BOOLS[t.lower()]),
-                "int": ((int, np.integer), "an integer", int),
-                "float": ((int, float, np.integer, np.floating), "one number", float)}
-
-
-def _type_error(name: str, kind: str, value) -> ValueError:
-    hint = " (sweep powers with sweep-power)" if name == "launch_dbm" else ""
-    return ValueError(f"{name} must be {_FIELD_TYPES[kind][1]}, got {value!r}{hint}")
 
 
 @dataclass
@@ -72,22 +61,16 @@ class ExperimentConfig:
     disp_ps_nm_km: float = FiberParams.disp_ps_nm_km
     gamma_w_km: float = FiberParams.gamma_w_km
     nf_db: float = LinkConfig.nf_db
-    launch_dbm: float = 0.0
+    launch_dbm: float = field(
+        default=0.0, metadata={"hint": " (sweep powers with sweep-power)"})
     demapper: str = "both"
     phase_window: int = 128
     ase_enabled: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type][0]) or (
-                    f.type != "bool" and isinstance(value, (bool, np.bool_))):
-                raise _type_error(f.name, f.type, value)
-            if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+        check_fields(self)
         self.launch_dbm = float(self.launch_dbm)
-        if self.format not in const.FORMATS:
-            raise ValueError(f"format must be one of {const.FORMATS}")
+        self.build_constellation()  # the format's and the geometry's checks
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
         for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS),
@@ -152,36 +135,28 @@ class ExperimentConfig:
 
 def optimize_prs_params(snr_db: float, rhos, thetas) -> tuple[float, float, float]:
     """(rho, theta, gmi) of the 4D-64PRS geometry on the grid rhos x thetas
-    with the largest AWGN GMI at snr_db. Degenerate grid points are skipped;
-    a tie goes to the earlier rho, then the earlier theta (scan order).
+    with the largest AWGN GMI at snr_db (build_4d64prs rejects a point out of
+    range); a tie goes to the earlier rho, then the earlier theta (scan order).
     """
-    if not (len(rhos) and len(thetas)):
+    grid = [(float(rho), float(theta)) for rho in rhos for theta in thetas]
+    if not grid:
         raise ValueError("grid must contain at least one point")
-    best, best_gmi = None, -np.inf
-    for rho in map(float, rhos):
-        for theta in map(float, thetas):
-            try:
-                c = const.build_4d64prs(rho, theta)
-            except ValueError:
-                continue
-            gmi = dm.awgn_gmi_reference(c, snr_db, n_nodes=5)
-            if gmi > best_gmi:
-                best, best_gmi = (rho, theta), gmi
-    if best is None:
-        raise ValueError("all grid points are degenerate")
-    return (*best, best_gmi)
+    gmis = [dm.awgn_gmi_reference(const.build_4d64prs(*p), snr_db, n_nodes=5)
+            for p in grid]
+    k = int(np.argmax(gmis))  # the first of equal maxima
+    return (*grid[k], gmis[k])
 
 
 def parse_field(name: str, text: str):
     """Config field name's value read from text by its type's parser."""
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
-    if name not in kinds:
+    by_name = {f.name: f for f in fields(ExperimentConfig)}
+    if name not in by_name:
         raise ValueError(f"unknown config key {name!r}; valid keys: "
-                         f"{', '.join(sorted(kinds))}")
+                         f"{', '.join(sorted(by_name))}")
     try:
-        return _FIELD_TYPES[kinds[name]][2](text)
+        return FIELD_TYPES[by_name[name].type][2](text)
     except (KeyError, ValueError):  # KeyError: not a boolean word
-        raise _type_error(name, kinds[name], text) from None
+        raise field_error(by_name[name], text) from None
 
 
 @dataclass

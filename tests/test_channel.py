@@ -66,6 +66,14 @@ class TestFiberParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ch.FiberParams(**{name: value})
 
+    @pytest.mark.parametrize("kw, name", [
+        ({"alpha_db_km": "0.2"}, "alpha_db_km"), ({"length_km": True}, "length_km"),
+        ({"gamma_w_km": None}, "gamma_w_km"),
+    ])
+    def test_bad_field_named(self, kw, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ch.FiberParams(**kw)
+
     def test_effective_length(self):
         """(1 - e^{-a dz})/a with a = alpha ln(10)/10 in 1/km; dz when lossless."""
         a = 0.219 * np.log(10.0) / 10.0
@@ -90,10 +98,15 @@ class TestLinkConfig:
         ({"nf_db": -np.inf}, "nf_db"),
         ({"step_km": np.nan}, "step_km"), ({"step_km": np.inf}, "step_km"),
         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+        ({"step_km": "1"}, "step_km"), ({"step_km": True}, "step_km"),
+        ({"nf_db": "5"}, "nf_db"),
+        ({"ase_enabled": "false"}, "ase_enabled"), ({"ase_enabled": 0}, "ase_enabled"),
+        ({"seed": True}, "seed"), ({"span": None}, "span"),
     ])
     def test_bad_field_named(self, kw, name):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{name} must be") as err:
             ch.LinkConfig(**{"span": SHORT, "n_spans": 1, **kw})
+        assert "\n" not in str(err.value)
 
     def test_lossless_span_with_ase_fails_before_the_first_span(self, monkeypatch):
         def no_span(*args):

@@ -495,7 +495,6 @@ class TestMain:
     @pytest.mark.parametrize("args, flag, grid, rows", [
         (["sweep-power", "--output", "-"] + TINY, "--powers", "-1:1:2", 3),
         (["gmi-awgn"] + TINY, "--snr", "-2,0", 3),
-        (["optimize-constellation", "--theta", "0.45"], "--rho", "-1,1.6", 1),
     ])
     def test_negative_grid_takes_a_space_or_an_equals_sign(
             self, capsys, without_runtime, args, flag, grid, rows):
@@ -504,6 +503,13 @@ class TestMain:
             assert cli.main(args + form) == 0
             outs.append(without_runtime(capsys.readouterr().out))
         assert outs[0] == outs[1] and outs[0].count("\n") == rows
+
+    def test_negative_rho_fails_alike_after_a_space_or_an_equals_sign(self, capsys):
+        """-1 reaches the design search either way, whose builder rejects it:
+        no grid point is skipped."""
+        for form in (["--rho", "-1,1.6"], ["--rho=-1,1.6"]):
+            assert cli.main(["optimize-constellation", "--theta", "0.45"] + form) == 1
+            assert capsys.readouterr() == ("", "error: prs_rho must be > 0, got -1.0\n")
 
     def test_optimize_bad_snr_returns_one(self, capsys):
         assert cli.main(["optimize-constellation", "--snr", "x"]) == 1

@@ -315,6 +315,14 @@ class TestOptimize:
         with pytest.raises(ValueError):
             H.optimize_prs_params(8.1, [1.0], [0.0])
 
+    @pytest.mark.parametrize("rhos, thetas, message", [
+        ([-1.0, 1.6], [0.45], r"^prs_rho must be > 0, got -1\.0$"),
+        ([1.6], [0.45, 1.0], r"^prs_theta must be in \(0, pi/4\), got 1\.0$"),
+    ])
+    def test_out_of_range_point_is_not_skipped(self, rhos, thetas, message):
+        with pytest.raises(ValueError, match=message):
+            H.optimize_prs_params(8.1, rhos, thetas)
+
     def test_shipped_defaults_are_the_optimum(self):
         rho, theta, _ = H.optimize_prs_params(C.DEFAULT_PRS_SNR_DB,
                                               C.DEFAULT_PRS_RHOS,

@@ -1,12 +1,13 @@
 import re
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from prs4d import channel, rxdsp
+from prs4d import constellation as const
 from prs4d import demapper as dm
 from prs4d import harness as H
 from prs4d.channel import C_LIGHT, H_PLANCK
@@ -61,6 +62,8 @@ class TestExperimentConfig:
         ({"seed": 1.5}, "seed"),
         ({"step_km": None}, "step_km"), ({"ase_enabled": None}, "ase_enabled"),
         ({"gamma_w_km": [1.0]}, "gamma_w_km"),
+        ({"prs_theta": 1.0}, "prs_theta"), ({"prs_rho": -1.0}, "prs_rho"),
+        ({"format": "4d64prs", "prs_theta": 0.0}, "prs_theta"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -112,6 +115,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError) as link_err:
             build()
         assert str(cfg_err.value) == str(link_err.value)
+
+    @pytest.mark.parametrize("kw, build", [
+        ({"prs_theta": 1.0}, lambda: const.build_4d64prs(const.DEFAULT_PRS_RHO, 1.0)),
+        ({"prs_rho": -1.0}, lambda: const.build_4d64prs(-1.0, const.DEFAULT_PRS_THETA)),
+        ({"format": "4d64prs", "prs_theta": 0.0},
+         lambda: const.build_4d64prs(const.DEFAULT_PRS_RHO, 0.0)),
+        ({"format": "6b4d_2a8psk", "ring_ratio": 0.0},
+         lambda: const.build_6b4d_2a8psk(0.0)),
+        ({"format": "qpsk"}, lambda: const.build_format("qpsk")),
+    ], ids=["theta_over_pi_4", "rho_negative", "theta_zero", "ring_ratio_zero",
+            "unknown_format"])
+    def test_geometry_rule_message_is_the_builders(self, kw, build):
+        """The config states no format or geometry rule: it fails when it is
+        constructed, with the builder's own error."""
+        with pytest.raises(ValueError) as cfg_err:
+            H.ExperimentConfig(**kw)
+        with pytest.raises(ValueError) as build_err:
+            build()
+        assert str(cfg_err.value) == str(build_err.value)
+
+    def test_every_field_type_is_in_the_one_table(self):
+        """A new field of any config dataclass cannot skip the type check."""
+        for cls in (channel.FiberParams, channel.LinkConfig, H.ExperimentConfig):
+            for f in fields(cls):
+                assert f.type in channel.FIELD_TYPES, (cls.__name__, f.name)
+        span = next(f for f in fields(channel.LinkConfig) if f.name == "span")
+        assert channel.FIELD_TYPES[span.type][0] is channel.FiberParams
 
     def test_tiny_attenuation_keeps_the_kerr_bound(self):
         """L_eff at 1e-18 dB/km is the whole step, as in a lossless span, so
