@@ -15,7 +15,8 @@ inline_cdc, the same D(-L) on its own, stays only because the benchmark's
 tracer names it; no other public function applies dispersion.
 
 FiberParams and LinkConfig hold every rule of the fiber and the link and
-reject a bad one at construction, so a bad link fails before its first span.
+reject a bad one at construction, so a bad link fails before its first span;
+edfa reads its gain, noise figure and ASE switch from that checked link.
 check_fields is the one type and finiteness check of every config dataclass.
 
 ssfm_span splits each step over the caller and a helper thread (x and y
@@ -207,24 +208,18 @@ def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
     return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
 
 
-def edfa(
-    signal: SampledSignal,
-    gain_db: float,
-    nf_db: float,
-    rng: np.random.Generator,
-    ase_enabled: bool = True,
-) -> SampledSignal:
-    """Flat-gain amplifier with circular white Gaussian ASE.
+def edfa(signal: SampledSignal, link: LinkConfig,
+         rng: np.random.Generator) -> SampledSignal:
+    """The link's flat-gain amplifier, its gain the span loss, with circular
+    white Gaussian ASE if link.ase_enabled.
 
     Total ASE power per polarization over the simulated bandwidth is
     n_sp h nu (G - 1) fs, with the high-gain n_sp = 10^{NF/10}/2.
     """
-    g = 10 ** (gain_db / 10)
+    g = 10 ** (link.span.loss_db / 10)
     fld = signal.field * np.sqrt(g)
-    if ase_enabled:
-        if gain_db <= 0:
-            raise ValueError("ASE model requires positive gain")
-        n_sp = 10 ** (nf_db / 10) / 2.0
+    if link.ase_enabled:
+        n_sp = 10 ** (link.nf_db / 10) / 2.0
         h_nu = H_PLANCK * C_LIGHT / REF_WAVELENGTH_M
         p_ase = n_sp * h_nu * (g - 1.0) * signal.fs  # W per polarization
         ase = rng.standard_normal((2, 2, signal.n))  # x re, x im, y re, y im
@@ -244,8 +239,7 @@ def propagate_spans(signal: SampledSignal, link: LinkConfig):
     rng = np.random.default_rng(link.seed)
     for _ in range(link.n_spans):
         signal = ssfm_span(signal, link.span, link.step_km)
-        signal = edfa(signal, link.span.loss_db, link.nf_db, rng,
-                      ase_enabled=link.ase_enabled)
+        signal = edfa(signal, link, rng)
         yield signal
 
 

@@ -211,9 +211,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _gmi_awgn(cfg, snrs) -> str:
-    c = cfg.build_constellation()
     return "snr_db,format,gmi_bit4d\n" + "".join(
-        f"{snr:.10g},{cfg.format},{dm.awgn_gmi_reference(c, snr):.10g}\n"
+        f"{snr:.10g},{cfg.format},{dm.awgn_gmi_reference(cfg.constellation, snr):.10g}\n"
         for snr in snrs)
 
 
@@ -240,8 +239,7 @@ _COMMANDS = {
     "gmi-awgn": ("AWGN GMI reference curve", "-", None, (
         ("--snr", "0:20:2", "SNR grid in dB", None),), _gmi_awgn),
     "export-constellation": ("write points + labels CSV", "constellation.csv", None, (),
-                             lambda cfg: const.constellation_to_csv(
-                                 cfg.build_constellation())),
+                             lambda cfg: const.constellation_to_csv(cfg.constellation)),
 }
 # main joins each grid flag to a next value that starts with '-', which argparse
 # takes for an option (-4:6:1); optimize-constellation's --snr is gmi-awgn's flag

@@ -41,6 +41,9 @@ class Constellation4D:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
 
+    def __reduce__(self):  # copies and pickles rebuild through the check
+        return (Constellation4D, (self.points,))
+
     @property
     def M(self) -> int:
         return self.points.shape[0]

@@ -264,7 +264,8 @@ def awgn_gmi_reference(c: Constellation4D, snr_db: float,
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"snr_db must be a finite SNR in dB, got {snr_db}")
     model = NoiseModel.iid(sigma2)
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
+    if (isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer))
+            or n_nodes < 1):
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
 
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)

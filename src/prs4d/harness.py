@@ -13,12 +13,14 @@ Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
 and 5 dB-NF EDFAs, 0.1 km SSFM steps). Desk-scale experiments override
 symbol count, channel count, span count and step size.
 
-ExperimentConfig checks field types by channel.check_fields, its own rules, and
-the rest by building its constellation and link, whose builders hold the rules.
+The frozen ExperimentConfig checks field types by channel.check_fields, its own
+rules, and the rest by building cfg.constellation and cfg.link, whose builders
+hold the rules; each is built once, and the run uses those very objects.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -40,7 +42,7 @@ VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Flat configuration of one transmission point (one launch power)."""
 
@@ -69,8 +71,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        self.launch_dbm = float(self.launch_dbm)
-        self.build_constellation()  # the format's and the geometry's checks
+        object.__setattr__(self, "launch_dbm", float(self.launch_dbm))
+        self.constellation  # the format's and the geometry's checks
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
         for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS),
@@ -83,7 +85,7 @@ class ExperimentConfig:
         for name in ("baud_gbd", "span_km"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        link = self.link()  # the fiber's and the link's own checks
+        link = self.link  # the fiber's and the link's own checks
         if not 0 < self.rolloff <= 1:
             raise ValueError("rolloff must be in (0, 1]")
         # one channel's occupied band; ones that just touch do not overlap,
@@ -119,6 +121,7 @@ class ExperimentConfig:
             sps *= 2
         return sps
 
+    @functools.cached_property
     def link(self) -> LinkConfig:
         """The run's link, ASE seeded by derived_seed(seed, "ase")."""
         span = FiberParams(alpha_db_km=self.alpha_db_km,
@@ -128,7 +131,8 @@ class ExperimentConfig:
                           nf_db=self.nf_db, ase_enabled=self.ase_enabled,
                           seed=derived_seed(self.seed, "ase"))
 
-    def build_constellation(self) -> const.Constellation4D:
+    @functools.cached_property
+    def constellation(self) -> const.Constellation4D:
         return const.build_format(self.format, self.prs_rho, self.prs_theta,
                                   self.ring_ratio)
 
@@ -189,9 +193,8 @@ def derived_seed(master: int, *coords) -> int:
 
 
 def _transmit(cfg: ExperimentConfig):
-    """Shape and multiplex every WDM channel: returns the constellation,
-    the launch field, the center channel's sent indices and the link."""
-    c = cfg.build_constellation()
+    """The shaped WDM launch field and the center channel's sent indices."""
+    c = cfg.constellation
     sps = cfg.effective_sps()
     channels = []
     for ch in range(cfg.n_channels):
@@ -205,13 +208,14 @@ def _transmit(cfg: ExperimentConfig):
             if cfg.demapper != "iid":  # the cg estimate's floor, before any span
                 dm.point_counts(tx_indices, c.M)
     mux = txdsp.wdm_mux(channels, cfg.spacing_hz, cfg.baud_hz, cfg.rolloff)
-    return c, mux, tx_indices, cfg.link()
+    return mux, tx_indices
 
 
-def _receive(cfg: ExperimentConfig, c, rx_sig, tx_indices,
+def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
              t0: float) -> list[ResultRecord]:
     """Select the center channel, undo phase and gain with the genie, and
     demap; each record's runtime runs from t0 to the last demap."""
+    c = cfg.constellation
     center_offset = ((cfg.n_channels - 1) // 2
                      - (cfg.n_channels - 1) / 2) * cfg.spacing_hz
     rx = rxdsp.channel_select(rx_sig, center_offset, cfg.baud_hz, cfg.rolloff)
@@ -252,8 +256,8 @@ def run_point(cfg: ExperimentConfig,
     """
     t0 = time.perf_counter()
     cfg = cfg if seed is None else replace(cfg, seed=seed)
-    c, mux, tx_indices, link = _transmit(cfg)
-    return _receive(cfg, c, propagate_link(mux, link), tx_indices, t0)
+    mux, tx_indices = _transmit(cfg)
+    return _receive(cfg, propagate_link(mux, cfg.link), tx_indices, t0)
 
 
 def _worker_count() -> int:
@@ -268,7 +272,7 @@ def _worker_count() -> int:
 def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
     """run_point(replace(cfg, launch_dbm=p)) for each power p at cfg.seed, in
     order on PRS4D_WORKERS processes; a repeated power is run once."""
-    powers = [float(p) for p in powers]
+    powers = list(powers)
     cfgs = {p: replace(cfg, launch_dbm=p) for p in powers}
     if not cfgs:
         raise ValueError("empty power list")
@@ -293,14 +297,14 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     if not cfgs:
         raise ValueError("empty span-count list")
     t0 = time.perf_counter()
-    c, mux, tx_indices, link = _transmit(cfgs[max(cfgs)])
-    spans, taps = propagate_spans(mux, link), {}
-    for n in range(1, link.n_spans + 1):
+    mux, tx_indices = _transmit(longest := cfgs[max(cfgs)])
+    spans, taps = propagate_spans(mux, longest.link), {}
+    for n in range(1, longest.n_spans + 1):
         # next() and del, not enumerate(spans), whose reused result tuple
         # would keep this field alive through the next span
         rx_sig = next(spans)
         if n in cfgs:
-            taps[n] = _receive(cfgs[n], c, rx_sig, tx_indices, t0)
+            taps[n] = _receive(cfgs[n], rx_sig, tx_indices, t0)
         del rx_sig
     return [r for n in span_counts for r in taps[n]]
 
@@ -334,7 +338,7 @@ def sweep_channels(cfg: ExperimentConfig, channel_counts,
     powers) at cfg.seed, one record per demapper at the fitted optimum
     power, with no sigma2 and the sweep's runtime, in input order. With one
     power p a record equals run_point(replace(cfg, n_channels=n, launch_dbm=p))."""
-    channel_counts = list(channel_counts)
+    channel_counts, powers = list(channel_counts), list(powers)
     cfgs = {n: replace(cfg, n_channels=n) for n in channel_counts}
     if not cfgs:
         raise ValueError("empty channel-count list")

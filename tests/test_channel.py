@@ -430,7 +430,7 @@ class TestEdfa:
     def test_noiseless_pure_scaling(self):
         sig = random_signal()
         rng = np.random.default_rng(0)
-        out = ch.edfa(sig, 17.52, 5.0, rng, ase_enabled=False)
+        out = ch.edfa(sig, ch.LinkConfig(LEAF, 1, ase_enabled=False), rng)
         g = 10 ** (17.52 / 20)
         assert np.array_equal(out.x, sig.x * g)
 
@@ -439,7 +439,7 @@ class TestEdfa:
         sig = SampledSignal(np.zeros((2, n)), fs=720e9)
         rng = np.random.default_rng(1)
         gain_db, nf_db = 17.52, 5.0
-        out = ch.edfa(sig, gain_db, nf_db, rng)
+        out = ch.edfa(sig, ch.LinkConfig(LEAF, 1, nf_db=nf_db), rng)
         g = 10 ** (gain_db / 10)
         n_sp = 10 ** (nf_db / 10) / 2
         h_nu = ch.H_PLANCK * ch.C_LIGHT / 1550e-9
@@ -453,7 +453,7 @@ class TestEdfa:
         """The one (2, 2, n) ASE draw adds, bit for bit, what four n-sample
         draws in the order x re, x im, y re, y im would add."""
         sig = random_signal(n=1000)
-        out = ch.edfa(sig, 17.52, 5.0, np.random.default_rng(3))
+        out = ch.edfa(sig, ch.LinkConfig(LEAF, 1), np.random.default_rng(3))
         rng, g = np.random.default_rng(3), 10 ** (17.52 / 10)
         n_sp = 10 ** (5.0 / 10) / 2.0
         h_nu = ch.H_PLANCK * ch.C_LIGHT / (1550.0 * 1e-9)

@@ -1,6 +1,8 @@
 import ast
+import copy
 import hashlib
 import itertools
+import pickle
 import re
 from pathlib import Path
 
@@ -42,6 +44,19 @@ class TestConstellation4D:
         np.testing.assert_array_equal(c.labels, [[0, 0], [0, 1], [1, 0], [1, 1]])
         assert c.labels.dtype == np.uint8
         assert not c.labels.flags.writeable and not c.points.flags.writeable
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_checked_and_read_only(self, clone):
+        """A copy is rebuilt through the constructor, as a pool worker
+        unpickles a config's constellation: read-only, not a writeable
+        array restored around the check."""
+        c = C.build_pm8qam()
+        twin = clone(c)
+        np.testing.assert_array_equal(twin.points, c.points)
+        np.testing.assert_array_equal(twin.labels, c.labels)
+        assert not twin.points.flags.writeable and not twin.labels.flags.writeable
 
 
 class TestStandsAlone:

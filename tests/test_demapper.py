@@ -501,7 +501,7 @@ class TestAwgnReference:
         with pytest.raises(ValueError, match="^snr_db must be"):
             D.awgn_gmi_reference(pm8qam, snr_db)
 
-    @pytest.mark.parametrize("n_nodes", [0, -1, 2.5])
+    @pytest.mark.parametrize("n_nodes", [0, -1, 2.5, True])
     def test_bad_node_count_named(self, pm8qam, n_nodes):
         with pytest.raises(ValueError, match="^n_nodes must be"):
             D.awgn_gmi_reference(pm8qam, 8.1, n_nodes=n_nodes)

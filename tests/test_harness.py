@@ -1,7 +1,8 @@
+import pickle
 import re
 import time
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ class TestExperimentConfig:
         assert [r.seed for r in recs] == [seed]
 
     def test_paper_fiber_written_once(self):
-        link = H.ExperimentConfig().link()
+        link = H.ExperimentConfig().link
         assert link.span == channel.FiberParams()
         assert (link.step_km, link.nf_db) == (channel.LinkConfig.step_km,
                                               channel.LinkConfig.nf_db)
@@ -190,6 +191,26 @@ class TestExperimentConfig:
     def test_numpy_launch_power_is_a_plain_float(self):
         cfg = tiny_config(launch_dbm=np.float64(-2.5))
         assert type(cfg.launch_dbm) is float and cfg.launch_dbm == -2.5
+
+    @pytest.mark.parametrize("name, value", [
+        ("spacing_ghz", 10.0), ("launch_dbm", 40), ("launch_dbm", "3")])
+    def test_built_config_is_frozen(self, name, value):
+        """An assignment would skip every check: overlapping spectra, a
+        power past the Kerr bound, a string power that numpy rejects."""
+        cfg = H.ExperimentConfig(n_channels=3)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert (cfg.spacing_ghz, cfg.launch_dbm) == (50.0, 0.0)
+
+    def test_pickled_config_keeps_its_checked_parts(self):
+        """A pool worker gets an equal config with the same constellation."""
+        cfg = tiny_config(format="4d64prs")
+        twin = pickle.loads(pickle.dumps(cfg))
+        assert twin == cfg and hash(twin) == hash(cfg)
+        np.testing.assert_array_equal(twin.constellation.points,
+                                      cfg.constellation.points)
+        assert not twin.constellation.points.flags.writeable
+        assert twin.link == cfg.link
 
 
 class TestDerivedSeed:
@@ -263,6 +284,26 @@ class TestRunPoint:
                                                      rel=1e-12)
         for r in recs.values():
             assert r.sigma2 == pytest.approx(0.007880014101011485, rel=1e-12)
+
+    def test_constellation_built_once_per_config(self, monkeypatch):
+        """The config's check builds the constellation the run uses: none
+        more for cfg, one for the seed's new config."""
+        cfg, calls = tiny_config(), []
+        build = const.build_format
+        monkeypatch.setattr(const, "build_format",
+                            lambda *a: calls.append(a) or build(*a))
+        H.run_point(cfg)
+        assert len(calls) == 0
+        H.run_point(cfg, seed=3)
+        assert len(calls) == 1
+
+    def test_propagates_over_the_config_link(self, monkeypatch):
+        cfg, links = tiny_config(), []
+        link = H.propagate_link
+        monkeypatch.setattr(H, "propagate_link",
+                            lambda sig, lk: links.append(lk) or link(sig, lk))
+        H.run_point(cfg)
+        assert len(links) == 1 and links[0] is cfg.link
 
     def test_runtime_is_always_measured(self):
         """Every record says what it cost; no option turns the clock on."""
@@ -347,7 +388,7 @@ class TestLinearClosure:
         snr_tol_db = 10 / np.log(10) * self.Z * np.sqrt(2 / (4 * self.NS))
         assert abs(snr_err_db) < snr_tol_db
 
-        c = cfg.build_constellation()
+        c = cfg.constellation
         ref = dm.awgn_gmi_reference(c, 10 * np.log10(snr), n_nodes=6)
         gmi_tol = self.Z * self.gmi_standard_error(c, snr, self.NS)
         assert abs(rec.gmi_bit4d - ref) < gmi_tol
@@ -363,6 +404,18 @@ class TestSweeps:
         recs = (H.sweep_power(cfg, [-2.0, 0.0, 2.0])
                 + H.sweep_channels(cfg, [1, 3], powers=[-1.0, 0.0, 1.0]))
         assert [r.seed for r in recs] == [cfg.seed] * 5
+
+    def test_sweep_power_checks_each_power_as_given(self):
+        """A power reaches the config's type check unconverted: True and "3"
+        are not numbers, as on the config itself."""
+        with pytest.raises(ValueError, match="^launch_dbm must be one number, got True"):
+            H.sweep_power(tiny_config(), [True, "3"])
+
+    def test_sweep_channels_reads_the_powers_once(self):
+        """A one-pass power iterable serves every channel count."""
+        cfg = tiny_config()
+        assert (H.sweep_channels(cfg, [1, 3], iter([0.0, 1.0]))
+                == H.sweep_channels(cfg, [1, 3], [0.0, 1.0]))
 
     def test_sweep_power_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -496,7 +549,7 @@ class TestSweeps:
         batch = rxdsp.SymbolBatch(np.zeros(dm.MIN_SYMBOLS - 1, dtype=int),
                                   np.zeros((dm.MIN_SYMBOLS - 1, 4)))
         with pytest.raises(ValueError, match=f"need at least {dm.MIN_SYMBOLS} symbols"):
-            dm.estimate_iid_sigma2(batch, tiny_config().build_constellation())
+            dm.estimate_iid_sigma2(batch, tiny_config().constellation)
         assert len(H.run_point(tiny_config(n_symbols=dm.MIN_SYMBOLS))) == 1
 
     def test_numpy_integer_counts_run(self):
