@@ -120,7 +120,7 @@ class LinkConfig:
         if self.n_spans < 1:
             raise ValueError("n_spans must be an integer >= 1")
         if not 0 < self.step_km <= self.span.length_km:
-            raise ValueError("step_km must be in (0, span_km]")
+            raise ValueError("step_km must be in (0, length_km]")
         if self.ase_enabled and self.span.alpha_db_km == 0:
             raise ValueError("alpha_db_km must be > 0 with ase_enabled (ASE needs EDFA gain)")
         if self.ase_enabled and self.nf_db < 3:

@@ -3,15 +3,18 @@ receive at one config. Every sweep follows one rule: its records at a grid
 value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
 but for the measured runtime_s. A power sweep runs each distinct power
 once; a distance sweep propagates once and receives after each span count.
-sweep_power and sweep_channels run their points on PRS4D_WORKERS processes
-(an integer >= 1 in the environment, default 1).
+sweep_power and sweep_channels check every point's config before any span
+runs, then run the points on PRS4D_WORKERS processes (an integer >= 1 in
+the environment, default 1), never more processes than distinct points.
 optimize_prs_params, the 4D-64PRS design search, scores each geometry with
 the demapper's AWGN reference, so it lives here beside the experiments.
 
-Defaults mirror the headline simulation setup (45 GBaud, roll-off 0.1,
-2^16 symbols, 11 channels on a 50 GHz grid, 80 km spans with inline CDC
-and 5 dB-NF EDFAs, 0.1 km SSFM steps). Desk-scale experiments override
-symbol count, channel count, span count and step size.
+The system is the paper's and is fixed: 45 GBd channels of roll-off 0.1
+on a 50 GHz grid, whose spectra never overlap, a genie phase estimate over
+128 symbols, and FiberParams' default fiber (80 km spans at 4.255
+ps/nm/km). Config defaults mirror the headline run (2^16 symbols, 11
+channels, inline CDC and 5 dB-NF EDFAs, 0.1 km SSFM steps); desk-scale
+experiments override symbol count, channel count, span count and step size.
 
 The frozen ExperimentConfig checks field types by channel.check_fields, its own
 rules, and the rest by building cfg.constellation and cfg.link, whose builders
@@ -40,6 +43,11 @@ CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
 
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
+_BAUD_GBD = 45.0  # symbol rate of every channel
+_BAUD_HZ = _BAUD_GBD * 1e9
+_SPACING_HZ = 50e9  # WDM grid, wider than the (1 + _ROLLOFF) * 45 GHz band
+_ROLLOFF = 0.1
+_PHASE_WINDOW = 128  # symbols in each genie phase estimate
 
 
 @dataclass(frozen=True)
@@ -51,22 +59,16 @@ class ExperimentConfig:
     prs_theta: float = const.DEFAULT_PRS_THETA
     ring_ratio: float = const.DEFAULT_RING_RATIO
     n_channels: int = 11
-    spacing_ghz: float = 50.0
-    baud_gbd: float = 45.0
-    rolloff: float = 0.1
     n_symbols: int = 2**16
     seed: int = 1234
     n_spans: int = 30
-    span_km: float = FiberParams.length_km
     step_km: float = LinkConfig.step_km
     alpha_db_km: float = FiberParams.alpha_db_km
-    disp_ps_nm_km: float = FiberParams.disp_ps_nm_km
     gamma_w_km: float = FiberParams.gamma_w_km
     nf_db: float = LinkConfig.nf_db
     launch_dbm: float = field(
         default=0.0, metadata={"hint": " (sweep powers with sweep-power)"})
     demapper: str = "both"
-    phase_window: int = 128
     ase_enabled: bool = True
 
     def __post_init__(self):
@@ -75,25 +77,13 @@ class ExperimentConfig:
         self.constellation  # the format's and the geometry's checks
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
-        for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS),
-                            ("phase_window", 1)):
+        for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if self.spacing_ghz < 0:
-            raise ValueError("spacing_ghz must be >= 0")
-        # span_km stays here: the fiber calls it length_km
-        for name in ("baud_gbd", "span_km"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        if not 10 ** ((self.launch_dbm - 30) / 10) > 0:  # set_mean_power's watts
+            raise ValueError(f"launch_dbm must be a power above 0 W, "
+                             f"got {self.launch_dbm:g}")
         link = self.link  # the fiber's and the link's own checks
-        if not 0 < self.rolloff <= 1:
-            raise ValueError("rolloff must be in (0, 1]")
-        # one channel's occupied band; ones that just touch do not overlap,
-        # though (1 + 0.1) * 45 is 49.50000000000001
-        width = (1 + self.rolloff) * self.baud_gbd
-        if self.n_channels > 1 and self.spacing_ghz < (1 - 1e-12) * width:
-            raise ValueError(f"spacing_ghz must be >= (1 + rolloff) * baud_gbd "
-                             f"= {width:g} with n_channels > 1, got {self.spacing_ghz:g}")
         kerr = (8 / 9 * self.gamma_w_km * self.n_channels  # rad/W per SSFM step
                 * link.span.effective_length_km(self.step_km))
         if kerr > 0 and self.launch_dbm > (p_max := 30 - 10 * np.log10(kerr)):
@@ -101,23 +91,12 @@ class ExperimentConfig:
                 f"launch_dbm must be <= {p_max:.4g} with step_km={self.step_km:g} "
                 f"(1 rad of mean Kerr phase per step), got {self.launch_dbm:g}")
 
-    @property
-    def baud_hz(self) -> float:
-        return self.baud_gbd * 1e9
-
-    @property
-    def spacing_hz(self) -> float:
-        return self.spacing_ghz * 1e9
-
-    @property
-    def band_hz(self) -> float:
-        return ((self.n_channels - 1) * self.spacing_hz
-                + (1 + self.rolloff) * self.baud_hz)
-
     def effective_sps(self) -> int:
         """Smallest power of two >= 2 whose rate covers 1.1x the WDM band."""
+        band_hz = ((self.n_channels - 1) * _SPACING_HZ
+                   + (1 + _ROLLOFF) * _BAUD_HZ)
         sps = 2
-        while sps * self.baud_hz < 1.1 * self.band_hz:
+        while sps * _BAUD_HZ < 1.1 * band_hz:
             sps *= 2
         return sps
 
@@ -125,8 +104,7 @@ class ExperimentConfig:
     def link(self) -> LinkConfig:
         """The run's link, ASE seeded by derived_seed(seed, "ase")."""
         span = FiberParams(alpha_db_km=self.alpha_db_km,
-                           disp_ps_nm_km=self.disp_ps_nm_km,
-                           gamma_w_km=self.gamma_w_km, length_km=self.span_km)
+                           gamma_w_km=self.gamma_w_km)
         return LinkConfig(span=span, n_spans=self.n_spans, step_km=self.step_km,
                           nf_db=self.nf_db, ase_enabled=self.ase_enabled,
                           seed=derived_seed(self.seed, "ase"))
@@ -201,13 +179,13 @@ def _transmit(cfg: ExperimentConfig):
         bits = txdsp.generate_bits(derived_seed(cfg.seed, "bits", ch),
                                    cfg.n_symbols * c.m)
         indices, points = const.map_bits_to_symbols(bits, c)
-        sig = txdsp.rrc_shape(points, sps, cfg.rolloff, baud=cfg.baud_hz)
+        sig = txdsp.rrc_shape(points, sps, _ROLLOFF, baud=_BAUD_HZ)
         channels.append(txdsp.set_mean_power(sig, cfg.launch_dbm))
         if ch == (cfg.n_channels - 1) // 2:
             tx_indices = indices
             if cfg.demapper != "iid":  # the cg estimate's floor, before any span
                 dm.point_counts(tx_indices, c.M)
-    mux = txdsp.wdm_mux(channels, cfg.spacing_hz, cfg.baud_hz, cfg.rolloff)
+    mux = txdsp.wdm_mux(channels, _SPACING_HZ, _BAUD_HZ, _ROLLOFF)
     return mux, tx_indices
 
 
@@ -217,10 +195,10 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
     demap; each record's runtime runs from t0 to the last demap."""
     c = cfg.constellation
     center_offset = ((cfg.n_channels - 1) // 2
-                     - (cfg.n_channels - 1) / 2) * cfg.spacing_hz
-    rx = rxdsp.channel_select(rx_sig, center_offset, cfg.baud_hz, cfg.rolloff)
+                     - (cfg.n_channels - 1) / 2) * _SPACING_HZ
+    rx = rxdsp.channel_select(rx_sig, center_offset, _BAUD_HZ, _ROLLOFF)
     tx_points = np.take(c.points, tx_indices, axis=0)
-    rx = rxdsp.genie_phase_compensation(rx, tx_points, cfg.phase_window)
+    rx = rxdsp.genie_phase_compensation(rx, tx_points, _PHASE_WINDOW)
     # unbiased gain normalization: keeps clouds centered on the
     # constellation (the LS scale shrinks them by the relative noise power)
     rx = rxdsp.genie_gain(rx, tx_points)
@@ -238,9 +216,10 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
         gmis[kind] = dm.gmi_from_llrs(dm.compute_llrs(batch, c, model), c.m)
     runtime = time.perf_counter() - t0
     return [ResultRecord(
-        launch_dbm=cfg.launch_dbm, distance_km=cfg.n_spans * cfg.span_km,
+        launch_dbm=cfg.launch_dbm,
+        distance_km=cfg.n_spans * cfg.link.span.length_km,
         n_channels=cfg.n_channels, format=cfg.format, demapper=kind,
-        gmi_bit4d=gmi, ndr_gbps=gmi * cfg.baud_gbd, seed=cfg.seed,
+        gmi_bit4d=gmi, ndr_gbps=gmi * _BAUD_GBD, seed=cfg.seed,
         runtime_s=runtime, sigma2=sigma2) for kind, gmi in gmis.items()]
 
 
@@ -269,6 +248,16 @@ def _worker_count() -> int:
     return int(env)
 
 
+def _run_points(cfgs: dict) -> dict:
+    """run_point of each config, keyed alike, on at most PRS4D_WORKERS
+    processes and never more than there are configs."""
+    workers = min(_worker_count(), len(cfgs))
+    if workers <= 1:
+        return dict(zip(cfgs, map(run_point, cfgs.values())))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return dict(zip(cfgs, pool.map(run_point, cfgs.values())))
+
+
 def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
     """run_point(replace(cfg, launch_dbm=p)) for each power p at cfg.seed, in
     order on PRS4D_WORKERS processes; a repeated power is run once."""
@@ -276,12 +265,7 @@ def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
     cfgs = {p: replace(cfg, launch_dbm=p) for p in powers}
     if not cfgs:
         raise ValueError("empty power list")
-    workers = _worker_count()
-    if workers <= 1:
-        points = dict(zip(cfgs, map(run_point, cfgs.values())))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = dict(zip(cfgs, pool.map(run_point, cfgs.values())))
+    points = _run_points(cfgs)
     return [r for p in powers for r in points[p]]
 
 
@@ -334,26 +318,33 @@ def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, floa
 
 def sweep_channels(cfg: ExperimentConfig, channel_counts,
                    powers) -> list[ResultRecord]:
-    """Per distinct channel count n: sweep_power(replace(cfg, n_channels=n),
-    powers) at cfg.seed, one record per demapper at the fitted optimum
-    power, with no sigma2 and the sweep's runtime, in input order. With one
-    power p a record equals run_point(replace(cfg, n_channels=n, launch_dbm=p))."""
+    """Per distinct channel count n: the points of sweep_power at
+    replace(cfg, n_channels=n) and cfg.seed, fitted to one record per
+    demapper at the optimum power, with no sigma2 and that count's runtime,
+    in input order. With one power p a record equals
+    run_point(replace(cfg, n_channels=n, launch_dbm=p)). Every (n, p) config
+    is checked before the first point runs; cfg's own power is not run, so
+    it need not be valid at n."""
     channel_counts, powers = list(channel_counts), list(powers)
-    cfgs = {n: replace(cfg, n_channels=n) for n in channel_counts}
+    cfgs = {n: {p: replace(cfg, n_channels=n, launch_dbm=p) for p in powers}
+            for n in channel_counts}
     if not cfgs:
         raise ValueError("empty channel-count list")
+    if not powers:
+        raise ValueError("empty power list")
     fits = {}
-    for n, cfg_n in cfgs.items():
+    for n, cfgs_n in cfgs.items():
         t0 = time.perf_counter()
-        recs = sweep_power(cfg_n, powers)
+        points = _run_points(cfgs_n)
         runtime = time.perf_counter() - t0
+        recs = [r for p in powers for r in points[p]]
         for kind in dict.fromkeys(r.demapper for r in recs):
             series = [r for r in recs if r.demapper == kind]
             p_opt, g_opt = fit_optimum_power([r.launch_dbm for r in series],
                                              [r.gmi_bit4d for r in series])
             fits.setdefault(n, []).append(replace(
                 series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
-                ndr_gbps=g_opt * cfg.baud_gbd, runtime_s=runtime, sigma2=0.0))
+                ndr_gbps=g_opt * _BAUD_GBD, runtime_s=runtime, sigma2=0.0))
     return [r for n in channel_counts for r in fits[n]]
 
 

@@ -133,7 +133,7 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
     Channel k moves to the FFT bin nearest (k - (n-1)/2) * spacing_hz.
     Channels share the frame length and sample rate, which the frame
     keeps, and are summed in index order for bit-exact reproducibility.
-    Overlapping spectra are summed as they are; ExperimentConfig rejects them.
+    Overlapping spectra are summed as they are; the harness grid has none.
     """
     import scipy.fft as sfft
     n_ch = len(channels)

@@ -358,10 +358,12 @@ class TestMain:
         assert err.startswith("error: PRS4D_WORKERS") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("override", ["timings=1", "epsilon_reg=1e-6"])
+    @pytest.mark.parametrize("override", [
+        "timings=1", "epsilon_reg=1e-6", "baud_gbd=45", "spacing_ghz=50",
+        "rolloff=0.1", "span_km=80", "disp_ps_nm_km=4.255", "phase_window=128"])
     def test_removed_config_keys_return_one(self, tmp_path, capsys, override):
-        """Every record is timed and the cg ridge is fixed, so neither is a
-        config key any more."""
+        """Every record is timed, and the cg ridge, the WDM grid, the span
+        and the genie window are fixed, so none is a config key any more."""
         out = tmp_path / "r.csv"
         assert cli.main(["simulate", "--output", str(out)] + TINY
                         + ["--set", override]) == 1
@@ -464,7 +466,6 @@ class TestMain:
     @pytest.mark.parametrize("overrides, key, names", [
         (["gamma_w_km=1.464", "launch_dbm=400"], "launch_dbm", "step_km"),
         (["ase_enabled=1", "nf_db=2"], "nf_db", "ase_enabled"),
-        (["n_channels=3", "spacing_ghz=10"], "spacing_ghz", "n_channels"),
     ])
     def test_unphysical_link_fails_before_propagation(
             self, tmp_path, capsys, monkeypatch, overrides, key, names):

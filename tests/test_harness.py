@@ -26,20 +26,20 @@ def tiny_config(**kw):
 class TestExperimentConfig:
     def test_defaults_mirror_headline_setup(self):
         cfg = H.ExperimentConfig()
-        assert cfg.baud_gbd == 45.0
-        assert cfg.rolloff == 0.1
+        assert (H._BAUD_GBD, H._BAUD_HZ, H._SPACING_HZ) == (45.0, 45e9, 50e9)
+        assert (H._ROLLOFF, H._PHASE_WINDOW) == (0.1, 128)
         assert cfg.n_symbols == 2**16
         assert cfg.n_channels == 11
-        assert cfg.span_km == 80.0
+        assert cfg.link.span == channel.FiberParams()
+        assert (cfg.link.span.length_km, cfg.link.span.disp_ps_nm_km) == (80.0, 4.255)
         assert cfg.alpha_db_km == 0.219
-        assert cfg.disp_ps_nm_km == 4.255
         assert cfg.gamma_w_km == 1.464
         assert cfg.nf_db == 5.0
         assert cfg.step_km == 0.1
 
     @pytest.mark.parametrize("kw", [
         {"format": "qpsk"}, {"demapper": "hard"}, {"n_channels": 0},
-        {"rolloff": 0.0}, {"rolloff": 1.5}, {"alpha_db_km": -1.0},
+        {"alpha_db_km": -1.0},
         {"launch_dbm": []}, {"n_symbols": 0},
     ])
     def test_invalid_fields_rejected(self, kw):
@@ -47,14 +47,15 @@ class TestExperimentConfig:
             H.ExperimentConfig(**kw)
 
     @pytest.mark.parametrize("kw, name", [
-        ({"baud_gbd": 0.0}, "baud_gbd"), ({"span_km": 0.0}, "span_km"),
+        ({"launch_dbm": -4000.0}, "launch_dbm"),
+        ({"launch_dbm": -3206.1}, "launch_dbm"),
         ({"step_km": 0.0}, "step_km"), ({"step_km": 80.5}, "step_km"),
         ({"launch_dbm": [-2.0, 0.0, 2.0]}, "launch_dbm"),
         ({"launch_dbm": "0"}, "launch_dbm"),
-        ({"spacing_ghz": -1.0}, "spacing_ghz"),
+        ({"demapper": "hard"}, "demapper"),
         ({"launch_dbm": None}, "launch_dbm"),
         ({"launch_dbm": True}, "launch_dbm"),
-        ({"spacing_ghz": np.nan}, "spacing_ghz"),
+        ({"n_channels": 0}, "n_channels"),
         ({"gamma_w_km": np.nan}, "gamma_w_km"),
         ({"launch_dbm": np.nan}, "launch_dbm"),
         ({"launch_dbm": [0.0, np.inf]}, "launch_dbm"),
@@ -156,17 +157,6 @@ class TestExperimentConfig:
             errs.append(str(err.value))
         assert errs[0] == errs[1]
 
-    def test_overlapping_channels_rejected(self):
-        """WDM spectra of (1 + rolloff) * baud_gbd = 49.5 GHz must not overlap.
-        Ones that just touch pass, though (1 + 0.1) * 45 is 49.50000000000001
-        in binary; a single channel has no neighbour to overlap."""
-        with pytest.raises(ValueError, match=r"^spacing_ghz must be >= \(1 \+ rolloff\) "
-                           r"\* baud_gbd = 49\.5 with n_channels > 1, got 49\.4$") as err:
-            H.ExperimentConfig(n_channels=2, spacing_ghz=49.4)
-        assert "\n" not in str(err.value)
-        assert H.ExperimentConfig(n_channels=3, spacing_ghz=49.5).spacing_ghz == 49.5
-        assert H.ExperimentConfig(n_channels=1, spacing_ghz=10.0).n_channels == 1
-
     @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
     def test_seed_beyond_64_bits_runs(self, seed):
         """An int is finite by type, so the config hands numpy no seed to
@@ -193,14 +183,14 @@ class TestExperimentConfig:
         assert type(cfg.launch_dbm) is float and cfg.launch_dbm == -2.5
 
     @pytest.mark.parametrize("name, value", [
-        ("spacing_ghz", 10.0), ("launch_dbm", 40), ("launch_dbm", "3")])
+        ("n_channels", 0), ("launch_dbm", 40), ("launch_dbm", "3")])
     def test_built_config_is_frozen(self, name, value):
-        """An assignment would skip every check: overlapping spectra, a
+        """An assignment would skip every check: no channel to receive, a
         power past the Kerr bound, a string power that numpy rejects."""
         cfg = H.ExperimentConfig(n_channels=3)
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, name, value)
-        assert (cfg.spacing_ghz, cfg.launch_dbm) == (50.0, 0.0)
+        assert (cfg.n_channels, cfg.launch_dbm) == (3, 0.0)
 
     def test_pickled_config_keeps_its_checked_parts(self):
         """A pool worker gets an equal config with the same constellation."""
@@ -361,8 +351,8 @@ class TestLinearClosure:
         p = 10 ** ((launch_dbm - 30) / 10)
         n_sp = 10 ** (cfg.nf_db / 10) / 2
         h_nu = H_PLANCK * C_LIGHT / 1550e-9
-        g = 10 ** (cfg.alpha_db_km * cfg.span_km / 10)
-        return p / (2 * cfg.n_spans * n_sp * h_nu * (g - 1) * cfg.baud_hz)
+        g = 10 ** (cfg.link.span.loss_db / 10)
+        return p / (2 * cfg.n_spans * n_sp * h_nu * (g - 1) * H._BAUD_HZ)
 
     @staticmethod
     def gmi_standard_error(c, snr, ns):
@@ -594,6 +584,57 @@ class TestSweeps:
         assert tasks == [0.0, -1.0]
         monkeypatch.setenv("PRS4D_WORKERS", "1")
         assert pooled == H.sweep_power(cfg, [0.0, -1.0, 0.0])
+
+    def test_pool_has_no_more_processes_than_points(self, monkeypatch):
+        """A fork pool starts all its processes at the first task, so 5000
+        workers for two distinct powers would fork 5000 processes. The
+        stand-in pool records its size and maps serially: it never forks."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(H, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("PRS4D_WORKERS", "5000")
+        cfg = tiny_config()
+        H.sweep_power(cfg, [0.0, 1.0, 0.0])
+        H.sweep_channels(cfg, [1, 3], [0.0, 1.0, 2.0])
+        assert sizes == [2, 3, 3]
+
+    def test_sweep_channels_runs_only_its_grid_points(self, monkeypatch):
+        """cfg's own 8 dBm is past the Kerr bound at 11 channels in one
+        80 km step, but the sweep runs 0 and 2 dBm only, which are valid."""
+        calls = []
+        monkeypatch.setattr(channel, "ssfm_span",
+                            lambda signal, *a: calls.append(a) or signal)
+        cfg = tiny_config(gamma_w_km=1.464, n_symbols=4096, step_km=80.0,
+                          launch_dbm=8.0)
+        with pytest.raises(ValueError, match="^launch_dbm must be <= "):
+            replace(cfg, n_channels=11)
+        recs = H.sweep_channels(cfg, [1, 11], [0.0, 2.0])
+        assert [r.n_channels for r in recs] == [1, 11]
+        assert len(calls) == 4
+
+    def test_sweep_channels_checks_every_point_before_any_span(self, monkeypatch):
+        """(11 channels, 8 dBm) is past the Kerr bound: the sweep fails
+        before it runs any point, the valid 1-channel ones included."""
+        def forbidden(*args):
+            raise AssertionError("ssfm_span ran")
+
+        monkeypatch.setattr(channel, "ssfm_span", forbidden)
+        cfg = tiny_config(gamma_w_km=1.464, n_symbols=4096, step_km=80.0,
+                          demapper="both")
+        with pytest.raises(ValueError, match="^launch_dbm must be <= "):
+            H.sweep_channels(cfg, [1, 11], [0.0, 8.0])
 
     def test_sweep_channels_structure(self):
         recs = H.sweep_channels(tiny_config(), [1], powers=[-1.0, 0.0, 1.0])
