@@ -39,7 +39,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("kw", [
         {"format": "qpsk"}, {"demapper": "hard"}, {"n_channels": 0},
-        {"alpha_db_km": -1.0},
+        {"n_spans": 0}, {"gamma_w_km": -1.0}, {"alpha_db_km": -1.0},
         {"launch_dbm": []}, {"n_symbols": 0},
     ])
     def test_invalid_fields_rejected(self, kw):
