@@ -9,10 +9,9 @@ the environment, default 1), never more processes than distinct points.
 optimize_prs_params, the 4D-64PRS design search, scores each geometry with
 the demapper's AWGN reference, so it lives here beside the experiments.
 
-The system is the paper's and is fixed: 45 GBd channels of roll-off 0.1
-on a 50 GHz grid, whose spectra never overlap, a genie phase estimate over
-128 symbols, and FiberParams' default fiber (80 km spans at 4.255
-ps/nm/km). Config defaults mirror the headline run (2^16 symbols, 11
+The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
+estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
+4.255 ps/nm/km). Config defaults mirror the headline run (2^16 symbols, 11
 channels, inline CDC and 5 dB-NF EDFAs, 0.1 km SSFM steps); desk-scale
 experiments override symbol count, channel count, span count and step size.
 
@@ -43,10 +42,6 @@ CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
 
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
-_BAUD_GBD = 45.0  # symbol rate of every channel
-_BAUD_HZ = _BAUD_GBD * 1e9
-_SPACING_HZ = 50e9  # WDM grid, wider than the (1 + _ROLLOFF) * 45 GHz band
-_ROLLOFF = 0.1
 _PHASE_WINDOW = 128  # symbols in each genie phase estimate
 
 
@@ -80,6 +75,12 @@ class ExperimentConfig:
         for name, least in (("n_channels", 1), ("n_symbols", dm.MIN_SYMBOLS)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
+        top = np.iinfo(np.intp).max  # numpy's index range, tested in integers
+        if self.n_symbols > (most := top // self.constellation.m):  # the bits
+            raise ValueError(f"n_symbols must be <= {most} to index its bits")
+        if (self.n_channels > (most := top // self.n_symbols)  # implied by the next
+                or self.effective_sps() > most):  # (sps > n_channels), but float-safe
+            raise ValueError("n_channels must be small enough that numpy can index the frame")
         if not 10 ** ((self.launch_dbm - 30) / 10) > 0:  # set_mean_power's watts
             raise ValueError(f"launch_dbm must be a power above 0 W, "
                              f"got {self.launch_dbm:g}")
@@ -93,10 +94,8 @@ class ExperimentConfig:
 
     def effective_sps(self) -> int:
         """Smallest power of two >= 2 whose rate covers 1.1x the WDM band."""
-        band_hz = ((self.n_channels - 1) * _SPACING_HZ
-                   + (1 + _ROLLOFF) * _BAUD_HZ)
         sps = 2
-        while sps * _BAUD_HZ < 1.1 * band_hz:
+        while sps * txdsp.BAUD_HZ < 1.1 * txdsp.band_hz(self.n_channels):
             sps *= 2
         return sps
 
@@ -172,21 +171,19 @@ def derived_seed(master: int, *coords) -> int:
 
 def _transmit(cfg: ExperimentConfig):
     """The shaped WDM launch field and the center channel's sent indices."""
-    c = cfg.constellation
-    sps = cfg.effective_sps()
+    c, sps = cfg.constellation, cfg.effective_sps()
     channels = []
     for ch in range(cfg.n_channels):
         bits = txdsp.generate_bits(derived_seed(cfg.seed, "bits", ch),
                                    cfg.n_symbols * c.m)
         indices, points = const.map_bits_to_symbols(bits, c)
-        sig = txdsp.rrc_shape(points, sps, _ROLLOFF, baud=_BAUD_HZ)
+        sig = txdsp.rrc_shape(points, sps)
         channels.append(txdsp.set_mean_power(sig, cfg.launch_dbm))
         if ch == (cfg.n_channels - 1) // 2:
             tx_indices = indices
             if cfg.demapper != "iid":  # the cg estimate's floor, before any span
                 dm.point_counts(tx_indices, c.M)
-    mux = txdsp.wdm_mux(channels, _SPACING_HZ, _BAUD_HZ, _ROLLOFF)
-    return mux, tx_indices
+    return txdsp.wdm_mux(channels), tx_indices
 
 
 def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
@@ -194,9 +191,7 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
     """Select the center channel, undo phase and gain with the genie, and
     demap; each record's runtime runs from t0 to the last demap."""
     c = cfg.constellation
-    center_offset = ((cfg.n_channels - 1) // 2
-                     - (cfg.n_channels - 1) / 2) * _SPACING_HZ
-    rx = rxdsp.channel_select(rx_sig, center_offset, _BAUD_HZ, _ROLLOFF)
+    rx = rxdsp.channel_select(rx_sig, (cfg.n_channels - 1) // 2, cfg.n_channels)
     tx_points = np.take(c.points, tx_indices, axis=0)
     rx = rxdsp.genie_phase_compensation(rx, tx_points, _PHASE_WINDOW)
     # unbiased gain normalization: keeps clouds centered on the
@@ -219,7 +214,7 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
         launch_dbm=cfg.launch_dbm,
         distance_km=cfg.n_spans * cfg.link.span.length_km,
         n_channels=cfg.n_channels, format=cfg.format, demapper=kind,
-        gmi_bit4d=gmi, ndr_gbps=gmi * _BAUD_GBD, seed=cfg.seed,
+        gmi_bit4d=gmi, ndr_gbps=gmi * txdsp.BAUD_GBD, seed=cfg.seed,
         runtime_s=runtime, sigma2=sigma2) for kind, gmi in gmis.items()]
 
 
@@ -344,7 +339,7 @@ def sweep_channels(cfg: ExperimentConfig, channel_counts,
                                              [r.gmi_bit4d for r in series])
             fits.setdefault(n, []).append(replace(
                 series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
-                ndr_gbps=g_opt * _BAUD_GBD, runtime_s=runtime, sigma2=0.0))
+                ndr_gbps=g_opt * txdsp.BAUD_GBD, runtime_s=runtime, sigma2=0.0))
     return [r for n in channel_counts for r in fits[n]]
 
 

@@ -2,11 +2,11 @@
 
 The received waveform is the transmitter's circular Ns * sps frame, a
 (2, n) X/Y field, so symbol k is read at sample k * sps with no delay
-bookkeeping; channel selection works in the spectrum. Ns x 4 real
-symbols are handled as Ns x 2 complex X/Y pairs through .view(complex)
-of a C-ordered array, and back through .view(float). Phase and scale
-recovery are data-aided (genie) and use the transmitted symbols,
-matching an ideal-DSP simulation methodology.
+bookkeeping; channel selection works in the spectrum, on txdsp's WDM
+grid. Ns x 4 real symbols are handled as Ns x 2 complex X/Y pairs through
+.view(complex) of a C-ordered array, and back through .view(float). Phase
+and scale recovery are data-aided (genie) and use the transmitted
+symbols, matching an ideal-DSP simulation methodology.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txdsp import SampledSignal, rrc_support
+from .txdsp import BAUD_HZ, SampledSignal, band_hz, carrier_bin, rrc_support
 
 
 @dataclass
@@ -47,25 +47,23 @@ class SymbolBatch:
         return self.tx_indices.size
 
 
-def channel_select(signal: SampledSignal, offset_hz: float, baud: float,
-                   rolloff: float) -> np.ndarray:
-    """Downconvert one WDM channel and recover its Ns x 4 symbols.
+def channel_select(signal: SampledSignal, k: int, n_channels: int) -> np.ndarray:
+    """Downconvert channel k of the n_channels grid; return its Ns x 4 symbols.
 
-    The RRC support around the channel's FFT bin is weighted by the
+    The RRC support around the channel's carrier_bin is weighted by the
     matched response and folded onto Ns bins: decimation by sps aliases
     the spectrum in blocks of Ns bins, scaled by 1/sps.
     """
     import scipy.fft as sfft
-    sps = signal.fs / baud
-    if abs(sps - round(sps)) > 1e-9 or signal.n % round(sps):
-        raise ValueError("frame must hold whole symbols at an integer sps")
-    sps = int(round(sps))
-    if abs(offset_hz) + (1 + rolloff) * baud / 2 > signal.fs / 2:
-        raise ValueError(f"channel offset {offset_hz:.3g} Hz is out of band")
+    sps = round(signal.fs / BAUD_HZ)
+    if abs(signal.fs / BAUD_HZ - sps) > 1e-9 or sps < 2 or signal.n % sps:
+        raise ValueError("frame must hold whole symbols at an integer sps >= 2")
+    if not 0 <= k < n_channels or signal.fs < band_hz(n_channels):
+        raise ValueError(f"channel {k} of {n_channels} is out of the frame's band")
 
     n, ns = signal.n, signal.n // sps
-    j, h = rrc_support(ns, sps, rolloff)
-    at = (j + round(offset_hz * n / signal.fs)) % n
+    j, h = rrc_support(ns, sps)
+    at = (j + carrier_bin(k, n_channels, n, signal.fs)) % n
     fold = np.zeros((2, 2 * ns), dtype=complex)  # bin j at j + ns
     for row, pol in zip(fold, signal.field):
         row[j + ns] = sfft.fft(pol)[at] * h

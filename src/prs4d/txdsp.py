@@ -9,8 +9,8 @@ Ns x 2 complex X/Y pairs, so they are viewed, not converted.
 
 The frame is built in the spectrum: a shaped channel is its symbol
 spectrum times the exact RRC response, kept on the response's support,
-and wdm_mux shifts each channel to an FFT bin, sums, and takes one
-inverse FFT per polarization.
+and wdm_mux shifts each channel to its carrier_bin on the paper's WDM
+grid, the constants below, sums, and takes one inverse FFT per polarization.
 
 scipy.fft is imported inside the functions that transform, not here:
 it is most of the package's import time and memory, and the design
@@ -22,6 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+BAUD_GBD = 45.0
+BAUD_HZ = BAUD_GBD * 1e9
+SPACING_HZ = 50e9  # wider than a channel's (1 + ROLLOFF) * BAUD_HZ band
+ROLLOFF = 0.1
 
 
 @dataclass
@@ -84,37 +89,44 @@ def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
     return fld
 
 
-def rrc_support(ns: int, sps: int, rolloff: float):
+def band_hz(n_channels: int) -> float:
+    """Width of the n_channels grid's band, outer channel edge to edge."""
+    return (n_channels - 1) * SPACING_HZ + (1 + ROLLOFF) * BAUD_HZ
+
+
+def carrier_bin(k: int, n_channels: int, n: int, fs: float) -> int:
+    """FFT bin of an n-sample frame at fs nearest channel k's carrier on the grid."""
+    return round((k - (n_channels - 1) / 2) * SPACING_HZ * n / fs)
+
+
+def rrc_support(ns: int, sps: int):
     """Signed bins j of an ns * sps frame, all in (-ns, ns), where the RRC
     response sqrt(sps * RC(j / ns)) is non-zero, and the response there.
     The pulse has unit energy; the matched pair is exactly Nyquist."""
     if sps < 2:
         raise ValueError("sps must be >= 2 to avoid aliasing")
-    if not 0 < rolloff <= 1:
-        raise ValueError("rolloff must be in (0, 1]")
     k = np.arange(ns + 1)  # |j|
-    edge = k / ns - (1 - rolloff) / 2  # non-decreasing in k
+    edge = k / ns - (1 - ROLLOFF) / 2  # non-decreasing in k
     lo = np.searchsorted(edge, 0.0, side="right")  # flat band: edge <= 0
-    hi = np.searchsorted(edge, rolloff)  # stop band: edge >= rolloff
+    hi = np.searchsorted(edge, ROLLOFF)  # stop band: edge >= ROLLOFF
     h = np.zeros(ns + 1)
     h[:lo] = np.sqrt(sps * 0.5 * (1 + np.cos(0.0)))
-    h[lo:hi] = np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / rolloff * edge[lo:hi])))
+    h[lo:hi] = np.sqrt(sps * 0.5 * (1 + np.cos(np.pi / ROLLOFF * edge[lo:hi])))
     k = k[h > 0]
     neg, pos = k[:0:-1], k[k < ns]  # j runs over -ns .. ns - 1
     return np.concatenate([-neg, pos]), h[np.concatenate([neg, pos])]
 
 
-def rrc_shape(symbols: np.ndarray, sps: int, rolloff: float,
-              baud: float) -> ChannelSpectrum:
+def rrc_shape(symbols: np.ndarray, sps: int) -> ChannelSpectrum:
     """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into the spectrum
     of an Ns * sps frame: bin j is symbol bin j mod Ns times the response."""
     import scipy.fft as sfft
     # a copy: the FFT below overwrites its input
     sym = np.array(symbols, dtype=float, order="C").view(complex).T
     ns = sym.shape[1]
-    j, h = rrc_support(ns, sps, rolloff)
+    j, h = rrc_support(ns, sps)
     bins = sfft.fft(sym, axis=1, overwrite_x=True)[:, j] * h
-    return ChannelSpectrum(bins=bins, index=j, n=ns * sps, fs=sps * baud)
+    return ChannelSpectrum(bins=bins, index=j, n=ns * sps, fs=sps * BAUD_HZ)
 
 
 def set_mean_power(sig: ChannelSpectrum, power_dbm: float) -> ChannelSpectrum:
@@ -126,14 +138,12 @@ def set_mean_power(sig: ChannelSpectrum, power_dbm: float) -> ChannelSpectrum:
     return replace(sig, bins=g * sig.bins)
 
 
-def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
-            rolloff: float) -> SampledSignal:
-    """Shift each channel onto a symmetric grid, sum, and return the frame.
+def wdm_mux(channels: list[ChannelSpectrum]) -> SampledSignal:
+    """Shift each channel to its carrier_bin, sum, and return the frame.
 
-    Channel k moves to the FFT bin nearest (k - (n-1)/2) * spacing_hz.
     Channels share the frame length and sample rate, which the frame
     keeps, and are summed in index order for bit-exact reproducibility.
-    Overlapping spectra are summed as they are; the harness grid has none.
+    SPACING_HZ is wider than a channel's band, so no spectra overlap.
     """
     import scipy.fft as sfft
     n_ch = len(channels)
@@ -142,16 +152,13 @@ def wdm_mux(channels: list[ChannelSpectrum], spacing_hz: float, baud: float,
     n, fs = channels[0].n, channels[0].fs
     if any(ch.n != n or ch.fs != fs for ch in channels):
         raise ValueError("channels must share the frame length and sample rate")
-    band = (n_ch - 1) * spacing_hz + (1 + rolloff) * baud
-    if fs < band:
-        raise ValueError(
-            f"sample rate {fs:.3g} Hz cannot carry the {band:.3g} Hz WDM band"
-        )
+    if fs < (band := band_hz(n_ch)):
+        raise ValueError(f"sample rate {fs:.3g} Hz cannot carry the "
+                         f"{band:.3g} Hz WDM band")
 
     spec = np.zeros((2, n), dtype=complex)
     for k, ch in enumerate(channels):
-        shift = round((k - (n_ch - 1) / 2) * spacing_hz * n / fs)
-        spec[:, (ch.index + shift) % n] += ch.bins
+        spec[:, (ch.index + carrier_bin(k, n_ch, n, fs)) % n] += ch.bins
     for row in spec:
         row[...] = sfft.ifft(row, overwrite_x=True)
     return SampledSignal(spec, fs)

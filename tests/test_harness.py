@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from prs4d import channel, rxdsp
+from prs4d import channel, rxdsp, txdsp
 from prs4d import constellation as const
 from prs4d import demapper as dm
 from prs4d import harness as H
@@ -26,8 +26,8 @@ def tiny_config(**kw):
 class TestExperimentConfig:
     def test_defaults_mirror_headline_setup(self):
         cfg = H.ExperimentConfig()
-        assert (H._BAUD_GBD, H._BAUD_HZ, H._SPACING_HZ) == (45.0, 45e9, 50e9)
-        assert (H._ROLLOFF, H._PHASE_WINDOW) == (0.1, 128)
+        assert (txdsp.BAUD_GBD, txdsp.BAUD_HZ, txdsp.SPACING_HZ) == (45.0, 45e9, 50e9)
+        assert (txdsp.ROLLOFF, H._PHASE_WINDOW) == (0.1, 128)
         assert cfg.n_symbols == 2**16
         assert cfg.n_channels == 11
         assert cfg.link.span == channel.FiberParams()
@@ -66,6 +66,10 @@ class TestExperimentConfig:
         ({"gamma_w_km": [1.0]}, "gamma_w_km"),
         ({"prs_theta": 1.0}, "prs_theta"), ({"prs_rho": -1.0}, "prs_rho"),
         ({"format": "4d64prs", "prs_theta": 0.0}, "prs_theta"),
+        # past numpy's index range, rejected before any array is built
+        ({"n_channels": 10**330}, "n_channels"),
+        ({"n_channels": 1, "n_symbols": 10**23}, "n_symbols"),
+        ({"n_channels": np.iinfo(np.intp).max // 2**16}, "n_channels"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -352,7 +356,7 @@ class TestLinearClosure:
         n_sp = 10 ** (cfg.nf_db / 10) / 2
         h_nu = H_PLANCK * C_LIGHT / 1550e-9
         g = 10 ** (cfg.link.span.loss_db / 10)
-        return p / (2 * cfg.n_spans * n_sp * h_nu * (g - 1) * H._BAUD_HZ)
+        return p / (2 * cfg.n_spans * n_sp * h_nu * (g - 1) * txdsp.BAUD_HZ)
 
     @staticmethod
     def gmi_standard_error(c, snr, ns):

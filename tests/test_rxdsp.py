@@ -13,13 +13,13 @@ def shaped_channel(seed=0, n_sym=1024, sps=4):
     c = C.build_pm8qam()
     bits = T.generate_bits(seed, n_sym * 6)
     idx, pts = C.map_bits_to_symbols(bits, c)
-    sig = T.rrc_shape(pts, sps, 0.1, baud=BAUD)
+    sig = T.rrc_shape(pts, sps)
     return bits, idx, pts, sig
 
 
 def frame(ch):
     """Time-domain frame of one channel at baseband."""
-    return T.wdm_mux([ch], 50e9, BAUD, 0.1)
+    return T.wdm_mux([ch])
 
 
 def full_frame_select(signal, offset_hz, sps):
@@ -28,7 +28,7 @@ def full_frame_select(signal, offset_hz, sps):
     n = signal.n
     k = round(offset_hz * n / signal.fs)
     lo = np.exp(-2j * np.pi * ((k * np.arange(n)) % n) / n)
-    j, h = T.rrc_support(n // sps, sps, 0.1)
+    j, h = T.rrc_support(n // sps, sps)
     resp = np.zeros(n)
     resp[j] = h
     fld = np.fft.ifft(np.fft.fft(signal.field * lo, axis=1) * resp, axis=1)
@@ -40,7 +40,7 @@ class TestChannelSelect:
     def test_single_channel_b2b_evm(self):
         _, _, pts, sig = shaped_channel()
         sig = frame(sig)
-        rx = R.channel_select(sig, 0.0, BAUD, 0.1)
+        rx = R.channel_select(sig, 0, 1)
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
         assert evm < -40
 
@@ -50,22 +50,24 @@ class TestChannelSelect:
             _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=16)
             chans.append(sig)
             refs.append(pts)
-        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
-        rx = R.channel_select(mux, 0.0, BAUD, 0.1)
+        mux = T.wdm_mux(chans)
+        rx = R.channel_select(mux, 5, 11)
         pts = refs[5]
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
         assert evm < -35
 
-    def test_every_wdm_channel_b2b_exact(self):
-        """11 x 50 GHz at sps = 16: each channel comes back to rounding."""
+    @pytest.mark.parametrize("n_ch, sps", [(11, 16), (2, 4), (4, 8)])
+    def test_every_wdm_channel_b2b_exact(self, n_ch, sps):
+        """Each channel of n_ch x 50 GHz comes back to rounding; on an even
+        grid the carriers sit half a spacing off 0 Hz."""
         chans, refs = [], []
-        for s in range(11):
-            _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=16)
+        for s in range(n_ch):
+            _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=sps)
             chans.append(sig)
             refs.append(pts)
-        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
+        mux = T.wdm_mux(chans)
         for k, pts in enumerate(refs):
-            rx = R.channel_select(mux, (k - 5) * 50e9, BAUD, 0.1)
+            rx = R.channel_select(mux, k, n_ch)
             evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
             assert evm < -200, (k, evm)
 
@@ -82,7 +84,7 @@ class TestChannelSelect:
         for k in range(n_ch):
             offset = (k - (n_ch - 1) / 2) * 50e9
             ref = full_frame_select(sig, offset, sps)
-            out = R.channel_select(sig, offset, BAUD, 0.1)
+            out = R.channel_select(sig, k, n_ch)
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_wrong_offset_selects_neighbor(self):
@@ -91,8 +93,8 @@ class TestChannelSelect:
             _, _, pts, sig = shaped_channel(seed=s, n_sym=512, sps=8)
             chans.append(sig)
             refs.append(pts)
-        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
-        rx = R.channel_select(mux, 50e9, BAUD, 0.1)
+        mux = T.wdm_mux(chans)
+        rx = R.channel_select(mux, 2, 3)
         err_neighbor = np.sum((rx - refs[2]) ** 2)
         err_center = np.sum((rx - refs[1]) ** 2)
         assert err_neighbor < err_center
@@ -101,15 +103,26 @@ class TestChannelSelect:
         _, _, _, sig = shaped_channel()
         sig = frame(sig)
         field = sig.field.copy()
-        out = R.channel_select(sig, 0.0, BAUD, 0.1)
+        out = R.channel_select(sig, 0, 1)
         assert np.array_equal(sig.field, field)
         assert not np.shares_memory(out, sig.field)
 
     def test_offset_out_of_band(self):
-        _, _, _, sig = shaped_channel(sps=4)
-        sig = frame(sig)
-        with pytest.raises(ValueError):
-            R.channel_select(sig, 200e9, BAUD, 0.1)
+        """A channel off the grid, or a grid wider than the frame (5
+        channels span 249.5 GHz, the frame 180 GS/s), fails in one line."""
+        sig = frame(shaped_channel(sps=4)[3])
+        for k, n_ch in [(-1, 3), (3, 3), (0, 0), (1, 1), (2, 5)]:
+            with pytest.raises(ValueError, match=f"^channel {k} of {n_ch} is out"):
+                R.channel_select(sig, k, n_ch)
+
+    @pytest.mark.parametrize("fs", [BAUD * 1e-12, BAUD], ids=["sps1e-12", "sps1"])
+    def test_below_two_samples_per_symbol(self, fs):
+        """sps 1e-12 rounds to 0, which the whole-symbol test would divide
+        by; sps 1 is an integer. Both fail at the rate, not at the band."""
+        sig = T.SampledSignal(np.ones((2, 64)), fs=fs)
+        with pytest.raises(ValueError, match=r"^frame must hold whole symbols "
+                           r"at an integer sps >= 2$"):
+            R.channel_select(sig, 0, 1)
 
 
 class TestCircularFrame:
@@ -119,13 +132,13 @@ class TestCircularFrame:
         recovered symbols by r, with nothing lost at the frame edges."""
         chans = [shaped_channel(seed=s, n_sym=256, sps=8)[3] for s in range(3)]
         chans = [T.set_mean_power(ch, 6.0) for ch in chans]
-        mux = T.wdm_mux(chans, 50e9, BAUD, 0.1)
+        mux = T.wdm_mux(chans)
         link = CH.LinkConfig(span=CH.FiberParams(), n_spans=1, step_km=10.0,
                              ase_enabled=False)
         r = 37
         rolled = T.SampledSignal(np.roll(mux.field, 8 * r, axis=1), fs=mux.fs)
-        ref = R.channel_select(CH.propagate_link(mux, link), 0.0, BAUD, 0.1)
-        out = R.channel_select(CH.propagate_link(rolled, link), 0.0, BAUD, 0.1)
+        ref = R.channel_select(CH.propagate_link(mux, link), 1, 3)
+        out = R.channel_select(CH.propagate_link(rolled, link), 1, 3)
         err = np.max(np.abs(out - np.roll(ref, r, axis=0)))
         assert err < 1e-12 * np.max(np.abs(ref))
 
@@ -217,7 +230,7 @@ class TestFullChainIdentity:
     def test_tx_rx_identity_no_channel(self):
         bits, idx, pts, sig = shaped_channel(seed=3, n_sym=2048)
         sig = frame(sig)
-        rx = R.channel_select(sig, 0.0, BAUD, 0.1)
+        rx = R.channel_select(sig, 0, 1)
         rx = R.genie_phase_compensation(rx, pts, 128)
         rx = R.genie_gain(rx, pts)
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
