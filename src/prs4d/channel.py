@@ -22,11 +22,20 @@ check_fields is the one type and finiteness check of every config dataclass.
 ssfm_span splits each step over the caller and a helper thread (x and y
 through dispersion, sample halves through the rotor), bit-identical to one
 thread; the helper lives one span, so no thread is alive at a grid's fork.
+
+Frames alive, a frame being one (2, n) complex field: ssfm_span holds its
+input, its working copy, one step phasor (half a frame: each run of equal
+half-steps builds its own and drops it before the next is built) and the
+rotor's block-sized scratch. edfa holds its input, its output and one
+n-sample quadrature of ASE (a quarter frame), drawn in the stream order
+x re, x im, y re, y im. propagate_spans holds the field of the span in
+flight only; the launch frame lives as long as its caller holds it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -41,6 +50,7 @@ H_PLANCK = 6.62607015e-34  # J s
 # use this nm -> m product, which is one ulp above the literal 1550e-9.
 REF_WAVELENGTH_M = 1550.0 * 1e-9
 _LN10 = np.log(10.0)
+_KERR_BLOCK = 2**13  # samples per Kerr rotor block
 
 
 @dataclass(frozen=True)
@@ -142,19 +152,28 @@ def _phasors(signal: SampledSignal, beta2: float, dzs) -> dict:
 
 def _kerr(fld: np.ndarray, gamma: float, dz_eff: float,
           gain: float = 1.0) -> np.ndarray:
-    """Manakov Kerr rotation (8/9 factor) times a real gain, in place."""
+    """Manakov Kerr rotation (8/9 factor) times a real gain, in place, one
+    block of _KERR_BLOCK samples at a time (elementwise, so bit for bit the
+    whole-field rotor)."""
     # Buffers per call: held across a span they made glibc return the FFT's
     # per-call scratch to the OS every call at 2^20 samples (16k faults/step).
-    p, rot = np.empty(fld.shape[1]), np.empty(fld.shape[1], complex)
-    mag = rot.view(float).reshape(fld.shape)  # |x|, |y| in rot's memory
-    np.abs(fld, out=mag)
-    mag *= mag
-    np.add(mag[0], mag[1], out=p)
-    p *= (8.0 / 9.0) * gamma * dz_eff
-    np.cos(p, out=rot.real)
-    np.sin(p, out=rot.imag)
-    rot *= gain
-    fld *= rot
+    # Block-sized, not frame-sized: 3/4 frame less beside the step phasor,
+    # and on 2^16 and 2^20 samples the rotor ran ~20 % faster in 2^13 blocks
+    # (2-vCPU Xeon, numpy 2.4).
+    b = min(fld.shape[1], _KERR_BLOCK)
+    p_buf, rot_buf = np.empty(b), np.empty(b, complex)
+    for k in range(0, fld.shape[1], b):
+        part = fld[:, k:k + b]
+        p, rot = p_buf[:part.shape[1]], rot_buf[:part.shape[1]]
+        mag = rot.view(float).reshape(part.shape)  # |x|, |y| in rot's memory
+        np.abs(part, out=mag)
+        mag *= mag
+        np.add(mag[0], mag[1], out=p)
+        p *= (8.0 / 9.0) * gamma * dz_eff
+        np.cos(p, out=rot.real)
+        np.sin(p, out=rot.imag)
+        rot *= gain
+        part *= rot
     return fld
 
 
@@ -182,7 +201,6 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     alpha = fiber.alpha_db_km * _LN10 / 10.0  # power Np/km
     # merged half steps: D(h1/2) N1 D((h1+h2)/2) N2 ... D(hn/2)
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
-    phasors = _phasors(signal, fiber.beta2_s2_km, halves[:-1])  # h_n/2: CDC fold only
 
     fld = signal.field.copy()
     rows = (fld[:1], fld[1:])
@@ -190,11 +208,15 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     two = len(cpus) > 1
     with ThreadPoolExecutor(1) if two else contextlib.nullcontext() as pool:
-        for dz, half in zip(steps, halves):
-            _split(pool, spectral_filter, rows, phasors[half])
-            _split(pool, _kerr, cut, fiber.gamma_w_km,
-                   fiber.effective_length_km(dz), np.exp(-alpha * dz / 2))
-        del phasors  # freed first: built beside them, the CDC's raised the peak
+        # One phasor alive at a time: each run of equal half-steps builds its
+        # own and drops it before the next is built (h_n/2: CDC fold only).
+        for half, run in itertools.groupby(zip(steps, halves), lambda s: s[1]):
+            phasor = _phasors(signal, fiber.beta2_s2_km, [half])[half]
+            for dz, _ in run:
+                _split(pool, spectral_filter, rows, phasor)
+                _split(pool, _kerr, cut, fiber.gamma_w_km,
+                       fiber.effective_length_km(dz), np.exp(-alpha * dz / 2))
+            del phasor
         cdc = halves[-1] - fiber.length_km  # D(h_n/2) D(-L) = D(h_n/2 - L)
         last = _phasors(signal, fiber.beta2_s2_km, [cdc])[cdc]
         _split(pool, spectral_filter, rows, last)
@@ -222,10 +244,12 @@ def edfa(signal: SampledSignal, link: LinkConfig,
         n_sp = 10 ** (link.nf_db / 10) / 2.0
         h_nu = H_PLANCK * C_LIGHT / REF_WAVELENGTH_M
         p_ase = n_sp * h_nu * (g - 1.0) * signal.fs  # W per polarization
-        ase = rng.standard_normal((2, 2, signal.n))  # x re, x im, y re, y im
-        ase *= np.sqrt(p_ase / 2.0)
-        fld.real += ase[:, 0]
-        fld.imag += ase[:, 1]
+        sigma = np.sqrt(p_ase / 2.0)  # per quadrature
+        ase = np.empty(signal.n)  # one quadrature at a time, in stream order
+        for quad in (fld[0].real, fld[0].imag, fld[1].real, fld[1].imag):
+            rng.standard_normal(out=ase)
+            ase *= sigma
+            quad += ase
     return replace(signal, field=fld)
 
 
@@ -245,7 +269,8 @@ def propagate_spans(signal: SampledSignal, link: LinkConfig):
 
 def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
     """The field after the whole link: the last one propagate_spans yields,
-    each earlier one dropped as it comes, not held through the next span."""
+    each earlier one dropped as it comes, not held through the next span.
+    The launch field stays alive through every span, held by the caller."""
     spans = propagate_spans(signal, link)
     for _ in range(link.n_spans - 1):
         next(spans)

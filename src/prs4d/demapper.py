@@ -29,9 +29,11 @@ _LOG2 = np.log(2.0)
 MIN_SYMBOLS = 100  # symbols for an iid noise estimate
 _MIN_OCCURRENCES = 30  # transmissions per point for a covariance estimate
 _SYM_TOL2 = 1e-26  # squared distance within which g s_i counts as s_j
-_SIGNED_PERMS = np.array([np.eye(4)[list(p)] * sg  # the 384 as (4, 4) matrices
-                          for p in itertools.permutations(range(4))
-                          for sg in itertools.product((1.0, -1.0), repeat=4)])
+# the 384 as (4, 4) matrices: each of the 24 row-permuted identities times
+# each of the 16 column sign rows, permutation-major
+_SIGNED_PERMS = (np.eye(4)[list(itertools.permutations(range(4)))][:, None]
+                 * np.array(list(itertools.product((1.0, -1.0), repeat=4)))[:, None]
+                 ).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)

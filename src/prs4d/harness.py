@@ -26,7 +26,6 @@ import functools
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -183,6 +182,7 @@ def _transmit(cfg: ExperimentConfig):
             tx_indices = indices
             if cfg.demapper != "iid":  # the cg estimate's floor, before any span
                 dm.point_counts(tx_indices, c.M)
+    del bits, indices, points, sig  # the mux holds the spectra alone
     return txdsp.wdm_mux(channels), tx_indices
 
 
@@ -227,11 +227,17 @@ def run_point(cfg: ExperimentConfig,
     but for runtime_s, the whole point's wall time. seed=s is
     shorthand for replace(cfg, seed=s), kept for perfbench/workloads.py's
     call form; it goes with the next benchmark change.
+
+    Frames alive: the launch frame through propagate_link (beside the
+    link's own, see channel), then the received frame alone: the launch
+    frame is dropped when the link returns, so the receiver never holds it.
     """
     t0 = time.perf_counter()
     cfg = cfg if seed is None else replace(cfg, seed=seed)
     mux, tx_indices = _transmit(cfg)
-    return _receive(cfg, propagate_link(mux, cfg.link), tx_indices, t0)
+    rx_sig = propagate_link(mux, cfg.link)
+    del mux  # the receiver holds no launch frame
+    return _receive(cfg, rx_sig, tx_indices, t0)
 
 
 def _worker_count() -> int:
@@ -249,6 +255,8 @@ def _run_points(cfgs: dict) -> dict:
     workers = min(_worker_count(), len(cfgs))
     if workers <= 1:
         return dict(zip(cfgs, map(run_point, cfgs.values())))
+    # here, not at module level: it loads multiprocessing, 7-8 ms of import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return dict(zip(cfgs, pool.map(run_point, cfgs.values())))
 
@@ -270,6 +278,10 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     The record at n equals run_point(replace(cfg, n_spans=n)). Records come
     in input order, duplicates kept; a record's runtime runs from the start
     of the curve to its last demap.
+
+    Frames alive: the launch frame is the span generator's alone, so span 1
+    frees it; each tap receives the one frame of its span count, dropped
+    before the next span runs.
     """
     span_counts = list(span_counts)
     cfgs = {n: replace(cfg, n_spans=n) for n in span_counts}
@@ -278,6 +290,7 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     t0 = time.perf_counter()
     mux, tx_indices = _transmit(longest := cfgs[max(cfgs)])
     spans, taps = propagate_spans(mux, longest.link), {}
+    del mux  # the generator's alone: freed in span 1, before any tap
     for n in range(1, longest.n_spans + 1):
         # next() and del, not enumerate(spans), whose reused result tuple
         # would keep this field alive through the next span

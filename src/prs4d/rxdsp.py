@@ -64,10 +64,15 @@ def channel_select(signal: SampledSignal, k: int, n_channels: int) -> np.ndarray
     n, ns = signal.n, signal.n // sps
     j, h = rrc_support(ns, sps)
     at = (j + carrier_bin(k, n_channels, n, signal.fs)) % n
-    fold = np.zeros((2, 2 * ns), dtype=complex)  # bin j at j + ns
+    neg = np.searchsorted(j, 0)  # j ascends: j[:neg] < 0 <= j[neg:]
+    fold = np.zeros((2, ns), dtype=complex)  # bin j at j mod ns
     for row, pol in zip(fold, signal.field):
-        row[j + ns] = sfft.fft(pol)[at] * h
-    sym = sfft.ifft(fold[:, :ns] + fold[:, ns:], axis=1) / sps
+        spec = sfft.fft(pol)[at] * h
+        row[j[neg:]] = spec[neg:]
+        row[j[:neg] + ns] += spec[:neg]
+        del spec  # not held while the next row's is built
+    sym = sfft.ifft(fold, axis=1, overwrite_x=True)
+    sym /= sps
     return np.ascontiguousarray(sym.T).view(float)
 
 

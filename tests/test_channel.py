@@ -54,6 +54,17 @@ def unfolded_span(sig, fiber, step_km):
     return ch.inline_cdc(replace(sig, field=fld), fiber)
 
 
+def traced_peak(fn, *args):
+    """Peak traced memory of fn(*args) in bytes, counting only what the
+    call allocates (its arguments were allocated before tracing)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 LEAF = ch.FiberParams()  # paper fiber: 0.219 dB/km, 4.255 ps/nm/km, 1.464 /W/km
 SHORT = ch.FiberParams(length_km=1.0)  # paper fiber, 1 km span
 
@@ -180,6 +191,20 @@ class TestNonlinear:
         sig = random_signal()
         out = kerr_on_copy(sig, 0.0, 80.0)
         assert np.array_equal(out.x, sig.x)
+
+    def test_blocks_equal_whole_field_rotor(self):
+        """The rotor in _KERR_BLOCK-sample blocks, the last one short,
+        equals the same elementwise steps over the whole field bit for bit."""
+        sig = random_signal(n=3 * ch._KERR_BLOCK + 5, power_w=10e-3)
+        mag = np.abs(sig.field)
+        mag *= mag
+        p = mag[0] + mag[1]
+        p *= (8.0 / 9.0) * 1.464 * 0.9
+        rot = np.empty(sig.n, complex)
+        rot.real, rot.imag = np.cos(p), np.sin(p)
+        rot *= 0.98
+        out = ch._kerr(sig.field.copy(), 1.464, 0.9, 0.98)
+        assert out.tobytes() == (sig.field * rot).tobytes()
 
 
 class TestSsfmSpan:
@@ -351,6 +376,19 @@ class TestFoldedCdc:
 
         assert peak(ch.ssfm_span) <= peak(unfolded_span)
 
+    def test_one_step_phasor_alive_at_a_time(self, monkeypatch):
+        """Eight 10 km steps (phasors D(5 km), D(10 km), then the CDC fold)
+        peak within 0.2 frame of one 80 km step: each run of equal
+        half-steps drops its phasor before the next is built. Holding
+        D(h/2) and D(h) through the span costs half a frame more."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        sig = random_signal(n=2**15, power_w=10e-3)
+        frame_bytes = sig.field.nbytes
+        ch.ssfm_span(sig, LEAF, 80.0)  # scipy.fft's import, untraced
+        one = traced_peak(ch.ssfm_span, sig, LEAF, 80.0)
+        eight = traced_peak(ch.ssfm_span, sig, LEAF, 10.0)
+        assert eight - one <= 0.2 * frame_bytes
+
     @pytest.mark.parametrize("fiber, step_km", [(SHORT, 0.3), (LEAF, 0.1)],
                              ids=["short_0.3km", "leaf_0.1km"])
     def test_every_phasor_built_is_applied(self, monkeypatch, fiber, step_km):
@@ -450,8 +488,8 @@ class TestEdfa:
         assert h_nu == pytest.approx(1.28e-19, rel=0.01)
 
     def test_ase_equals_per_polarisation_draws(self):
-        """The one (2, 2, n) ASE draw adds, bit for bit, what four n-sample
-        draws in the order x re, x im, y re, y im would add."""
+        """The ASE adds, bit for bit, what four n-sample draws in the
+        order x re, x im, y re, y im would add."""
         sig = random_signal(n=1000)
         out = ch.edfa(sig, ch.LinkConfig(LEAF, 1), np.random.default_rng(3))
         rng, g = np.random.default_rng(3), 10 ** (17.52 / 10)
@@ -462,6 +500,14 @@ class TestEdfa:
             ref = pol * np.sqrt(g) + sigma * (rng.standard_normal(1000)
                                               + 1j * rng.standard_normal(1000))
             assert np.array_equal(got, ref)
+
+    def test_ase_scratch_is_one_quadrature(self):
+        """Beside its output frame the EDFA holds one n-sample quadrature
+        of ASE (a quarter frame), not a (2, 2, n) draw (a whole frame)."""
+        sig = random_signal(n=2**15)
+        peak = traced_peak(ch.edfa, sig, ch.LinkConfig(LEAF, 1),
+                           np.random.default_rng(0))
+        assert peak <= 1.3 * sig.field.nbytes
 
 
 class TestPropagateLink:

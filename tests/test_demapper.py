@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -606,3 +607,21 @@ def test_import_loads_no_scipy(fresh_python):
     out = fresh_python("import prs4d; print(sorted(m for m in sys.modules "
                        "if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_multiprocessing(fresh_python):
+    """Importing prs4d loads no multiprocessing (7-8 ms): the process pool
+    of the sweeps is imported where a sweep starts one."""
+    out = fresh_python("import prs4d; print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] == 'multiprocessing'))")
+    assert out.strip() == "[]"
+
+
+def test_signed_perms_table_equals_itertools_loop():
+    """The broadcast table is the 384-step loop's, byte for byte (signed
+    zeros too), permutation-major with the sign rows inside."""
+    ref = np.array([np.eye(4)[list(p)] * sg
+                    for p in itertools.permutations(range(4))
+                    for sg in itertools.product((1.0, -1.0), repeat=4)])
+    assert D._SIGNED_PERMS.shape == ref.shape == (384, 4, 4)
+    assert D._SIGNED_PERMS.tobytes() == ref.tobytes()

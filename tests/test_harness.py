@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 import re
 import time
@@ -492,6 +493,7 @@ class TestSweeps:
         cfg = tiny_config(n_channels=3, n_symbols=2**13, gamma_w_km=1.464,
                           ase_enabled=True)
         frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
+        run(cfg)  # scipy.fft's import, untraced
 
         def peak(n_spans):
             tracemalloc.start()
@@ -502,6 +504,30 @@ class TestSweeps:
                 tracemalloc.stop()
 
         assert peak(3) - peak(1) < 0.9 * frame_bytes
+
+    @pytest.mark.parametrize("run, taps", [
+        (H.run_point, 1), (lambda cfg: H.sweep_distance(cfg, [1, 2, 3]), 3)],
+        ids=["run_point", "sweep_distance"])
+    def test_receiver_holds_one_frame(self, monkeypatch, run, taps):
+        """At each _receive the traced memory holds one frame, the received
+        field: the launch frame is dropped when the link returns (run_point)
+        or in span 1 (sweep_distance), so it never sits beside a tap."""
+        cfg = tiny_config(n_symbols=2**13, ase_enabled=True)
+        frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
+        held, receive = [], H._receive
+        run(cfg)  # scipy.fft's import, untraced
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return receive(*args)
+
+        monkeypatch.setattr(H, "_receive", spy)
+        tracemalloc.start()
+        try:
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == taps and max(held) < 1.5 * frame_bytes
 
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])
@@ -575,13 +601,13 @@ class TestSweeps:
         records are the serial ones, duplicates kept."""
         tasks = []
 
-        class Pool(H.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, cfgs):
                 cfgs = list(cfgs)
                 tasks.extend(c.launch_dbm for c in cfgs)
                 return super().map(fn, cfgs)
 
-        monkeypatch.setattr(H, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = tiny_config(ase_enabled=True)
         monkeypatch.setenv("PRS4D_WORKERS", "2")
         pooled = H.sweep_power(cfg, [0.0, -1.0, 0.0])
@@ -607,7 +633,7 @@ class TestSweeps:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(H, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setenv("PRS4D_WORKERS", "5000")
         cfg = tiny_config()
         H.sweep_power(cfg, [0.0, 1.0, 0.0])
