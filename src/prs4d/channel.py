@@ -5,9 +5,9 @@ polarizations see identical linear operators (no PMD) and a joint
 nonlinear phase rotation with the 8/9 averaging factor.
 
 Every operator works on a private copy of the signal's (2, n) X/Y field,
-and two are the only code for the physics: dispersion (the _phasors
-exp(j beta2/2 w^2 dz), applied by txdsp.spectral_filter) and _kerr (the
-Manakov rotor, whose real gain carries each SSFM step's loss). A span is
+and two are the only code for the physics: dispersion (_phasor builds
+exp(j beta2/2 w^2 dz), spectral_filter applies it, both here only) and _kerr
+(the Manakov rotor, whose real gain carries each SSFM step's loss). A span is
 fiber, ideal lossless inline CDC D(-L) and an EDFA whose ASE is white over
 the full simulated bandwidth. ssfm_span folds the CDC into its last merged
 half-step, D(h_n/2 - L): one FFT pair per span fewer than a separate CDC.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .txdsp import SampledSignal, spectral_filter
+from .txdsp import SampledSignal
 
 C_LIGHT = 299792458.0  # m/s
 H_PLANCK = 6.62607015e-34  # J s
@@ -139,15 +139,23 @@ class LinkConfig:
             raise ValueError("seed must be an integer >= 0")
 
 
-def _phasors(signal: SampledSignal, beta2: float, dzs) -> dict:
-    """All-pass dispersion responses exp(+j beta2/2 w^2 dz), one per dz, on
-    the fftfreq bins, exponentiated in place: one n-sample buffer each."""
+def _phasor(signal: SampledSignal, beta2: float, dz: float) -> np.ndarray:
+    """The all-pass dispersion response exp(+j beta2/2 w^2 dz) on the
+    fftfreq bins, exponentiated in place on one n-sample buffer."""
     w2 = (2 * np.pi * np.fft.fftfreq(signal.n, d=1.0 / signal.fs)) ** 2
-    out = {dz: 0.5j * beta2 * w2 for dz in set(dzs)}
-    for dz, h in out.items():
-        h *= dz
-        np.exp(h, out=h)
-    return out
+    h = 0.5j * beta2 * w2
+    h *= dz
+    return np.exp(h, out=h)
+
+
+def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Filter each row of a complex (rows, n) field by h, in place."""
+    import scipy.fft as sfft
+    for row in fld:
+        spec = sfft.fft(row, overwrite_x=True)
+        spec *= h
+        row[...] = sfft.ifft(spec, overwrite_x=True)
+    return fld
 
 
 def _kerr(fld: np.ndarray, gamma: float, dz_eff: float,
@@ -211,22 +219,20 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
         # One phasor alive at a time: each run of equal half-steps builds its
         # own and drops it before the next is built (h_n/2: CDC fold only).
         for half, run in itertools.groupby(zip(steps, halves), lambda s: s[1]):
-            phasor = _phasors(signal, fiber.beta2_s2_km, [half])[half]
+            phasor = _phasor(signal, fiber.beta2_s2_km, half)
             for dz, _ in run:
                 _split(pool, spectral_filter, rows, phasor)
                 _split(pool, _kerr, cut, fiber.gamma_w_km,
                        fiber.effective_length_km(dz), np.exp(-alpha * dz / 2))
             del phasor
         cdc = halves[-1] - fiber.length_km  # D(h_n/2) D(-L) = D(h_n/2 - L)
-        last = _phasors(signal, fiber.beta2_s2_km, [cdc])[cdc]
-        _split(pool, spectral_filter, rows, last)
+        _split(pool, spectral_filter, rows, _phasor(signal, fiber.beta2_s2_km, cdc))
     return replace(signal, field=fld)
 
 
 def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
     """Ideal lossless compensation of one span's dispersion, D(-beta2 L)."""
-    cdc = -fiber.length_km
-    phasor = _phasors(signal, fiber.beta2_s2_km, [cdc])[cdc]
+    phasor = _phasor(signal, fiber.beta2_s2_km, -fiber.length_km)
     return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
 
 

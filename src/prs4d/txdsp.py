@@ -1,4 +1,5 @@
-"""Transmitter chain: bit generation, RRC pulse shaping and WDM multiplexing.
+"""The transmitter (bit generation, RRC pulse shaping and WDM multiplexing),
+the frame type SampledSignal every stage passes on, and the paper's WDM grid.
 
 Every waveform is one circular frame of exactly Ns * sps samples, the
 same periodic frame the SSFM dispersion operator and inline CDC act on,
@@ -12,9 +13,10 @@ spectrum times the exact RRC response, kept on the response's support,
 and wdm_mux shifts each channel to its carrier_bin on the paper's WDM
 grid, the constants below, sums, and takes one inverse FFT per polarization.
 
-scipy.fft is imported inside the functions that transform, not here:
-it is most of the package's import time and memory, and the design
-commands (AWGN GMI, constellation search) never build a waveform.
+scipy.fft is imported inside the functions that transform, here and in
+channel and rxdsp, not at module level: it is most of the package's import
+time and memory, and the design commands (AWGN GMI, constellation search)
+never build a waveform.
 """
 
 from __future__ import annotations
@@ -77,16 +79,6 @@ def generate_bits(seed: int, count: int) -> np.ndarray:
         raise ValueError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=count, dtype=np.uint8)
-
-
-def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Filter each row of a complex (rows, n) field by h, in place."""
-    import scipy.fft as sfft
-    for row in fld:
-        spec = sfft.fft(row, overwrite_x=True)
-        spec *= h
-        row[...] = sfft.ifft(spec, overwrite_x=True)
-    return fld
 
 
 def band_hz(n_channels: int) -> float:

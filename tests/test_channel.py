@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from prs4d import channel as ch
-from prs4d.txdsp import SampledSignal, spectral_filter
+from prs4d.channel import spectral_filter
+from prs4d.txdsp import SampledSignal
 
 
 def random_signal(n=4096, fs=180e9, seed=0, power_w=1e-3):
@@ -28,9 +29,9 @@ def kerr_on_copy(sig, gamma, dz_eff):
 
 
 def disperse(sig, beta2, dz):
-    """D(dz) on a copy of sig's field, by the _phasors and spectral_filter
+    """D(dz) on a copy of sig's field, by the _phasor and spectral_filter
     that ssfm_span runs."""
-    phasor = ch._phasors(sig, beta2, [dz])[dz]
+    phasor = ch._phasor(sig, beta2, dz)
     return replace(sig, field=spectral_filter(sig.field.copy(), phasor))
 
 
@@ -43,7 +44,7 @@ def unfolded_span(sig, fiber, step_km):
     if rem > 1e-9 * fiber.length_km:
         steps.append(rem)
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
-    ph = ch._phasors(sig, fiber.beta2_s2_km, halves)
+    ph = {half: ch._phasor(sig, fiber.beta2_s2_km, half) for half in set(halves)}
     fld = sig.field.copy()
     for dz, half in zip(steps, halves):
         spectral_filter(fld, ph[half])
@@ -303,7 +304,8 @@ class TestSsfmSpan:
         steps = [0.3] * int(n_full) + [rem]
         halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
         cdc = halves[-1] - SHORT.length_km
-        ph = ch._phasors(sig, SHORT.beta2_s2_km, halves + [cdc])
+        ph = {dz: ch._phasor(sig, SHORT.beta2_s2_km, dz)
+              for dz in set(halves + [cdc])}
         fld = sig.field.copy()
         for dz, half in zip(steps, halves):
             spectral_filter(fld, ph[half])
@@ -314,6 +316,17 @@ class TestSsfmSpan:
         out = ch.ssfm_span(sig, SHORT, 0.3)
         assert np.array_equal(out.field, fld)
         assert len(threads) == len(cpus)
+
+
+class TestSpectralFilter:
+    def test_in_place_and_equal_to_stacked_pair(self):
+        rng = np.random.default_rng(3)
+        fld = rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))
+        h = np.exp(1j * rng.standard_normal(1000))
+        ref = np.fft.ifft(np.fft.fft(fld, axis=1) * h, axis=1)
+        out = ch.spectral_filter(fld, h)
+        assert out is fld
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestFoldedCdc:
@@ -395,18 +408,18 @@ class TestFoldedCdc:
         """No unused half-step phasor: h_n/2 enters only the CDC fold, also
         after a remainder step (divmod(80, 0.1) leaves 0.0999... km)."""
         built, applied = [], set()  # (dz, phasor) pairs, held so no id is reused
-        phasors = ch._phasors
+        phasor = ch._phasor
 
-        def spy_phasors(*args):
-            out = phasors(*args)
-            built.extend(out.items())
+        def spy_phasor(sig, beta2, dz):
+            out = phasor(sig, beta2, dz)
+            built.append((dz, out))
             return out
 
         def spy_filter(fld, h):
             applied.update(dz for dz, b in built if b is h)
             return spectral_filter(fld, h)
 
-        monkeypatch.setattr(ch, "_phasors", spy_phasors)
+        monkeypatch.setattr(ch, "_phasor", spy_phasor)
         monkeypatch.setattr(ch, "spectral_filter", spy_filter)
         ch.ssfm_span(random_signal(n=64), fiber, step_km)
         assert sorted(dz for dz, _ in built) == sorted(applied)
@@ -417,11 +430,10 @@ class TestFoldedCdc:
         bit, at even, odd and unit n."""
         sig = SampledSignal(np.zeros((2, n)), fs=180e9)
         dzs = [0.05, 0.15, 1 / 3, 80.0, 0.05 - 80.0]
-        got = ch._phasors(sig, LEAF.beta2_s2_km, dzs)
         w2 = (2 * np.pi * np.fft.fftfreq(n, d=1.0 / sig.fs)) ** 2
         for dz in dzs:
             ref = np.exp(0.5j * LEAF.beta2_s2_km * w2 * dz)
-            assert np.array_equal(got[dz], ref)
+            assert np.array_equal(ch._phasor(sig, LEAF.beta2_s2_km, dz), ref)
 
 
 class TestInputsUnchanged:

@@ -93,17 +93,6 @@ class TestRrcTaps:
             rrc_response(64, 1)
 
 
-class TestSpectralFilter:
-    def test_in_place_and_equal_to_stacked_pair(self):
-        rng = np.random.default_rng(3)
-        fld = rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))
-        h = np.exp(1j * rng.standard_normal(1000))
-        ref = np.fft.ifft(np.fft.fft(fld, axis=1) * h, axis=1)
-        out = T.spectral_filter(fld, h)
-        assert out is fld
-        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
 class TestSampledSignal:
     @pytest.mark.parametrize("field", [np.zeros(8), np.zeros((1, 8)),
                                        np.zeros((3, 8)), np.zeros((2, 0)),
