@@ -69,6 +69,9 @@ class FiberParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.length_km <= 0:
             raise ValueError("length_km must be > 0")
+        with np.errstate(over="ignore"):  # edfa's gain 10^(loss_db/10)
+            if not np.power(10.0, self.loss_db / 10) < np.inf:
+                raise ValueError("alpha_db_km must be small enough that the span gain is finite")
 
     @property
     def beta2_s2_km(self) -> float:
@@ -135,6 +138,9 @@ class LinkConfig:
             raise ValueError("alpha_db_km must be > 0 with ase_enabled (ASE needs EDFA gain)")
         if self.ase_enabled and self.nf_db < 3:
             raise ValueError("nf_db must be >= 3 with ase_enabled (n_sp >= 1)")
+        with np.errstate(over="ignore"):  # edfa's 2 n_sp = 10^(nf_db/10)
+            if self.ase_enabled and not np.power(10.0, self.nf_db / 10) < np.inf:
+                raise ValueError("nf_db must be small enough that n_sp is finite with ase_enabled")
         if self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
 

@@ -4,10 +4,12 @@ value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
 but for the measured runtime_s. A power sweep runs each distinct power
 once; a distance sweep propagates once and receives after each span count.
 sweep_power and sweep_channels check every point's config before any span
-runs, then run the points on PRS4D_WORKERS processes (an integer >= 1 in
-the environment, default 1), never more processes than distinct points.
-optimize_prs_params, the 4D-64PRS design search, scores each geometry with
-the demapper's AWGN reference, so it lives here beside the experiments.
+runs, then run all their points on one pool of PRS4D_WORKERS processes (an
+integer >= 1 in the environment, default 1), never more than the points.
+optimum_records is the one optimum-power fit: sweep_channels applies it to
+each channel count's points. optimize_prs_params, the 4D-64PRS design
+search, scores each geometry with the demapper's AWGN reference, so it
+lives here beside the experiments.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
 estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
@@ -80,9 +82,10 @@ class ExperimentConfig:
         if (self.n_channels > (most := top // self.n_symbols)  # implied by the next
                 or self.effective_sps() > most):  # (sps > n_channels), but float-safe
             raise ValueError("n_channels must be small enough that numpy can index the frame")
-        if not 10 ** ((self.launch_dbm - 30) / 10) > 0:  # set_mean_power's watts
-            raise ValueError(f"launch_dbm must be a power above 0 W, "
-                             f"got {self.launch_dbm:g}")
+        with np.errstate(over="ignore"):  # set_mean_power's watts
+            if not 0 < np.power(10.0, (self.launch_dbm - 30) / 10) < np.inf:
+                raise ValueError(f"launch_dbm must be a finite power above 0 W, "
+                                 f"got {self.launch_dbm:g}")
         link = self.link  # the fiber's and the link's own checks
         kerr = (8 / 9 * self.gamma_w_km * self.n_channels  # rad/W per SSFM step
                 * link.span.effective_length_km(self.step_km))
@@ -240,19 +243,13 @@ def run_point(cfg: ExperimentConfig,
     return _receive(cfg, rx_sig, tx_indices, t0)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PRS4D_WORKERS")
-    if not env:
-        return 1
+def _run_points(cfgs: dict) -> dict:
+    """run_point of each config, keyed alike, on one pool of at most
+    PRS4D_WORKERS processes and never more than there are configs."""
+    env = os.environ.get("PRS4D_WORKERS") or "1"
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
-    return int(env)
-
-
-def _run_points(cfgs: dict) -> dict:
-    """run_point of each config, keyed alike, on at most PRS4D_WORKERS
-    processes and never more than there are configs."""
-    workers = min(_worker_count(), len(cfgs))
+    workers = min(int(env), len(cfgs))
     if workers <= 1:
         return dict(zip(cfgs, map(run_point, cfgs.values())))
     # here, not at module level: it loads multiprocessing, 7-8 ms of import
@@ -301,58 +298,52 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     return [r for n in span_counts for r in taps[n]]
 
 
-def fit_optimum_power(powers: np.ndarray, gmis: np.ndarray) -> tuple[float, float]:
-    """3-point quadratic fit around the grid maximum of the sorted distinct
-    powers; a repeated power must repeat its GMI.
-
-    Returns (optimum power, fitted GMI). Falls back to the grid value
-    when the maximum sits on the grid edge or the fit is not concave.
-    """
-    powers, gmis = np.unique(np.column_stack((powers, gmis)), axis=0).T
-    for p in powers[1:][np.diff(powers) == 0][:1]:
-        raise ValueError(f"power {p:g} dBm repeats with different GMIs")
-    k = int(np.argmax(gmis))
-    if k == 0 or k == powers.size - 1:
-        return float(powers[k]), float(gmis[k])
-    p = powers[k - 1:k + 2]
-    g = gmis[k - 1:k + 2]
-    a, b, c0 = np.polyfit(p, g, 2)
-    if a >= 0:
-        return float(powers[k]), float(gmis[k])
-    p_opt = -b / (2 * a)
-    p_opt = float(np.clip(p_opt, p[0], p[-1]))
-    return p_opt, float(a * p_opt**2 + b * p_opt + c0)
+def optimum_records(records) -> list[ResultRecord]:
+    """One record per series, fitted at its optimum launch power, in
+    first-seen order. A series is the records of one (distance_km,
+    n_channels, format, demapper, seed); a power it repeats must repeat its
+    GMI. The optimum is the vertex of the 3-point parabola around the grid
+    maximum of the sorted distinct powers, or that grid point when it is an
+    edge or the parabola is not concave. A fitted record has sigma2 0 and
+    the summed runtime_s of its distinct powers' points."""
+    series = {}
+    for r in records:
+        key = (r.distance_km, r.n_channels, r.format, r.demapper, r.seed)
+        series.setdefault(key, []).append(r)
+    fits = []
+    for recs in series.values():
+        powers, gmis = np.unique([(r.launch_dbm, r.gmi_bit4d) for r in recs], axis=0).T
+        for p in powers[1:][np.diff(powers) == 0][:1]:
+            raise ValueError(f"power {p:g} dBm repeats with different GMIs")
+        k = int(np.argmax(gmis))
+        p_opt, g_opt = float(powers[k]), float(gmis[k])
+        if 0 < k < powers.size - 1:
+            a, b, c0 = np.polyfit(powers[k - 1:k + 2], gmis[k - 1:k + 2], 2)
+            if a < 0:
+                p_opt = float(np.clip(-b / (2 * a), powers[k - 1], powers[k + 1]))
+                g_opt = float(a * p_opt**2 + b * p_opt + c0)
+        fits.append(replace(
+            recs[0], launch_dbm=p_opt, gmi_bit4d=g_opt, ndr_gbps=g_opt * txdsp.BAUD_GBD,
+            runtime_s=sum({r.launch_dbm: r.runtime_s for r in recs}.values()), sigma2=0.0))
+    return fits
 
 
 def sweep_channels(cfg: ExperimentConfig, channel_counts,
                    powers) -> list[ResultRecord]:
-    """Per distinct channel count n: the points of sweep_power at
-    replace(cfg, n_channels=n) and cfg.seed, fitted to one record per
-    demapper at the optimum power, with no sigma2 and that count's runtime,
-    in input order. With one power p a record equals
-    run_point(replace(cfg, n_channels=n, launch_dbm=p)). Every (n, p) config
-    is checked before the first point runs; cfg's own power is not run, so
-    it need not be valid at n."""
+    """optimum_records of each channel count n's points
+    run_point(replace(cfg, n_channels=n, launch_dbm=p)) at cfg.seed, in input
+    order, duplicates kept. Every (n, p) config is checked before the first
+    point runs, and the grid runs on one PRS4D_WORKERS pool; cfg's own power
+    is not run, so it need not be valid at n."""
     channel_counts, powers = list(channel_counts), list(powers)
-    cfgs = {n: {p: replace(cfg, n_channels=n, launch_dbm=p) for p in powers}
-            for n in channel_counts}
-    if not cfgs:
+    if not channel_counts:
         raise ValueError("empty channel-count list")
     if not powers:
         raise ValueError("empty power list")
-    fits = {}
-    for n, cfgs_n in cfgs.items():
-        t0 = time.perf_counter()
-        points = _run_points(cfgs_n)
-        runtime = time.perf_counter() - t0
-        recs = [r for p in powers for r in points[p]]
-        for kind in dict.fromkeys(r.demapper for r in recs):
-            series = [r for r in recs if r.demapper == kind]
-            p_opt, g_opt = fit_optimum_power([r.launch_dbm for r in series],
-                                             [r.gmi_bit4d for r in series])
-            fits.setdefault(n, []).append(replace(
-                series[0], launch_dbm=p_opt, gmi_bit4d=g_opt,
-                ndr_gbps=g_opt * txdsp.BAUD_GBD, runtime_s=runtime, sigma2=0.0))
+    points = _run_points({(n, p): replace(cfg, n_channels=n, launch_dbm=p)
+                          for n in channel_counts for p in powers})
+    fits = {n: optimum_records([r for p in powers for r in points[n, p]])
+            for n in channel_counts}
     return [r for n in channel_counts for r in fits[n]]
 
 

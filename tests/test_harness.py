@@ -71,6 +71,9 @@ class TestExperimentConfig:
         ({"n_channels": 10**330}, "n_channels"),
         ({"n_channels": 1, "n_symbols": 10**23}, "n_symbols"),
         ({"n_channels": np.iinfo(np.intp).max // 2**16}, "n_channels"),
+        # finite, but past a float once in watts or as a linear gain
+        ({"launch_dbm": 1e308}, "launch_dbm"), ({"nf_db": 4000.0}, "nf_db"),
+        ({"alpha_db_km": 100.0}, "alpha_db_km"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -113,8 +116,12 @@ class TestExperimentConfig:
                                                     nf_db=2.0)),
         ({"alpha_db_km": 0.0}, lambda: channel.LinkConfig(
             channel.FiberParams(alpha_db_km=0.0), 1)),
+        ({"nf_db": 4000.0}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
+                                                       nf_db=4000.0)),
+        ({"alpha_db_km": 100.0}, lambda: channel.FiberParams(alpha_db_km=100.0)),
     ], ids=["alpha_negative", "gamma_negative", "no_spans", "step_zero",
-            "step_over_span", "nf_2_with_ase", "lossless_with_ase"])
+            "step_over_span", "nf_2_with_ase", "lossless_with_ase",
+            "nf_overflow_with_ase", "span_gain_overflow"])
     def test_link_rule_message_is_the_links(self, kw, build):
         """The config states no link rule: its error is the link's own."""
         with pytest.raises(ValueError) as cfg_err:
@@ -417,19 +424,22 @@ class TestSweeps:
             H.sweep_power(tiny_config(), [])
 
     def test_process_pool_grid_equals_serial(self, monkeypatch, without_runtime):
-        """Two pool workers give the serial records and CSV. The pool forks
+        """Two pool workers give the serial records and CSV, for a power
+        sweep and for the optimum fit over a channel grid. The pool forks
         after a two-thread span in this process, and each forked worker
         runs its own spans on two threads again."""
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
         H.run_point(cfg)
-        monkeypatch.setenv("PRS4D_WORKERS", "1")
-        serial = H.sweep_power(cfg, [-1.0, 3.0])
-        monkeypatch.setenv("PRS4D_WORKERS", "2")
-        pooled = H.sweep_power(cfg, [-1.0, 3.0])
-        assert pooled == serial
-        assert (without_runtime(H.records_to_csv(pooled))
-                == without_runtime(H.records_to_csv(serial)))
+        for sweep in (lambda: H.sweep_power(cfg, [-1.0, 3.0]),
+                      lambda: H.sweep_channels(cfg, [1, 3], [-1.0, 3.0, 1.0])):
+            monkeypatch.setenv("PRS4D_WORKERS", "1")
+            serial = sweep()
+            monkeypatch.setenv("PRS4D_WORKERS", "2")
+            pooled = sweep()
+            assert pooled == serial
+            assert (without_runtime(H.records_to_csv(pooled))
+                    == without_runtime(H.records_to_csv(serial)))
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
@@ -638,7 +648,7 @@ class TestSweeps:
         cfg = tiny_config()
         H.sweep_power(cfg, [0.0, 1.0, 0.0])
         H.sweep_channels(cfg, [1, 3], [0.0, 1.0, 2.0])
-        assert sizes == [2, 3, 3]
+        assert sizes == [2, 6]  # one pool for the whole channel grid
 
     def test_sweep_channels_runs_only_its_grid_points(self, monkeypatch):
         """cfg's own 8 dBm is past the Kerr bound at 11 channels in one
@@ -673,23 +683,40 @@ class TestSweeps:
         assert -1.0 <= recs[0].launch_dbm <= 1.0
 
 
+def series(powers, gmis):
+    """Hand-made records of one series, one per (power, GMI), each point
+    taking 1 s more than the one before."""
+    return [H.ResultRecord(launch_dbm=p, distance_km=80.0, n_channels=1,
+                           format="pm8qam", demapper="iid", gmi_bit4d=g,
+                           ndr_gbps=g * 45, seed=0, runtime_s=k + 1.0, sigma2=0.1)
+            for k, (p, g) in enumerate(zip(powers, gmis))]
+
+
+def fit(powers, gmis):
+    """(launch_dbm, gmi_bit4d) of the one record optimum_records fits."""
+    (r,) = H.optimum_records(series(powers, gmis))
+    return r.launch_dbm, r.gmi_bit4d
+
+
 class TestFitOptimumPower:
+    """The one optimum-power fit, optimum_records, on hand-made records."""
+
     def test_recovers_exact_quadratic(self):
         p = np.array([-1.0, 0.0, 1.0, 2.0])
         g = 5.0 - (p - 0.3) ** 2
-        p_opt, g_opt = H.fit_optimum_power(p, g)
+        p_opt, g_opt = fit(p, g)
         assert p_opt == pytest.approx(0.3, abs=1e-12)
         assert g_opt == pytest.approx(5.0, abs=1e-12)
 
     def test_edge_maximum_falls_back_to_grid(self):
         p = np.array([0.0, 1.0, 2.0])
         g = np.array([3.0, 2.0, 1.0])
-        assert H.fit_optimum_power(p, g) == (0.0, 3.0)
+        assert fit(p, g) == (0.0, 3.0)
 
     def test_repeated_power_is_one_grid_point(self):
         """0, 1, 1, 2 is the grid 0, 1, 2: the parabola through (0, 1),
         (1, 2), (2, 1.5) peaks at 7/6 dBm, off the grid."""
-        p_opt, g_opt = H.fit_optimum_power([0, 1, 1, 2], [1, 2, 2, 1.5])
+        p_opt, g_opt = fit([0, 1, 1, 2], [1, 2, 2, 1.5])
         assert p_opt == pytest.approx(7 / 6, abs=1e-12)
         assert g_opt == pytest.approx(1 + 49 / 48, abs=1e-12)
 
@@ -697,19 +724,50 @@ class TestFitOptimumPower:
         p = np.array([2.0, -1.0, 1.0, 0.0])
         g = 5.0 - (p - 0.3) ** 2
         order = np.argsort(p)
-        assert H.fit_optimum_power(p, g) == H.fit_optimum_power(p[order], g[order])
-        assert H.fit_optimum_power(p, g)[0] == pytest.approx(0.3, abs=1e-12)
+        assert fit(p, g) == fit(p[order], g[order])
+        assert fit(p, g)[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_repeated_power_with_two_gmis_rejected(self):
         with pytest.raises(ValueError,
                            match="^power 1 dBm repeats with different GMIs$"):
-            H.fit_optimum_power([0, 1, 1, 2], [1, 2, 2.5, 1.5])
+            fit([0, 1, 1, 2], [1, 2, 2.5, 1.5])
 
     def test_flat_series_falls_back(self):
         p = np.array([0.0, 1.0, 2.0])
         g = np.array([1.0, 1.0, 1.0])
-        p_opt, g_opt = H.fit_optimum_power(p, g)
+        p_opt, g_opt = fit(p, g)
         assert g_opt == 1.0
+
+    def test_two_demappers_fit_in_first_seen_order(self):
+        """cg comes first, interleaved with iid: two fitted records, cg then
+        iid, each with sigma2 0, its own ndr_gbps and the summed runtime_s
+        of its distinct powers (the repeated 1 dBm point counts once)."""
+        iid = series([0, 1, 2, 1], [1, 2, 1.5, 2])
+        iid[3].runtime_s = iid[1].runtime_s  # the same point, repeated
+        cg = [replace(r, demapper="cg") for r in series([0, 1, 2], [4, 3, 2])]
+        fits = H.optimum_records([cg[0], iid[0], cg[1], iid[1], cg[2], iid[2],
+                                  iid[3]])
+        assert [r.demapper for r in fits] == ["cg", "iid"]
+        assert (fits[0].launch_dbm, fits[0].gmi_bit4d) == (0.0, 4.0)
+        assert fits[1].launch_dbm == pytest.approx(7 / 6, abs=1e-12)
+        assert [r.ndr_gbps for r in fits] == [r.gmi_bit4d * txdsp.BAUD_GBD
+                                              for r in fits]
+        assert [r.sigma2 for r in fits] == [0.0, 0.0]
+        assert [r.runtime_s for r in fits] == [1 + 2 + 3.0, 1 + 2 + 3.0]
+
+    def test_two_distances_are_two_series(self):
+        """The grouping reach needs: records at two distances, in any order,
+        fit to one record per distance, in first-seen order."""
+        near = series([0, 1, 2], [3, 4, 3.5])
+        far = [replace(r, distance_km=160.0) for r in series([2, 1, 0], [1, 3, 2])]
+        fits = H.optimum_records(far + near)
+        assert [r.distance_km for r in fits] == [160.0, 80.0]
+        assert [r.sigma2 for r in fits] == [0.0, 0.0]
+        assert [r.runtime_s for r in fits] == [6.0, 6.0]
+        assert fits[1].launch_dbm == pytest.approx(7 / 6, abs=1e-12)
+        assert fits[1].gmi_bit4d == pytest.approx(3 + 49 / 48, abs=1e-12)
+        assert fits[0].launch_dbm == pytest.approx(5 / 6, abs=1e-12)
+        assert fits[0].gmi_bit4d == pytest.approx(2 + 25 / 24, abs=1e-12)
 
 
 def rec(distance_km, gmi):
