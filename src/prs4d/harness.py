@@ -6,10 +6,11 @@ once; a distance sweep propagates once and receives after each span count.
 sweep_power and sweep_channels check every point's config before any span
 runs, then run all their points on one pool of PRS4D_WORKERS processes (an
 integer >= 1 in the environment, default 1), never more than the points.
-optimum_records is the one optimum-power fit: sweep_channels applies it to
-each channel count's points. optimize_prs_params, the 4D-64PRS design
-search, scores each geometry with the demapper's AWGN reference, so it
-lives here beside the experiments.
+A record carries its config, and _series is the one series rule: one
+demapper at configs equal but for the swept fields. optimum_records, the one
+optimum-power fit, and find_reach both keep to it. optimize_prs_params, the
+4D-64PRS design search, scores each geometry with the demapper's AWGN
+reference, so it lives here beside the experiments.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
 estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
@@ -144,18 +145,20 @@ def parse_field(name: str, text: str):
 
 @dataclass
 class ResultRecord:
-    """One (config point, demapper) GMI measurement."""
+    """One demapper's GMI at config, the point's config after the sweep's
+    replace. The other CSV fields read config, and so does the series rule."""
 
-    launch_dbm: float
-    distance_km: float
-    n_channels: int
-    format: str
+    config: ExperimentConfig
     demapper: str
     gmi_bit4d: float
-    ndr_gbps: float
-    seed: int
     runtime_s: float = field(compare=False)
     sigma2: float = field(default=0.0, compare=False)
+    launch_dbm = property(lambda r: r.config.launch_dbm)
+    n_channels = property(lambda r: r.config.n_channels)
+    format = property(lambda r: r.config.format)
+    seed = property(lambda r: r.config.seed)
+    distance_km = property(lambda r: r.config.n_spans * r.config.link.span.length_km)
+    ndr_gbps = property(lambda r: r.gmi_bit4d * txdsp.BAUD_GBD)
 
     def csv_row(self) -> str:
         return (f"{self.launch_dbm:.10g},{self.distance_km:.10g},"
@@ -213,12 +216,7 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
                 batch, c, epsilon=_COV_RIDGE * sigma2))
         gmis[kind] = dm.gmi_from_llrs(dm.compute_llrs(batch, c, model), c.m)
     runtime = time.perf_counter() - t0
-    return [ResultRecord(
-        launch_dbm=cfg.launch_dbm,
-        distance_km=cfg.n_spans * cfg.link.span.length_km,
-        n_channels=cfg.n_channels, format=cfg.format, demapper=kind,
-        gmi_bit4d=gmi, ndr_gbps=gmi * txdsp.BAUD_GBD, seed=cfg.seed,
-        runtime_s=runtime, sigma2=sigma2) for kind, gmi in gmis.items()]
+    return [ResultRecord(cfg, kind, gmi, runtime, sigma2) for kind, gmi in gmis.items()]
 
 
 def run_point(cfg: ExperimentConfig,
@@ -252,8 +250,8 @@ def _run_points(cfgs: dict) -> dict:
     workers = min(int(env), len(cfgs))
     if workers <= 1:
         return dict(zip(cfgs, map(run_point, cfgs.values())))
-    # here, not at module level: it loads multiprocessing, 7-8 ms of import
-    from concurrent.futures import ProcessPoolExecutor
+    import scipy.fft  # noqa: F401 - before the fork, so the workers inherit it
+    from concurrent.futures import ProcessPoolExecutor  # not module-level: 7-8 ms
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return dict(zip(cfgs, pool.map(run_point, cfgs.values())))
 
@@ -298,18 +296,23 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     return [r for n in span_counts for r in taps[n]]
 
 
+def _series(r: ResultRecord, *swept: str) -> tuple:
+    """r's series key: its demapper and its config's fields but demapper and swept."""
+    return (r.demapper, *(getattr(r.config, f.name) for f in fields(r.config)
+                          if f.name not in ("demapper", *swept)))
+
+
 def optimum_records(records) -> list[ResultRecord]:
     """One record per series, fitted at its optimum launch power, in
-    first-seen order. A series is the records of one (distance_km,
-    n_channels, format, demapper, seed); a power it repeats must repeat its
-    GMI. The optimum is the vertex of the 3-point parabola around the grid
-    maximum of the sorted distinct powers, or that grid point when it is an
-    edge or the parabola is not concave. A fitted record has sigma2 0 and
-    the summed runtime_s of its distinct powers' points."""
+    first-seen order. A series shares one _series(r, "launch_dbm"); a power it
+    repeats must repeat its GMI. The optimum is the vertex of the 3-point
+    parabola around the grid maximum of the sorted distinct powers, or that
+    grid point when it is an edge or the parabola is not concave. A fitted
+    record has the config at that power, checked like any other, sigma2 0
+    and the summed runtime_s of its distinct powers' points."""
     series = {}
     for r in records:
-        key = (r.distance_km, r.n_channels, r.format, r.demapper, r.seed)
-        series.setdefault(key, []).append(r)
+        series.setdefault(_series(r, "launch_dbm"), []).append(r)
     fits = []
     for recs in series.values():
         powers, gmis = np.unique([(r.launch_dbm, r.gmi_bit4d) for r in recs], axis=0).T
@@ -322,19 +325,19 @@ def optimum_records(records) -> list[ResultRecord]:
             if a < 0:
                 p_opt = float(np.clip(-b / (2 * a), powers[k - 1], powers[k + 1]))
                 g_opt = float(a * p_opt**2 + b * p_opt + c0)
-        fits.append(replace(
-            recs[0], launch_dbm=p_opt, gmi_bit4d=g_opt, ndr_gbps=g_opt * txdsp.BAUD_GBD,
+        fits.append(ResultRecord(
+            replace(recs[0].config, launch_dbm=p_opt), recs[0].demapper, g_opt,
             runtime_s=sum({r.launch_dbm: r.runtime_s for r in recs}.values()), sigma2=0.0))
     return fits
 
 
 def sweep_channels(cfg: ExperimentConfig, channel_counts,
                    powers) -> list[ResultRecord]:
-    """optimum_records of each channel count n's points
-    run_point(replace(cfg, n_channels=n, launch_dbm=p)) at cfg.seed, in input
-    order, duplicates kept. Every (n, p) config is checked before the first
-    point runs, and the grid runs on one PRS4D_WORKERS pool; cfg's own power
-    is not run, so it need not be valid at n."""
+    """optimum_records of the points run_point(replace(cfg, n_channels=n,
+    launch_dbm=p)) at cfg.seed, one series per channel count n and demapper,
+    in input order of n, duplicates kept. Every (n, p) config is checked
+    before the first point runs, and the grid runs on one PRS4D_WORKERS
+    pool; cfg's own power is not run, so it need not be valid at n."""
     channel_counts, powers = list(channel_counts), list(powers)
     if not channel_counts:
         raise ValueError("empty channel-count list")
@@ -342,9 +345,8 @@ def sweep_channels(cfg: ExperimentConfig, channel_counts,
         raise ValueError("empty power list")
     points = _run_points({(n, p): replace(cfg, n_channels=n, launch_dbm=p)
                           for n in channel_counts for p in powers})
-    fits = {n: optimum_records([r for p in powers for r in points[n, p]])
-            for n in channel_counts}
-    return [r for n in channel_counts for r in fits[n]]
+    fits = optimum_records([r for recs in points.values() for r in recs])
+    return [r for n in channel_counts for r in fits if r.n_channels == n]
 
 
 def find_reach(records: list[ResultRecord], gmi_target: float) -> float:
@@ -352,12 +354,11 @@ def find_reach(records: list[ResultRecord], gmi_target: float) -> float:
     interpolation.
 
     Records may arrive in any order; they are sorted by distance first. They
-    must share one (format, demapper, n_channels) series, and a repeated
+    must share one _series(r, "launch_dbm", "n_spans"), and a repeated
     distance must repeat its GMI. Raises if the target is not bracketed.
     """
-    if len({(r.format, r.demapper, r.n_channels) for r in records}) > 1:
-        raise ValueError("records must come from one (format, demapper, "
-                         "n_channels) series")
+    if len({_series(r, "launch_dbm", "n_spans") for r in records}) > 1:
+        raise ValueError("records must come from one series")
     pts = np.unique(np.reshape([(r.distance_km, r.gmi_bit4d) for r in records],
                                (-1, 2)), axis=0)
     for d in pts[1:, 0][np.diff(pts[:, 0]) == 0][:1]:

@@ -191,9 +191,8 @@ def test_cli_surface(command):
 
 
 def rec(fmt, dmp, x, y):
-    return H.ResultRecord(launch_dbm=x, distance_km=800.0, n_channels=3,
-                          format=fmt, demapper=dmp, gmi_bit4d=y,
-                          ndr_gbps=45 * y, seed=0, runtime_s=0.0)
+    cfg = H.ExperimentConfig(format=fmt, n_channels=3, n_spans=10, seed=0, launch_dbm=x)
+    return H.ResultRecord(cfg, dmp, y, runtime_s=0.0)
 
 
 class TestEmitPlot:

@@ -441,6 +441,17 @@ class TestSweeps:
             assert (without_runtime(H.records_to_csv(pooled))
                     == without_runtime(H.records_to_csv(serial)))
 
+    def test_pool_workers_inherit_scipy_fft(self, fresh_python):
+        """The pool forks after scipy.fft is imported, so no worker imports
+        it again at its first point."""
+        out = fresh_python(
+            "import os; os.environ['PRS4D_WORKERS'] = '2'\n"
+            "from prs4d import harness as H\n"
+            "def probe(cfg): return 'scipy.fft' in sys.modules\n"
+            "H.run_point = probe\n"
+            "print(sorted(H._run_points({0: None, 1: None}).values()))")
+        assert out.splitlines()[-1] == "[True, True]"
+
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
         monkeypatch.setenv("PRS4D_WORKERS", value)
@@ -683,12 +694,11 @@ class TestSweeps:
         assert -1.0 <= recs[0].launch_dbm <= 1.0
 
 
-def series(powers, gmis):
-    """Hand-made records of one series, one per (power, GMI), each point
-    taking 1 s more than the one before."""
-    return [H.ResultRecord(launch_dbm=p, distance_km=80.0, n_channels=1,
-                           format="pm8qam", demapper="iid", gmi_bit4d=g,
-                           ndr_gbps=g * 45, seed=0, runtime_s=k + 1.0, sigma2=0.1)
+def series(powers, gmis, **kw):
+    """Hand-made iid records of one series, one per (power, GMI), at
+    tiny_config(**kw), each point taking 1 s more than the one before."""
+    return [H.ResultRecord(tiny_config(launch_dbm=p, **kw), "iid", g,
+                           runtime_s=k + 1.0, sigma2=0.1)
             for k, (p, g) in enumerate(zip(powers, gmis))]
 
 
@@ -699,7 +709,8 @@ def fit(powers, gmis):
 
 
 class TestFitOptimumPower:
-    """The one optimum-power fit, optimum_records, on hand-made records."""
+    """The one optimum-power fit, optimum_records, on hand-made records and
+    on real sweeps of two series."""
 
     def test_recovers_exact_quadratic(self):
         p = np.array([-1.0, 0.0, 1.0, 2.0])
@@ -755,11 +766,36 @@ class TestFitOptimumPower:
         assert [r.sigma2 for r in fits] == [0.0, 0.0]
         assert [r.runtime_s for r in fits] == [1 + 2 + 3.0, 1 + 2 + 3.0]
 
+    def test_two_geometries_are_two_series(self):
+        """Real sweeps of the shipped 4D-64PRS geometry and of rho = 0.5,
+        theta = 0.40 at one seed fit to one record each, never to a
+        parabola through both."""
+        cfg = H.ExperimentConfig(n_channels=1, n_symbols=2**12, n_spans=20,
+                                 step_km=40.0, demapper="iid")
+        shipped = H.sweep_power(cfg, [-6.0, -2.0, 2.0])
+        other = H.sweep_power(replace(cfg, prs_rho=0.5, prs_theta=0.40),
+                              [-4.0, 0.0, 4.0])
+        fits = H.optimum_records(shipped + other)
+        assert fits == H.optimum_records(shipped) + H.optimum_records(other)
+        assert [(r.config.prs_rho, r.config.prs_theta) for r in fits] == [
+            (cfg.prs_rho, cfg.prs_theta), (0.5, 0.40)]
+
+    def test_two_steps_are_two_series(self):
+        """One sweep at the default step and at step_km=80 is two links, so
+        two series, not one power that repeats with two GMIs."""
+        cfg = tiny_config(gamma_w_km=H.ExperimentConfig.gamma_w_km,
+                          ase_enabled=True, step_km=H.ExperimentConfig.step_km)
+        fine = H.sweep_power(cfg, [8.0, 10.0, 12.0])
+        coarse = H.sweep_power(replace(cfg, step_km=80.0), [8.0, 10.0, 12.0])
+        fits = H.optimum_records(fine + coarse)
+        assert fits == H.optimum_records(fine) + H.optimum_records(coarse)
+        assert [r.config.step_km for r in fits] == [cfg.step_km, 80.0]
+
     def test_two_distances_are_two_series(self):
         """The grouping reach needs: records at two distances, in any order,
         fit to one record per distance, in first-seen order."""
         near = series([0, 1, 2], [3, 4, 3.5])
-        far = [replace(r, distance_km=160.0) for r in series([2, 1, 0], [1, 3, 2])]
+        far = series([2, 1, 0], [1, 3, 2], n_spans=2)
         fits = H.optimum_records(far + near)
         assert [r.distance_km for r in fits] == [160.0, 80.0]
         assert [r.sigma2 for r in fits] == [0.0, 0.0]
@@ -770,59 +806,60 @@ class TestFitOptimumPower:
         assert fits[0].gmi_bit4d == pytest.approx(2 + 25 / 24, abs=1e-12)
 
 
-def rec(distance_km, gmi):
-    return H.ResultRecord(launch_dbm=0.0, distance_km=distance_km,
-                          n_channels=1, format="pm8qam", demapper="iid",
-                          gmi_bit4d=gmi, ndr_gbps=gmi * 45, seed=0,
-                          runtime_s=0.0)
+def rec(n_spans, gmi, demapper="iid", **kw):
+    """A hand-made 4D-64PRS record after n_spans 80 km spans, at
+    tiny_config(**kw)."""
+    cfg = tiny_config(**{"format": "4d64prs", "n_spans": n_spans, **kw})
+    return H.ResultRecord(cfg, demapper, gmi, runtime_s=0.0)
 
 
 class TestFindReach:
     def test_hand_computed_interpolation(self):
-        out = H.find_reach([rec(1000, 5.0), rec(2000, 4.0)], 4.5)
-        assert out == pytest.approx(1500.0)
+        out = H.find_reach([rec(10, 5.0), rec(20, 4.0)], 4.5)
+        assert out == pytest.approx(1200.0)
 
     def test_uneven_spacing(self):
         # crossing between (800, 5.2) and (1600, 4.0): 800 + 0.65*800 = 1320
-        out = H.find_reach([rec(800, 5.2), rec(1600, 4.0)], 4.42)
+        out = H.find_reach([rec(10, 5.2), rec(20, 4.0)], 4.42)
         assert out == pytest.approx(1320.0)
 
     def test_order_independent(self):
-        records = [rec(3000, 3.0), rec(1000, 5.0), rec(2000, 4.0)]
+        records = [rec(30, 3.0), rec(10, 5.0), rec(20, 4.0)]
         assert H.find_reach(records, 4.5) == H.find_reach(records[::-1], 4.5)
-        assert H.find_reach(records, 4.5) == pytest.approx(1500.0)
+        assert H.find_reach(records, 4.5) == pytest.approx(1200.0)
 
     def test_target_above_max_errors(self):
         with pytest.raises(ValueError):
-            H.find_reach([rec(1000, 5.0), rec(2000, 4.0)], 5.5)
+            H.find_reach([rec(10, 5.0), rec(20, 4.0)], 5.5)
 
     def test_target_below_min_errors(self):
         with pytest.raises(ValueError):
-            H.find_reach([rec(1000, 5.0), rec(2000, 4.0)], 3.5)
+            H.find_reach([rec(10, 5.0), rec(20, 4.0)], 3.5)
 
     def test_exact_grid_hit(self):
-        assert H.find_reach([rec(1000, 5.0), rec(2000, 4.0)], 4.0) == 2000.0
+        assert H.find_reach([rec(10, 5.0), rec(20, 4.0)], 4.0) == 1600.0
 
-    @pytest.mark.parametrize("other", [{"demapper": "cg"}, {"format": "4d64prs"},
-                                       {"n_channels": 3}])
+    @pytest.mark.parametrize("other", [{"demapper": "cg"}, {"format": "pm8qam"},
+                                       {"n_channels": 3}, {"seed": 9},
+                                       {"prs_rho": 0.5}])
     def test_mixed_series_rejected(self, other):
-        """iid at 5.5/5.6 and cg at 4.5/4.7: mixed, 5.55 seemed reached at 800 km."""
-        records = [rec(800, 5.5), rec(1600, 5.6),
-                   replace(rec(800, 4.5), **other), replace(rec(1600, 4.7), **other)]
-        with pytest.raises(ValueError, match=r"^records must come from one "
-                           r"\(format, demapper, n_channels\) series$"):
+        """5.5/5.6 in one series and 4.5/4.7 in a series that differs in one
+        demapper or config field: mixed, 5.55 seemed reached at 800 km."""
+        records = [rec(10, 5.5), rec(20, 5.6), rec(10, 4.5, **other),
+                   rec(20, 4.7, **other)]
+        with pytest.raises(ValueError, match="^records must come from one series$"):
             H.find_reach(records, 5.55)
 
     def test_repeated_distance_with_two_gmis_rejected(self):
         with pytest.raises(ValueError,
-                           match="^distance 1000 km repeats with different GMIs$"):
-            H.find_reach([rec(1000, 5.0), rec(1000, 4.8), rec(2000, 4.0)], 4.5)
+                           match="^distance 800 km repeats with different GMIs$"):
+            H.find_reach([rec(10, 5.0), rec(10, 4.8), rec(20, 4.0)], 4.5)
 
     def test_repeated_taps_are_one_point(self):
         """sweep_distance repeats a repeated span count's records."""
-        records = [rec(1000, 5.0), rec(2000, 4.0), rec(1000, 5.0), rec(2000, 4.0)]
-        assert H.find_reach(records, 4.5) == pytest.approx(1500.0)
-        assert H.find_reach(records, 5.0) == 1000.0
+        records = [rec(10, 5.0), rec(20, 4.0), rec(10, 5.0), rec(20, 4.0)]
+        assert H.find_reach(records, 4.5) == pytest.approx(1200.0)
+        assert H.find_reach(records, 5.0) == 800.0
 
 
 class TestCsv:
@@ -831,7 +868,7 @@ class TestCsv:
                                 "demapper,gmi_bit4d,ndr_gbps,seed,runtime_s")
 
     def test_write_csv_roundtrip(self):
-        records = [rec(1000, 5.123456789), rec(2000, 4.0)]
+        records = [rec(10, 5.123456789), rec(20, 4.0)]
         raw = H.records_to_csv(records)
         assert "\r" not in raw
         lines = raw.splitlines()
@@ -841,9 +878,10 @@ class TestCsv:
         assert float(parts[6]) == pytest.approx(float(parts[5]) * 45, rel=1e-9)
 
     def test_byte_identical_rewrite(self):
-        records = [rec(1000, 5.0)]
+        records = [rec(10, 5.0)]
         assert H.records_to_csv(records) == H.records_to_csv(records)
 
     def test_ten_significant_digits(self):
-        row = rec(1234.56789, 4.0 / 3.0).csv_row()
+        row = rec(10, 4.0 / 3.0, launch_dbm=1.2345678912345).csv_row()
+        assert row.startswith("1.234567891,")
         assert "1.333333333" in row
