@@ -28,8 +28,9 @@ input, its working copy, one step phasor (half a frame: each run of equal
 half-steps builds its own and drops it before the next is built) and the
 rotor's block-sized scratch. edfa holds its input, its output and one
 n-sample quadrature of ASE (a quarter frame), drawn in the stream order
-x re, x im, y re, y im. propagate_spans holds the field of the span in
-flight only; the launch frame lives as long as its caller holds it.
+x re, x im, y re, y im. propagate_link yields the field after each span and
+holds only the span in flight; the launch frame lives as long as its caller
+holds it, so a caller drops it once the generator is made.
 """
 
 from __future__ import annotations
@@ -265,25 +266,17 @@ def edfa(signal: SampledSignal, link: LinkConfig,
     return replace(signal, field=fld)
 
 
-def propagate_spans(signal: SampledSignal, link: LinkConfig):
+def propagate_link(signal: SampledSignal, link: LinkConfig):
     """Yield the field after each of n_spans of fiber + CDC + EDFA.
 
     EDFA gain exactly balances the span loss (the compensation fiber is
     ideal and lossless). Span k draws the k-th ASE of one stream seeded by
-    link.seed, so the field after span k does not depend on n_spans.
+    link.seed, so the field after span k does not depend on n_spans. The
+    caller that drops its launch field after this call leaves it to the
+    generator alone, which frees it in span 1.
     """
     rng = np.random.default_rng(link.seed)
     for _ in range(link.n_spans):
         signal = ssfm_span(signal, link.span, link.step_km)
         signal = edfa(signal, link, rng)
         yield signal
-
-
-def propagate_link(signal: SampledSignal, link: LinkConfig) -> SampledSignal:
-    """The field after the whole link: the last one propagate_spans yields,
-    each earlier one dropped as it comes, not held through the next span.
-    The launch field stays alive through every span, held by the caller."""
-    spans = propagate_spans(signal, link)
-    for _ in range(link.n_spans - 1):
-        next(spans)
-    return next(spans)

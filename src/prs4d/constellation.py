@@ -4,8 +4,9 @@ A constellation is an M x 4 real matrix (columns [Re X, Im X, Re Y, Im Y])
 normalized to unit average 4D symbol energy. The row index is the label:
 row i carries the binary expansion of i, first bit as MSB, so a builder
 chooses its labelling by the order in which it lists the points.
-FORMATS names every format build_format makes; each builder checks its own
-arguments under their config keys. The module imports nothing of prs4d.
+BUILDERS names every format build_format makes and the geometry keys each
+one reads; each builder checks its own arguments under those config keys.
+The module imports nothing of prs4d.
 """
 
 from __future__ import annotations
@@ -214,17 +215,21 @@ DEFAULT_PRS_THETAS = np.linspace(0.25, 0.65, 9)
 DEFAULT_PRS_RHO = 1.6
 DEFAULT_PRS_THETA = 0.45
 DEFAULT_RING_RATIO = 1.0 / 0.65  # 6b4D-2A8PSK outer/inner ring ratio
-FORMATS = ("4d64prs", "pm8qam", "6b4d_2a8psk")  # build_format's names
+# Each format's builder and the geometry keys it reads, in its argument order;
+# build_format dispatches through this one table.
+BUILDERS = {"4d64prs": (build_4d64prs, ("prs_rho", "prs_theta")),
+            "pm8qam": (build_pm8qam, ()),
+            "6b4d_2a8psk": (build_6b4d_2a8psk, ("ring_ratio",))}
+FORMATS = tuple(BUILDERS)  # build_format's names
 
 
 def build_format(name: str, prs_rho: float = DEFAULT_PRS_RHO,
                  prs_theta: float = DEFAULT_PRS_THETA,
                  ring_ratio: float = DEFAULT_RING_RATIO) -> Constellation4D:
-    """Build a constellation by format name used in configs and the CLI."""
-    if name == "4d64prs":
-        return build_4d64prs(prs_rho, prs_theta)
-    if name == "pm8qam":
-        return build_pm8qam()
-    if name == "6b4d_2a8psk":
-        return build_6b4d_2a8psk(ring_ratio)
-    raise ValueError(f"format must be one of {FORMATS}, got {name!r}")
+    """Build a constellation by format name used in configs and the CLI,
+    from the geometry arguments that BUILDERS says the format reads."""
+    if name not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {name!r}")
+    build, keys = BUILDERS[name]
+    geometry = {"prs_rho": prs_rho, "prs_theta": prs_theta, "ring_ratio": ring_ratio}
+    return build(*(geometry[k] for k in keys))

@@ -1,8 +1,8 @@
-"""Experiment orchestration: run_point is transmit -> propagate_link ->
-receive at one config. Every sweep follows one rule: its records at a grid
+"""Experiment orchestration: sweep_distance is the one chain, transmit ->
+propagate_link -> receive after each span count, and run_point is its one
+tap at cfg.n_spans. Every sweep follows one rule: its records at a grid
 value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
-but for the measured runtime_s. A power sweep runs each distinct power
-once; a distance sweep propagates once and receives after each span count.
+but for the measured runtime_s. A power sweep runs each distinct power once.
 sweep_power and sweep_channels check every point's config before any span
 runs, then run all their points on one pool of PRS4D_WORKERS processes (an
 integer >= 1 in the environment, default 1), never more than the points.
@@ -37,7 +37,7 @@ from . import constellation as const
 from . import demapper as dm
 from . import rxdsp, txdsp
 from .channel import (FIELD_TYPES, FiberParams, LinkConfig, check_fields,
-                      field_error, propagate_link, propagate_spans)
+                      field_error, propagate_link)
 
 CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
               "gmi_bit4d,ndr_gbps,seed,runtime_s")
@@ -221,24 +221,17 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
 
 def run_point(cfg: ExperimentConfig,
               seed: int | None = None) -> list[ResultRecord]:
-    """Run one full TX -> link -> RX -> demap experiment at cfg's point.
+    """Run one full TX -> link -> RX -> demap experiment at cfg's point: the
+    one-tap distance curve sweep_distance(cfg, [cfg.n_spans]).
 
     Evaluates the center WDM channel at cfg.seed. Returns one record per
     requested demapper (iid, cg or both), deterministic for a fixed config
     but for runtime_s, the whole point's wall time. seed=s is
     shorthand for replace(cfg, seed=s), kept for perfbench/workloads.py's
     call form; it goes with the next benchmark change.
-
-    Frames alive: the launch frame through propagate_link (beside the
-    link's own, see channel), then the received frame alone: the launch
-    frame is dropped when the link returns, so the receiver never holds it.
     """
-    t0 = time.perf_counter()
     cfg = cfg if seed is None else replace(cfg, seed=seed)
-    mux, tx_indices = _transmit(cfg)
-    rx_sig = propagate_link(mux, cfg.link)
-    del mux  # the receiver holds no launch frame
-    return _receive(cfg, rx_sig, tx_indices, t0)
+    return sweep_distance(cfg, [cfg.n_spans])
 
 
 def _run_points(cfgs: dict) -> dict:
@@ -270,21 +263,24 @@ def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
 def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     """GMI after each span count from one propagation at cfg.seed.
 
-    The record at n equals run_point(replace(cfg, n_spans=n)). Records come
-    in input order, duplicates kept; a record's runtime runs from the start
-    of the curve to its last demap.
+    The record at n equals run_point(replace(cfg, n_spans=n)); the tap whose
+    count is cfg.n_spans itself takes cfg, so a point builds no second
+    constellation or link. Records come in input order, duplicates kept; a
+    record's runtime runs from the start of the curve to its last demap.
 
     Frames alive: the launch frame is the span generator's alone, so span 1
     frees it; each tap receives the one frame of its span count, dropped
     before the next span runs.
     """
     span_counts = list(span_counts)
-    cfgs = {n: replace(cfg, n_spans=n) for n in span_counts}
+    # is, not ==: an equal 1.0 or True still goes through replace's check
+    cfgs = {n: cfg if n is cfg.n_spans else replace(cfg, n_spans=n)
+            for n in span_counts}
     if not cfgs:
         raise ValueError("empty span-count list")
     t0 = time.perf_counter()
     mux, tx_indices = _transmit(longest := cfgs[max(cfgs)])
-    spans, taps = propagate_spans(mux, longest.link), {}
+    spans, taps = propagate_link(mux, longest.link), {}
     del mux  # the generator's alone: freed in span 1, before any tap
     for n in range(1, longest.n_spans + 1):
         # next() and del, not enumerate(spans), whose reused result tuple
@@ -297,9 +293,12 @@ def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
 
 
 def _series(r: ResultRecord, *swept: str) -> tuple:
-    """r's series key: its demapper and its config's fields but demapper and swept."""
-    return (r.demapper, *(getattr(r.config, f.name) for f in fields(r.config)
-                          if f.name not in ("demapper", *swept)))
+    """r's series key: its demapper and its config's fields but demapper and
+    swept, a geometry field that r's format does not read at its default."""
+    unread = ({k for _, keys in const.BUILDERS.values() for k in keys}
+              - set(const.BUILDERS[r.format][1]))
+    return (r.demapper, *(f.default if f.name in unread else getattr(r.config, f.name)
+                          for f in fields(r.config) if f.name not in ("demapper", *swept)))
 
 
 def optimum_records(records) -> list[ResultRecord]:

@@ -164,11 +164,12 @@ def test_run_point_names_one_llr_span_per_law(tracing):
 
 
 def test_traced_link_calls_are_counted(monkeypatch):
-    """The tracer times the link through harness.propagate_link and each
-    span through channel.ssfm_span: one run_point calls the first once and
-    the second once per span, and a distance curve propagates once up to
-    its largest count, so channel.propagate_link_s and channel.ssfm_span_s
-    stay live and a curve costs max(counts) spans."""
+    """The tracer shims harness.propagate_link and channel.ssfm_span: one
+    run_point calls the first once and the second once per span, and a
+    distance curve propagates once up to its largest count, so a curve
+    costs max(counts) spans. propagate_link is the span generator, so
+    channel.propagate_link_s times only its creation; the link's time is
+    in channel.ssfm_span_s and channel.edfa_s."""
     from prs4d import channel, harness
 
     calls = []
@@ -190,7 +191,7 @@ def test_traced_link_calls_are_counted(monkeypatch):
     assert calls == ["link"] + ["span"] * cfg.n_spans
     calls.clear()
     harness.sweep_distance(cfg, [4, 2, 4])
-    assert calls == ["span"] * 4
+    assert calls == ["link"] + ["span"] * 4
 
 
 def test_shimmed_calls_stay_on_the_calling_thread(tracing, monkeypatch):

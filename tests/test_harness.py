@@ -509,8 +509,9 @@ class TestSweeps:
         H.run_point, lambda cfg: H.sweep_distance(cfg, [cfg.n_spans])])
     def test_later_spans_hold_no_extra_frame(self, run):
         """Going from 1 to 3 spans raises the peak traced memory by less
-        than 0.9 frame: no consumer of propagate_spans keeps a span's
-        field alive while the next span runs."""
+        than 0.9 frame: the one consumer of propagate_link, which run_point
+        reaches as the one-tap curve, keeps no span's field alive while the
+        next span runs."""
         cfg = tiny_config(n_channels=3, n_symbols=2**13, gamma_w_km=1.464,
                           ase_enabled=True)
         frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
@@ -531,8 +532,9 @@ class TestSweeps:
         ids=["run_point", "sweep_distance"])
     def test_receiver_holds_one_frame(self, monkeypatch, run, taps):
         """At each _receive the traced memory holds one frame, the received
-        field: the launch frame is dropped when the link returns (run_point)
-        or in span 1 (sweep_distance), so it never sits beside a tap."""
+        field: the launch frame is the span generator's alone, freed in span
+        1 of run_point's one-tap curve as of any other, so it never sits
+        beside a tap."""
         cfg = tiny_config(n_symbols=2**13, ase_enabled=True)
         frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
         held, receive = [], H._receive
@@ -549,6 +551,36 @@ class TestSweeps:
         finally:
             tracemalloc.stop()
         assert len(held) == taps and max(held) < 1.5 * frame_bytes
+
+    def test_launch_frame_is_the_generators_alone(self, monkeypatch):
+        """At each ssfm_span entry after span 1 the traced memory holds one
+        frame, the last span's field: run_point hands the launch frame to
+        the span generator, which frees it in span 1, so no span from 2 on
+        runs beside it."""
+        cfg = tiny_config(n_channels=3, n_symbols=2**13, n_spans=3,
+                          ase_enabled=True)
+        frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
+        held, span = [], channel.ssfm_span
+        H.run_point(cfg)  # scipy.fft's import, untraced
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return span(*args)
+
+        monkeypatch.setattr(channel, "ssfm_span", spy)
+        tracemalloc.start()
+        try:
+            H.run_point(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3 and max(held[1:]) < 1.5 * frame_bytes
+
+    @pytest.mark.parametrize("count", [1.0, True])
+    def test_count_equal_to_the_config_own_is_checked(self, count):
+        """The tap at cfg's own count takes cfg itself, but an equal 1.0 or
+        True is not that count: it fails the config's type check."""
+        with pytest.raises(ValueError, match=f"^n_spans must be an integer, got {count}$"):
+            H.sweep_distance(tiny_config(), [count])
 
     def test_sweep_distance_distances(self):
         recs = H.sweep_distance(tiny_config(), [1, 2, 3])
@@ -779,6 +811,36 @@ class TestFitOptimumPower:
         assert fits == H.optimum_records(shipped) + H.optimum_records(other)
         assert [(r.config.prs_rho, r.config.prs_theta) for r in fits] == [
             (cfg.prs_rho, cfg.prs_theta), (0.5, 0.40)]
+
+    def test_unread_geometry_is_one_series(self):
+        """PM-8QAM reads no geometry field, so real sweeps at prs_rho 1.6
+        and 0.5 run one experiment twice: one fit per demapper, at the
+        first sweep's config. At -20 dBm the GMI is below 6 bit/4D."""
+        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, n_symbols=2**12,
+                          demapper="both")
+        first = H.sweep_power(cfg, [-22.0, -20.0, -18.0])
+        again = H.sweep_power(replace(cfg, prs_rho=0.5), [-22.0, -20.0, -18.0])
+        fits = H.optimum_records(first + again)
+        assert [r.demapper for r in fits] == ["iid", "cg"]
+        assert fits == H.optimum_records(first)
+
+    @pytest.mark.parametrize("fmt, one, other, n_fits", [
+        ("pm8qam", {"prs_rho": 1.6, "ring_ratio": 1.5},
+         {"prs_rho": 0.5, "ring_ratio": 2.0}, 1),
+        ("6b4d_2a8psk", {"prs_rho": 1.6, "prs_theta": 0.45},
+         {"prs_rho": 0.5, "prs_theta": 0.40}, 1),
+        ("6b4d_2a8psk", {"ring_ratio": 1.5}, {"ring_ratio": 2.0}, 2),
+        ("4d64prs", {"ring_ratio": 1.5}, {"ring_ratio": 2.0}, 1),
+        ("4d64prs", {"prs_rho": 1.6, "prs_theta": 0.45},
+         {"prs_rho": 0.5, "prs_theta": 0.40}, 2),
+    ])
+    def test_series_keys_the_geometry_its_format_reads(self, fmt, one, other,
+                                                         n_fits):
+        """Hand-made sweeps that differ only in geometry fields are one
+        series where the format reads none of them, two where it does."""
+        recs = [r for geometry in (one, other)
+                for r in series([0, 1, 2], [3, 4, 3.5], format=fmt, **geometry)]
+        assert len(H.optimum_records(recs)) == n_fits
 
     def test_two_steps_are_two_series(self):
         """One sweep at the default step and at step_km=80 is two links, so
