@@ -14,6 +14,14 @@ half-step, D(h_n/2 - L): one FFT pair per span fewer than a separate CDC.
 inline_cdc, the same D(-L) on its own, stays only because the benchmark's
 tracer names it; no other public function applies dispersion.
 
+The FFT pair is numpy's, as the four-step transform (Bailey, "FFTs in
+external or hierarchical memory", J. Supercomputing 4, 1990): each row of
+n = n1 n2 samples, viewed in place as an (n1, n2) array, takes n2 transforms
+of length n1, one twiddle multiply and n1 of length n2, and its spectrum
+stays in that order, bin k1 + n1 k2 at [k1, k2]. _phasor builds the
+response in that order, so nothing is transposed, and _twiddles builds the
+(n1, n2) table once per ssfm_span or inline_cdc call.
+
 FiberParams and LinkConfig hold every rule of the fiber and the link and
 reject a bad one at construction, so a bad link fails before its first span;
 edfa reads its gain, noise figure and ASE switch from that checked link.
@@ -24,13 +32,14 @@ through dispersion, sample halves through the rotor), bit-identical to one
 thread; the helper lives one span, so no thread is alive at a grid's fork.
 
 Frames alive, a frame being one (2, n) complex field: ssfm_span holds its
-input, its working copy, one step phasor (half a frame: each run of equal
-half-steps builds its own and drops it before the next is built) and the
-rotor's block-sized scratch. edfa holds its input, its output and one
-n-sample quadrature of ASE (a quarter frame), drawn in the stream order
-x re, x im, y re, y im. propagate_link yields the field after each span and
-holds only the span in flight; the launch frame lives as long as its caller
-holds it, so a caller drops it once the generator is made.
+input, its working copy, the twiddle table (half a frame), one step phasor
+(half a frame: each run of equal half-steps builds its own and drops it
+before the next is built) and the rotor's block-sized scratch. edfa holds
+its input, its output and one n-sample quadrature of ASE (a quarter frame),
+drawn in the stream order x re, x im, y re, y im. propagate_link yields
+the field after each span and holds only the span in flight; the launch
+frame lives as long as its caller holds it, so a caller drops it once the
+generator is made.
 """
 
 from __future__ import annotations
@@ -52,6 +61,12 @@ H_PLANCK = 6.62607015e-34  # J s
 REF_WAVELENGTH_M = 1550.0 * 1e-9
 _LN10 = np.log(10.0)
 _KERR_BLOCK = 2**13  # samples per Kerr rotor block
+# Most rows n1 of the four-step FFT: n1 is the largest divisor of n up to
+# this. A 1 km step of a span, interleaved, against scipy.fft's 1D pair
+# (median, two threads/one, 2-vCPU Xeon, numpy 2.4): at 2^17 samples
+# x0.98/1.03 at 16, x1.06/0.98 at 32, x0.98/0.96 at 64 and x1.02/1.03 at
+# 128; at 2^20 x0.82/0.89, x0.91/0.94, x0.82/0.82 and x0.90/0.87.
+_FFT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -146,22 +161,54 @@ class LinkConfig:
             raise ValueError("seed must be an integer >= 0")
 
 
+def _fft_rows(n: int) -> int:
+    """The four-step FFT's n1: the largest divisor of n up to _FFT_ROWS (1
+    for a prime n, where the transform is the plain one)."""
+    return max(d for d in range(1, min(n, _FFT_ROWS) + 1) if n % d == 0)
+
+
+def _twiddles(n: int) -> np.ndarray:
+    """The (n1, n2) twiddle table exp(-2 pi j k1 j2 / n) at [k1, j2], built
+    over j2 = a b + c as the product of an (n1, n2 / b) and an (n1, b) table
+    (b = _fft_rows(n2)): n1 (n2 / b + b) exponentials instead of n."""
+    n1 = _fft_rows(n)
+    b = _fft_rows(n // n1)
+    k1, a, c = np.ogrid[:n1, :n // n1 // b, :b]
+    tw = np.exp(-2j * np.pi / n * (k1 * a * b)) * np.exp(-2j * np.pi / n * (k1 * c))
+    tw = tw.reshape(n1, -1)
+    # numpy's plan cache takes no lock: both lengths' plans are made here,
+    # on the calling thread, so ssfm_span's two threads only read them
+    np.fft.fft(tw[:, 0])
+    np.fft.fft(tw[0])
+    return tw
+
+
 def _phasor(signal: SampledSignal, beta2: float, dz: float) -> np.ndarray:
     """The all-pass dispersion response exp(+j beta2/2 w^2 dz) on the
-    fftfreq bins, exponentiated in place on one n-sample buffer."""
-    w2 = (2 * np.pi * np.fft.fftfreq(signal.n, d=1.0 / signal.fs)) ** 2
+    fftfreq bins in spectral_filter's order, bin k1 + n1 k2 at [k1, k2]."""
+    f = np.fft.fftfreq(signal.n, d=1.0 / signal.fs).reshape(-1, _fft_rows(signal.n))
+    w2 = np.multiply(2 * np.pi, f.T, order="C")
+    del f
+    np.square(w2, out=w2)
     h = 0.5j * beta2 * w2
     h *= dz
     return np.exp(h, out=h)
 
 
-def spectral_filter(fld: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Filter each row of a complex (rows, n) field by h, in place."""
-    import scipy.fft as sfft
+def spectral_filter(fld: np.ndarray, h: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """Filter each contiguous row of a complex (rows, n) field in place by
+    h, given in the four-step order of tw = _twiddles(n)."""
     for row in fld:
-        spec = sfft.fft(row, overwrite_x=True)
-        spec *= h
-        row[...] = sfft.ifft(spec, overwrite_x=True)
+        a = row.reshape(tw.shape)
+        np.fft.fft(a, axis=0, out=a)
+        a *= tw
+        np.fft.fft(a, axis=1, out=a)
+        a *= h
+        np.fft.ifft(a, axis=1, out=a)
+        np.conjugate(a, out=a)  # a * conj(tw), in place
+        a *= tw
+        np.conjugate(a, out=a)
+        np.fft.ifft(a, axis=0, out=a)
     return fld
 
 
@@ -170,8 +217,10 @@ def _kerr(fld: np.ndarray, gamma: float, dz_eff: float,
     """Manakov Kerr rotation (8/9 factor) times a real gain, in place, one
     block of _KERR_BLOCK samples at a time (elementwise, so bit for bit the
     whole-field rotor)."""
-    # Buffers per call: held across a span they made glibc return the FFT's
-    # per-call scratch to the OS every call at 2^20 samples (16k faults/step).
+    # Buffers per call: held across a span they changed nothing at 2^20
+    # samples (1 km steps, two threads/one: 524/460 minor faults and 83/143
+    # ms per step per call, 528/464 and 87/144 held), as the transforms
+    # leave no frame-sized scratch to return to the OS between calls.
     # Block-sized, not frame-sized: 3/4 frame less beside the step phasor,
     # and on 2^16 and 2^20 samples the rotor ran ~20 % faster in 2^13 blocks
     # (2-vCPU Xeon, numpy 2.4).
@@ -218,6 +267,7 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
 
     fld = signal.field.copy()
+    tw = _twiddles(signal.n)
     rows = (fld[:1], fld[1:])
     cut = (fld[:, :signal.n // 2], fld[:, signal.n // 2:])
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
@@ -228,19 +278,21 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
         for half, run in itertools.groupby(zip(steps, halves), lambda s: s[1]):
             phasor = _phasor(signal, fiber.beta2_s2_km, half)
             for dz, _ in run:
-                _split(pool, spectral_filter, rows, phasor)
+                _split(pool, spectral_filter, rows, phasor, tw)
                 _split(pool, _kerr, cut, fiber.gamma_w_km,
                        fiber.effective_length_km(dz), np.exp(-alpha * dz / 2))
             del phasor
         cdc = halves[-1] - fiber.length_km  # D(h_n/2) D(-L) = D(h_n/2 - L)
-        _split(pool, spectral_filter, rows, _phasor(signal, fiber.beta2_s2_km, cdc))
+        _split(pool, spectral_filter, rows,
+               _phasor(signal, fiber.beta2_s2_km, cdc), tw)
     return replace(signal, field=fld)
 
 
 def inline_cdc(signal: SampledSignal, fiber: FiberParams) -> SampledSignal:
     """Ideal lossless compensation of one span's dispersion, D(-beta2 L)."""
     phasor = _phasor(signal, fiber.beta2_s2_km, -fiber.length_km)
-    return replace(signal, field=spectral_filter(signal.field.copy(), phasor))
+    fld = spectral_filter(signal.field.copy(), phasor, _twiddles(signal.n))
+    return replace(signal, field=fld)
 
 
 def edfa(signal: SampledSignal, link: LinkConfig,

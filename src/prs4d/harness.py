@@ -243,7 +243,6 @@ def _run_points(cfgs: dict) -> dict:
     workers = min(int(env), len(cfgs))
     if workers <= 1:
         return dict(zip(cfgs, map(run_point, cfgs.values())))
-    import scipy.fft  # noqa: F401 - before the fork, so the workers inherit it
     from concurrent.futures import ProcessPoolExecutor  # not module-level: 7-8 ms
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return dict(zip(cfgs, pool.map(run_point, cfgs.values())))

@@ -54,7 +54,6 @@ def channel_select(signal: SampledSignal, k: int, n_channels: int) -> np.ndarray
     matched response and folded onto Ns bins: decimation by sps aliases
     the spectrum in blocks of Ns bins, scaled by 1/sps.
     """
-    import scipy.fft as sfft
     sps = round(signal.fs / BAUD_HZ)
     if abs(signal.fs / BAUD_HZ - sps) > 1e-9 or sps < 2 or signal.n % sps:
         raise ValueError("frame must hold whole symbols at an integer sps >= 2")
@@ -67,11 +66,11 @@ def channel_select(signal: SampledSignal, k: int, n_channels: int) -> np.ndarray
     neg = np.searchsorted(j, 0)  # j ascends: j[:neg] < 0 <= j[neg:]
     fold = np.zeros((2, ns), dtype=complex)  # bin j at j mod ns
     for row, pol in zip(fold, signal.field):
-        spec = sfft.fft(pol)[at] * h
+        spec = np.fft.fft(pol)[at] * h
         row[j[neg:]] = spec[neg:]
         row[j[:neg] + ns] += spec[:neg]
         del spec  # not held while the next row's is built
-    sym = sfft.ifft(fold, axis=1, overwrite_x=True)
+    sym = np.fft.ifft(fold, axis=1, out=fold)
     sym /= sps
     return np.ascontiguousarray(sym.T).view(float)
 

@@ -12,11 +12,6 @@ The frame is built in the spectrum: a shaped channel is its symbol
 spectrum times the exact RRC response, kept on the response's support,
 and wdm_mux shifts each channel to its carrier_bin on the paper's WDM
 grid, the constants below, sums, and takes one inverse FFT per polarization.
-
-scipy.fft is imported inside the functions that transform, here and in
-channel and rxdsp, not at module level: it is most of the package's import
-time and memory, and the design commands (AWGN GMI, constellation search)
-never build a waveform.
 """
 
 from __future__ import annotations
@@ -112,12 +107,11 @@ def rrc_support(ns: int, sps: int):
 def rrc_shape(symbols: np.ndarray, sps: int) -> ChannelSpectrum:
     """Pulse-shape Ns x 4 symbols [Re X, Im X, Re Y, Im Y] into the spectrum
     of an Ns * sps frame: bin j is symbol bin j mod Ns times the response."""
-    import scipy.fft as sfft
     # a copy: the FFT below overwrites its input
     sym = np.array(symbols, dtype=float, order="C").view(complex).T
     ns = sym.shape[1]
     j, h = rrc_support(ns, sps)
-    bins = sfft.fft(sym, axis=1, overwrite_x=True)[:, j] * h
+    bins = np.fft.fft(sym, axis=1, out=sym)[:, j] * h
     return ChannelSpectrum(bins=bins, index=j, n=ns * sps, fs=sps * BAUD_HZ)
 
 
@@ -137,7 +131,6 @@ def wdm_mux(channels: list[ChannelSpectrum]) -> SampledSignal:
     keeps, and are summed in index order for bit-exact reproducibility.
     SPACING_HZ is wider than a channel's band, so no spectra overlap.
     """
-    import scipy.fft as sfft
     n_ch = len(channels)
     if n_ch == 0:
         raise ValueError("need at least one channel")
@@ -152,5 +145,5 @@ def wdm_mux(channels: list[ChannelSpectrum]) -> SampledSignal:
     for k, ch in enumerate(channels):
         spec[:, (ch.index + carrier_bin(k, n_ch, n, fs)) % n] += ch.bins
     for row in spec:
-        row[...] = sfft.ifft(row, overwrite_x=True)
+        np.fft.ifft(row, out=row)
     return SampledSignal(spec, fs)

@@ -32,7 +32,8 @@ def disperse(sig, beta2, dz):
     """D(dz) on a copy of sig's field, by the _phasor and spectral_filter
     that ssfm_span runs."""
     phasor = ch._phasor(sig, beta2, dz)
-    return replace(sig, field=spectral_filter(sig.field.copy(), phasor))
+    fld = spectral_filter(sig.field.copy(), phasor, ch._twiddles(sig.n))
+    return replace(sig, field=fld)
 
 
 def unfolded_span(sig, fiber, step_km):
@@ -45,12 +46,13 @@ def unfolded_span(sig, fiber, step_km):
         steps.append(rem)
     halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
     ph = {half: ch._phasor(sig, fiber.beta2_s2_km, half) for half in set(halves)}
+    tw = ch._twiddles(sig.n)
     fld = sig.field.copy()
     for dz, half in zip(steps, halves):
-        spectral_filter(fld, ph[half])
+        spectral_filter(fld, ph[half], tw)
         dz_eff = (1.0 - np.exp(-alpha * dz)) / alpha if alpha > 0 else dz
         ch._kerr(fld, fiber.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2.0))
-    spectral_filter(fld, ph[halves[-1]])
+    spectral_filter(fld, ph[halves[-1]], tw)
     del ph
     return ch.inline_cdc(replace(sig, field=fld), fiber)
 
@@ -282,14 +284,15 @@ class TestSsfmSpan:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
                              ids=["one_cpu", "two_cpus"])
-    @pytest.mark.parametrize("n", [301, 4097])
+    @pytest.mark.parametrize("n", [301, 4093, 4097, 2**17])
     def test_bit_identical_to_single_thread_stepper(self, monkeypatch, n,
                                                     cpus):
         """Either schedule (one thread, or rows through dispersion and
         sample halves through the rotor on two; odd n makes the halves
         unequal) equals spectral_filter + whole-field _kerr bit for bit
         over a 1 km span in 0.3 km steps (0.1 km remainder), the last
-        half-step folded with the CDC."""
+        half-step folded with the CDC. The four-step rows n1 are 43, 1
+        (4093 is prime), 17 and 64."""
         kerr, threads = ch._kerr, set()
 
         def spy(*args):
@@ -306,27 +309,69 @@ class TestSsfmSpan:
         cdc = halves[-1] - SHORT.length_km
         ph = {dz: ch._phasor(sig, SHORT.beta2_s2_km, dz)
               for dz in set(halves + [cdc])}
+        tw = ch._twiddles(n)
         fld = sig.field.copy()
         for dz, half in zip(steps, halves):
-            spectral_filter(fld, ph[half])
+            spectral_filter(fld, ph[half], tw)
             dz_eff = -np.expm1(-alpha * dz) / alpha
             kerr(fld, SHORT.gamma_w_km, dz_eff, np.exp(-alpha * dz / 2.0))
-        spectral_filter(fld, ph[cdc])
+        spectral_filter(fld, ph[cdc], tw)
 
         out = ch.ssfm_span(sig, SHORT, 0.3)
         assert np.array_equal(out.field, fld)
         assert len(threads) == len(cpus)
 
 
+def in_transform_order(h):
+    """A response on the natural fftfreq bins, moved to spectral_filter's
+    four-step order: bin k1 + n1 k2 at [k1, k2]."""
+    return np.ascontiguousarray(h.reshape(-1, ch._fft_rows(h.size)).T)
+
+
 class TestSpectralFilter:
     def test_in_place_and_equal_to_stacked_pair(self):
+        """Every row against the plain 1D pair, at unit, prime, odd and
+        even n, up to an 11-channel paper-width frame (2^13 x 25 samples)
+        and 2^20."""
         rng = np.random.default_rng(3)
-        fld = rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))
-        h = np.exp(1j * rng.standard_normal(1000))
-        ref = np.fft.ifft(np.fft.fft(fld, axis=1) * h, axis=1)
-        out = ch.spectral_filter(fld, h)
-        assert out is fld
-        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for n in [1, 2, 3, 64, 65, 127, 301, 1000, 4097, 2**17, 204800, 2**20]:
+            fld = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+            h = np.exp(1j * rng.standard_normal(n))
+            ref = np.fft.ifft(np.fft.fft(fld, axis=1) * h, axis=1)
+            out = ch.spectral_filter(fld, in_transform_order(h), ch._twiddles(n))
+            assert out is fld
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+    @pytest.mark.parametrize("n, n1", [(1, 1), (64, 64), (127, 1), (301, 43),
+                                       (2**17, 64), (204800, 64), (2**20, 64)])
+    def test_rows_are_the_largest_divisor_up_to_the_constant(self, n, n1):
+        assert ch._FFT_ROWS == 64
+        assert ch._fft_rows(n) == n1 and ch._twiddles(n).shape == (n1, n // n1)
+
+
+def test_numpy_fft_from_two_threads_equals_serial():
+    """numpy's FFT plan cache (16 plans) takes no lock, and ssfm_span runs
+    transforms on two threads: at 24 lengths, so the threads also evict
+    each other's plans, every transform equals its serial result."""
+    lengths = [60 + 7 * k for k in range(12)] + [2**k * 3 for k in range(4, 16)]
+    rng = np.random.default_rng(5)
+    xs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in lengths]
+    serial = [np.fft.fft(x) for x in xs]
+    start, bad = threading.Barrier(2), []
+
+    def work(order):
+        start.wait()
+        for _ in range(200):
+            for k in order:
+                if not np.array_equal(np.fft.fft(xs[k]), serial[k]):
+                    bad.append(lengths[k])
+
+    order = list(range(len(lengths)))
+    helper = threading.Thread(target=work, args=(order[::-1],), daemon=True)
+    helper.start()
+    work(order)
+    helper.join(timeout=60)
+    assert not helper.is_alive() and bad == []
 
 
 class TestFoldedCdc:
@@ -350,9 +395,9 @@ class TestFoldedCdc:
         propagate_link never calls inline_cdc."""
         rows = []
 
-        def counted(fld, h):
+        def counted(fld, h, tw):
             rows.append(len(fld))
-            return spectral_filter(fld, h)
+            return spectral_filter(fld, h, tw)
 
         def no_cdc(*args):
             raise AssertionError("inline_cdc called")
@@ -397,7 +442,7 @@ class TestFoldedCdc:
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         sig = random_signal(n=2**15, power_w=10e-3)
         frame_bytes = sig.field.nbytes
-        ch.ssfm_span(sig, LEAF, 80.0)  # scipy.fft's import, untraced
+        ch.ssfm_span(sig, LEAF, 80.0)  # numpy.fft's lazy import, untraced
         one = traced_peak(ch.ssfm_span, sig, LEAF, 80.0)
         eight = traced_peak(ch.ssfm_span, sig, LEAF, 10.0)
         assert eight - one <= 0.2 * frame_bytes
@@ -415,9 +460,9 @@ class TestFoldedCdc:
             built.append((dz, out))
             return out
 
-        def spy_filter(fld, h):
+        def spy_filter(fld, h, tw):
             applied.update(dz for dz, b in built if b is h)
-            return spectral_filter(fld, h)
+            return spectral_filter(fld, h, tw)
 
         monkeypatch.setattr(ch, "_phasor", spy_phasor)
         monkeypatch.setattr(ch, "spectral_filter", spy_filter)
@@ -427,13 +472,14 @@ class TestFoldedCdc:
     @pytest.mark.parametrize("n", [1, 2, 3, 301, 4096, 4097, 2**17])
     def test_phasor_mirror_bit_identical(self, n):
         """Each response is the exponential on every fftfreq bin, bit for
-        bit, at even, odd and unit n."""
+        bit, at even, odd and unit n, in the transform's bin order."""
         sig = SampledSignal(np.zeros((2, n)), fs=180e9)
         dzs = [0.05, 0.15, 1 / 3, 80.0, 0.05 - 80.0]
         w2 = (2 * np.pi * np.fft.fftfreq(n, d=1.0 / sig.fs)) ** 2
         for dz in dzs:
             ref = np.exp(0.5j * LEAF.beta2_s2_km * w2 * dz)
-            assert np.array_equal(ch._phasor(sig, LEAF.beta2_s2_km, dz), ref)
+            assert np.array_equal(ch._phasor(sig, LEAF.beta2_s2_km, dz),
+                                  in_transform_order(ref))
 
 
 class TestInputsUnchanged:
@@ -550,23 +596,3 @@ class TestPropagateLink:
                              ase_enabled=False, seed=0)
         *_, out = ch.propagate_link(sig, link)
         assert np.array_equal(out.x, out.y)
-
-
-def test_first_fft_of_a_process_may_run_inside_ssfm_span(fresh_python):
-    """A process whose first transform is ssfm_span's has its caller and
-    helper thread reach the deferred scipy.fft import at once; the output
-    equals, bit for bit, that of a process that imported it before."""
-    code = ("import hashlib, os\n"
-            "import numpy as np\n"
-            "from prs4d import channel as ch\n"
-            "from prs4d.txdsp import SampledSignal\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}  # the helper thread on any host\n"
-            "fld = 0.05 * np.random.default_rng(3).standard_normal((2, 2 ** 14))\n"
-            "sig = SampledSignal(fld.view(complex), 720e9)\n"
-            "print('scipy.fft' in sys.modules)\n"
-            "out = ch.ssfm_span(sig, ch.FiberParams(length_km=4.0), 1.0)\n"
-            "print(hashlib.sha256(out.field.tobytes()).hexdigest())")
-    cold = fresh_python(code).split()
-    warm = fresh_python("import scipy.fft\n" + code).split()
-    assert cold[0] == "False" and warm[0] == "True"
-    assert cold[1] == warm[1]

@@ -441,17 +441,6 @@ class TestSweeps:
             assert (without_runtime(H.records_to_csv(pooled))
                     == without_runtime(H.records_to_csv(serial)))
 
-    def test_pool_workers_inherit_scipy_fft(self, fresh_python):
-        """The pool forks after scipy.fft is imported, so no worker imports
-        it again at its first point."""
-        out = fresh_python(
-            "import os; os.environ['PRS4D_WORKERS'] = '2'\n"
-            "from prs4d import harness as H\n"
-            "def probe(cfg): return 'scipy.fft' in sys.modules\n"
-            "H.run_point = probe\n"
-            "print(sorted(H._run_points({0: None, 1: None}).values()))")
-        assert out.splitlines()[-1] == "[True, True]"
-
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
         monkeypatch.setenv("PRS4D_WORKERS", value)
@@ -515,7 +504,7 @@ class TestSweeps:
         cfg = tiny_config(n_channels=3, n_symbols=2**13, gamma_w_km=1.464,
                           ase_enabled=True)
         frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
-        run(cfg)  # scipy.fft's import, untraced
+        run(cfg)  # numpy.fft's lazy import, untraced
 
         def peak(n_spans):
             tracemalloc.start()
@@ -538,7 +527,7 @@ class TestSweeps:
         cfg = tiny_config(n_symbols=2**13, ase_enabled=True)
         frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
         held, receive = [], H._receive
-        run(cfg)  # scipy.fft's import, untraced
+        run(cfg)  # numpy.fft's lazy import, untraced
 
         def spy(*args):
             held.append(tracemalloc.get_traced_memory()[0])
@@ -561,7 +550,7 @@ class TestSweeps:
                           ase_enabled=True)
         frame_bytes = 2 * cfg.n_symbols * cfg.effective_sps() * 16
         held, span = [], channel.ssfm_span
-        H.run_point(cfg)  # scipy.fft's import, untraced
+        H.run_point(cfg)  # numpy.fft's lazy import, untraced
 
         def spy(*args):
             held.append(tracemalloc.get_traced_memory()[0])
