@@ -33,7 +33,7 @@ thread; the helper lives one span, so no thread is alive at a grid's fork.
 
 Frames alive, a frame being one (2, n) complex field: ssfm_span holds its
 input, its working copy, the twiddle table (half a frame), one step phasor
-(half a frame: each run of equal half-steps builds its own and drops it
+(a quarter frame, built in place; each run of equal half-steps drops its own
 before the next is built) and the rotor's block-sized scratch. edfa holds
 its input, its output and one n-sample quadrature of ASE (a quarter frame),
 drawn in the stream order x re, x im, y re, y im. propagate_link yields
@@ -184,26 +184,34 @@ def _twiddles(n: int) -> np.ndarray:
 
 
 def _phasor(signal: SampledSignal, beta2: float, dz: float) -> np.ndarray:
-    """The all-pass dispersion response exp(+j beta2/2 w^2 dz) on the
-    fftfreq bins in spectral_filter's order, bin k1 + n1 k2 at [k1, k2]."""
-    f = np.fft.fftfreq(signal.n, d=1.0 / signal.fs).reshape(-1, _fft_rows(signal.n))
-    w2 = np.multiply(2 * np.pi, f.T, order="C")
-    del f
-    np.square(w2, out=w2)
-    h = 0.5j * beta2 * w2
-    h *= dz
-    return np.exp(h, out=h)
+    """exp(+j beta2/2 w^2 dz) in spectral_filter's order, rows k1 <= n1 // 2."""
+    n, n1 = signal.n, _fft_rows(signal.n)
+    h = np.empty((n1 // 2 + 1, n // n1), complex)
+    # fftfreq's signed bin index to the phase in exp's op order: cos + j sin = exp
+    ph = np.add.outer(np.arange(len(h)), np.arange(n // 2, n + n // 2, n1), out=h.imag)
+    ph %= n
+    ph -= n // 2
+    ph *= 1.0 / (n * (1.0 / signal.fs))
+    ph *= 2 * np.pi
+    np.square(ph, out=ph)
+    ph *= 0.5 * beta2
+    ph *= dz
+    np.cos(ph, out=h.real)
+    np.sin(ph, out=ph)
+    return h
 
 
 def spectral_filter(fld: np.ndarray, h: np.ndarray, tw: np.ndarray) -> np.ndarray:
     """Filter each contiguous row of a complex (rows, n) field in place by
-    h, given in the four-step order of tw = _twiddles(n)."""
+    h in tw = _twiddles(n)'s four-step order. Rows past len(h) mirror, as an
+    even response's bin n - k of row k1 >= 1 is at [n1 - k1, n2 - 1 - k2]."""
     for row in fld:
         a = row.reshape(tw.shape)
         np.fft.fft(a, axis=0, out=a)
         a *= tw
         np.fft.fft(a, axis=1, out=a)
-        a *= h
+        a[:len(h)] *= h
+        a[len(h):] *= h[len(a) - len(h):0:-1, ::-1]
         np.fft.ifft(a, axis=1, out=a)
         np.conjugate(a, out=a)  # a * conj(tw), in place
         a *= tw

@@ -185,7 +185,7 @@ def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
         raise ValueError(f"{flag} {spec!r}: range of infinite length")
     count = math.floor(span) + 1
     if count > _MAX_GRID:
-        raise ValueError(f"{flag} {spec!r}: {count} values, more than {_MAX_GRID}")
+        raise ValueError(f"{flag} {spec!r}: {count:.6g} values, more than {_MAX_GRID}")
     return [lo + k * step for k in range(count)]
 
 

@@ -328,6 +328,16 @@ def in_transform_order(h):
     return np.ascontiguousarray(h.reshape(-1, ch._fft_rows(h.size)).T)
 
 
+def mirrored(h, n1):
+    """The full (n1, n2) table of an even response given by its rows
+    k1 <= n1 // 2: bin n - k of row k1 >= 1 is at [n1 - k1, n2 - 1 - k2]."""
+    full = np.empty((n1, h.shape[1]), complex)
+    full[:len(h)] = h
+    for k1 in range(len(h), n1):
+        full[k1] = h[n1 - k1, ::-1]
+    return full
+
+
 class TestSpectralFilter:
     def test_in_place_and_equal_to_stacked_pair(self):
         """Every row against the plain 1D pair, at unit, prime, odd and
@@ -341,6 +351,25 @@ class TestSpectralFilter:
             out = ch.spectral_filter(fld, in_transform_order(h), ch._twiddles(n))
             assert out is fld
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 301, 4093, 4097, 2**17, 204800])
+    def test_half_table_equals_full_table(self, n):
+        """_phasor's rows k1 <= n1 // 2, mirrored inside spectral_filter,
+        filter the field bit for bit as the whole table does; n1 is 1 at
+        4093, odd at 3, 65, 301 and 4097. At n = 3 alone the mirror is one
+        bin, and numpy's in-place complex multiply of a lone element rounds
+        unlike its vector loop (numpy 2.4): there the field may differ in
+        its last bits."""
+        sig = random_signal(n=n)
+        h = ch._phasor(sig, LEAF.beta2_s2_km, 0.05 - 80.0)
+        full = mirrored(h, ch._fft_rows(n))
+        tw = ch._twiddles(n)
+        out = spectral_filter(sig.field.copy(), h, tw)
+        ref = spectral_filter(sig.field.copy(), full, tw)
+        if n == 3:
+            assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("n, n1", [(1, 1), (64, 64), (127, 1), (301, 43),
                                        (2**17, 64), (204800, 64), (2**20, 64)])
@@ -418,7 +447,7 @@ class TestFoldedCdc:
     def test_peak_memory_not_above_unfolded_chain(self, monkeypatch, fiber,
                                                   step_km):
         """The folded phasor is built after the step phasors are dropped,
-        so it adds nothing to the span's peak (half a frame if built up
+        so it adds nothing to the span's peak (a quarter frame if built up
         front). One thread: the helper's ~10 kB of bookkeeping does not
         depend on the fold and is left out of both sides."""
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
@@ -438,7 +467,7 @@ class TestFoldedCdc:
         """Eight 10 km steps (phasors D(5 km), D(10 km), then the CDC fold)
         peak within 0.2 frame of one 80 km step: each run of equal
         half-steps drops its phasor before the next is built. Holding
-        D(h/2) and D(h) through the span costs half a frame more."""
+        D(h/2) and D(h) through the span costs a quarter frame more."""
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         sig = random_signal(n=2**15, power_w=10e-3)
         frame_bytes = sig.field.nbytes
@@ -446,6 +475,23 @@ class TestFoldedCdc:
         one = traced_peak(ch.ssfm_span, sig, LEAF, 80.0)
         eight = traced_peak(ch.ssfm_span, sig, LEAF, 10.0)
         assert eight - one <= 0.2 * frame_bytes
+
+    def test_span_peak_is_its_frames(self, monkeypatch):
+        """One span's traced peak is its working copy, the twiddle table,
+        one step phasor of rows k1 <= n1 // 2 and the rotor's scratch, with
+        1/64 frame for bookkeeping and ufunc buffers: no frame-sized build
+        temporary. One thread, so the helper's bookkeeping is left out."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        n = 2**17
+        sig = random_signal(n=n, power_w=10e-3)
+        n1 = ch._fft_rows(n)
+        frames = (sig.field.nbytes + ch._twiddles(n).nbytes
+                  + sig.field.nbytes // 2 * (n1 // 2 + 1) // n1
+                  + ch._KERR_BLOCK * (8 + 16))
+        ch.ssfm_span(sig, LEAF, 80.0)  # numpy.fft's lazy import, untraced
+        for step_km in (80.0, 10.0):
+            peak = traced_peak(ch.ssfm_span, sig, LEAF, step_km)
+            assert peak <= frames + sig.field.nbytes / 64, step_km
 
     @pytest.mark.parametrize("fiber, step_km", [(SHORT, 0.3), (LEAF, 0.1)],
                              ids=["short_0.3km", "leaf_0.1km"])
@@ -469,17 +515,22 @@ class TestFoldedCdc:
         ch.ssfm_span(random_signal(n=64), fiber, step_km)
         assert sorted(dz for dz, _ in built) == sorted(applied)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 301, 4096, 4097, 2**17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 301, 4093, 4096, 4097,
+                                   2**17, 204800])
     def test_phasor_mirror_bit_identical(self, n):
-        """Each response is the exponential on every fftfreq bin, bit for
-        bit, at even, odd and unit n, in the transform's bin order."""
+        """Each response's rows k1 <= n1 // 2 and their mirror are the
+        exponential on every fftfreq bin, by value bit for bit, in the
+        transform's bin order: n1 = 1 at n = 1 and 4093 (prime), odd n1 at
+        3, 65, 301 and 4097, even n1 at 2, 64, 4096, 2^17 and 204800."""
         sig = SampledSignal(np.zeros((2, n)), fs=180e9)
+        n1 = ch._fft_rows(n)
         dzs = [0.05, 0.15, 1 / 3, 80.0, 0.05 - 80.0]
         w2 = (2 * np.pi * np.fft.fftfreq(n, d=1.0 / sig.fs)) ** 2
         for dz in dzs:
             ref = np.exp(0.5j * LEAF.beta2_s2_km * w2 * dz)
-            assert np.array_equal(ch._phasor(sig, LEAF.beta2_s2_km, dz),
-                                  in_transform_order(ref))
+            h = ch._phasor(sig, LEAF.beta2_s2_km, dz)
+            assert h.shape == (n1 // 2 + 1, n // n1)
+            assert np.array_equal(mirrored(h, n1), in_transform_order(ref))
 
 
 class TestInputsUnchanged:

@@ -145,13 +145,15 @@ class TestParseGrid:
 
     def test_range_longer_than_the_bound_fails_before_it_is_built(self, capsys):
         """The count is checked before any value is made: one past the bound
-        fails with one line that names the count."""
-        spec = f"0:{cli._MAX_GRID}:1"
-        assert cli.main(["sweep-power", f"--powers={spec}", "--output", "-"]
-                        + TINY) == 1
-        assert capsys.readouterr() == ("", f"error: --powers {spec!r}: "
-                                       f"{cli._MAX_GRID + 1} values, more than "
-                                       f"{cli._MAX_GRID}\n")
+        fails with one line that names the count, and a count near 10^300
+        reads in six significant digits, not 301."""
+        for spec, count in [(f"0:{cli._MAX_GRID}:1", f"{cli._MAX_GRID + 1}"),
+                            ("0:1:1e-300", "1e+300")]:
+            assert cli.main(["sweep-power", f"--powers={spec}", "--output", "-"]
+                            + TINY) == 1
+            assert capsys.readouterr() == ("", f"error: --powers {spec!r}: "
+                                           f"{count} values, more than "
+                                           f"{cli._MAX_GRID}\n")
 
     def test_range_of_exactly_the_bound_parses(self):
         grid = cli._parse_grid("--powers", f"1:{cli._MAX_GRID}:1")
