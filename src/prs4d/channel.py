@@ -9,10 +9,11 @@ and two are the only code for the physics: dispersion (_phasor builds
 exp(j beta2/2 w^2 dz), spectral_filter applies it, both here only) and _kerr
 (the Manakov rotor, whose real gain carries each SSFM step's loss). A span is
 fiber, ideal lossless inline CDC D(-L) and an EDFA whose ASE is white over
-the full simulated bandwidth. ssfm_span folds the CDC into its last merged
-half-step, D(h_n/2 - L): one FFT pair per span fewer than a separate CDC.
-inline_cdc, the same D(-L) on its own, stays only because the benchmark's
-tracer names it; no other public function applies dispersion.
+the full simulated bandwidth. ssfm_span walks _schedule, the one split-step
+plan, which folds the CDC into the last merged half-step, D(h_n/2 - L): one
+FFT pair per span fewer than a separate CDC. inline_cdc, the same D(-L) on
+its own, stays only because the benchmark's tracer names it; no other public
+function applies dispersion.
 
 The FFT pair is numpy's, as the four-step transform (Bailey, "FFTs in
 external or hierarchical memory", J. Supercomputing 4, 1990): each row of
@@ -256,33 +257,35 @@ def _split(pool, fn, parts, *args):
     return job.result() if pool else None
 
 
+def _schedule(fiber: FiberParams, step_km: float) -> tuple[list, list, float]:
+    """One span's split-step plan: the steps h_k (whole steps, then the
+    remainder if above 1e-9 L), the merged half-step (h_{k-1} + h_k)/2
+    before each rotor, and the CDC fold h_n/2 - L, as D(h_n/2) D(-L)."""
+    n_full, rem = divmod(fiber.length_km, step_km)
+    steps = [step_km] * int(round(n_full))
+    if rem > 1e-9 * fiber.length_km:
+        steps.append(rem)
+    halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps)]
+    return steps, halves, steps[-1] / 2 - fiber.length_km
+
+
 def ssfm_span(signal: SampledSignal, fiber: FiberParams,
               step_km: float) -> SampledSignal:
     """One span of the dispersion-managed link: the fiber by symmetric
     split-step solution of the Manakov equation, then ideal inline CDC.
 
-    Per step of size dz: half-step dispersion, nonlinearity over the
-    attenuation-aware effective length (1 - e^{-a dz})/a, half-step
-    dispersion, and the loss e^{-a dz / 2} as the Kerr rotor's gain.
-    The CDC D(-L) merges exactly into the last half-step, D(h_n/2 - L).
+    Per step dz of _schedule's plan: half-step dispersion, nonlinearity
+    over the attenuation-aware effective length (1 - e^{-a dz})/a, half-step
+    dispersion, and the loss e^{-a dz / 2} as the Kerr rotor's gain; the
+    CDC D(-L) merges exactly into the last half-step, D(h_n/2 - L).
     """
-    n_full, rem = divmod(fiber.length_km, step_km)
-    steps = [step_km] * int(round(n_full))
-    if rem > 1e-9 * fiber.length_km:
-        steps.append(rem)
+    steps, halves, cdc = _schedule(fiber, step_km)
     alpha = fiber.alpha_db_km * _LN10 / 10.0  # power Np/km
-    # merged half steps: D(h1/2) N1 D((h1+h2)/2) N2 ... D(hn/2)
-    halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
-
-    fld = signal.field.copy()
-    tw = _twiddles(signal.n)
-    rows = (fld[:1], fld[1:])
-    cut = (fld[:, :signal.n // 2], fld[:, signal.n // 2:])
+    fld, tw = signal.field.copy(), _twiddles(signal.n)
+    rows, cut = (fld[:1], fld[1:]), (fld[:, :signal.n // 2], fld[:, signal.n // 2:])
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    two = len(cpus) > 1
-    with ThreadPoolExecutor(1) if two else contextlib.nullcontext() as pool:
-        # One phasor alive at a time: each run of equal half-steps builds its
-        # own and drops it before the next is built (h_n/2: CDC fold only).
+    with ThreadPoolExecutor(1) if len(cpus) > 1 else contextlib.nullcontext() as pool:
+        # one phasor alive at a time: each run of equal half-steps drops its own
         for half, run in itertools.groupby(zip(steps, halves), lambda s: s[1]):
             phasor = _phasor(signal, fiber.beta2_s2_km, half)
             for dz, _ in run:
@@ -290,7 +293,6 @@ def ssfm_span(signal: SampledSignal, fiber: FiberParams,
                 _split(pool, _kerr, cut, fiber.gamma_w_km,
                        fiber.effective_length_km(dz), np.exp(-alpha * dz / 2))
             del phasor
-        cdc = halves[-1] - fiber.length_km  # D(h_n/2) D(-L) = D(h_n/2 - L)
         _split(pool, spectral_filter, rows,
                _phasor(signal, fiber.beta2_s2_km, cdc), tw)
     return replace(signal, field=fld)

@@ -225,7 +225,7 @@ _COMMANDS = {
     "sweep-power": ("GMI vs launch power, on PRS4D_WORKERS processes (default 1)",
                     "results.csv", ("launch_dbm", "gmi_bit4d"), (
         ("--powers", "-4:6:1", "launch powers in dBm, lo:hi:step or comma list",
-         "launch_dbm"),), harness.sweep_power),
+         "launch_dbm"),), lambda cfg, powers: harness.run_grid(cfg, launch_dbm=powers)),
     "sweep-distance": ("GMI after each span count, from one propagation", "results.csv",
                        ("distance_km", "gmi_bit4d"), (
         ("--spans", "4,6,8,10,12,14", "span counts, lo:hi:step or comma list",

@@ -1,16 +1,15 @@
 """Experiment orchestration: sweep_distance is the one chain, transmit ->
 propagate_link -> receive after each span count, and run_point is its one
-tap at cfg.n_spans. Every sweep follows one rule: its records at a grid
-value equal run_point(replace(cfg, field=value)) at cfg.seed, bit for bit
-but for the measured runtime_s. A power sweep runs each distinct power once.
-sweep_power and sweep_channels check every point's config before any span
-runs, then run all their points on one pool of PRS4D_WORKERS processes (an
-integer >= 1 in the environment, default 1), never more than the points.
-A record carries its config, and _series is the one series rule: one
-demapper at configs equal but for the swept fields. optimum_records, the one
-optimum-power fit, and find_reach both keep to it. optimize_prs_params, the
-4D-64PRS design search, scores each geometry with the demapper's AWGN
-reference, so it lives here beside the experiments.
+tap at cfg.n_spans. run_grid is the one runner of every grid of config
+fields, n_spans values being taps of one propagation per point: its records
+at a point equal run_point(replace(cfg, **point)) at cfg.seed, bit for bit
+but for runtime_s. It checks every config before any span and runs each
+distinct point once, on one pool of PRS4D_WORKERS processes (an integer >= 1
+in the environment, default 1). A record carries its config, and _series is
+the one series rule: one demapper at configs equal but for the swept fields.
+optimum_records, the one optimum-power fit (sweep_channels fits one grid),
+and find_reach keep to it. optimize_prs_params, the 4D-64PRS design search,
+scores each geometry with the demapper's AWGN reference.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
 estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -234,31 +234,6 @@ def run_point(cfg: ExperimentConfig,
     return sweep_distance(cfg, [cfg.n_spans])
 
 
-def _run_points(cfgs: dict) -> dict:
-    """run_point of each config, keyed alike, on one pool of at most
-    PRS4D_WORKERS processes and never more than there are configs."""
-    env = os.environ.get("PRS4D_WORKERS") or "1"
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
-    workers = min(int(env), len(cfgs))
-    if workers <= 1:
-        return dict(zip(cfgs, map(run_point, cfgs.values())))
-    from concurrent.futures import ProcessPoolExecutor  # not module-level: 7-8 ms
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(zip(cfgs, pool.map(run_point, cfgs.values())))
-
-
-def sweep_power(cfg: ExperimentConfig, powers) -> list[ResultRecord]:
-    """run_point(replace(cfg, launch_dbm=p)) for each power p at cfg.seed, in
-    order on PRS4D_WORKERS processes; a repeated power is run once."""
-    powers = list(powers)
-    cfgs = {p: replace(cfg, launch_dbm=p) for p in powers}
-    if not cfgs:
-        raise ValueError("empty power list")
-    points = _run_points(cfgs)
-    return [r for p in powers for r in points[p]]
-
-
 def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
     """GMI after each span count from one propagation at cfg.seed.
 
@@ -329,22 +304,45 @@ def optimum_records(records) -> list[ResultRecord]:
     return fits
 
 
+def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
+    """run_point(replace(cfg, **point)) at cfg.seed for each point of the
+    product of grid's field values, in keyword order. The n_spans values, or
+    [cfg.n_spans], are the taps of one sweep_distance per point of the other
+    fields and come innermost. Every (point, tap) config is checked before
+    the first span; a distinct point runs once, its records repeated in
+    input order. The curves run on one pool of at most PRS4D_WORKERS
+    processes and never more than there are curves."""
+    grid = {name: list(values) for name, values in grid.items()}
+    if empty := [name for name, values in grid.items() if not values]:
+        raise ValueError(f"empty {empty[0]} list")
+    taps = grid.pop("n_spans", [cfg.n_spans])
+    points = [replace(cfg, **dict(zip(grid, values)))
+              for values in itertools.product(*grid.values())]
+    curves = list(dict.fromkeys(points))
+    for point, n in itertools.product(curves, taps):
+        replace(point, n_spans=n)  # the tap's own checks
+    env = os.environ.get("PRS4D_WORKERS") or "1"
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
+    workers = min(int(env), len(curves))
+    curve = functools.partial(sweep_distance, span_counts=taps)
+    if workers <= 1:
+        done = dict(zip(curves, map(curve, curves)))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # not module-level: 7-8 ms
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = dict(zip(curves, pool.map(curve, curves)))
+    return [r for point in points for r in done[point]]
+
+
 def sweep_channels(cfg: ExperimentConfig, channel_counts,
                    powers) -> list[ResultRecord]:
-    """optimum_records of the points run_point(replace(cfg, n_channels=n,
-    launch_dbm=p)) at cfg.seed, one series per channel count n and demapper,
-    in input order of n, duplicates kept. Every (n, p) config is checked
-    before the first point runs, and the grid runs on one PRS4D_WORKERS
-    pool; cfg's own power is not run, so it need not be valid at n."""
-    channel_counts, powers = list(channel_counts), list(powers)
-    if not channel_counts:
-        raise ValueError("empty channel-count list")
-    if not powers:
-        raise ValueError("empty power list")
-    points = _run_points({(n, p): replace(cfg, n_channels=n, launch_dbm=p)
-                          for n in channel_counts for p in powers})
-    fits = optimum_records([r for recs in points.values() for r in recs])
-    return [r for n in channel_counts for r in fits if r.n_channels == n]
+    """optimum_records of run_grid(cfg, n_channels=counts, launch_dbm=powers),
+    one fit per count n and demapper in input order of n, duplicates kept;
+    cfg's own power is not run, so it need not be valid at n."""
+    counts = list(channel_counts)
+    fits = optimum_records(run_grid(cfg, n_channels=counts, launch_dbm=powers))
+    return [r for n in counts for r in fits if r.n_channels == n]
 
 
 def find_reach(records: list[ResultRecord], gmi_target: float) -> float:

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -37,14 +38,12 @@ def disperse(sig, beta2, dz):
 
 
 def unfolded_span(sig, fiber, step_km):
-    """Oracle for ssfm_span: the one-thread symmetric stepper ending in its
-    own half-step D(h_n/2), then inline_cdc as a separate FFT pair."""
+    """Oracle for ssfm_span: the one-thread symmetric stepper over
+    _schedule's steps, ending in its own half-step D(h_n/2), then
+    inline_cdc as a separate FFT pair."""
     alpha = fiber.alpha_db_km * ch._LN10 / 10.0
-    n_full, rem = divmod(fiber.length_km, step_km)
-    steps = [step_km] * int(round(n_full))
-    if rem > 1e-9 * fiber.length_km:
-        steps.append(rem)
-    halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
+    steps, halves, _ = ch._schedule(fiber, step_km)
+    halves = halves + [steps[-1] / 2]
     ph = {half: ch._phasor(sig, fiber.beta2_s2_km, half) for half in set(halves)}
     tw = ch._twiddles(sig.n)
     fld = sig.field.copy()
@@ -241,6 +240,27 @@ class TestSsfmSpan:
         # transparent only if the steps cover the whole 1 km the CDC undoes
         assert np.max(np.abs(out.x - sig.x)) / np.max(np.abs(sig.x)) < 1e-10
 
+    @pytest.mark.parametrize("fiber, step_km, steps, halves, cdc", [
+        (LEAF, 0.1, [0.1] * 799 + [0.09999999999999556],
+         [0.05] + [0.1] * 798 + [0.09999999999999779], -79.95),
+        (LEAF, 0.3, [0.3] * 266 + [0.20000000000000295],
+         [0.15] + [0.3] * 265 + [0.25000000000000144], -79.89999999999999),
+        (LEAF, 1.0, [1.0] * 80, [0.5] + [1.0] * 79, -79.5),
+        (LEAF, 7.0, [7.0] * 11 + [3.0], [3.5] + [7.0] * 10 + [5.0], -78.5),
+        (LEAF, 80.0, [80.0], [40.0], -40.0),
+        (SHORT, 0.3, [0.3] * 3 + [0.10000000000000003], [0.15, 0.3, 0.3, 0.2],
+         -0.95),
+    ], ids=["80km_0.1", "80km_0.3", "80km_1", "80km_7", "80km_80", "1km_0.3"])
+    def test_schedule_pinned(self, fiber, step_km, steps, halves, cdc):
+        """The split-step plan as literals: the steps, the merged half-step
+        before each rotor and the CDC fold h_n/2 - L. A partial last step is
+        divmod's remainder as it falls, so 80 km in 0.1 km steps ends in
+        0.0999... km and its steps sum to 80 km only to ~3e-15 relative
+        (exactly by fsum); the fields stay bit-identical to this plan."""
+        assert ch._schedule(fiber, step_km) == (steps, halves, cdc)
+        assert math.fsum(steps) == fiber.length_km
+        assert abs(sum(steps) - fiber.length_km) <= 5e-15 * fiber.length_km
+
     def test_step_halving_better_than_first_order(self):
         """Nonlinear paper span: each halving of the step cuts the field
         error against a 1/16 km reference by more than 2x."""
@@ -303,10 +323,7 @@ class TestSsfmSpan:
         monkeypatch.setattr(ch, "_kerr", spy)
         sig = random_signal(n=n, power_w=10e-3)
         alpha = SHORT.alpha_db_km * ch._LN10 / 10.0
-        n_full, rem = divmod(SHORT.length_km, 0.3)
-        steps = [0.3] * int(n_full) + [rem]
-        halves = [a / 2 + b / 2 for a, b in zip([0] + steps, steps + [0])]
-        cdc = halves[-1] - SHORT.length_km
+        steps, halves, cdc = ch._schedule(SHORT, 0.3)
         ph = {dz: ch._phasor(sig, SHORT.beta2_s2_km, dz)
               for dz in set(halves + [cdc])}
         tw = ch._twiddles(n)

@@ -398,12 +398,12 @@ class TestLinearClosure:
 
 class TestSweeps:
     def test_sweep_power_one_record_per_point(self):
-        recs = H.sweep_power(tiny_config(ase_enabled=True), [-2.0, 0.0, 2.0])
+        recs = H.run_grid(tiny_config(ase_enabled=True), launch_dbm=[-2.0, 0.0, 2.0])
         assert [r.launch_dbm for r in recs] == [-2.0, 0.0, 2.0]
 
     def test_sweeps_run_every_value_at_the_config_seed(self):
         cfg = tiny_config()
-        recs = (H.sweep_power(cfg, [-2.0, 0.0, 2.0])
+        recs = (H.run_grid(cfg, launch_dbm=[-2.0, 0.0, 2.0])
                 + H.sweep_channels(cfg, [1, 3], powers=[-1.0, 0.0, 1.0]))
         assert [r.seed for r in recs] == [cfg.seed] * 5
 
@@ -411,7 +411,7 @@ class TestSweeps:
         """A power reaches the config's type check unconverted: True and "3"
         are not numbers, as on the config itself."""
         with pytest.raises(ValueError, match="^launch_dbm must be one number, got True"):
-            H.sweep_power(tiny_config(), [True, "3"])
+            H.run_grid(tiny_config(), launch_dbm=[True, "3"])
 
     def test_sweep_channels_reads_the_powers_once(self):
         """A one-pass power iterable serves every channel count."""
@@ -421,7 +421,7 @@ class TestSweeps:
 
     def test_sweep_power_empty_rejected(self):
         with pytest.raises(ValueError):
-            H.sweep_power(tiny_config(), [])
+            H.run_grid(tiny_config(), launch_dbm=[])
 
     def test_process_pool_grid_equals_serial(self, monkeypatch, without_runtime):
         """Two pool workers give the serial records and CSV, for a power
@@ -431,7 +431,7 @@ class TestSweeps:
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
         H.run_point(cfg)
-        for sweep in (lambda: H.sweep_power(cfg, [-1.0, 3.0]),
+        for sweep in (lambda: H.run_grid(cfg, launch_dbm=[-1.0, 3.0]),
                       lambda: H.sweep_channels(cfg, [1, 3], [-1.0, 3.0, 1.0])):
             monkeypatch.setenv("PRS4D_WORKERS", "1")
             serial = sweep()
@@ -447,11 +447,11 @@ class TestSweeps:
         with pytest.raises(ValueError,
                            match=f"^PRS4D_WORKERS must be an integer >= 1, "
                                  f"got '{value}'$"):
-            H.sweep_power(tiny_config(), [0.0])
+            H.run_grid(tiny_config(), launch_dbm=[0.0])
 
     @pytest.mark.parametrize("sweep, field, value, workers", [
-        (H.sweep_power, "launch_dbm", -1.0, "1"),
-        (H.sweep_power, "launch_dbm", -1.0, "2"),
+        (lambda cfg, grid: H.run_grid(cfg, launch_dbm=grid), "launch_dbm", -1.0, "1"),
+        (lambda cfg, grid: H.run_grid(cfg, launch_dbm=grid), "launch_dbm", -1.0, "2"),
         (H.sweep_distance, "n_spans", 2, "1"),
         (lambda cfg, grid: H.sweep_channels(cfg, grid, [cfg.launch_dbm]),
          "n_channels", 3, "1"),
@@ -628,7 +628,7 @@ class TestSweeps:
         monkeypatch.setattr(channel, "ssfm_span",
                             lambda *a: calls.append(a) or span(*a))
         cfg = tiny_config(ase_enabled=True)
-        recs = H.sweep_power(cfg, [0.0, -1.0, 0.0, 0.0])
+        recs = H.run_grid(cfg, launch_dbm=[0.0, -1.0, 0.0, 0.0])
         assert len(calls) == 2
         assert [r.launch_dbm for r in recs] == [0.0, -1.0, 0.0, 0.0]
         assert recs[0] == recs[2] == recs[3] != recs[1]
@@ -652,10 +652,10 @@ class TestSweeps:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = tiny_config(ase_enabled=True)
         monkeypatch.setenv("PRS4D_WORKERS", "2")
-        pooled = H.sweep_power(cfg, [0.0, -1.0, 0.0])
+        pooled = H.run_grid(cfg, launch_dbm=[0.0, -1.0, 0.0])
         assert tasks == [0.0, -1.0]
         monkeypatch.setenv("PRS4D_WORKERS", "1")
-        assert pooled == H.sweep_power(cfg, [0.0, -1.0, 0.0])
+        assert pooled == H.run_grid(cfg, launch_dbm=[0.0, -1.0, 0.0])
 
     def test_pool_has_no_more_processes_than_points(self, monkeypatch):
         """A fork pool starts all its processes at the first task, so 5000
@@ -678,7 +678,7 @@ class TestSweeps:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setenv("PRS4D_WORKERS", "5000")
         cfg = tiny_config()
-        H.sweep_power(cfg, [0.0, 1.0, 0.0])
+        H.run_grid(cfg, launch_dbm=[0.0, 1.0, 0.0])
         H.sweep_channels(cfg, [1, 3], [0.0, 1.0, 2.0])
         assert sizes == [2, 6]  # one pool for the whole channel grid
 
@@ -713,6 +713,99 @@ class TestSweeps:
         assert len(recs) == 1
         assert recs[0].n_channels == 1
         assert -1.0 <= recs[0].launch_dbm <= 1.0
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_power_by_tap_grid_is_run_point(self, monkeypatch, workers,
+                                            without_runtime):
+        """A power x span grid, a power repeated and the taps unsorted and
+        repeated, equals run_point(replace(cfg, launch_dbm=p, n_spans=n)) at
+        cfg.seed at every point, taps innermost: records, sigma2 and the CSV
+        but for runtime_s, serially and on two processes. At -20 dBm the
+        GMI is below 6 bit/4D, so it shows the noise draws."""
+        cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, n_symbols=2**12,
+                          demapper="both")
+        powers, taps = [-20.0, -22.0, -20.0], [2, 1, 2]
+        points = [r for p in powers for n in taps
+                  for r in H.run_point(replace(cfg, launch_dbm=p, n_spans=n))]
+        monkeypatch.setenv("PRS4D_WORKERS", workers)
+        recs = H.run_grid(cfg, launch_dbm=powers, n_spans=taps)
+        assert len(recs) == 18 and recs == points
+        assert [r.sigma2 for r in recs] == [r.sigma2 for r in points]
+        assert without_runtime(H.records_to_csv(recs)) == without_runtime(
+            H.records_to_csv(points))
+
+    def test_product_in_keyword_order_with_taps_innermost(self, monkeypatch):
+        """The other fields run in keyword order, and n_spans comes
+        innermost wherever its keyword stands."""
+        monkeypatch.setattr(channel, "ssfm_span", lambda signal, *a: signal)
+        recs = H.run_grid(tiny_config(), n_spans=[2, 1], n_channels=[3, 1],
+                          launch_dbm=[0.0, -1.0])
+        assert [(r.n_channels, r.launch_dbm, r.config.n_spans) for r in recs] == [
+            (n, p, s) for n in (3, 1) for p in (0.0, -1.0) for s in (2, 1)]
+
+    def test_one_pool_task_per_distinct_point(self, monkeypatch):
+        """The pool maps one tapped curve, sweep_distance at the grid's
+        span counts, over the distinct powers' configs."""
+        tasks = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, cfgs):
+                cfgs = list(cfgs)
+                tasks.append((fn.func, fn.keywords, [c.launch_dbm for c in cfgs]))
+                return super().map(fn, cfgs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("PRS4D_WORKERS", "2")
+        H.run_grid(tiny_config(), launch_dbm=[0.0, -1.0, 0.0], n_spans=[2, 1])
+        assert tasks == [(H.sweep_distance, {"span_counts": [2, 1]}, [0.0, -1.0])]
+
+    def test_pool_has_one_process_per_curve(self, monkeypatch):
+        """5000 workers for two distinct powers at three taps each size the
+        pool 2: the taps of a power are one curve, so one process. The
+        stand-in pool records its size and maps serially: it never forks."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("PRS4D_WORKERS", "5000")
+        H.run_grid(tiny_config(), launch_dbm=[0.0, 1.0, 0.0], n_spans=[1, 2, 3])
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"launch_dbm": [0.0, 1.0], "n_spans": [1, 2, 2.5]},
+         "n_spans must be an integer, got 2.5"),
+        ({"n_channels": [1, 11], "launch_dbm": [0.0, 8.0]},
+         "launch_dbm must be <= 5.546 with step_km=80 (1 rad of mean Kerr "
+         "phase per step), got 8"),
+        ({"launch_dbm": [0.0], "n_spans": []}, "empty n_spans list"),
+    ], ids=["tap", "point", "empty"])
+    def test_bad_last_value_fails_before_any_span(self, monkeypatch, grid,
+                                                  message):
+        """A bad tap or point at the grid's last value fails with the
+        field's own one-line message before the pool opens, so before the
+        first span runs."""
+        def forbidden(*args, **kw):
+            raise AssertionError("a span ran or the pool opened")
+
+        monkeypatch.setattr(channel, "ssfm_span", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setenv("PRS4D_WORKERS", "2")
+        cfg = tiny_config(gamma_w_km=1.464, n_symbols=4096, step_km=80.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            H.run_grid(cfg, **grid)
 
 
 def series(powers, gmis, **kw):
@@ -793,9 +886,9 @@ class TestFitOptimumPower:
         parabola through both."""
         cfg = H.ExperimentConfig(n_channels=1, n_symbols=2**12, n_spans=20,
                                  step_km=40.0, demapper="iid")
-        shipped = H.sweep_power(cfg, [-6.0, -2.0, 2.0])
-        other = H.sweep_power(replace(cfg, prs_rho=0.5, prs_theta=0.40),
-                              [-4.0, 0.0, 4.0])
+        shipped = H.run_grid(cfg, launch_dbm=[-6.0, -2.0, 2.0])
+        other = H.run_grid(replace(cfg, prs_rho=0.5, prs_theta=0.40),
+                           launch_dbm=[-4.0, 0.0, 4.0])
         fits = H.optimum_records(shipped + other)
         assert fits == H.optimum_records(shipped) + H.optimum_records(other)
         assert [(r.config.prs_rho, r.config.prs_theta) for r in fits] == [
@@ -807,8 +900,8 @@ class TestFitOptimumPower:
         first sweep's config. At -20 dBm the GMI is below 6 bit/4D."""
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, n_symbols=2**12,
                           demapper="both")
-        first = H.sweep_power(cfg, [-22.0, -20.0, -18.0])
-        again = H.sweep_power(replace(cfg, prs_rho=0.5), [-22.0, -20.0, -18.0])
+        first = H.run_grid(cfg, launch_dbm=[-22.0, -20.0, -18.0])
+        again = H.run_grid(replace(cfg, prs_rho=0.5), launch_dbm=[-22.0, -20.0, -18.0])
         fits = H.optimum_records(first + again)
         assert [r.demapper for r in fits] == ["iid", "cg"]
         assert fits == H.optimum_records(first)
@@ -836,8 +929,8 @@ class TestFitOptimumPower:
         two series, not one power that repeats with two GMIs."""
         cfg = tiny_config(gamma_w_km=H.ExperimentConfig.gamma_w_km,
                           ase_enabled=True, step_km=H.ExperimentConfig.step_km)
-        fine = H.sweep_power(cfg, [8.0, 10.0, 12.0])
-        coarse = H.sweep_power(replace(cfg, step_km=80.0), [8.0, 10.0, 12.0])
+        fine = H.run_grid(cfg, launch_dbm=[8.0, 10.0, 12.0])
+        coarse = H.run_grid(replace(cfg, step_km=80.0), launch_dbm=[8.0, 10.0, 12.0])
         fits = H.optimum_records(fine + coarse)
         assert fits == H.optimum_records(fine) + H.optimum_records(coarse)
         assert [r.config.step_km for r in fits] == [cfg.step_km, 80.0]
