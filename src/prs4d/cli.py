@@ -229,7 +229,7 @@ _COMMANDS = {
     "sweep-distance": ("GMI after each span count, from one propagation", "results.csv",
                        ("distance_km", "gmi_bit4d"), (
         ("--spans", "4,6,8,10,12,14", "span counts, lo:hi:step or comma list",
-         "n_spans"),), harness.sweep_distance),
+         "n_spans"),), lambda cfg, spans: harness.run_grid(cfg, n_spans=spans)),
     "sweep-channels": ("optimum-power rate vs channels, on PRS4D_WORKERS "
                        "processes (default 1)", "results.csv",
                        ("n_channels", "ndr_gbps"), (

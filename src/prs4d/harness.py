@@ -1,15 +1,16 @@
-"""Experiment orchestration: sweep_distance is the one chain, transmit ->
-propagate_link -> receive after each span count, and run_point is its one
-tap at cfg.n_spans. run_grid is the one runner of every grid of config
-fields, n_spans values being taps of one propagation per point: its records
-at a point equal run_point(replace(cfg, **point)) at cfg.seed, bit for bit
-but for runtime_s. It checks every config before any span and runs each
-distinct point once, on one pool of PRS4D_WORKERS processes (an integer >= 1
-in the environment, default 1). A record carries its config, and _series is
-the one series rule: one demapper at configs equal but for the swept fields.
-optimum_records, the one optimum-power fit (sweep_channels fits one grid),
-and find_reach keep to it. optimize_prs_params, the 4D-64PRS design search,
-scores each geometry with the demapper's AWGN reference.
+"""Experiment orchestration: _curve is the one chain, transmit ->
+propagate_link -> receive after each span count of configs equal but for
+n_spans, and run_point is its one tap, _curve([cfg]). run_grid is the one
+runner of every grid of config fields, n_spans values being taps of one
+_curve per point: its records at a point equal run_point(replace(cfg,
+**point)) at cfg.seed, bit for bit but for runtime_s. It builds and checks
+each config once, before any span, hands those very configs to _curve and
+runs each distinct point once, on one pool of PRS4D_WORKERS processes (an
+integer >= 1 in the environment, default 1). A record carries its config,
+and _series is the one series rule: one demapper at configs equal but for
+the swept fields. optimum_records, the one optimum-power fit (sweep_channels
+fits one grid), and find_reach keep to it. optimize_prs_params, the 4D-64PRS
+design search, scores each geometry with the demapper's AWGN reference.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
 estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
@@ -222,7 +223,7 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
 def run_point(cfg: ExperimentConfig,
               seed: int | None = None) -> list[ResultRecord]:
     """Run one full TX -> link -> RX -> demap experiment at cfg's point: the
-    one-tap distance curve sweep_distance(cfg, [cfg.n_spans]).
+    one-tap curve _curve([cfg]).
 
     Evaluates the center WDM channel at cfg.seed. Returns one record per
     requested demapper (iid, cg or both), deterministic for a fixed config
@@ -230,40 +231,34 @@ def run_point(cfg: ExperimentConfig,
     shorthand for replace(cfg, seed=s), kept for perfbench/workloads.py's
     call form; it goes with the next benchmark change.
     """
-    cfg = cfg if seed is None else replace(cfg, seed=seed)
-    return sweep_distance(cfg, [cfg.n_spans])
+    return _curve([cfg if seed is None else replace(cfg, seed=seed)])
 
 
-def sweep_distance(cfg: ExperimentConfig, span_counts) -> list[ResultRecord]:
-    """GMI after each span count from one propagation at cfg.seed.
-
-    The record at n equals run_point(replace(cfg, n_spans=n)); the tap whose
-    count is cfg.n_spans itself takes cfg, so a point builds no second
-    constellation or link. Records come in input order, duplicates kept; a
+def _curve(cfgs) -> list[ResultRecord]:
+    """The records of each of cfgs, checked configs equal but for n_spans,
+    from one propagation to the longest of them at their seed. A config's
+    records equal run_point's at it, because span k draws the same ASE
+    whatever n_spans is. Records come in input order, duplicates kept; a
     record's runtime runs from the start of the curve to its last demap.
 
     Frames alive: the launch frame is the span generator's alone, so span 1
     frees it; each tap receives the one frame of its span count, dropped
     before the next span runs.
     """
-    span_counts = list(span_counts)
-    # is, not ==: an equal 1.0 or True still goes through replace's check
-    cfgs = {n: cfg if n is cfg.n_spans else replace(cfg, n_spans=n)
-            for n in span_counts}
-    if not cfgs:
-        raise ValueError("empty span-count list")
+    records = dict.fromkeys(cfgs)  # an equal config repeats the first's records
     t0 = time.perf_counter()
-    mux, tx_indices = _transmit(longest := cfgs[max(cfgs)])
-    spans, taps = propagate_link(mux, longest.link), {}
+    mux, tx_indices = _transmit(longest := max(records, key=lambda c: c.n_spans))
+    spans = propagate_link(mux, longest.link)
     del mux  # the generator's alone: freed in span 1, before any tap
     for n in range(1, longest.n_spans + 1):
         # next() and del, not enumerate(spans), whose reused result tuple
         # would keep this field alive through the next span
         rx_sig = next(spans)
-        if n in cfgs:
-            taps[n] = _receive(cfgs[n], rx_sig, tx_indices, t0)
+        for c in records:
+            if c.n_spans == n:
+                records[c] = _receive(c, rx_sig, tx_indices, t0)
         del rx_sig
-    return [r for n in span_counts for r in taps[n]]
+    return [r for c in cfgs for r in records[c]]
 
 
 def _series(r: ResultRecord, *swept: str) -> tuple:
@@ -307,31 +302,30 @@ def optimum_records(records) -> list[ResultRecord]:
 def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
     """run_point(replace(cfg, **point)) at cfg.seed for each point of the
     product of grid's field values, in keyword order. The n_spans values, or
-    [cfg.n_spans], are the taps of one sweep_distance per point of the other
-    fields and come innermost. Every (point, tap) config is checked before
-    the first span; a distinct point runs once, its records repeated in
-    input order. The curves run on one pool of at most PRS4D_WORKERS
-    processes and never more than there are curves."""
+    [cfg.n_spans], are the taps of one _curve per point of the other fields
+    and come innermost. Every (point, tap) config is built and checked once,
+    before the first span, and the run uses those very configs; a distinct
+    point runs once, its records repeated in input order. The curves run on
+    one pool of at most PRS4D_WORKERS processes and never more than there
+    are curves."""
     grid = {name: list(values) for name, values in grid.items()}
     if empty := [name for name, values in grid.items() if not values]:
         raise ValueError(f"empty {empty[0]} list")
     taps = grid.pop("n_spans", [cfg.n_spans])
     points = [replace(cfg, **dict(zip(grid, values)))
               for values in itertools.product(*grid.values())]
-    curves = list(dict.fromkeys(points))
-    for point, n in itertools.product(curves, taps):
-        replace(point, n_spans=n)  # the tap's own checks
+    curves = {point: [replace(point, n_spans=n) for n in taps]
+              for point in dict.fromkeys(points)}
     env = os.environ.get("PRS4D_WORKERS") or "1"
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
     workers = min(int(env), len(curves))
-    curve = functools.partial(sweep_distance, span_counts=taps)
     if workers <= 1:
-        done = dict(zip(curves, map(curve, curves)))
+        done = dict(zip(curves, map(_curve, curves.values())))
     else:
         from concurrent.futures import ProcessPoolExecutor  # not module-level: 7-8 ms
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(curves, pool.map(curve, curves)))
+            done = dict(zip(curves, pool.map(_curve, curves.values())))
     return [r for point in points for r in done[point]]
 
 

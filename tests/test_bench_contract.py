@@ -190,7 +190,7 @@ def test_traced_link_calls_are_counted(monkeypatch):
     harness.run_point(cfg)
     assert calls == ["link"] + ["span"] * cfg.n_spans
     calls.clear()
-    harness.sweep_distance(cfg, [4, 2, 4])
+    harness.run_grid(cfg, n_spans=[4, 2, 4])
     assert calls == ["link"] + ["span"] * 4
 
 

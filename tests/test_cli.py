@@ -359,12 +359,16 @@ class TestMain:
             assert err == f"error: {field} must be an integer >= 1\n"
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["sweep-power", "--powers=0"], ["sweep-distance", "--spans=1"],
+        ["sweep-channels", "--channels=1", "--powers=0"]],
+        ids=["sweep-power", "sweep-distance", "sweep-channels"])
     def test_bad_worker_count_returns_one(self, tmp_path, capsys,
-                                          monkeypatch):
+                                          monkeypatch, command):
+        """Every grid command reads PRS4D_WORKERS through run_grid."""
         monkeypatch.setenv("PRS4D_WORKERS", "two")
         out = tmp_path / "r.csv"
-        assert cli.main(["sweep-power", "--powers=0", "--output", str(out)]
-                        + TINY) == 1
+        assert cli.main(command + ["--output", str(out)] + TINY) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: PRS4D_WORKERS") and err.count("\n") == 1
         assert not out.exists()

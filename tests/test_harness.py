@@ -452,7 +452,7 @@ class TestSweeps:
     @pytest.mark.parametrize("sweep, field, value, workers", [
         (lambda cfg, grid: H.run_grid(cfg, launch_dbm=grid), "launch_dbm", -1.0, "1"),
         (lambda cfg, grid: H.run_grid(cfg, launch_dbm=grid), "launch_dbm", -1.0, "2"),
-        (H.sweep_distance, "n_spans", 2, "1"),
+        (lambda cfg, grid: H.run_grid(cfg, n_spans=grid), "n_spans", 2, "1"),
         (lambda cfg, grid: H.sweep_channels(cfg, grid, [cfg.launch_dbm]),
          "n_channels", 3, "1"),
     ], ids=["sweep_power", "sweep_power_2_workers", "sweep_distance",
@@ -484,18 +484,18 @@ class TestSweeps:
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=2.0,
                           n_symbols=2**12, demapper="both")
         counts = [3, 1, 2, 3]
-        curve = H.sweep_distance(cfg, counts)
+        curve = H.run_grid(cfg, n_spans=counts)
         points = [r for n in counts for r in H.run_point(replace(cfg, n_spans=n))]
         assert curve == points
         assert [r.sigma2 for r in curve] == [r.sigma2 for r in points]
         assert without_runtime(H.records_to_csv(curve)) == without_runtime(
             H.records_to_csv(points))
         assert {r.seed for r in curve} == {cfg.seed}
-        runtimes = [r.runtime_s for r in H.sweep_distance(cfg, [1, 2, 3])]
+        runtimes = [r.runtime_s for r in H.run_grid(cfg, n_spans=[1, 2, 3])]
         assert 0.0 < runtimes[0] and runtimes == sorted(runtimes)
 
     @pytest.mark.parametrize("run", [
-        H.run_point, lambda cfg: H.sweep_distance(cfg, [cfg.n_spans])])
+        H.run_point, lambda cfg: H.run_grid(cfg, n_spans=[cfg.n_spans])])
     def test_later_spans_hold_no_extra_frame(self, run):
         """Going from 1 to 3 spans raises the peak traced memory by less
         than 0.9 frame: the one consumer of propagate_link, which run_point
@@ -517,7 +517,7 @@ class TestSweeps:
         assert peak(3) - peak(1) < 0.9 * frame_bytes
 
     @pytest.mark.parametrize("run, taps", [
-        (H.run_point, 1), (lambda cfg: H.sweep_distance(cfg, [1, 2, 3]), 3)],
+        (H.run_point, 1), (lambda cfg: H.run_grid(cfg, n_spans=[1, 2, 3]), 3)],
         ids=["run_point", "sweep_distance"])
     def test_receiver_holds_one_frame(self, monkeypatch, run, taps):
         """At each _receive the traced memory holds one frame, the received
@@ -566,13 +566,13 @@ class TestSweeps:
 
     @pytest.mark.parametrize("count", [1.0, True])
     def test_count_equal_to_the_config_own_is_checked(self, count):
-        """The tap at cfg's own count takes cfg itself, but an equal 1.0 or
-        True is not that count: it fails the config's type check."""
+        """A count equal to cfg's own, 1.0 or True, is still checked: each
+        tap builds its own config, which fails the type check."""
         with pytest.raises(ValueError, match=f"^n_spans must be an integer, got {count}$"):
-            H.sweep_distance(tiny_config(), [count])
+            H.run_grid(tiny_config(), n_spans=[count])
 
     def test_sweep_distance_distances(self):
-        recs = H.sweep_distance(tiny_config(), [1, 2, 3])
+        recs = H.run_grid(tiny_config(), n_spans=[1, 2, 3])
         assert [r.distance_km for r in recs] == [80.0, 160.0, 240.0]
 
     def test_fractional_counts_rejected_before_propagation(self, monkeypatch):
@@ -580,7 +580,7 @@ class TestSweeps:
         monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
         with pytest.raises(ValueError,
                            match="^n_spans must be an integer, got 2.7$"):
-            H.sweep_distance(tiny_config(), [1, 2.7])
+            H.run_grid(tiny_config(), n_spans=[1, 2.7])
         with pytest.raises(ValueError,
                            match="^n_channels must be an integer, got 1.9$"):
             H.sweep_channels(tiny_config(), [1.9], powers=[0.0])
@@ -600,11 +600,11 @@ class TestSweeps:
         with pytest.raises(ValueError, match=message):
             H.run_point(cfg)
         with pytest.raises(ValueError, match=message):
-            H.sweep_distance(cfg, [1, 2])
+            H.run_grid(cfg, n_spans=[1, 2])
 
     def test_symbol_floor_is_the_iid_estimate_floor(self):
         """The config rejects fewer symbols than estimate_iid_sigma2 takes, so
-        no run_point or sweep_distance reaches the first span with them."""
+        no run_point or run_grid reaches the first span with them."""
         with pytest.raises(ValueError, match=f"^n_symbols must be an integer "
                                              f">= {dm.MIN_SYMBOLS}$"):
             tiny_config(n_symbols=dm.MIN_SYMBOLS - 1)
@@ -616,8 +616,8 @@ class TestSweeps:
 
     def test_numpy_integer_counts_run(self):
         cfg = tiny_config(ase_enabled=True)
-        assert (H.sweep_distance(cfg, np.array([2, 1]))
-                == H.sweep_distance(cfg, [2, 1]))
+        assert (H.run_grid(cfg, n_spans=np.array([2, 1]))
+                == H.run_grid(cfg, n_spans=[2, 1]))
         assert (H.sweep_channels(cfg, [np.int64(1)], powers=[-1.0, 0.0, 1.0])
                 == H.sweep_channels(cfg, [1], powers=[-1.0, 0.0, 1.0]))
 
@@ -644,10 +644,10 @@ class TestSweeps:
         tasks = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, cfgs):
-                cfgs = list(cfgs)
-                tasks.extend(c.launch_dbm for c in cfgs)
-                return super().map(fn, cfgs)
+            def map(self, fn, curves):
+                curves = list(curves)
+                tasks.extend(c.launch_dbm for c, in curves)  # one tap each
+                return super().map(fn, curves)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = tiny_config(ase_enabled=True)
@@ -746,20 +746,38 @@ class TestRunGrid:
             (n, p, s) for n in (3, 1) for p in (0.0, -1.0) for s in (2, 1)]
 
     def test_one_pool_task_per_distinct_point(self, monkeypatch):
-        """The pool maps one tapped curve, sweep_distance at the grid's
-        span counts, over the distinct powers' configs."""
+        """The pool maps one kind of task, _curve, over the distinct powers'
+        lists of tap configs, the taps in the grid's order."""
         tasks = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, cfgs):
-                cfgs = list(cfgs)
-                tasks.append((fn.func, fn.keywords, [c.launch_dbm for c in cfgs]))
-                return super().map(fn, cfgs)
+            def map(self, fn, curves):
+                curves = list(curves)
+                tasks.append((fn, [[(c.launch_dbm, c.n_spans) for c in curve]
+                                   for curve in curves]))
+                return super().map(fn, curves)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setenv("PRS4D_WORKERS", "2")
         H.run_grid(tiny_config(), launch_dbm=[0.0, -1.0, 0.0], n_spans=[2, 1])
-        assert tasks == [(H.sweep_distance, {"span_counts": [2, 1]}, [0.0, -1.0])]
+        assert tasks == [(H._curve, [[(0.0, 2), (0.0, 1)], [(-1.0, 2), (-1.0, 1)]])]
+
+    def test_each_config_is_built_once(self, monkeypatch):
+        """A 2-power x 2-tap grid builds 6 configs, each point once and each
+        (point, tap) once, and serially every record carries the very tap
+        config that was checked; two processes give the serial records."""
+        cfg = tiny_config(ase_enabled=True)
+        built, checked = [], []
+        build, check = const.build_format, H.check_fields
+        monkeypatch.setattr(const, "build_format",
+                            lambda *a: built.append(a) or build(*a))
+        monkeypatch.setattr(H, "check_fields",
+                            lambda cfg: checked.append(cfg) or check(cfg))
+        recs = H.run_grid(cfg, launch_dbm=[-20.0, -18.0], n_spans=[1, 2])
+        assert len(built) == len(checked) == 6
+        assert len(recs) == 4 and all(r.config is c for r, c in zip(recs, checked[2:]))
+        monkeypatch.setenv("PRS4D_WORKERS", "2")
+        assert H.run_grid(cfg, launch_dbm=[-20.0, -18.0], n_spans=[1, 2]) == recs
 
     def test_pool_has_one_process_per_curve(self, monkeypatch):
         """5000 workers for two distinct powers at three taps each size the
@@ -1000,7 +1018,7 @@ class TestFindReach:
             H.find_reach([rec(10, 5.0), rec(10, 4.8), rec(20, 4.0)], 4.5)
 
     def test_repeated_taps_are_one_point(self):
-        """sweep_distance repeats a repeated span count's records."""
+        """run_grid repeats a repeated span count's records."""
         records = [rec(10, 5.0), rec(20, 4.0), rec(10, 5.0), rec(20, 4.0)]
         assert H.find_reach(records, 4.5) == pytest.approx(1200.0)
         assert H.find_reach(records, 5.0) == 800.0
