@@ -17,6 +17,8 @@ import argparse
 import math
 import os
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,7 +161,9 @@ _MAX_GRID = 10**5  # values in one lo:hi:step range, checked before it is built
 
 def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
     """Finite lo:hi:step (hi included), or a comma list of numbers; a grid
-    that sets config field `field` reads each one with harness.parse_field."""
+    that sets config field `field` reads each one with harness.parse_field.
+    A float range holds the doubles nearest the decimals lo + k step, so
+    0.3:2:0.05 holds 0.6, not 0.6000000000000001."""
     texts = spec.split(":" if ":" in spec else ",")
     try:
         vals = [float(t) for t in texts]
@@ -186,7 +190,10 @@ def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
     count = math.floor(span) + 1
     if count > _MAX_GRID:
         raise ValueError(f"{flag} {spec!r}: {count:.6g} values, more than {_MAX_GRID}")
-    return [lo + k * step for k in range(count)]
+    if isinstance(lo, int):  # an integer field's grid
+        return [lo + k * step for k in range(count)]
+    lo, step = (Fraction(Decimal(t)) for t in texts[::2])  # exact decimals
+    return [float(lo + k * step) for k in range(count)]  # correctly rounded
 
 
 def _check_writable(flag: str, path: str) -> None:

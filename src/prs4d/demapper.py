@@ -8,7 +8,8 @@ point-major features [y_a y_b; y; 1] (15, B) gives every log f(y | s_i).
 LLRs, L = log(P[bit=0] / P[bit=1]), are the label masks times that (M, B)
 product exponentiated, in buffers reused across blocks. An LLR favoring the
 true bit adds a small GMI penalty, so GMI approaches m at high SNR. The AWGN
-reference integrates one point per symmetry orbit, times its size.
+reference integrates one point per orbit of the labeled symmetries. Each is an
+affine bit map that m + 1 matched images fix: G (m + 1) M distances, not G M^2.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ _LOG2 = np.log(2.0)
 MIN_SYMBOLS = 100  # symbols for an iid noise estimate
 _MIN_OCCURRENCES = 30  # transmissions per point for a covariance estimate
 _SYM_TOL2 = 1e-26  # squared distance within which g s_i counts as s_j
-# the 384 as (4, 4) matrices: each of the 24 row-permuted identities times
-# each of the 16 column sign rows, permutation-major
+# the 384 as (4, 4): 24 row-permuted identities times 16 column sign rows, perm-major
 _SIGNED_PERMS = (np.eye(4)[list(itertools.permutations(range(4)))][:, None]
                  * np.array(list(itertools.product((1.0, -1.0), repeat=4)))[:, None]
                  ).reshape(-1, 4, 4)
@@ -234,18 +234,22 @@ def _match(x: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _orbits(c: Constellation4D) -> tuple[np.ndarray, np.ndarray]:
     """Orbit representatives and sizes under the labeled symmetries of c.
 
-    A symmetry g permutes and negates coordinates, g s_i = s_pi(i), and acts on
-    labels as a bit permutation then an XOR; the iid GH penalty is invariant.
+    A symmetry g permutes and negates coordinates, g s_i = s_pi(i), leaving the iid
+    GH penalty invariant. pi maps labels (rows) by a bit permutation then an XOR, so
+    pi(0) and the pi(2^k) ^ pi(0), distinct powers of two, fix it; g counts if each
+    g s_i is within _SYM_TOL2 of s_pi(i). Cost: G (m + 1) M + G M distances.
     """
     pts, g = c.points, _SIGNED_PERMS
-    for p in pts[:2]:  # prune the candidates on two points before matching all M
+    for p in pts[:2]:  # prune the candidates on two points before matching
         g = g[_match(g @ p, pts)[1]]
-    pi, hit = _match(pts @ g.mT, pts)  # (G, M): g s_i is s_pi[g, i]
-    ok = np.all(hit, axis=1)
-    ok &= np.all(np.sort(pi, axis=1) == np.arange(c.M), axis=1)  # bijection
-    s = 1.0 - 2.0 * c.labels  # column k of labels[pi] is +- one column of labels
-    ok[ok] = np.all(np.sum(np.abs(s[pi[ok]].mT @ s) == c.M, axis=2) == 1, axis=1)
-    return np.unique(np.vstack((np.arange(c.M), pi[ok])).min(0), return_counts=True)
+    bits = 1 << np.arange(c.m)  # 2^k, label column m - 1 - k
+    img = _match(pts[np.r_[0, bits]] @ g.mT, pts)[0]  # (G, m + 1)
+    cols = img[:, 1:] ^ img[:, :1]
+    ok = np.all(np.sort(cols, axis=1) == bits, axis=1)
+    pi = img[ok, :1] ^ (cols[ok] @ c.labels[:, ::-1].T)  # (G', M): g s_i is s_pi[g, i]
+    d = pts @ g[ok].mT - pts[pi]
+    pi = pi[np.all(np.einsum("gij,gij->gi", d, d) <= _SYM_TOL2, axis=1)]
+    return np.unique(np.vstack((np.arange(c.M), pi)).min(0), return_counts=True)
 
 
 def awgn_gmi_reference(c: Constellation4D, snr_db: float,
@@ -265,20 +269,16 @@ def awgn_gmi_reference(c: Constellation4D, snr_db: float,
         sigma2 = 1.0 / (n_dim * np.power(10.0, snr_db / 10))  # N0 over n_dim
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"snr_db must be a finite SNR in dB, got {snr_db}")
-    model = NoiseModel.iid(sigma2)
-    if (isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer))
-            or n_nodes < 1):
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    grid = np.indices((n_nodes,) * n_dim).reshape(n_dim, -1).T.copy()  # C order
-    z, w = nodes[grid], weights[grid].prod(axis=1) / np.pi ** (n_dim / 2)
+    grid = np.indices((n_nodes,) * n_dim).reshape(n_dim, -1)  # C order, z row-major
+    z, w = nodes[grid].T.copy(), weights[grid].prod(axis=0) / np.pi ** (n_dim / 2)
 
-    # batch the representatives' conditional grids into one LLR evaluation
+    # one LLR evaluation for all reps' grids; the penalty per rep keeps temporaries small
     reps, sizes = _orbits(c)
     y = (c.points[reps, None, :] + np.sqrt(2 * sigma2) * z).reshape(-1, n_dim)
-    llrs = llrs_for_points(y, c, model).reshape(len(reps), -1, c.m)
-    signs = 1.0 - 2.0 * c.labels[reps].astype(float)  # (R, m)
-    info = 1.0 - _penalty(-signs[:, None, :] * llrs) / _LOG2  # per bit
-    gmi = np.einsum("q,r,rq->", w, sizes, info.sum(axis=2)) / c.M
-    return float(np.clip(gmi, 0.0, c.m))
+    llrs = llrs_for_points(y, c, NoiseModel.iid(sigma2)).reshape(len(reps), -1, c.m)
+    llrs *= 2.0 * c.labels[reps, None, :] - 1.0  # -L where the sent bit is 0
+    info = np.array([w @ (1.0 - _penalty(x) / _LOG2) for x in llrs])  # (R, m), per bit
+    return float(np.clip(sizes @ info.sum(axis=1) / c.M, 0.0, c.m))

@@ -110,6 +110,18 @@ class TestParseGrid:
         assert cli._parse_grid("--powers", "4:0:-2") == [4.0, 2.0, 0.0]
         assert len(cli._parse_grid("--powers", "0:1:0.1")) == 11
 
+    def test_float_range_holds_the_decimal_values(self):
+        """Each value is the double nearest lo + k step in decimal: lo + k * step
+        in doubles gave 0.6000000000000001, 1.5000000000000002 and
+        1.6500000000000001 here."""
+        assert cli._parse_grid("--rho", "0.3:2:0.05") == [
+            round(0.3 + 0.05 * k, 2) for k in range(35)]
+        assert cli._parse_grid("--powers", "0:2:0.7") == [0, 0.7, 1.4]
+
+    def test_integer_grid_stays_integer(self):
+        grid = cli._parse_grid("--spans", "2:10:3", "n_spans")
+        assert grid == [2, 5, 8] and all(type(v) is int for v in grid)
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="empty range"):
             cli._parse_grid("--powers", "5:4:1")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -599,6 +600,69 @@ class TestSymmetryReduction:
         assert D._orbits(c)[1].tolist() == [1, 1, 1, 1]
         gmi = D.awgn_gmi_reference(c, 5.0, n_nodes=5)
         assert abs(gmi - full_grid_gmi(c, 5.0, 5)) <= 1e-12
+
+
+def brute_orbits(c):
+    """_orbits by matching every image: g counts if all M images hit points,
+    pi is a bijection and each column of labels[pi] is +- one column of labels."""
+    pts, g = c.points, D._SIGNED_PERMS
+    for p in pts[:2]:
+        g = g[D._match(g @ p, pts)[1]]
+    pi, hit = D._match(pts @ g.mT, pts)  # (G, M): g s_i is s_pi[g, i]
+    ok = np.all(hit, axis=1)
+    ok &= np.all(np.sort(pi, axis=1) == np.arange(c.M), axis=1)
+    s = 1.0 - 2.0 * c.labels
+    ok[ok] = np.all(np.sum(np.abs(s[pi[ok]].mT @ s) == c.M, axis=2) == 1, axis=1)
+    return np.unique(np.vstack((np.arange(c.M), pi[ok])).min(0), return_counts=True)
+
+
+def oracle_constellations():
+    """The formats, 4D-64PRS across its geometry, the constellations of
+    TestSymmetryReduction and each format with its rows shuffled."""
+    formats = {n: C.build_format(n) for n in TestSymmetryReduction.FORMATS}
+    yield from formats.items()
+    for rho, theta in itertools.product((0.3, 0.5, 0.8, 1.2, 1.6, 2.0),
+                                        (0.25, 0.4, 0.65)):
+        yield f"4d64prs-{rho}-{theta}", C.build_4d64prs(rho, theta)
+    for name, swap in (("4d64prs", 1), ("pm8qam", 9)):
+        rows = np.arange(64)
+        rows[[0, swap]] = rows[[swap, 0]]
+        yield f"{name}-swap-0-{swap}", replace(formats[name],
+                                               points=formats[name].points[rows])
+    pts = np.random.default_rng(20).normal(size=(64, 4))
+    yield "random", C.Constellation4D(pts / np.sqrt(np.mean(np.sum(pts**2, axis=1))))
+    q, _ = np.linalg.qr(np.random.default_rng(21).normal(size=(4, 4)))
+    yield "4d64prs-rotated", C.Constellation4D(formats["4d64prs"].points @ q.T)
+    a = np.array([0.3, 0.7, -0.2, 0.5])
+    yield "coincident", C.Constellation4D([a, a, a[[1, 0, 3, 2]], a[[1, 0, 3, 2]]])
+    rng = np.random.default_rng(22)
+    for name, c in formats.items():
+        yield f"{name}-shuffled", C.Constellation4D(c.points[rng.permutation(c.M)])
+
+
+class TestOrbitsAgainstBruteForce:
+    """_orbits fixes each symmetry's permutation from m + 1 images; the
+    oracle matches all M and checks the labels column by column."""
+
+    @pytest.mark.parametrize("c", [pytest.param(c, id=name)
+                                   for name, c in oracle_constellations()])
+    def test_equals_brute_force(self, c):
+        got, want = D._orbits(c), brute_orbits(c)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", TestSymmetryReduction.FORMATS)
+    def test_peak_memory_below_one_mb(self, name):
+        """No (G, M, M) table: the full match peaked at 2.5-5.1 MB."""
+        c = C.build_format(name)
+        D._orbits(c)  # warm call
+        tracemalloc.start()
+        try:
+            D._orbits(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_import_loads_no_scipy(fresh_python):
