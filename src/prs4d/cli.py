@@ -4,20 +4,20 @@ Each command that reads the config (a --config file, then --set overrides)
 is one _COMMANDS row: its help, --output default, plot axes (None: no
 --plot), grid flags as (flag, default, help, config field or None) and
 run(cfg, *grids), which returns records or CSV text. build_parser registers
-the rows in one loop, and _run takes one path: read the config, check the
-output targets, parse the grids, check --plot, run, then write the CSV and
-the plot through _write ('-' is stdout). A grid takes lo:hi:step or a comma
-list; a grid value that sets a config field is read by harness.parse_field,
-so a bad one fails with the config's own "KEY must be" line.
-optimize-constellation reads no config and keeps its own parser and branch."""
+the rows in one loop, and _run takes one path: parse the grids, read the
+config, check the output targets and --plot, run, then write the CSV and the
+plot through _write ('-' is stdout). optimize-constellation reads no config;
+its grid flags are the _DESIGN_GRIDS rows. A grid is a comma list, or
+lo:hi:step counted and built in exact decimals, hi included; a grid value
+that sets a config field is read by harness.parse_field, so a bad one fails
+with the config's own "KEY must be" line."""
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         if axes:
             p.add_argument("--plot", default=None, metavar="SVG",
                            help="also write an SVG line plot")
+        p.set_defaults(grid_flags=grids)
         for flag, default, text, _ in grids:
             p.add_argument(flag, default=default, help=text)
 
@@ -148,11 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid-search the ring-switching geometry")
     p.add_argument("--snr", default=const.DEFAULT_PRS_SNR_DB,
                    help="design SNR in dB")
-    for name, grid in (("rho", const.DEFAULT_PRS_RHOS),
-                       ("theta", const.DEFAULT_PRS_THETAS)):
-        p.add_argument(f"--{name}", default=None,
-                       help=f"{name} grid (default: {len(grid)} values over "
-                            f"[{grid[0]:g}, {grid[-1]:g}])")
+    p.set_defaults(grid_flags=_DESIGN_GRIDS)
+    for flag, default, text, _ in _DESIGN_GRIDS:
+        p.add_argument(flag, default=default, help=text)
     return ap
 
 
@@ -160,16 +159,17 @@ _MAX_GRID = 10**5  # values in one lo:hi:step range, checked before it is built
 
 
 def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
-    """Finite lo:hi:step (hi included), or a comma list of numbers; a grid
-    that sets config field `field` reads each one with harness.parse_field.
-    A float range holds the doubles nearest the decimals lo + k step, so
-    0.3:2:0.05 holds 0.6, not 0.6000000000000001."""
+    """Finite lo:hi:step, or a comma list of numbers; a grid that sets config
+    field `field` reads each one with harness.parse_field. A range is counted
+    and built in exact decimals, hi included: lo + k step for each k >= 0 up
+    to hi, as an int for an integer field and otherwise the nearest double,
+    so 0.3:2:0.05 holds 0.6, not 0.6000000000000001."""
     texts = spec.split(":" if ":" in spec else ",")
     try:
         vals = [float(t) for t in texts]
-        if ":" in spec and (len(vals) != 3 or not all(map(math.isfinite, vals))):
-            raise ValueError
-    except ValueError:
+        if ":" in spec:  # three finite numbers, or the unpacking or Fraction raises
+            lo, hi, step = (Fraction(Decimal(t)) for t in texts)
+    except (ArithmeticError, ValueError):
         raise ValueError(f"{flag} {spec!r}: expected lo:hi:step or a comma "
                          "list of numbers") from None
     if field is not None:
@@ -179,21 +179,16 @@ def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
             raise ValueError(f"{flag} {spec!r}: {exc}") from None
     if ":" not in spec:
         return vals
-    lo, hi, step = vals
     if step == 0:
         raise ValueError(f"{flag} {spec!r}: step must be nonzero")
-    span = (hi - lo) / step + 1e-9  # hi - lo may overflow to +-inf
-    if span < 0:
+    count = (hi - lo) // step + 1
+    if count < 1:
         raise ValueError(f"{flag} {spec!r}: empty range")
-    if span == math.inf:
-        raise ValueError(f"{flag} {spec!r}: range of infinite length")
-    count = math.floor(span) + 1
-    if count > _MAX_GRID:
-        raise ValueError(f"{flag} {spec!r}: {count:.6g} values, more than {_MAX_GRID}")
-    if isinstance(lo, int):  # an integer field's grid
-        return [lo + k * step for k in range(count)]
-    lo, step = (Fraction(Decimal(t)) for t in texts[::2])  # exact decimals
-    return [float(lo + k * step) for k in range(count)]  # correctly rounded
+    if count > _MAX_GRID:  # a float's .6g form, and past the float range alike
+        shown = (f"{count:.6g}" if count < 1e308
+                 else f"{Decimal(count).normalize(Context(6)):e}")
+        raise ValueError(f"{flag} {spec!r}: {shown} values, more than {_MAX_GRID}")
+    return [type(vals[0])(lo + k * step) for k in range(count)]
 
 
 def _check_writable(flag: str, path: str) -> None:
@@ -248,22 +243,22 @@ _COMMANDS = {
     "export-constellation": ("write points + labels CSV", "constellation.csv", None, (),
                              lambda cfg: const.constellation_to_csv(cfg.constellation)),
 }
+_DESIGN_GRIDS = (("--rho", "1.2:2:0.1", "rho grid (default: %(default)s)", None),
+                 ("--theta", "0.25:0.65:0.05", "theta grid (default: %(default)s)", None))
 # main joins each grid flag to a next value that starts with '-', which argparse
 # takes for an option (-4:6:1); optimize-constellation's --snr is gmi-awgn's flag
-_GRID_FLAGS = {g[0] for row in _COMMANDS.values() for g in row[3]} | {"--rho", "--theta"}
+_GRID_FLAGS = {g[0] for g in sum((row[3] for row in _COMMANDS.values()), _DESIGN_GRIDS)}
 
 
 def _run(args) -> int:
+    grids = [_parse_grid(flag, getattr(args, flag[2:]), field)
+             for flag, _, _, field in args.grid_flags]
     if args.command == "optimize-constellation":
         try:
             snr = float(args.snr)
         except ValueError:
             raise ValueError(f"--snr {args.snr!r}: expected a number") from None
-        rhos = (const.DEFAULT_PRS_RHOS if args.rho is None
-                else _parse_grid("--rho", args.rho))
-        thetas = (const.DEFAULT_PRS_THETAS if args.theta is None
-                  else _parse_grid("--theta", args.theta))
-        rho, theta, gmi = harness.optimize_prs_params(snr, rhos, thetas)
+        rho, theta, gmi = harness.optimize_prs_params(snr, *grids)
         _write("-", f"rho={rho:.10g} theta={theta:.10g} gmi={gmi:.10g}\n")
         return 0
 
@@ -275,12 +270,9 @@ def _run(args) -> int:
     if plot is not None and len({p if p == "-" else os.path.abspath(p)
                                  for p in (args.output, plot)}) == 1:
         raise ValueError(f"--plot {plot!r}: the same target as --output")
-    specs = [getattr(args, flag[2:]) for flag, *_ in flags]
-    grids = [_parse_grid(flag, spec, field)
-             for (flag, _, _, field), spec in zip(flags, specs)]
     if plot and len(grids[0]) < 2:
         raise ValueError(f"--plot needs at least 2 values of {flags[0][0]}, "
-                         f"got {specs[0]!r}")
+                         f"got {getattr(args, flags[0][0][2:])!r}")
     out = run(cfg, *grids)
     _write(args.output, out if isinstance(out, str) else harness.records_to_csv(out))
     if plot:

@@ -12,7 +12,7 @@ The module imports nothing of prs4d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin, sqrt
+from math import cos, inf, pi, sin, sqrt
 
 import numpy as np
 
@@ -83,6 +83,8 @@ def build_4d64prs(prs_rho: float, prs_theta: float) -> Constellation4D:
     """
     if not prs_rho > 0:
         raise ValueError(f"prs_rho must be > 0, got {prs_rho}")
+    if prs_rho == inf:
+        raise ValueError(f"prs_rho must be finite, got {prs_rho}")
     if not 0 < prs_theta < pi / 4:
         raise ValueError(f"prs_theta must be in (0, pi/4), got {prs_theta}")
     r1 = 1.0 / sqrt(1.0 + prs_rho * prs_rho)
@@ -161,6 +163,8 @@ def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
     """
     if not ring_ratio > 0:
         raise ValueError(f"ring_ratio must be > 0, got {ring_ratio}")
+    if ring_ratio == inf:
+        raise ValueError(f"ring_ratio must be finite, got {ring_ratio}")
     radii = np.array([1.0, ring_ratio]) / sqrt(1.0 + ring_ratio**2)
 
     labels = _canonical_labels(6)
@@ -205,13 +209,10 @@ def constellation_to_csv(c: Constellation4D) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Shipped defaults: harness.optimize_prs_params over DEFAULT_PRS_RHOS x
-# DEFAULT_PRS_THETAS at DEFAULT_PRS_SNR_DB, where the best AWGN GMI is about
-# 4.55 bit/4D-sym. Pinned by TestOptimize::test_shipped_defaults_are_the_optimum
-# in tests/test_constellation.py; rerun the optimizer to change them.
+# Shipped defaults: `prs4d optimize-constellation` with its default --snr (this
+# DEFAULT_PRS_SNR_DB), --rho and --theta, best AWGN GMI about 4.55 bit/4D-sym;
+# TestOptimize::test_shipped_defaults_are_the_optimum runs it to pin them.
 DEFAULT_PRS_SNR_DB = 8.1
-DEFAULT_PRS_RHOS = np.linspace(1.2, 2.0, 9)
-DEFAULT_PRS_THETAS = np.linspace(0.25, 0.65, 9)
 DEFAULT_PRS_RHO = 1.6
 DEFAULT_PRS_THETA = 0.45
 DEFAULT_RING_RATIO = 1.0 / 0.65  # 6b4D-2A8PSK outer/inner ring ratio

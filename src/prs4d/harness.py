@@ -40,8 +40,9 @@ from . import rxdsp, txdsp
 from .channel import (FIELD_TYPES, FiberParams, LinkConfig, check_fields,
                       field_error, propagate_link)
 
-CSV_HEADER = ("launch_dbm,distance_km,n_channels,format,demapper,"
-              "gmi_bit4d,ndr_gbps,seed,runtime_s")
+CSV_COLUMNS = ("launch_dbm", "distance_km", "n_channels", "format", "demapper",
+               "gmi_bit4d", "ndr_gbps", "seed", "runtime_s")  # ResultRecord fields
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
@@ -161,11 +162,9 @@ class ResultRecord:
     distance_km = property(lambda r: r.config.n_spans * r.config.link.span.length_km)
     ndr_gbps = property(lambda r: r.gmi_bit4d * txdsp.BAUD_GBD)
 
-    def csv_row(self) -> str:
-        return (f"{self.launch_dbm:.10g},{self.distance_km:.10g},"
-                f"{self.n_channels},{self.format},{self.demapper},"
-                f"{self.gmi_bit4d:.10g},{self.ndr_gbps:.10g},{self.seed},"
-                f"{self.runtime_s:.10g}")
+    def csv_row(self) -> str:  # a float in 10 significant digits, a seed in all its digits
+        return ",".join(f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
+                        for v in (getattr(self, c) for c in CSV_COLUMNS))
 
 
 def derived_seed(master: int, *coords) -> int:

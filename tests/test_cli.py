@@ -144,16 +144,27 @@ class TestParseGrid:
         assert captured.err == (f"error: {flag} {spec!r}: expected "
                                 "lo:hi:step or a comma list of numbers\n")
 
-    @pytest.mark.parametrize("command, flag, spec, reason", [
-        ("sweep-power", "--powers", "0:1e308:1e-308", "range of infinite length"),
-        ("gmi-awgn", "--snr", "1e308:-1e308:-1e308", "range of infinite length"),
-        ("gmi-awgn", "--snr", "1e308:-1e308:1e-308", "empty range"),
+    @pytest.mark.parametrize("command, flag, spec, error", [
+        ("sweep-power", "--powers", "0:1e308:1e-308",
+         "--powers '0:1e308:1e-308': 1e+616 values, more than 100000"),
+        ("gmi-awgn", "--snr", "1e308:-1e308:-1e308",
+         "snr_db must be a finite SNR in dB, got 1e+308"),
+        ("gmi-awgn", "--snr", "1e308:-1e308:1e-308", "--snr '1e308:-1e308:1e-308': empty range"),
     ])
     def test_range_of_no_finite_length_names_the_flag(self, capsys, command,
-                                                      flag, spec, reason):
-        """hi - lo overflows to +-inf, and so does the value count."""
+                                                      flag, spec, error):
+        """hi - lo overflows a double, but the count is exact: 1e616 + 1
+        values fail the bound, and the 3 values 1e308, 0, -1e308 parse and
+        reach the run, whose SNR check rejects the first."""
         assert cli.main([command, f"{flag}={spec}", "--output", "-"] + TINY) == 1
-        assert capsys.readouterr() == ("", f"error: {flag} {spec!r}: {reason}\n")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_range_stops_at_or_below_hi(self):
+        """The count is exact: no margin of 1e-9 steps reaches past hi, and
+        a range whose hi - lo overflows a double has its 3 values."""
+        assert cli._parse_grid("--snr", "0:0.9999999999:1") == [0.0]
+        assert cli._parse_grid("--snr", "0:2.9999999995:1") == [0.0, 1.0, 2.0]
+        assert cli._parse_grid("--snr", "1e308:-1e308:-1e308") == [1e308, 0.0, -1e308]
 
     def test_range_longer_than_the_bound_fails_before_it_is_built(self, capsys):
         """The count is checked before any value is made: one past the bound
@@ -185,7 +196,8 @@ SURFACE = {
                        {"--channels": "1,3,5", "--powers": "-2:4:0.5"}),
     "gmi-awgn": (("--config", "--set", "--output", "--snr"), "-", {"--snr": "0:20:2"}),
     "optimize-constellation": (("--snr", "--rho", "--theta"), None,
-                               {"--snr": 8.1, "--rho": None, "--theta": None}),
+                               {"--snr": 8.1, "--rho": "1.2:2:0.1",
+                                "--theta": "0.25:0.65:0.05"}),
     "export-constellation": (("--config", "--set", "--output"), "constellation.csv",
                              {}),
 }
@@ -539,6 +551,21 @@ class TestMain:
             assert cli.main(["optimize-constellation", "--theta", "0.45"] + form) == 1
             assert capsys.readouterr() == ("", "error: prs_rho must be > 0, got -1.0\n")
 
+    def test_infinite_rho_fails_in_the_builder(self, capsys):
+        """np.argmax took the NaN GMI of rho = inf for the best point."""
+        assert cli.main(["optimize-constellation", "--rho", "0.5,inf", "--theta", "0.4"]) == 1
+        assert capsys.readouterr() == ("", "error: prs_rho must be finite, got inf\n")
+
+    def test_optimize_default_grids_hold_the_decimals(self, capsys, monkeypatch):
+        """The default search runs over exact decimals: linspace gave
+        0.6000000000000001 for theta."""
+        grids = []
+        monkeypatch.setattr(H, "optimize_prs_params",
+                            lambda snr, *g: grids.extend(g) or (1.6, 0.45, 4.5))
+        assert cli.main(["optimize-constellation"]) == 0
+        assert grids == [[1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0],
+                         [0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65]]
+
     def test_optimize_bad_snr_returns_one(self, capsys):
         assert cli.main(["optimize-constellation", "--snr", "x"]) == 1
         captured = capsys.readouterr()
@@ -681,13 +708,12 @@ class TestOutputPath:
             "", f"error: --plot {plot!r}: the same target as --output\n")
         assert calls == [] and list(tmp_path.iterdir()) == []
 
-    def test_optimize_help_reads_the_default_grids(self, capsys, monkeypatch):
-        monkeypatch.setattr(C, "DEFAULT_PRS_RHOS", np.linspace(0.3, 2.0, 18))
+    def test_optimize_help_reads_the_default_grids(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["optimize-constellation", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "18 values over [0.3, 2]" in out
-        assert "9 values over [0.25, 0.65]" in out
+        assert "rho grid (default: 1.2:2:0.1)" in out
+        assert "theta grid (default: 0.25:0.65:0.05)" in out
 
     def test_simulate_refuses_plot(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

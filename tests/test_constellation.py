@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prs4d import constellation as C
+from prs4d import cli, constellation as C
 from prs4d import harness as H
 
 VALID_RHO = st.floats(min_value=0.3, max_value=3.0)
@@ -90,6 +90,14 @@ class TestPrsParams:
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError, match="^prs_rho must be > 0, got -1.0$"):
             C.build_4d64prs(-1.0, 0.3)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: C.build_4d64prs(v, 0.4), "prs_rho"), (C.build_6b4d_2a8psk, "ring_ratio")],
+        ids=["4d64prs", "6b4d_2a8psk"])
+    def test_infinite_ring_ratio_rejected(self, build, name):
+        """An infinite ratio would build NaN points (and warn in a divide)."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            build(np.inf)
 
 
 class TestBuild4d64prs:
@@ -338,11 +346,11 @@ class TestOptimize:
         with pytest.raises(ValueError, match=message):
             H.optimize_prs_params(8.1, rhos, thetas)
 
-    def test_shipped_defaults_are_the_optimum(self):
-        rho, theta, _ = H.optimize_prs_params(C.DEFAULT_PRS_SNR_DB,
-                                              C.DEFAULT_PRS_RHOS,
-                                              C.DEFAULT_PRS_THETAS)
-        assert (rho, theta) == (C.DEFAULT_PRS_RHO, C.DEFAULT_PRS_THETA)
+    def test_shipped_defaults_are_the_optimum(self, capsys):
+        """The shipped geometry is what the shipped command prints."""
+        assert cli.main(["optimize-constellation"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"rho={C.DEFAULT_PRS_RHO:.10g} theta={C.DEFAULT_PRS_THETA:.10g} gmi=")
 
     def test_best_beats_neighbors(self):
         from prs4d import demapper as D
