@@ -3,14 +3,16 @@
 Each command that reads the config (a --config file, then --set overrides)
 is one _COMMANDS row: its help, --output default, plot axes (None: no
 --plot), grid flags as (flag, default, help, config field or None) and
-run(cfg, *grids), which returns records or CSV text. build_parser registers
-the rows in one loop, and _run takes one path: parse the grids, read the
-config, check the output targets and --plot, run, then write the CSV and the
-plot through _write ('-' is stdout). optimize-constellation reads no config;
-its grid flags are the _DESIGN_GRIDS rows. A grid is a comma list, or
-lo:hi:step counted and built in exact decimals, hi included; a grid value
-that sets a config field is read by harness.parse_field, so a bad one fails
-with the config's own "KEY must be" line."""
+run(cfg, *unfielded, **by_field), a grid that sets a config field passed
+under that field's name, so each record command is one harness.run_grid
+call. build_parser registers the rows in one loop, and _run takes one path:
+parse the grids, read the config, check the output targets and --plot, run,
+then write the CSV and the plot through _write ('-' is stdout).
+optimize-constellation reads no config; its grid flags are the _DESIGN_GRIDS
+rows. A grid is a comma list, or lo:hi:step counted and built in exact
+decimals, hi included; a grid value that sets a config field is read by
+harness.parse_field, so a bad one fails with the config's own "KEY must be"
+line."""
 
 from __future__ import annotations
 
@@ -220,24 +222,25 @@ def _gmi_awgn(cfg, snrs) -> str:
 
 # name: (help, --output default, plot (x, y) record fields or None for no
 # --plot, grid flags as (flag, default, help, config field or None),
-# run(cfg, *grids) -> records or CSV text)
+# run(cfg, *unfielded, **by_field) -> records or CSV text): each grid whose
+# spec names a config field is passed under that name, the others in order
 _COMMANDS = {
     "simulate": ("run one transmission point", "results.csv", None, (),
-                 harness.run_point),
+                 harness.run_grid),
     "sweep-power": ("GMI vs launch power, on PRS4D_WORKERS processes (default 1)",
                     "results.csv", ("launch_dbm", "gmi_bit4d"), (
         ("--powers", "-4:6:1", "launch powers in dBm, lo:hi:step or comma list",
-         "launch_dbm"),), lambda cfg, powers: harness.run_grid(cfg, launch_dbm=powers)),
+         "launch_dbm"),), harness.run_grid),
     "sweep-distance": ("GMI after each span count, from one propagation", "results.csv",
                        ("distance_km", "gmi_bit4d"), (
         ("--spans", "4,6,8,10,12,14", "span counts, lo:hi:step or comma list",
-         "n_spans"),), lambda cfg, spans: harness.run_grid(cfg, n_spans=spans)),
+         "n_spans"),), harness.run_grid),
     "sweep-channels": ("optimum-power rate vs channels, on PRS4D_WORKERS "
                        "processes (default 1)", "results.csv",
                        ("n_channels", "ndr_gbps"), (
         ("--channels", "1,3,5", "channel counts, lo:hi:step or comma list", "n_channels"),
         ("--powers", "-2:4:0.5", "power grid used to locate the optimum", "launch_dbm"),
-    ), harness.sweep_channels),
+    ), lambda cfg, **grid: harness.optimum_records(harness.run_grid(cfg, **grid))),
     "gmi-awgn": ("AWGN GMI reference curve", "-", None, (
         ("--snr", "0:20:2", "SNR grid in dB", None),), _gmi_awgn),
     "export-constellation": ("write points + labels CSV", "constellation.csv", None, (),
@@ -270,10 +273,11 @@ def _run(args) -> int:
     if plot is not None and len({p if p == "-" else os.path.abspath(p)
                                  for p in (args.output, plot)}) == 1:
         raise ValueError(f"--plot {plot!r}: the same target as --output")
-    if plot and len(grids[0]) < 2:
-        raise ValueError(f"--plot needs at least 2 values of {flags[0][0]}, "
-                         f"got {getattr(args, flags[0][0][2:])!r}")
-    out = run(cfg, *grids)
+    if plot and len(set(grids[0])) < 2:
+        raise ValueError(f"--plot needs at least 2 distinct values of "
+                         f"{flags[0][0]}, got {getattr(args, flags[0][0][2:])!r}")
+    out = run(cfg, *(g for (*_, f), g in zip(flags, grids) if not f),
+              **{f: g for (*_, f), g in zip(flags, grids) if f})
     _write(args.output, out if isinstance(out, str) else harness.records_to_csv(out))
     if plot:
         _write(plot, emit_plot(out, *axes))

@@ -12,7 +12,7 @@ The module imports nothing of prs4d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, inf, pi, sin, sqrt
+from math import cos, hypot, inf, pi, sin, sqrt
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def build_6b4d_2a8psk(ring_ratio: float) -> Constellation4D:
         raise ValueError(f"ring_ratio must be > 0, got {ring_ratio}")
     if ring_ratio == inf:
         raise ValueError(f"ring_ratio must be finite, got {ring_ratio}")
-    radii = np.array([1.0, ring_ratio]) / sqrt(1.0 + ring_ratio**2)
+    radii = np.array([1.0, ring_ratio]) / hypot(1.0, ring_ratio)
 
     labels = _canonical_labels(6)
     vals = np.arange(64)

@@ -1,16 +1,17 @@
 """Experiment orchestration: _curve is the one chain, transmit ->
 propagate_link -> receive after each span count of configs equal but for
-n_spans, and run_point is its one tap, _curve([cfg]). run_grid is the one
-runner of every grid of config fields, n_spans values being taps of one
-_curve per point: its records at a point equal run_point(replace(cfg,
-**point)) at cfg.seed, bit for bit but for runtime_s. It builds and checks
-each config once, before any span, hands those very configs to _curve and
-runs each distinct point once, on one pool of PRS4D_WORKERS processes (an
-integer >= 1 in the environment, default 1). A record carries its config,
-and _series is the one series rule: one demapper at configs equal but for
-the swept fields. optimum_records, the one optimum-power fit (sweep_channels
-fits one grid), and find_reach keep to it. optimize_prs_params, the 4D-64PRS
-design search, scores each geometry with the demapper's AWGN reference.
+n_spans. run_grid is the one runner of every grid of config fields, and of
+every CLI record command, n_spans values being taps of one _curve per point:
+its records at a point equal run_point(replace(cfg, **point)) at cfg.seed,
+bit for bit but for runtime_s. It builds and checks each config once, before
+any span, hands those very configs to _curve and runs each distinct point
+once, on one pool of PRS4D_WORKERS processes (an integer >= 1 in the
+environment, default 1). run_point, the one-tap curve _curve([cfg]), is the
+benchmark's entry point. A record carries its config, and _series is the one
+series rule: one demapper at configs equal but for the swept fields.
+optimum_records, the one optimum-power fit of a run_grid's records, and
+find_reach keep to it. optimize_prs_params, the 4D-64PRS design search,
+scores each geometry with the demapper's AWGN reference.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
 estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
@@ -222,7 +223,8 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
 def run_point(cfg: ExperimentConfig,
               seed: int | None = None) -> list[ResultRecord]:
     """Run one full TX -> link -> RX -> demap experiment at cfg's point: the
-    one-tap curve _curve([cfg]).
+    one-tap curve _curve([cfg]), the benchmark's and the tracer's entry point
+    (the CLI runs every record command through run_grid).
 
     Evaluates the center WDM channel at cfg.seed. Returns one record per
     requested demapper (iid, cg or both), deterministic for a fixed config
@@ -326,16 +328,6 @@ def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = dict(zip(curves, pool.map(_curve, curves.values())))
     return [r for point in points for r in done[point]]
-
-
-def sweep_channels(cfg: ExperimentConfig, channel_counts,
-                   powers) -> list[ResultRecord]:
-    """optimum_records of run_grid(cfg, n_channels=counts, launch_dbm=powers),
-    one fit per count n and demapper in input order of n, duplicates kept;
-    cfg's own power is not run, so it need not be valid at n."""
-    counts = list(channel_counts)
-    fits = optimum_records(run_grid(cfg, n_channels=counts, launch_dbm=powers))
-    return [r for n in counts for r in fits if r.n_channels == n]
 
 
 def find_reach(records: list[ResultRecord], gmi_target: float) -> float:

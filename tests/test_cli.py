@@ -300,6 +300,16 @@ class TestMain:
         assert cli.main(["simulate", "--output", str(b)] + TINY) == 0
         assert without_runtime(a.read_bytes()) == without_runtime(b.read_bytes())
 
+    def test_simulate_rows_are_run_point(self, capsys, without_runtime):
+        """simulate is the one-point grid run_grid(cfg): its rows are the
+        benchmark's run_point(cfg) rows but for runtime_s."""
+        sets = TINY + ["--set", "ase_enabled=true", "--set", "demapper=both",
+                       "--set", "n_symbols=4096"]
+        assert cli.main(["simulate", "--output", "-"] + sets) == 0
+        point = H.run_point(cli.parse_config(None, sets[1::2]))
+        assert (without_runtime(capsys.readouterr().out)
+                == without_runtime(H.records_to_csv(point)))
+
     def test_sweep_power_with_plot(self, tmp_path):
         out, svg = tmp_path / "r.csv", tmp_path / "r.svg"
         code = cli.main(["sweep-power", "--powers=-1,1",
@@ -385,17 +395,19 @@ class TestMain:
 
     @pytest.mark.parametrize("command", [
         ["sweep-power", "--powers=0"], ["sweep-distance", "--spans=1"],
-        ["sweep-channels", "--channels=1", "--powers=0"]],
-        ids=["sweep-power", "sweep-distance", "sweep-channels"])
+        ["sweep-channels", "--channels=1", "--powers=0"], ["simulate"]],
+        ids=["sweep-power", "sweep-distance", "sweep-channels", "simulate"])
     def test_bad_worker_count_returns_one(self, tmp_path, capsys,
                                           monkeypatch, command):
-        """Every grid command reads PRS4D_WORKERS through run_grid."""
-        monkeypatch.setenv("PRS4D_WORKERS", "two")
+        """Every record command, simulate included, reads PRS4D_WORKERS
+        through run_grid."""
         out = tmp_path / "r.csv"
-        assert cli.main(command + ["--output", str(out)] + TINY) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: PRS4D_WORKERS") and err.count("\n") == 1
-        assert not out.exists()
+        for value in ("two", "0"):
+            monkeypatch.setenv("PRS4D_WORKERS", value)
+            assert cli.main(command + ["--output", str(out)] + TINY) == 1
+            assert capsys.readouterr().err == (
+                f"error: PRS4D_WORKERS must be an integer >= 1, got {value!r}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "timings=1", "epsilon_reg=1e-6", "baud_gbd=45", "spacing_ghz=50",
@@ -551,6 +563,15 @@ class TestMain:
             assert cli.main(["optimize-constellation", "--theta", "0.45"] + form) == 1
             assert capsys.readouterr() == ("", "error: prs_rho must be > 0, got -1.0\n")
 
+    def test_huge_ring_ratio_fails_in_the_builder(self, capsys):
+        """ring_ratio**2 overflowed a Python float, whose OverflowError line
+        named no field; hypot keeps the radii finite, so the builder's own
+        check rejects the collapsed rings."""
+        assert cli.main(["export-constellation", "--set", "format=6b4d_2a8psk",
+                         "--set", "ring_ratio=1e200", "--output", "-"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: ring_ratio=1e+200 collapses constellation points\n")
+
     def test_infinite_rho_fails_in_the_builder(self, capsys):
         """np.argmax took the NaN GMI of rho = inf for the best point."""
         assert cli.main(["optimize-constellation", "--rho", "0.5,inf", "--theta", "0.4"]) == 1
@@ -671,16 +692,30 @@ class TestOutputPath:
         p_opt = float(repeated.splitlines()[1].split(",")[0])
         assert 1 < p_opt < 3 and p_opt != 2
 
+    def test_repeated_channel_count_is_one_series(self, capsys):
+        """--channels 1,3,1 fits each (count, demapper) series once, in
+        first-seen order: a repeated count adds no row."""
+        assert cli.main(["sweep-channels", "--channels", "1,3,1", "--powers=-1,1",
+                         "--output", "-"] + TINY + ["--set", "demapper=both",
+                                                    "--set", "n_symbols=4096"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [(n, kind) for _, _, n, _, kind, *_ in rows] == [
+            ("1", "iid"), ("1", "cg"), ("3", "iid"), ("3", "cg")]
+
     @pytest.mark.parametrize("command", subcommands("--plot"))
     def test_plot_of_one_grid_value_fails_before_propagation(
             self, tmp_path, capsys, monkeypatch, command):
+        """One value, alone or repeated, is one point of every series: a
+        repeated channel count is one fitted series, so it too fails before
+        the run, not at the plot after it."""
         calls = []
         monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
-        flag, value = ONE_VALUE[command]
-        assert cli.main([command, flag, value, "--output", str(tmp_path / "r.csv"),
-                         "--plot", str(tmp_path / "r.svg")] + TINY) == 1
-        assert capsys.readouterr().err == (
-            f"error: --plot needs at least 2 values of {flag}, got {value!r}\n")
+        flag, one = ONE_VALUE[command]
+        for value in (one, f"{one},{one}"):
+            assert cli.main([command, flag, value, "--output", str(tmp_path / "r.csv"),
+                             "--plot", str(tmp_path / "r.svg")] + TINY) == 1
+            assert capsys.readouterr().err == (f"error: --plot needs at least 2 "
+                                               f"distinct values of {flag}, got {value!r}\n")
         assert calls == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--output", "--plot"])

@@ -396,15 +396,16 @@ class TestLinearClosure:
         assert abs(rec.gmi_bit4d - ref) < gmi_tol
 
 
-class TestSweeps:
-    def test_sweep_power_one_record_per_point(self):
-        recs = H.run_grid(tiny_config(ase_enabled=True), launch_dbm=[-2.0, 0.0, 2.0])
-        assert [r.launch_dbm for r in recs] == [-2.0, 0.0, 2.0]
+def sweep_channels(cfg, counts, powers):
+    """The sweep-channels command: the optimum fit of one channel x power grid."""
+    return H.optimum_records(H.run_grid(cfg, n_channels=counts, launch_dbm=powers))
 
+
+class TestSweeps:
     def test_sweeps_run_every_value_at_the_config_seed(self):
         cfg = tiny_config()
         recs = (H.run_grid(cfg, launch_dbm=[-2.0, 0.0, 2.0])
-                + H.sweep_channels(cfg, [1, 3], powers=[-1.0, 0.0, 1.0]))
+                + sweep_channels(cfg, [1, 3], powers=[-1.0, 0.0, 1.0]))
         assert [r.seed for r in recs] == [cfg.seed] * 5
 
     def test_sweep_power_checks_each_power_as_given(self):
@@ -416,12 +417,8 @@ class TestSweeps:
     def test_sweep_channels_reads_the_powers_once(self):
         """A one-pass power iterable serves every channel count."""
         cfg = tiny_config()
-        assert (H.sweep_channels(cfg, [1, 3], iter([0.0, 1.0]))
-                == H.sweep_channels(cfg, [1, 3], [0.0, 1.0]))
-
-    def test_sweep_power_empty_rejected(self):
-        with pytest.raises(ValueError):
-            H.run_grid(tiny_config(), launch_dbm=[])
+        assert (sweep_channels(cfg, [1, 3], iter([0.0, 1.0]))
+                == sweep_channels(cfg, [1, 3], [0.0, 1.0]))
 
     def test_process_pool_grid_equals_serial(self, monkeypatch, without_runtime):
         """Two pool workers give the serial records and CSV, for a power
@@ -432,7 +429,7 @@ class TestSweeps:
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
         H.run_point(cfg)
         for sweep in (lambda: H.run_grid(cfg, launch_dbm=[-1.0, 3.0]),
-                      lambda: H.sweep_channels(cfg, [1, 3], [-1.0, 3.0, 1.0])):
+                      lambda: sweep_channels(cfg, [1, 3], [-1.0, 3.0, 1.0])):
             monkeypatch.setenv("PRS4D_WORKERS", "1")
             serial = sweep()
             monkeypatch.setenv("PRS4D_WORKERS", "2")
@@ -449,29 +446,20 @@ class TestSweeps:
                                  f"got '{value}'$"):
             H.run_grid(tiny_config(), launch_dbm=[0.0])
 
-    @pytest.mark.parametrize("sweep, field, value, workers", [
-        (lambda cfg, grid: H.run_grid(cfg, launch_dbm=grid), "launch_dbm", -1.0, "1"),
-        (lambda cfg, grid: H.run_grid(cfg, launch_dbm=grid), "launch_dbm", -1.0, "2"),
-        (lambda cfg, grid: H.run_grid(cfg, n_spans=grid), "n_spans", 2, "1"),
-        (lambda cfg, grid: H.sweep_channels(cfg, grid, [cfg.launch_dbm]),
-         "n_channels", 3, "1"),
-    ], ids=["sweep_power", "sweep_power_2_workers", "sweep_distance",
-            "sweep_channels"])
-    def test_sweep_is_a_loop_over_run_point(self, sweep, field, value,
-                                            workers, monkeypatch, without_runtime):
-        """A one-value sweep is run_point(replace(cfg, field=value)) at
-        cfg.seed, bit for bit: the records, sigma2 where the record carries
-        it (a fitted optimum over channel counts does not), and the CSV but
-        for the measured runtime_s. At -20 dBm the GMI is below 6 bit/4D,
-        so it shows the noise draws."""
+    # run_grid's own grids are checked against run_point by
+    # test_sweep_distance_taps_run_point and TestRunGrid's
+    # test_power_by_tap_grid_is_run_point; this is the fit's case
+    @pytest.mark.parametrize("sweep", [sweep_channels], ids=["sweep_channels"])
+    def test_sweep_is_a_loop_over_run_point(self, sweep, without_runtime):
+        """The fit of a one-count, one-power channel sweep is
+        run_point(replace(cfg, n_channels=3)) at cfg.seed: the records and
+        the CSV but for the measured runtime_s (a fit carries no sigma2). At
+        -20 dBm the GMI is below 6 bit/4D, so it shows the noise draws."""
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=-20.0,
                           n_symbols=2**12, demapper="both")
-        point = H.run_point(replace(cfg, **{field: value}))
-        monkeypatch.setenv("PRS4D_WORKERS", workers)
-        recs = sweep(cfg, [value])
+        point = H.run_point(replace(cfg, n_channels=3))
+        recs = sweep(cfg, [3], [cfg.launch_dbm])
         assert recs == point
-        if field != "n_channels":
-            assert [r.sigma2 for r in recs] == [r.sigma2 for r in point]
         assert without_runtime(H.records_to_csv(recs)) == without_runtime(
             H.records_to_csv(point))
 
@@ -583,7 +571,7 @@ class TestSweeps:
             H.run_grid(tiny_config(), n_spans=[1, 2.7])
         with pytest.raises(ValueError,
                            match="^n_channels must be an integer, got 1.9$"):
-            H.sweep_channels(tiny_config(), [1.9], powers=[0.0])
+            sweep_channels(tiny_config(), [1.9], powers=[0.0])
         assert calls == []
 
     @pytest.mark.parametrize("demapper", ["cg", "both"])
@@ -618,12 +606,13 @@ class TestSweeps:
         cfg = tiny_config(ase_enabled=True)
         assert (H.run_grid(cfg, n_spans=np.array([2, 1]))
                 == H.run_grid(cfg, n_spans=[2, 1]))
-        assert (H.sweep_channels(cfg, [np.int64(1)], powers=[-1.0, 0.0, 1.0])
-                == H.sweep_channels(cfg, [1], powers=[-1.0, 0.0, 1.0]))
+        assert (sweep_channels(cfg, [np.int64(1)], powers=[-1.0, 0.0, 1.0])
+                == sweep_channels(cfg, [1], powers=[-1.0, 0.0, 1.0]))
 
     def test_repeated_values_run_once(self, monkeypatch):
         """A repeated power or channel count is the same point at cfg.seed:
-        it propagates once, and its records repeat in input order."""
+        it propagates once, and its records repeat in input order. A
+        repeated channel count is one series, so its optimum is fitted once."""
         calls, span = [], channel.ssfm_span
         monkeypatch.setattr(channel, "ssfm_span",
                             lambda *a: calls.append(a) or span(*a))
@@ -633,29 +622,9 @@ class TestSweeps:
         assert [r.launch_dbm for r in recs] == [0.0, -1.0, 0.0, 0.0]
         assert recs[0] == recs[2] == recs[3] != recs[1]
         calls.clear()
-        recs = H.sweep_channels(cfg, [1, 3, 1], powers=[-1.0, 0.0, 0.0, 1.0])
+        recs = sweep_channels(cfg, [1, 3, 1], powers=[-1.0, 0.0, 0.0, 1.0])
         assert len(calls) == 2 * 3
-        assert [r.n_channels for r in recs] == [1, 3, 1]
-        assert recs[0] == recs[2] and recs[0].runtime_s == recs[2].runtime_s
-
-    def test_repeated_powers_reach_the_pool_once(self, monkeypatch):
-        """Under PRS4D_WORKERS each distinct power is one pool task, and the
-        records are the serial ones, duplicates kept."""
-        tasks = []
-
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, curves):
-                curves = list(curves)
-                tasks.extend(c.launch_dbm for c, in curves)  # one tap each
-                return super().map(fn, curves)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        cfg = tiny_config(ase_enabled=True)
-        monkeypatch.setenv("PRS4D_WORKERS", "2")
-        pooled = H.run_grid(cfg, launch_dbm=[0.0, -1.0, 0.0])
-        assert tasks == [0.0, -1.0]
-        monkeypatch.setenv("PRS4D_WORKERS", "1")
-        assert pooled == H.run_grid(cfg, launch_dbm=[0.0, -1.0, 0.0])
+        assert [r.n_channels for r in recs] == [1, 3]
 
     def test_pool_has_no_more_processes_than_points(self, monkeypatch):
         """A fork pool starts all its processes at the first task, so 5000
@@ -679,7 +648,7 @@ class TestSweeps:
         monkeypatch.setenv("PRS4D_WORKERS", "5000")
         cfg = tiny_config()
         H.run_grid(cfg, launch_dbm=[0.0, 1.0, 0.0])
-        H.sweep_channels(cfg, [1, 3], [0.0, 1.0, 2.0])
+        sweep_channels(cfg, [1, 3], [0.0, 1.0, 2.0])
         assert sizes == [2, 6]  # one pool for the whole channel grid
 
     def test_sweep_channels_runs_only_its_grid_points(self, monkeypatch):
@@ -692,7 +661,7 @@ class TestSweeps:
                           launch_dbm=8.0)
         with pytest.raises(ValueError, match="^launch_dbm must be <= "):
             replace(cfg, n_channels=11)
-        recs = H.sweep_channels(cfg, [1, 11], [0.0, 2.0])
+        recs = sweep_channels(cfg, [1, 11], [0.0, 2.0])
         assert [r.n_channels for r in recs] == [1, 11]
         assert len(calls) == 4
 
@@ -706,10 +675,10 @@ class TestSweeps:
         cfg = tiny_config(gamma_w_km=1.464, n_symbols=4096, step_km=80.0,
                           demapper="both")
         with pytest.raises(ValueError, match="^launch_dbm must be <= "):
-            H.sweep_channels(cfg, [1, 11], [0.0, 8.0])
+            sweep_channels(cfg, [1, 11], [0.0, 8.0])
 
     def test_sweep_channels_structure(self):
-        recs = H.sweep_channels(tiny_config(), [1], powers=[-1.0, 0.0, 1.0])
+        recs = sweep_channels(tiny_config(), [1], powers=[-1.0, 0.0, 1.0])
         assert len(recs) == 1
         assert recs[0].n_channels == 1
         assert -1.0 <= recs[0].launch_dbm <= 1.0
@@ -722,19 +691,21 @@ class TestRunGrid:
         """A power x span grid, a power repeated and the taps unsorted and
         repeated, equals run_point(replace(cfg, launch_dbm=p, n_spans=n)) at
         cfg.seed at every point, taps innermost: records, sigma2 and the CSV
-        but for runtime_s, serially and on two processes. At -20 dBm the
-        GMI is below 6 bit/4D, so it shows the noise draws."""
+        but for runtime_s, serially and on two processes. A power grid
+        alone is the one tap cfg.n_spans. At -20 dBm the GMI is below 6
+        bit/4D, so it shows the noise draws."""
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, n_symbols=2**12,
                           demapper="both")
         powers, taps = [-20.0, -22.0, -20.0], [2, 1, 2]
-        points = [r for p in powers for n in taps
-                  for r in H.run_point(replace(cfg, launch_dbm=p, n_spans=n))]
         monkeypatch.setenv("PRS4D_WORKERS", workers)
-        recs = H.run_grid(cfg, launch_dbm=powers, n_spans=taps)
-        assert len(recs) == 18 and recs == points
-        assert [r.sigma2 for r in recs] == [r.sigma2 for r in points]
-        assert without_runtime(H.records_to_csv(recs)) == without_runtime(
-            H.records_to_csv(points))
+        for grid, size in (({"n_spans": taps}, 18), ({}, 6)):
+            points = [r for p in powers for n in grid.get("n_spans", [cfg.n_spans])
+                      for r in H.run_point(replace(cfg, launch_dbm=p, n_spans=n))]
+            recs = H.run_grid(cfg, launch_dbm=powers, **grid)
+            assert len(recs) == size and recs == points
+            assert [r.sigma2 for r in recs] == [r.sigma2 for r in points]
+            assert without_runtime(H.records_to_csv(recs)) == without_runtime(
+                H.records_to_csv(points))
 
     def test_product_in_keyword_order_with_taps_innermost(self, monkeypatch):
         """The other fields run in keyword order, and n_spans comes
@@ -809,7 +780,8 @@ class TestRunGrid:
          "launch_dbm must be <= 5.546 with step_km=80 (1 rad of mean Kerr "
          "phase per step), got 8"),
         ({"launch_dbm": [0.0], "n_spans": []}, "empty n_spans list"),
-    ], ids=["tap", "point", "empty"])
+        ({"launch_dbm": []}, "empty launch_dbm list"),
+    ], ids=["tap", "point", "empty", "empty_power"])
     def test_bad_last_value_fails_before_any_span(self, monkeypatch, grid,
                                                   message):
         """A bad tap or point at the grid's last value fails with the
@@ -1022,6 +994,25 @@ class TestFindReach:
         records = [rec(10, 5.0), rec(20, 4.0), rec(10, 5.0), rec(20, 4.0)]
         assert H.find_reach(records, 4.5) == pytest.approx(1200.0)
         assert H.find_reach(records, 5.0) == 800.0
+
+    def test_reach_of_fitted_grid_records(self):
+        """The reach composition on real records: one run_grid over power x
+        span count, optimum_records fits each (distance, demapper), and each
+        demapper's fits are one find_reach series, whose midpoint GMI is
+        crossed inside the 800-3 200 km grid. iid and cg fits together are
+        two series."""
+        cfg = H.ExperimentConfig(format="pm8qam", n_channels=1, n_symbols=2**12,
+                                 step_km=40.0, demapper="both")
+        fits = H.optimum_records(H.run_grid(cfg, launch_dbm=[-4, -2, 0],
+                                            n_spans=[10, 20, 40]))
+        assert [(r.distance_km, r.demapper) for r in fits] == [
+            (d, kind) for d in (800.0, 1600.0, 3200.0) for kind in ("iid", "cg")]
+        for kind in ("iid", "cg"):
+            curve = [r for r in fits if r.demapper == kind]
+            gmis = [r.gmi_bit4d for r in curve]
+            assert 800.0 <= H.find_reach(curve, (max(gmis) + min(gmis)) / 2) <= 3200.0
+        with pytest.raises(ValueError, match="^records must come from one series$"):
+            H.find_reach(fits, fits[0].gmi_bit4d)
 
 
 class TestCsv:
