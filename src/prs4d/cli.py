@@ -7,7 +7,8 @@ run(cfg, *unfielded, **by_field), a grid that sets a config field passed
 under that field's name, so each record command is one harness.run_grid
 call. build_parser registers the rows in one loop, and _run takes one path:
 parse the grids, read the config, check the output targets and --plot, run,
-then write the CSV and the plot through _write ('-' is stdout).
+then write the CSV and the plot through _write. prs4d's renderers live here:
+_csv writes every table, records_to_csv the record table, emit_plot the SVG.
 optimize-constellation reads no config; its grid flags are the _DESIGN_GRIDS
 rows. A grid is a comma list, or lo:hi:step counted and built in exact
 decimals, hi included; a grid value that sets a config field is read by
@@ -52,6 +53,8 @@ def parse_config(path: str | None, overrides: list[str] | None = None
         **{key: harness.parse_field(key, val) for key, val in kv.items()})
 
 
+CSV_COLUMNS = ("launch_dbm", "distance_km", "n_channels", "format", "demapper",
+               "gmi_bit4d", "ndr_gbps", "seed", "runtime_s")  # ResultRecord fields
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -214,15 +217,20 @@ def _write(path: str, text: str) -> None:
             f.write(text)
 
 
-def _gmi_awgn(cfg, snrs) -> str:
-    return "snr_db,format,gmi_bit4d\n" + "".join(
-        f"{snr:.10g},{cfg.format},{dm.awgn_gmi_reference(cfg.constellation, snr):.10g}\n"
-        for snr in snrs)
+def _csv(columns, rows) -> str:
+    """Columns, then rows, as CSV lines: a float cell in .10g, any other by str."""
+    return "".join(",".join(f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
+                            for v in row) + "\n" for row in [columns, *rows])
+
+
+def records_to_csv(records) -> str:
+    """The record table: one row of CSV_COLUMNS per harness.ResultRecord."""
+    return _csv(CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
 # name: (help, --output default, plot (x, y) record fields or None for no
 # --plot, grid flags as (flag, default, help, config field or None),
-# run(cfg, *unfielded, **by_field) -> records or CSV text): each grid whose
+# run(cfg, *unfielded, **by_field) -> records or _csv text): each grid whose
 # spec names a config field is passed under that name, the others in order
 _COMMANDS = {
     "simulate": ("run one transmission point", "results.csv", None, (),
@@ -242,9 +250,13 @@ _COMMANDS = {
         ("--powers", "-2:4:0.5", "power grid used to locate the optimum", "launch_dbm"),
     ), lambda cfg, **grid: harness.optimum_records(harness.run_grid(cfg, **grid))),
     "gmi-awgn": ("AWGN GMI reference curve", "-", None, (
-        ("--snr", "0:20:2", "SNR grid in dB", None),), _gmi_awgn),
+        ("--snr", "0:20:2", "SNR grid in dB", None),),
+        lambda cfg, snrs: _csv(("snr_db", "format", "gmi_bit4d"), (
+            (snr, cfg.format, dm.awgn_gmi_reference(cfg.constellation, snr)) for snr in snrs))),
     "export-constellation": ("write points + labels CSV", "constellation.csv", None, (),
-                             lambda cfg: const.constellation_to_csv(cfg.constellation)),
+        lambda cfg: _csv(("index", "label_bits", "s1", "s2", "s3", "s4"), (  # .17g round-trips
+            (i, "".join(map(str, lab)), *(f"{v:.17g}" for v in row)) for i, (lab, row)
+            in enumerate(zip(cfg.constellation.labels, cfg.constellation.points))))),
 }
 _DESIGN_GRIDS = (("--rho", "1.2:2:0.1", "rho grid (default: %(default)s)", None),
                  ("--theta", "0.25:0.65:0.05", "theta grid (default: %(default)s)", None))
@@ -278,7 +290,7 @@ def _run(args) -> int:
                          f"{flags[0][0]}, got {getattr(args, flags[0][0][2:])!r}")
     out = run(cfg, *(g for (*_, f), g in zip(flags, grids) if not f),
               **{f: g for (*_, f), g in zip(flags, grids) if f})
-    _write(args.output, out if isinstance(out, str) else harness.records_to_csv(out))
+    _write(args.output, out if isinstance(out, str) else records_to_csv(out))
     if plot:
         _write(plot, emit_plot(out, *axes))
     return 0

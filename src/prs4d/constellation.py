@@ -6,7 +6,8 @@ row i carries the binary expansion of i, first bit as MSB, so a builder
 chooses its labelling by the order in which it lists the points.
 BUILDERS names every format build_format makes and the geometry keys each
 one reads; each builder checks its own arguments under those config keys.
-The module imports nothing of prs4d.
+The module imports nothing of prs4d and returns data only: cli renders the
+exported table.
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ def map_bits_to_symbols(bits: np.ndarray, c: Constellation4D):
         raise ValueError(f"bits must be 0 or 1, got values in [{bits.min()}, {bits.max()}]")
     indices = bits.reshape(-1, c.m).astype(np.int64) @ (1 << np.arange(c.m - 1, -1, -1))
     return indices, np.take(c.points, indices, axis=0)
-
-
-def constellation_to_csv(c: Constellation4D) -> str:
-    """The constellation as CSV text: index,label_bits,s1,s2,s3,s4."""
-    lines = ["index,label_bits,s1,s2,s3,s4"]
-    for i, (lab, row) in enumerate(zip(c.labels, c.points)):
-        coords = ",".join(f"{v:.17g}" for v in row)
-        lines.append(f"{i},{''.join(map(str, lab))},{coords}")
-    return "\n".join(lines) + "\n"
 
 
 # Shipped defaults: `prs4d optimize-constellation` with its default --snr (this

@@ -3,15 +3,16 @@ propagate_link -> receive after each span count of configs equal but for
 n_spans. run_grid is the one runner of every grid of config fields, and of
 every CLI record command, n_spans values being taps of one _curve per point:
 its records at a point equal run_point(replace(cfg, **point)) at cfg.seed,
-bit for bit but for runtime_s. It builds and checks each config once, before
-any span, hands those very configs to _curve and runs each distinct point
-once, on one pool of PRS4D_WORKERS processes (an integer >= 1 in the
-environment, default 1). run_point, the one-tap curve _curve([cfg]), is the
-benchmark's entry point. A record carries its config, and _series is the one
-series rule: one demapper at configs equal but for the swept fields.
-optimum_records, the one optimum-power fit of a run_grid's records, and
-find_reach keep to it. optimize_prs_params, the 4D-64PRS design search,
-scores each geometry with the demapper's AWGN reference.
+bit for bit but for runtime_s. It builds and checks once each config it
+runs and no other, before any span, hands those very configs to _curve and
+runs each distinct point once, on one pool of PRS4D_WORKERS processes (an
+integer >= 1 in the environment, default 1). run_point, the one-tap curve
+_curve([cfg]), is the benchmark's entry point. A record carries its config,
+and _series is the one series rule: one demapper at configs equal but for
+the swept fields. optimum_records, the one optimum-power fit of a run_grid's
+records, and find_reach keep to it. optimize_prs_params, the 4D-64PRS design
+search, scores each geometry with the demapper's AWGN reference. The module
+returns data only: cli renders every table.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
 estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
@@ -31,6 +32,7 @@ import hashlib
 import itertools
 import os
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -40,10 +42,6 @@ from . import demapper as dm
 from . import rxdsp, txdsp
 from .channel import (FIELD_TYPES, FiberParams, LinkConfig, check_fields,
                       field_error, propagate_link)
-
-CSV_COLUMNS = ("launch_dbm", "distance_km", "n_channels", "format", "demapper",
-               "gmi_bit4d", "ndr_gbps", "seed", "runtime_s")  # ResultRecord fields
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
@@ -149,7 +147,8 @@ def parse_field(name: str, text: str):
 @dataclass
 class ResultRecord:
     """One demapper's GMI at config, the point's config after the sweep's
-    replace. The other CSV fields read config, and so does the series rule."""
+    replace. The other columns of the record table that cli renders read
+    config, and so does the series rule."""
 
     config: ExperimentConfig
     demapper: str
@@ -162,10 +161,6 @@ class ResultRecord:
     seed = property(lambda r: r.config.seed)
     distance_km = property(lambda r: r.config.n_spans * r.config.link.span.length_km)
     ndr_gbps = property(lambda r: r.gmi_bit4d * txdsp.BAUD_GBD)
-
-    def csv_row(self) -> str:  # a float in 10 significant digits, a seed in all its digits
-        return ",".join(f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
-                        for v in (getattr(self, c) for c in CSV_COLUMNS))
 
 
 def derived_seed(master: int, *coords) -> int:
@@ -304,19 +299,24 @@ def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
     """run_point(replace(cfg, **point)) at cfg.seed for each point of the
     product of grid's field values, in keyword order. The n_spans values, or
     [cfg.n_spans], are the taps of one _curve per point of the other fields
-    and come innermost. Every (point, tap) config is built and checked once,
-    before the first span, and the run uses those very configs; a distinct
-    point runs once, its records repeated in input order. The curves run on
-    one pool of at most PRS4D_WORKERS processes and never more than there
-    are curves."""
+    and come innermost. Every distinct (point, tap) config, and no other, is
+    built and checked once, before the first span, and the run uses those
+    very configs; a distinct point runs once, its records repeated in input
+    order. The curves run on one pool of at most PRS4D_WORKERS processes and
+    never more than there are curves."""
     grid = {name: list(values) for name, values in grid.items()}
     if empty := [name for name, values in grid.items() if not values]:
         raise ValueError(f"empty {empty[0]} list")
     taps = grid.pop("n_spans", [cfg.n_spans])
-    points = [replace(cfg, **dict(zip(grid, values)))
+    points = [replace(cfg, n_spans=taps[0], **dict(zip(grid, values)))
               for values in itertools.product(*grid.values())]
-    curves = {point: [replace(point, n_spans=n) for n in taps]
-              for point in dict.fromkeys(points)}
+    # a config per distinct tap and type: True == 1.0 == 1, but only 1 is a count
+    keys = [(type(n), n) if isinstance(n, Hashable) else k for k, n in enumerate(taps)]
+    curves = {}
+    for point in dict.fromkeys(points):
+        built = {keys[0]: point}
+        curves[point] = [built.get(k) or built.setdefault(k, replace(point, n_spans=n))
+                         for k, n in zip(keys, taps)]
     env = os.environ.get("PRS4D_WORKERS") or "1"
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
@@ -350,8 +350,3 @@ def find_reach(records: list[ResultRecord], gmi_target: float) -> float:
                 return d0
             return d0 + (gmi_target - g0) / (g1 - g0) * (d1 - d0)
     raise ValueError(f"GMI target {gmi_target} not bracketed by the records")
-
-
-def records_to_csv(records: list[ResultRecord]) -> str:
-    """Records as CSV text: LF endings, 10-significant-digit floats."""
-    return CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in records)

@@ -81,7 +81,7 @@ def test_run_point_seed_keyword_is_replace(workloads, without_runtime):
     op_seed. That is run_point(replace(cfg, seed=s)): the same records,
     sigma2 and CSV but for runtime_s, also for s >= 2**63. A bool seed is
     rejected by the config, not run as seed 1."""
-    from prs4d import harness
+    from prs4d import cli, harness
 
     cfg = harness.ExperimentConfig(
         format="pm8qam", n_channels=1, n_symbols=2**12, n_spans=1,
@@ -91,8 +91,8 @@ def test_run_point_seed_keyword_is_replace(workloads, without_runtime):
     replaced = harness.run_point(replace(cfg, seed=s))
     assert keyword == replaced and [r.seed for r in keyword] == [s, s]
     assert [r.sigma2 for r in keyword] == [r.sigma2 for r in replaced]
-    assert (without_runtime(harness.records_to_csv(keyword))
-            == without_runtime(harness.records_to_csv(replaced)))
+    assert (without_runtime(cli.records_to_csv(keyword))
+            == without_runtime(cli.records_to_csv(replaced)))
     with pytest.raises(ValueError, match="^seed must be an integer"):
         harness.run_point(cfg, seed=True)
 

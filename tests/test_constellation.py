@@ -279,19 +279,33 @@ class TestMapping:
             C.map_bits_to_symbols(np.array(bits), c)
 
 
+def export(capsysbinary, *sets: str) -> bytes:
+    """export-constellation's stdout at the config that sets gives."""
+    assert cli.main(["export-constellation", "--output", "-",
+                     *(a for kv in sets for a in ("--set", kv))]) == 0
+    return capsysbinary.readouterr().out
+
+
 class TestBitGenAndExport:
-    def test_export_format(self):
-        c = C.build_format("4d64prs")
-        lines = C.constellation_to_csv(c).splitlines()
+    def test_export_format(self, capsysbinary):
+        lines = export(capsysbinary).decode().splitlines()
         assert lines[0] == "index,label_bits,s1,s2,s3,s4"
         assert len(lines) == 65
         first = lines[1].split(",")
         assert first[0] == "0" and len(first[1]) == 6
         assert set(first[1]) <= {"0", "1"}
 
-    def test_export_deterministic(self):
-        c = C.build_format("4d64prs")
-        assert C.constellation_to_csv(c) == C.constellation_to_csv(c)
+    def test_export_deterministic(self, capsysbinary):
+        assert export(capsysbinary) == export(capsysbinary)
+
+    # sha256 of the stdout bytes at each format's defaults: .17g round-trips
+    # a double, so these are as platform-stable as TestBuildFormat's pins
+    @pytest.mark.parametrize("name, digest", [("4d64prs", "6255d8e1f74ea24d"),
+                                              ("pm8qam", "0f2807f24af0452e"),
+                                              ("6b4d_2a8psk", "49f1db57ce086224")])
+    def test_export_bytes_pinned(self, capsysbinary, name, digest):
+        out = export(capsysbinary, f"format={name}")
+        assert hashlib.sha256(out).hexdigest()[:16] == digest
 
 
 class TestBuildFormat:

@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from prs4d import channel, rxdsp, txdsp
+from prs4d import channel, cli, rxdsp, txdsp
 from prs4d import constellation as const
 from prs4d import demapper as dm
 from prs4d import harness as H
@@ -261,7 +261,8 @@ class TestRunPoint:
     def test_numpy_integer_seed_runs_as_int(self, without_runtime):
         a = H.run_point(tiny_config(ase_enabled=True), seed=3)
         b = H.run_point(tiny_config(ase_enabled=True), seed=np.int64(3))
-        assert without_runtime(H.records_to_csv(a)) == without_runtime(H.records_to_csv(b))
+        assert (without_runtime(cli.records_to_csv(a))
+                == without_runtime(cli.records_to_csv(b)))
 
     def test_deterministic_records(self, without_runtime):
         """A rerun reproduces every column but the measured runtime_s."""
@@ -269,7 +270,8 @@ class TestRunPoint:
         a = H.run_point(cfg)
         b = H.run_point(cfg)
         assert a == b and [r.sigma2 for r in a] == [r.sigma2 for r in b]
-        assert without_runtime(H.records_to_csv(a)) == without_runtime(H.records_to_csv(b))
+        assert (without_runtime(cli.records_to_csv(a))
+                == without_runtime(cli.records_to_csv(b)))
 
     def test_golden_nonlinear_two_span_point(self):
         """Pinned outputs of a nonlinear 3-channel, 2-span point.
@@ -396,16 +398,15 @@ class TestLinearClosure:
         assert abs(rec.gmi_bit4d - ref) < gmi_tol
 
 
-def sweep_channels(cfg, counts, powers):
-    """The sweep-channels command: the optimum fit of one channel x power grid."""
-    return H.optimum_records(H.run_grid(cfg, n_channels=counts, launch_dbm=powers))
+# the sweep-channels command's own run: the optimum fit of one channel x power grid
+sweep_channels = cli._COMMANDS["sweep-channels"][-1]
 
 
 class TestSweeps:
     def test_sweeps_run_every_value_at_the_config_seed(self):
         cfg = tiny_config()
         recs = (H.run_grid(cfg, launch_dbm=[-2.0, 0.0, 2.0])
-                + sweep_channels(cfg, [1, 3], powers=[-1.0, 0.0, 1.0]))
+                + sweep_channels(cfg, n_channels=[1, 3], launch_dbm=[-1.0, 0.0, 1.0]))
         assert [r.seed for r in recs] == [cfg.seed] * 5
 
     def test_sweep_power_checks_each_power_as_given(self):
@@ -417,8 +418,8 @@ class TestSweeps:
     def test_sweep_channels_reads_the_powers_once(self):
         """A one-pass power iterable serves every channel count."""
         cfg = tiny_config()
-        assert (sweep_channels(cfg, [1, 3], iter([0.0, 1.0]))
-                == sweep_channels(cfg, [1, 3], [0.0, 1.0]))
+        assert (sweep_channels(cfg, n_channels=[1, 3], launch_dbm=iter([0.0, 1.0]))
+                == sweep_channels(cfg, n_channels=[1, 3], launch_dbm=[0.0, 1.0]))
 
     def test_process_pool_grid_equals_serial(self, monkeypatch, without_runtime):
         """Two pool workers give the serial records and CSV, for a power
@@ -429,14 +430,15 @@ class TestSweeps:
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True)
         H.run_point(cfg)
         for sweep in (lambda: H.run_grid(cfg, launch_dbm=[-1.0, 3.0]),
-                      lambda: sweep_channels(cfg, [1, 3], [-1.0, 3.0, 1.0])):
+                      lambda: sweep_channels(cfg, n_channels=[1, 3],
+                                             launch_dbm=[-1.0, 3.0, 1.0])):
             monkeypatch.setenv("PRS4D_WORKERS", "1")
             serial = sweep()
             monkeypatch.setenv("PRS4D_WORKERS", "2")
             pooled = sweep()
             assert pooled == serial
-            assert (without_runtime(H.records_to_csv(pooled))
-                    == without_runtime(H.records_to_csv(serial)))
+            assert (without_runtime(cli.records_to_csv(pooled))
+                    == without_runtime(cli.records_to_csv(serial)))
 
     @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
@@ -458,10 +460,10 @@ class TestSweeps:
         cfg = tiny_config(gamma_w_km=1.464, ase_enabled=True, launch_dbm=-20.0,
                           n_symbols=2**12, demapper="both")
         point = H.run_point(replace(cfg, n_channels=3))
-        recs = sweep(cfg, [3], [cfg.launch_dbm])
+        recs = sweep(cfg, n_channels=[3], launch_dbm=[cfg.launch_dbm])
         assert recs == point
-        assert without_runtime(H.records_to_csv(recs)) == without_runtime(
-            H.records_to_csv(point))
+        assert without_runtime(cli.records_to_csv(recs)) == without_runtime(
+            cli.records_to_csv(point))
 
     def test_sweep_distance_taps_run_point(self, without_runtime):
         """One propagation at cfg.seed gives, at each count n, the records of
@@ -476,8 +478,8 @@ class TestSweeps:
         points = [r for n in counts for r in H.run_point(replace(cfg, n_spans=n))]
         assert curve == points
         assert [r.sigma2 for r in curve] == [r.sigma2 for r in points]
-        assert without_runtime(H.records_to_csv(curve)) == without_runtime(
-            H.records_to_csv(points))
+        assert without_runtime(cli.records_to_csv(curve)) == without_runtime(
+            cli.records_to_csv(points))
         assert {r.seed for r in curve} == {cfg.seed}
         runtimes = [r.runtime_s for r in H.run_grid(cfg, n_spans=[1, 2, 3])]
         assert 0.0 < runtimes[0] and runtimes == sorted(runtimes)
@@ -571,7 +573,7 @@ class TestSweeps:
             H.run_grid(tiny_config(), n_spans=[1, 2.7])
         with pytest.raises(ValueError,
                            match="^n_channels must be an integer, got 1.9$"):
-            sweep_channels(tiny_config(), [1.9], powers=[0.0])
+            sweep_channels(tiny_config(), n_channels=[1.9], launch_dbm=[0.0])
         assert calls == []
 
     @pytest.mark.parametrize("demapper", ["cg", "both"])
@@ -606,8 +608,9 @@ class TestSweeps:
         cfg = tiny_config(ase_enabled=True)
         assert (H.run_grid(cfg, n_spans=np.array([2, 1]))
                 == H.run_grid(cfg, n_spans=[2, 1]))
-        assert (sweep_channels(cfg, [np.int64(1)], powers=[-1.0, 0.0, 1.0])
-                == sweep_channels(cfg, [1], powers=[-1.0, 0.0, 1.0]))
+        powers = [-1.0, 0.0, 1.0]
+        assert (sweep_channels(cfg, n_channels=[np.int64(1)], launch_dbm=powers)
+                == sweep_channels(cfg, n_channels=[1], launch_dbm=powers))
 
     def test_repeated_values_run_once(self, monkeypatch):
         """A repeated power or channel count is the same point at cfg.seed:
@@ -622,7 +625,8 @@ class TestSweeps:
         assert [r.launch_dbm for r in recs] == [0.0, -1.0, 0.0, 0.0]
         assert recs[0] == recs[2] == recs[3] != recs[1]
         calls.clear()
-        recs = sweep_channels(cfg, [1, 3, 1], powers=[-1.0, 0.0, 0.0, 1.0])
+        recs = sweep_channels(cfg, n_channels=[1, 3, 1],
+                              launch_dbm=[-1.0, 0.0, 0.0, 1.0])
         assert len(calls) == 2 * 3
         assert [r.n_channels for r in recs] == [1, 3]
 
@@ -648,7 +652,7 @@ class TestSweeps:
         monkeypatch.setenv("PRS4D_WORKERS", "5000")
         cfg = tiny_config()
         H.run_grid(cfg, launch_dbm=[0.0, 1.0, 0.0])
-        sweep_channels(cfg, [1, 3], [0.0, 1.0, 2.0])
+        sweep_channels(cfg, n_channels=[1, 3], launch_dbm=[0.0, 1.0, 2.0])
         assert sizes == [2, 6]  # one pool for the whole channel grid
 
     def test_sweep_channels_runs_only_its_grid_points(self, monkeypatch):
@@ -661,7 +665,7 @@ class TestSweeps:
                           launch_dbm=8.0)
         with pytest.raises(ValueError, match="^launch_dbm must be <= "):
             replace(cfg, n_channels=11)
-        recs = sweep_channels(cfg, [1, 11], [0.0, 2.0])
+        recs = sweep_channels(cfg, n_channels=[1, 11], launch_dbm=[0.0, 2.0])
         assert [r.n_channels for r in recs] == [1, 11]
         assert len(calls) == 4
 
@@ -675,10 +679,10 @@ class TestSweeps:
         cfg = tiny_config(gamma_w_km=1.464, n_symbols=4096, step_km=80.0,
                           demapper="both")
         with pytest.raises(ValueError, match="^launch_dbm must be <= "):
-            sweep_channels(cfg, [1, 11], [0.0, 8.0])
+            sweep_channels(cfg, n_channels=[1, 11], launch_dbm=[0.0, 8.0])
 
     def test_sweep_channels_structure(self):
-        recs = sweep_channels(tiny_config(), [1], powers=[-1.0, 0.0, 1.0])
+        recs = sweep_channels(tiny_config(), n_channels=[1], launch_dbm=[-1.0, 0.0, 1.0])
         assert len(recs) == 1
         assert recs[0].n_channels == 1
         assert -1.0 <= recs[0].launch_dbm <= 1.0
@@ -704,8 +708,8 @@ class TestRunGrid:
             recs = H.run_grid(cfg, launch_dbm=powers, **grid)
             assert len(recs) == size and recs == points
             assert [r.sigma2 for r in recs] == [r.sigma2 for r in points]
-            assert without_runtime(H.records_to_csv(recs)) == without_runtime(
-                H.records_to_csv(points))
+            assert without_runtime(cli.records_to_csv(recs)) == without_runtime(
+                cli.records_to_csv(points))
 
     def test_product_in_keyword_order_with_taps_innermost(self, monkeypatch):
         """The other fields run in keyword order, and n_spans comes
@@ -734,9 +738,9 @@ class TestRunGrid:
         assert tasks == [(H._curve, [[(0.0, 2), (0.0, 1)], [(-1.0, 2), (-1.0, 1)]])]
 
     def test_each_config_is_built_once(self, monkeypatch):
-        """A 2-power x 2-tap grid builds 6 configs, each point once and each
-        (point, tap) once, and serially every record carries the very tap
-        config that was checked; two processes give the serial records."""
+        """A 2-power x 2-tap grid builds 4 configs, each (point, tap) once,
+        and serially every record carries one of the very configs that were
+        checked, each of them once; two processes give the serial records."""
         cfg = tiny_config(ase_enabled=True)
         built, checked = [], []
         build, check = const.build_format, H.check_fields
@@ -745,10 +749,28 @@ class TestRunGrid:
         monkeypatch.setattr(H, "check_fields",
                             lambda cfg: checked.append(cfg) or check(cfg))
         recs = H.run_grid(cfg, launch_dbm=[-20.0, -18.0], n_spans=[1, 2])
-        assert len(built) == len(checked) == 6
-        assert len(recs) == 4 and all(r.config is c for r, c in zip(recs, checked[2:]))
+        assert len(built) == len(checked) == 4
+        assert len(recs) == 4
+        assert sorted(id(r.config) for r in recs) == sorted(map(id, checked))
         monkeypatch.setenv("PRS4D_WORKERS", "2")
         assert H.run_grid(cfg, launch_dbm=[-20.0, -18.0], n_spans=[1, 2]) == recs
+
+    @pytest.mark.parametrize("grid, n_built", [
+        ({"launch_dbm": [-2.0, 0.0, 2.0], "n_spans": [1, 2]}, 6),
+        ({"n_spans": [2, 1, 2]}, 2),
+    ], ids=["power_by_tap", "repeated_tap"])
+    def test_builds_only_the_configs_it_runs(self, monkeypatch, grid, n_built):
+        """With cfg.n_spans = 7, outside the taps, each distinct (point, tap)
+        config is built once and no config at 7 spans is built: a point is
+        built at its first tap, and a repeated tap reuses its config."""
+        monkeypatch.setattr(channel, "ssfm_span", lambda signal, *a: signal)
+        cfg = tiny_config(n_spans=7)
+        built, build = [], const.build_format
+        monkeypatch.setattr(const, "build_format",
+                            lambda *a: built.append(a) or build(*a))
+        recs = H.run_grid(cfg, **grid)
+        assert len(built) == n_built
+        assert 7 not in {r.config.n_spans for r in recs}
 
     def test_pool_has_one_process_per_curve(self, monkeypatch):
         """5000 workers for two distinct powers at three taps each size the
@@ -781,12 +803,18 @@ class TestRunGrid:
          "phase per step), got 8"),
         ({"launch_dbm": [0.0], "n_spans": []}, "empty n_spans list"),
         ({"launch_dbm": []}, "empty launch_dbm list"),
-    ], ids=["tap", "point", "empty", "empty_power"])
+        ({"n_spans": [1, True]}, "n_spans must be an integer, got True"),
+        ({"n_spans": [1, 1.0]}, "n_spans must be an integer, got 1.0"),
+        ({"n_spans": [1, [1]]}, "n_spans must be an integer, got [1]"),
+        ({"n_channels": [1, True]}, "n_channels must be an integer, got True"),
+    ], ids=["tap", "point", "empty", "empty_power", "bool_tap", "float_tap",
+            "list_tap", "bool_point"])
     def test_bad_last_value_fails_before_any_span(self, monkeypatch, grid,
                                                   message):
         """A bad tap or point at the grid's last value fails with the
         field's own one-line message before the pool opens, so before the
-        first span runs."""
+        first span runs; a tap or point equal to a good one, True or 1.0
+        beside 1, is no count and is checked on its own."""
         def forbidden(*args, **kw):
             raise AssertionError("a span ran or the pool opened")
 
@@ -1014,27 +1042,3 @@ class TestFindReach:
         with pytest.raises(ValueError, match="^records must come from one series$"):
             H.find_reach(fits, fits[0].gmi_bit4d)
 
-
-class TestCsv:
-    def test_header_exact(self):
-        assert H.CSV_HEADER == ("launch_dbm,distance_km,n_channels,format,"
-                                "demapper,gmi_bit4d,ndr_gbps,seed,runtime_s")
-
-    def test_write_csv_roundtrip(self):
-        records = [rec(10, 5.123456789), rec(20, 4.0)]
-        raw = H.records_to_csv(records)
-        assert "\r" not in raw
-        lines = raw.splitlines()
-        assert lines[0] == H.CSV_HEADER
-        assert len(lines) == 3
-        parts = lines[1].split(",")
-        assert float(parts[6]) == pytest.approx(float(parts[5]) * 45, rel=1e-9)
-
-    def test_byte_identical_rewrite(self):
-        records = [rec(10, 5.0)]
-        assert H.records_to_csv(records) == H.records_to_csv(records)
-
-    def test_ten_significant_digits(self):
-        row = rec(10, 4.0 / 3.0, launch_dbm=1.2345678912345).csv_row()
-        assert row.startswith("1.234567891,")
-        assert "1.333333333" in row
