@@ -32,7 +32,6 @@ import hashlib
 import itertools
 import os
 import time
-from collections.abc import Hashable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -300,23 +299,32 @@ def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
     product of grid's field values, in keyword order. The n_spans values, or
     [cfg.n_spans], are the taps of one _curve per point of the other fields
     and come innermost. Every distinct (point, tap) config, and no other, is
-    built and checked once, before the first span, and the run uses those
-    very configs; a distinct point runs once, its records repeated in input
-    order. The curves run on one pool of at most PRS4D_WORKERS processes and
-    never more than there are curves."""
+    built and checked once (equal values of two types, 0 and 0.0, once each),
+    before the first span, and the run uses those very configs; a distinct
+    point runs once, its records repeated in input order. The curves run on
+    one pool of at most PRS4D_WORKERS processes and never more than there
+    are curves."""
     grid = {name: list(values) for name, values in grid.items()}
     if empty := [name for name, values in grid.items() if not values]:
         raise ValueError(f"empty {empty[0]} list")
     taps = grid.pop("n_spans", [cfg.n_spans])
-    points = [replace(cfg, n_spans=taps[0], **dict(zip(grid, values)))
-              for values in itertools.product(*grid.values())]
-    # a config per distinct tap and type: True == 1.0 == 1, but only 1 is a count
-    keys = [(type(n), n) if isinstance(n, Hashable) else k for k, n in enumerate(taps)]
+    built = {}  # by values and their types: True == 1.0 == 1, but only 1 is a count
+
+    def build(values, n):  # the config at a point's values and tap n
+        new = lambda: replace(cfg, n_spans=n, **dict(zip(grid, values)))
+        key = tuple((type(v), v) for v in (*values, n))
+        try:
+            hash(key)
+        except TypeError:  # unhashable: built on its own, so its type check runs
+            return new()
+        return built.get(key) or built.setdefault(key, new())
+
+    point_values = list(itertools.product(*grid.values()))
+    points = [build(v, taps[0]) for v in point_values]  # each at its first tap
     curves = {}
-    for point in dict.fromkeys(points):
-        built = {keys[0]: point}
-        curves[point] = [built.get(k) or built.setdefault(k, replace(point, n_spans=n))
-                         for k, n in zip(keys, taps)]
+    for v, point in zip(point_values, points):
+        if point not in curves:  # an equal config (power 0 beside 0.0) shares its curve
+            curves[point] = [build(v, n) for n in taps]
     env = os.environ.get("PRS4D_WORKERS") or "1"
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")

@@ -70,6 +70,13 @@ class TestStandsAlone:
                 assert all(a.name.split(".")[0] != "prs4d" for a in node.names), \
                     ast.unparse(node)
 
+    def test_loads_alone(self, fresh_python):
+        """Importing the formats' home loads no other module of the package:
+        the package root imports nothing."""
+        out = fresh_python("import prs4d.constellation; print(sorted(m for m in "
+                           "sys.modules if m.split('.')[0] == 'prs4d'))")
+        assert out.strip() == "['prs4d', 'prs4d.constellation']"
+
     def test_formats_are_the_names_build_format_and_the_config_take(self):
         for name in C.FORMATS:
             assert C.build_format(name).M == 64

@@ -666,17 +666,18 @@ class TestOrbitsAgainstBruteForce:
 
 
 def test_import_loads_no_scipy(fresh_python):
-    """Importing prs4d loads no scipy module at all: scipy.fft was ~80 % of
-    its import time, and scipy.spatial and scipy.linalg ~0.12 s before it."""
-    out = fresh_python("import prs4d; print(sorted(m for m in sys.modules "
+    """Importing prs4d.cli, the console script's module, which loads every
+    module of the package, loads no scipy module at all: scipy.fft was ~80 %
+    of its import time, and scipy.spatial and scipy.linalg ~0.12 s before it."""
+    out = fresh_python("import prs4d.cli; print(sorted(m for m in sys.modules "
                        "if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
 
 
 def test_import_loads_no_multiprocessing(fresh_python):
-    """Importing prs4d loads no multiprocessing (7-8 ms): the process pool
-    of the sweeps is imported where a sweep starts one."""
-    out = fresh_python("import prs4d; print(sorted(m for m in sys.modules "
+    """Importing prs4d.cli loads no multiprocessing (7-8 ms): the process
+    pool of the sweeps is imported where a sweep starts one."""
+    out = fresh_python("import prs4d.cli; print(sorted(m for m in sys.modules "
                        "if m.split('.')[0] == 'multiprocessing'))")
     assert out.strip() == "[]"
 

@@ -758,11 +758,13 @@ class TestRunGrid:
     @pytest.mark.parametrize("grid, n_built", [
         ({"launch_dbm": [-2.0, 0.0, 2.0], "n_spans": [1, 2]}, 6),
         ({"n_spans": [2, 1, 2]}, 2),
-    ], ids=["power_by_tap", "repeated_tap"])
+        ({"launch_dbm": [0.0, 0.0], "n_spans": [2, 2]}, 1),
+    ], ids=["power_by_tap", "repeated_tap", "repeated_point"])
     def test_builds_only_the_configs_it_runs(self, monkeypatch, grid, n_built):
         """With cfg.n_spans = 7, outside the taps, each distinct (point, tap)
         config is built once and no config at 7 spans is built: a point is
-        built at its first tap, and a repeated tap reuses its config."""
+        built at its first tap, and a repeated tap or point reuses its
+        config."""
         monkeypatch.setattr(channel, "ssfm_span", lambda signal, *a: signal)
         cfg = tiny_config(n_spans=7)
         built, build = [], const.build_format
@@ -807,8 +809,10 @@ class TestRunGrid:
         ({"n_spans": [1, 1.0]}, "n_spans must be an integer, got 1.0"),
         ({"n_spans": [1, [1]]}, "n_spans must be an integer, got [1]"),
         ({"n_channels": [1, True]}, "n_channels must be an integer, got True"),
+        ({"launch_dbm": [1.0, True]}, "launch_dbm must be one number, got True "
+         "(sweep powers with sweep-power)"),
     ], ids=["tap", "point", "empty", "empty_power", "bool_tap", "float_tap",
-            "list_tap", "bool_point"])
+            "list_tap", "bool_point", "bool_power"])
     def test_bad_last_value_fails_before_any_span(self, monkeypatch, grid,
                                                   message):
         """A bad tap or point at the grid's last value fails with the
