@@ -11,13 +11,14 @@ then write the CSV and the plot through _write. prs4d's renderers live here:
 _csv writes every table, records_to_csv the record table, emit_plot the SVG.
 optimize-constellation reads no config; its grid flags are the _DESIGN_GRIDS
 rows. A grid is a comma list, or lo:hi:step counted and built in exact
-decimals, hi included; a grid value that sets a config field is read by
-harness.parse_field, so a bad one fails with the config's own "KEY must be"
-line."""
+decimals, hi included, and a command's grids span at most _MAX_GRID points;
+a grid value that sets a config field is read by harness.parse_field, so a
+bad one fails with the config's own "KEY must be" line."""
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from decimal import Context, Decimal
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_MAX_GRID = 10**5  # values in one lo:hi:step range, checked before it is built
+_MAX_GRID = 10**5  # values in one lo:hi:step range, and points in one command's grids
 
 
 def _parse_grid(flag: str, spec: str, field: str | None = None) -> list:
@@ -268,6 +269,9 @@ _GRID_FLAGS = {g[0] for g in sum((row[3] for row in _COMMANDS.values()), _DESIGN
 def _run(args) -> int:
     grids = [_parse_grid(flag, getattr(args, flag[2:]), field)
              for flag, _, _, field in args.grid_flags]
+    if (count := math.prod(map(len, grids))) > _MAX_GRID:  # before any config is built
+        raise ValueError(f"{' x '.join(g[0] for g in args.grid_flags)}: "
+                         f"{count} grid points, more than {_MAX_GRID}")
     if args.command == "optimize-constellation":
         try:
             snr = float(args.snr)
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

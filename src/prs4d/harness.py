@@ -15,10 +15,11 @@ search, scores each geometry with the demapper's AWGN reference. The module
 returns data only: cli renders every table.
 
 The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
-estimate over 128 symbols, and FiberParams' default fiber (80 km spans at
-4.255 ps/nm/km). Config defaults mirror the headline run (2^16 symbols, 11
-channels, inline CDC and 5 dB-NF EDFAs, 0.1 km SSFM steps); desk-scale
-experiments override symbol count, channel count, span count and step size.
+estimate over 128 symbols, FiberParams' default fiber (80 km spans at
+0.219 dB/km and 4.255 ps/nm/km) and channel.NF_DB's 5 dB-NF EDFAs. Config
+defaults mirror the headline run (2^16 symbols, 11 channels, inline CDC,
+0.1 km SSFM steps); desk-scale experiments override symbol count, channel
+count, span count and step size; studies vary gamma_w_km and ase_enabled.
 
 The frozen ExperimentConfig checks field types by channel.check_fields, its own
 rules, and the rest by building cfg.constellation and cfg.link, whose builders
@@ -60,9 +61,7 @@ class ExperimentConfig:
     seed: int = 1234
     n_spans: int = 30
     step_km: float = LinkConfig.step_km
-    alpha_db_km: float = FiberParams.alpha_db_km
     gamma_w_km: float = FiberParams.gamma_w_km
-    nf_db: float = LinkConfig.nf_db
     launch_dbm: float = field(
         default=0.0, metadata={"hint": " (sweep powers with sweep-power)"})
     demapper: str = "both"
@@ -105,11 +104,9 @@ class ExperimentConfig:
     @functools.cached_property
     def link(self) -> LinkConfig:
         """The run's link, ASE seeded by derived_seed(seed, "ase")."""
-        span = FiberParams(alpha_db_km=self.alpha_db_km,
-                           gamma_w_km=self.gamma_w_km)
-        return LinkConfig(span=span, n_spans=self.n_spans, step_km=self.step_km,
-                          nf_db=self.nf_db, ase_enabled=self.ase_enabled,
-                          seed=derived_seed(self.seed, "ase"))
+        return LinkConfig(span=FiberParams(gamma_w_km=self.gamma_w_km),
+                          n_spans=self.n_spans, step_km=self.step_km,
+                          ase_enabled=self.ase_enabled, seed=derived_seed(self.seed, "ase"))
 
     @functools.cached_property
     def constellation(self) -> const.Constellation4D:

@@ -13,9 +13,12 @@ import json
 import threading
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from prs4d import channel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -57,6 +60,19 @@ def test_every_target_is_callable(tracing):
 def test_counted_arguments_keep_their_names(mod, attr, params):
     fn = getattr(importlib.import_module(f"prs4d.{mod}"), attr)
     assert tuple(inspect.signature(fn).parameters)[:len(params)] == params
+
+
+@pytest.mark.parametrize("length_km, step_km", [
+    (80.0, 0.1), (80.0, 0.3), (80.0, 1.0), (80.0, 7.0), (80.0, 80.0), (1.0, 0.3),
+    (80.0, 80.0 / channel.MAX_SPAN_STEPS),
+], ids=["80km_0.1", "80km_0.3", "80km_1", "80km_7", "80km_80", "1km_0.3", "ceiling"])
+def test_tracer_counts_the_schedules_steps(tracing, length_km, step_km):
+    """perfbench/tracing.py counts ssfm_span's steps with its own copy of the
+    step rule; it must count the steps that channel._schedule plans."""
+    fiber = channel.FiberParams(length_km=length_km)
+    args = {"fiber": fiber, "step_km": step_km, "signal": SimpleNamespace(x=np.empty(8))}
+    assert (tracing._ssfm_counts(args, None)["steps"]
+            == len(channel._schedule(fiber, step_km)[0]))
 
 
 def test_awgn_design_call_matches_its_reference(workloads):

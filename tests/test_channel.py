@@ -87,6 +87,16 @@ class TestFiberParams:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             ch.FiberParams(**kw)
 
+    @pytest.mark.parametrize("alpha_db_km, message", [
+        (-1.0, "alpha_db_km must be >= 0"),
+        (100.0, "alpha_db_km must be small enough that the span gain is finite"),
+    ], ids=["alpha_negative", "span_gain_overflow"])
+    def test_loss_rule_message(self, alpha_db_km, message):
+        """The loss is no config field; FiberParams alone states its rules."""
+        with pytest.raises(ValueError) as err:
+            ch.FiberParams(alpha_db_km=alpha_db_km)
+        assert str(err.value) == message
+
     def test_effective_length(self):
         """(1 - e^{-a dz})/a with a = alpha ln(10)/10 in 1/km; dz when lossless."""
         a = 0.219 * np.log(10.0) / 10.0
@@ -107,12 +117,12 @@ class TestLinkConfig:
     @pytest.mark.parametrize("kw, name", [
         ({"n_spans": 2.5}, "n_spans"), ({"n_spans": 2.0}, "n_spans"),
         ({"n_spans": 0}, "n_spans"),
-        ({"nf_db": np.nan}, "nf_db"),
-        ({"nf_db": -np.inf}, "nf_db"),
+        ({"step_km": 1e-12}, "step_km"),  # past MAX_SPAN_STEPS
+        ({"step_km": -1.0}, "step_km"),
         ({"step_km": np.nan}, "step_km"), ({"step_km": np.inf}, "step_km"),
         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
         ({"step_km": "1"}, "step_km"), ({"step_km": True}, "step_km"),
-        ({"nf_db": "5"}, "nf_db"),
+        ({"span": ch.FiberParams(alpha_db_km=0.0)}, "alpha_db_km"),  # ASE, no gain
         ({"ase_enabled": "false"}, "ase_enabled"), ({"ase_enabled": 0}, "ase_enabled"),
         ({"seed": True}, "seed"), ({"span": None}, "span"),
     ])
@@ -129,6 +139,17 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=r"^alpha_db_km must be > 0 with ase_enabled"):
             ch.propagate_link(random_signal(n=64), ch.LinkConfig(
                 span=ch.FiberParams(alpha_db_km=0.0), n_spans=2))
+
+    def test_step_ceiling_bounds_the_schedule(self):
+        """The finest step the link takes plans MAX_SPAN_STEPS steps per span;
+        a finer one fails in one line, so no plan is ever built for it."""
+        least = LEAF.length_km / ch.MAX_SPAN_STEPS
+        link = ch.LinkConfig(LEAF, 1, step_km=least)
+        assert len(ch._schedule(LEAF, link.step_km)[0]) == ch.MAX_SPAN_STEPS == 10**5
+        for step_km in (np.nextafter(least, 0), 1e-12):
+            with pytest.raises(ValueError, match=r"^step_km must be >= 0\.0008 "
+                               r"\(at most 100000 steps per span\)$"):
+                ch.LinkConfig(LEAF, 1, step_km=step_km)
 
     def test_numpy_integer_span_count(self):
         link = ch.LinkConfig(span=SHORT, n_spans=np.int64(3))
@@ -602,10 +623,9 @@ class TestEdfa:
         n = 2**20
         sig = SampledSignal(np.zeros((2, n)), fs=720e9)
         rng = np.random.default_rng(1)
-        gain_db, nf_db = 17.52, 5.0
-        out = ch.edfa(sig, ch.LinkConfig(LEAF, 1, nf_db=nf_db), rng)
-        g = 10 ** (gain_db / 10)
-        n_sp = 10 ** (nf_db / 10) / 2
+        out = ch.edfa(sig, ch.LinkConfig(LEAF, 1), rng)
+        g = 10 ** (17.52 / 10)
+        n_sp = 10 ** (ch.NF_DB / 10) / 2
         h_nu = ch.H_PLANCK * ch.C_LIGHT / 1550e-9
         expect = n_sp * h_nu * (g - 1) * sig.fs
         measured = np.mean(np.abs(out.x) ** 2)
@@ -619,7 +639,7 @@ class TestEdfa:
         sig = random_signal(n=1000)
         out = ch.edfa(sig, ch.LinkConfig(LEAF, 1), np.random.default_rng(3))
         rng, g = np.random.default_rng(3), 10 ** (17.52 / 10)
-        n_sp = 10 ** (5.0 / 10) / 2.0
+        n_sp = 10 ** (ch.NF_DB / 10) / 2.0
         h_nu = ch.H_PLANCK * ch.C_LIGHT / (1550.0 * 1e-9)
         sigma = np.sqrt(n_sp * h_nu * (g - 1.0) * sig.fs / 2.0)
         for got, pol in zip(out.field, sig.field):

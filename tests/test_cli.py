@@ -41,8 +41,8 @@ class TestParseConfig:
             cli.parse_config(None, ["no_such_key=1"])
 
     def test_invariant_violation_names_field(self):
-        with pytest.raises(ValueError, match="alpha_db_km"):
-            cli.parse_config(None, ["alpha_db_km=-1"])
+        with pytest.raises(ValueError, match="gamma_w_km"):
+            cli.parse_config(None, ["gamma_w_km=-1"])
 
     def test_launch_power_list(self):
         """A config is one point; a power list belongs to sweep-power."""
@@ -182,6 +182,35 @@ class TestParseGrid:
     def test_range_of_exactly_the_bound_parses(self):
         grid = cli._parse_grid("--powers", f"1:{cli._MAX_GRID}:1")
         assert len(grid) == cli._MAX_GRID and grid[-1] == cli._MAX_GRID
+
+    @pytest.mark.parametrize("args, runner, shown", [
+        (["sweep-channels", "--channels", f"1:{10**5}:1", "--powers", f"1:{10**5}:1",
+          "--output", "-"], "run_grid", "--channels x --powers: 10000000000"),
+        (["optimize-constellation", "--rho", f"1:{10**5}:1", "--theta", "0.1,0.2"],
+         "optimize_prs_params", "--rho x --theta: 200000"),
+        (["sweep-power", "--powers", ",".join(["0"] * (10**5 + 1)), "--output", "-"],
+         "run_grid", "--powers: 100001"),
+    ], ids=["range_product", "design_product", "comma_list"])
+    def test_grid_past_the_bound_fails_before_any_config(
+            self, capsys, monkeypatch, args, runner, shown):
+        """The bound holds for a command's points, not only for each range:
+        a product of two ranges or a long comma list fails in one line
+        before any config is read or any point is listed."""
+        def forbidden(*a, **k):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(cli, "parse_config", forbidden)
+        monkeypatch.setattr(H, runner, forbidden)
+        assert cli.main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {shown} grid points, more "
+                                           f"than {cli._MAX_GRID}\n")
+
+    def test_grid_of_exactly_the_bound_runs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(H, "run_grid", lambda cfg, **grid: calls.append(grid) or [])
+        assert cli.main(["sweep-channels", "--channels", "1:10:1", "--powers",
+                         f"1:{cli._MAX_GRID // 10}:1", "--output", "-"] + TINY) == 0
+        assert [len(g["n_channels"]) * len(g["launch_dbm"]) for g in calls] == [cli._MAX_GRID]
 
 
 # each command's option strings in order (--plot where it plots), its
@@ -370,7 +399,7 @@ class TestMain:
         assert [row.split(b",")[column] for row in rows] == [b"11", b"11"]
 
     def test_bad_config_returns_one(self, tmp_path, capsys):
-        code = cli.main(["simulate", "--set", "alpha_db_km=-1",
+        code = cli.main(["simulate", "--set", "gamma_w_km=-1",
                          "--output", str(tmp_path / "r.csv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -539,21 +568,9 @@ class TestMain:
                        f"{str(tmp_path / 'missing')!r}\n")
         assert calls == [] and not (tmp_path / "r.csv").exists()
 
-    def test_lossless_span_with_ase_fails_before_propagation(
-            self, tmp_path, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(channel, "ssfm_span", lambda *a: calls.append(a))
-        out = tmp_path / "r.csv"
-        assert cli.main(["simulate", "--output", str(out)] + TINY
-                        + ["--set", "alpha_db_km=0", "--set", "ase_enabled=1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: alpha_db_km") and "ase_enabled" in err
-        assert err.count("\n") == 1
-        assert calls == [] and not out.exists()
-
     @pytest.mark.parametrize("overrides, key, names", [
         (["gamma_w_km=1.464", "launch_dbm=400"], "launch_dbm", "step_km"),
-        (["ase_enabled=1", "nf_db=2"], "nf_db", "ase_enabled"),
+        (["step_km=1e-12"], "step_km", "100000 steps per span"),
     ])
     def test_unphysical_link_fails_before_propagation(
             self, tmp_path, capsys, monkeypatch, overrides, key, names):
@@ -567,6 +584,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and names in err
         assert err.count("\n") == 1 and not out.exists()
+
+    def test_exception_without_a_message_is_named(self, capsys, monkeypatch):
+        """An exception whose message is empty, as a MemoryError's often is,
+        prints its type's name on the error line."""
+        def no_memory(*a, **k):
+            raise MemoryError
+
+        monkeypatch.setattr(channel, "_schedule", no_memory)
+        assert cli.main(["simulate", "--output", "-"] + TINY) == 1
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
 
     @pytest.mark.parametrize("overrides, key", [
         (["prs_rho=-1"], "prs_rho"),
@@ -718,16 +745,17 @@ class TestOutputPath:
     def test_sweep_channels_takes_a_repeated_unsorted_power_grid(
             self, capsys, without_runtime):
         """A repeated power is one grid point of the optimum fit, in any
-        order. This link peaks near 2 dBm, so the fit is off the grid."""
+        order. This link peaks near -19 dBm, so the fit is off the grid; its
+        own point is -30 dBm, as 0 dBm breaks the Kerr bound at this gamma."""
         args = ["sweep-channels", "--channels", "1", "--output", "-"] + TINY + [
-            "--set", "ase_enabled=true", "--set", "nf_db=30",
-            "--set", "gamma_w_km=20"]
-        assert cli.main(args + ["--powers", "1,2,2,3"]) == 0
+            "--set", "ase_enabled=true", "--set", "gamma_w_km=2000",
+            "--set", "launch_dbm=-30"]
+        assert cli.main(args + ["--powers=-20,-19,-19,-18"]) == 0
         repeated = capsys.readouterr().out
-        assert cli.main(args + ["--powers", "3,2,1"]) == 0
+        assert cli.main(args + ["--powers=-18,-19,-20"]) == 0
         assert without_runtime(repeated) == without_runtime(capsys.readouterr().out)
         p_opt = float(repeated.splitlines()[1].split(",")[0])
-        assert 1 < p_opt < 3 and p_opt != 2
+        assert -20 < p_opt < -18 and p_opt != -19
 
     def test_repeated_channel_count_is_one_series(self, capsys):
         """--channels 1,3,1 fits each (count, demapper) series once, in

@@ -12,7 +12,7 @@ from prs4d import channel, cli, rxdsp, txdsp
 from prs4d import constellation as const
 from prs4d import demapper as dm
 from prs4d import harness as H
-from prs4d.channel import C_LIGHT, H_PLANCK
+from prs4d.channel import C_LIGHT, H_PLANCK, NF_DB
 
 
 def tiny_config(**kw):
@@ -33,14 +33,13 @@ class TestExperimentConfig:
         assert cfg.n_channels == 11
         assert cfg.link.span == channel.FiberParams()
         assert (cfg.link.span.length_km, cfg.link.span.disp_ps_nm_km) == (80.0, 4.255)
-        assert cfg.alpha_db_km == 0.219
+        assert cfg.link.span.alpha_db_km == 0.219
         assert cfg.gamma_w_km == 1.464
-        assert cfg.nf_db == 5.0
         assert cfg.step_km == 0.1
 
     @pytest.mark.parametrize("kw", [
         {"format": "qpsk"}, {"demapper": "hard"}, {"n_channels": 0},
-        {"n_spans": 0}, {"gamma_w_km": -1.0}, {"alpha_db_km": -1.0},
+        {"n_spans": 0}, {"gamma_w_km": -1.0}, {"step_km": -1.0},
         {"launch_dbm": []}, {"n_symbols": 0},
     ])
     def test_invalid_fields_rejected(self, kw):
@@ -60,7 +59,7 @@ class TestExperimentConfig:
         ({"gamma_w_km": np.nan}, "gamma_w_km"),
         ({"launch_dbm": np.nan}, "launch_dbm"),
         ({"launch_dbm": [0.0, np.inf]}, "launch_dbm"),
-        ({"nf_db": np.nan}, "nf_db"),
+        ({"step_km": 1e-12}, "step_km"),  # more steps per span than the ceiling
         ({"n_symbols": 256.5}, "n_symbols"), ({"n_channels": 1.5}, "n_channels"),
         ({"seed": 1.5}, "seed"),
         ({"step_km": None}, "step_km"), ({"ase_enabled": None}, "ase_enabled"),
@@ -72,24 +71,11 @@ class TestExperimentConfig:
         ({"n_channels": 1, "n_symbols": 10**23}, "n_symbols"),
         ({"n_channels": np.iinfo(np.intp).max // 2**16}, "n_channels"),
         # finite, but past a float once in watts or as a linear gain
-        ({"launch_dbm": 1e308}, "launch_dbm"), ({"nf_db": 4000.0}, "nf_db"),
-        ({"alpha_db_km": 100.0}, "alpha_db_km"),
+        ({"launch_dbm": 1e308}, "launch_dbm"),
     ])
     def test_boundary_values_name_the_field(self, kw, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             H.ExperimentConfig(**kw)
-
-    def test_lossless_span_with_ase_rejected(self):
-        with pytest.raises(ValueError, match="^alpha_db_km .*ase_enabled") as err:
-            H.ExperimentConfig(alpha_db_km=0.0)
-        assert "\n" not in str(err.value)
-        assert not H.ExperimentConfig(alpha_db_km=0.0, ase_enabled=False).ase_enabled
-
-    def test_sub_quantum_noise_figure_rejected_with_ase(self):
-        """NF < 3 dB means n_sp < 1 in the high-gain ASE formula."""
-        with pytest.raises(ValueError, match=r"^nf_db must be >= 3 with ase_enabled"):
-            H.ExperimentConfig(nf_db=2.0)
-        assert H.ExperimentConfig(nf_db=2.0, ase_enabled=False).nf_db == 2.0
 
     def test_launch_power_keeps_one_radian_per_step(self):
         """3 channels of the paper fiber in 10 km steps: L_eff = 7.854 km, so
@@ -105,23 +91,16 @@ class TestExperimentConfig:
         assert H.ExperimentConfig(gamma_w_km=0.0, launch_dbm=400.0).launch_dbm == 400.0
 
     @pytest.mark.parametrize("kw, build", [
-        ({"alpha_db_km": -1.0}, lambda: channel.FiberParams(alpha_db_km=-1.0)),
         ({"gamma_w_km": -1.0}, lambda: channel.FiberParams(gamma_w_km=-1.0)),
         ({"n_spans": 0}, lambda: channel.LinkConfig(channel.FiberParams(), 0)),
         ({"step_km": 0.0}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
                                                       step_km=0.0)),
         ({"step_km": 80.5}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
                                                        step_km=80.5)),
-        ({"nf_db": 2.0}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
-                                                    nf_db=2.0)),
-        ({"alpha_db_km": 0.0}, lambda: channel.LinkConfig(
-            channel.FiberParams(alpha_db_km=0.0), 1)),
-        ({"nf_db": 4000.0}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
-                                                       nf_db=4000.0)),
-        ({"alpha_db_km": 100.0}, lambda: channel.FiberParams(alpha_db_km=100.0)),
-    ], ids=["alpha_negative", "gamma_negative", "no_spans", "step_zero",
-            "step_over_span", "nf_2_with_ase", "lossless_with_ase",
-            "nf_overflow_with_ase", "span_gain_overflow"])
+        ({"step_km": 1e-12}, lambda: channel.LinkConfig(channel.FiberParams(), 1,
+                                                        step_km=1e-12)),
+    ], ids=["gamma_negative", "no_spans", "step_zero", "step_over_span",
+            "step_ceiling"])
     def test_link_rule_message_is_the_links(self, kw, build):
         """The config states no link rule: its error is the link's own."""
         with pytest.raises(ValueError) as cfg_err:
@@ -157,18 +136,6 @@ class TestExperimentConfig:
         span = next(f for f in fields(channel.LinkConfig) if f.name == "span")
         assert channel.FIELD_TYPES[span.type][0] is channel.FiberParams
 
-    def test_tiny_attenuation_keeps_the_kerr_bound(self):
-        """L_eff at 1e-18 dB/km is the whole step, as in a lossless span, so
-        a 400 dBm launch is rejected alike (1 - e^{-a dz} cancelled to 0)."""
-        kw = dict(format="pm8qam", n_channels=1, n_symbols=2048, n_spans=2,
-                  step_km=10.0, ase_enabled=False, launch_dbm=400.0, demapper="iid")
-        errs = []
-        for alpha in (0.0, 1e-18):
-            with pytest.raises(ValueError, match="^launch_dbm must be <= ") as err:
-                H.ExperimentConfig(alpha_db_km=alpha, **kw)
-            errs.append(str(err.value))
-        assert errs[0] == errs[1]
-
     @pytest.mark.parametrize("seed", [2**64, -2**63 - 1])
     def test_seed_beyond_64_bits_runs(self, seed):
         """An int is finite by type, so the config hands numpy no seed to
@@ -177,10 +144,14 @@ class TestExperimentConfig:
         assert [r.seed for r in recs] == [seed]
 
     def test_paper_fiber_written_once(self):
+        """The fiber loss and the EDFA noise figure are the paper's, written
+        once as FiberParams' default and channel.NF_DB: no config field."""
         link = H.ExperimentConfig().link
         assert link.span == channel.FiberParams()
-        assert (link.step_km, link.nf_db) == (channel.LinkConfig.step_km,
-                                              channel.LinkConfig.nf_db)
+        assert (link.step_km, channel.NF_DB) == (channel.LinkConfig.step_km, 5.0)
+        assert (len(fields(H.ExperimentConfig)), len(fields(link))) == (13, 5)
+        assert not {"alpha_db_km", "nf_db"} & {
+            f.name for cls in (H.ExperimentConfig, channel.LinkConfig) for f in fields(cls)}
         assert link.seed == H.derived_seed(1234, "ase")
 
     def test_effective_sps_single_channel(self):
@@ -243,7 +214,7 @@ class TestRunPoint:
 
     def test_both_demappers_share_data(self):
         recs = H.run_point(tiny_config(n_symbols=2**12, demapper="both",
-                                       ase_enabled=True, nf_db=5.0,
+                                       ase_enabled=True,
                                        launch_dbm=-2.0))
         assert [r.demapper for r in recs] == ["iid", "cg"]
         assert recs[0].launch_dbm == recs[1].launch_dbm == -2.0
@@ -363,7 +334,7 @@ class TestLinearClosure:
         """P / (2 N_spans n_sp h nu (G - 1) baud): ASE of every EDFA in the
         symbol-rate bandwidth of both polarizations."""
         p = 10 ** ((launch_dbm - 30) / 10)
-        n_sp = 10 ** (cfg.nf_db / 10) / 2
+        n_sp = 10 ** (NF_DB / 10) / 2
         h_nu = H_PLANCK * C_LIGHT / 1550e-9
         g = 10 ** (cfg.link.span.loss_db / 10)
         return p / (2 * cfg.n_spans * n_sp * h_nu * (g - 1) * txdsp.BAUD_HZ)
