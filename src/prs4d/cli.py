@@ -235,15 +235,15 @@ def records_to_csv(records) -> str:
 # spec names a config field is passed under that name, the others in order
 _COMMANDS = {
     "simulate": ("run one transmission point", "results.csv", None, (),
-                 harness.run_grid),
+                 lambda cfg, **grid: harness.run_grid(cfg, **grid)),
     "sweep-power": ("GMI vs launch power, on PRS4D_WORKERS processes (default 1)",
                     "results.csv", ("launch_dbm", "gmi_bit4d"), (
         ("--powers", "-4:6:1", "launch powers in dBm, lo:hi:step or comma list",
-         "launch_dbm"),), harness.run_grid),
+         "launch_dbm"),), lambda cfg, **grid: harness.run_grid(cfg, **grid)),
     "sweep-distance": ("GMI after each span count, from one propagation", "results.csv",
                        ("distance_km", "gmi_bit4d"), (
         ("--spans", "4,6,8,10,12,14", "span counts, lo:hi:step or comma list",
-         "n_spans"),), harness.run_grid),
+         "n_spans"),), lambda cfg, **grid: harness.run_grid(cfg, **grid)),
     "sweep-channels": ("optimum-power rate vs channels, on PRS4D_WORKERS "
                        "processes (default 1)", "results.csv",
                        ("n_channels", "ndr_gbps"), (

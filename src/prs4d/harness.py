@@ -3,10 +3,10 @@ propagate_link -> receive after each span count of configs equal but for
 n_spans. run_grid is the one runner of every grid of config fields, and of
 every CLI record command, n_spans values being taps of one _curve per point:
 its records at a point equal run_point(replace(cfg, **point)) at cfg.seed,
-bit for bit but for runtime_s. It builds and checks once each config it
-runs and no other, before any span, hands those very configs to _curve and
-runs each distinct point once, on one pool of PRS4D_WORKERS processes (an
-integer >= 1 in the environment, default 1). run_point, the one-tap curve
+bit for bit but for runtime_s. It builds, so checks, every value at every
+tap before any span, hands those very configs to _curve and runs each
+distinct config once, on one pool of PRS4D_WORKERS processes (an integer
+>= 1 in the environment, default 1). run_point, the one-tap curve
 _curve([cfg]), is the benchmark's entry point. A record carries its config,
 and _series is the one series rule: one demapper at configs equal but for
 the swept fields. optimum_records, the one optimum-power fit of a run_grid's
@@ -295,33 +295,21 @@ def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
     """run_point(replace(cfg, **point)) at cfg.seed for each point of the
     product of grid's field values, in keyword order. The n_spans values, or
     [cfg.n_spans], are the taps of one _curve per point of the other fields
-    and come innermost. Every distinct (point, tap) config, and no other, is
-    built and checked once (equal values of two types, 0 and 0.0, once each),
-    before the first span, and the run uses those very configs; a distinct
-    point runs once, its records repeated in input order. The curves run on
-    one pool of at most PRS4D_WORKERS processes and never more than there
-    are curves."""
+    and come innermost. Every value at every tap, and no config at
+    cfg.n_spans when taps are given, is built and checked before the first
+    span, and the run uses those very configs; each distinct config runs
+    once, its records repeated in input order. The curves run on one pool
+    of at most PRS4D_WORKERS processes and never more than there are
+    curves."""
     grid = {name: list(values) for name, values in grid.items()}
     if empty := [name for name, values in grid.items() if not values]:
         raise ValueError(f"empty {empty[0]} list")
     taps = grid.pop("n_spans", [cfg.n_spans])
-    built = {}  # by values and their types: True == 1.0 == 1, but only 1 is a count
-
-    def build(values, n):  # the config at a point's values and tap n
-        new = lambda: replace(cfg, n_spans=n, **dict(zip(grid, values)))
-        key = tuple((type(v), v) for v in (*values, n))
-        try:
-            hash(key)
-        except TypeError:  # unhashable: built on its own, so its type check runs
-            return new()
-        return built.get(key) or built.setdefault(key, new())
-
-    point_values = list(itertools.product(*grid.values()))
-    points = [build(v, taps[0]) for v in point_values]  # each at its first tap
-    curves = {}
-    for v, point in zip(point_values, points):
-        if point not in curves:  # an equal config (power 0 beside 0.0) shares its curve
-            curves[point] = [build(v, n) for n in taps]
+    built = [[replace(cfg, n_spans=n, **dict(zip(grid, values))) for n in taps]
+             for values in itertools.product(*grid.values())]
+    curves = {}  # a point is its first-tap config
+    for configs in built:  # an equal point (power 0 beside 0.0) shares the first's curve
+        curves.setdefault(configs[0], configs)
     env = os.environ.get("PRS4D_WORKERS") or "1"
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"PRS4D_WORKERS must be an integer >= 1, got {env!r}")
@@ -332,7 +320,7 @@ def run_grid(cfg: ExperimentConfig, **grid) -> list[ResultRecord]:
         from concurrent.futures import ProcessPoolExecutor  # not module-level: 7-8 ms
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = dict(zip(curves, pool.map(_curve, curves.values())))
-    return [r for point in points for r in done[point]]
+    return [r for configs in built for r in done[configs[0]]]
 
 
 def find_reach(records: list[ResultRecord], gmi_target: float) -> float:

@@ -348,6 +348,13 @@ def test_commands_run_without_scipy(tmp_path, args, workers):
     assert done.returncode == 0, done.stderr
 
 
+# each record command at its smallest grid
+RECORD_COMMANDS = pytest.mark.parametrize("command", [
+    ["sweep-power", "--powers=0"], ["sweep-distance", "--spans=1"],
+    ["sweep-channels", "--channels=1", "--powers=0"], ["simulate"]],
+    ids=["sweep-power", "sweep-distance", "sweep-channels", "simulate"])
+
+
 class TestMain:
     def test_simulate_end_to_end(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -458,10 +465,7 @@ class TestMain:
             assert err == f"error: {field} must be an integer >= 1\n"
         assert calls == [] and not out.exists()
 
-    @pytest.mark.parametrize("command", [
-        ["sweep-power", "--powers=0"], ["sweep-distance", "--spans=1"],
-        ["sweep-channels", "--channels=1", "--powers=0"], ["simulate"]],
-        ids=["sweep-power", "sweep-distance", "sweep-channels", "simulate"])
+    @RECORD_COMMANDS
     def test_bad_worker_count_returns_one(self, tmp_path, capsys,
                                           monkeypatch, command):
         """Every record command, simulate included, reads PRS4D_WORKERS
@@ -473,6 +477,20 @@ class TestMain:
             assert capsys.readouterr().err == (
                 f"error: PRS4D_WORKERS must be an integer >= 1, got {value!r}\n")
             assert not out.exists()
+
+    @RECORD_COMMANDS
+    def test_record_commands_call_run_grid_by_name(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        """Every record command looks harness.run_grid up when it runs, so a
+        patch of it reaches all four."""
+        def patched(cfg, **grid):
+            raise RuntimeError("run_grid patched")
+
+        monkeypatch.setattr(H, "run_grid", patched)
+        out = tmp_path / "r.csv"
+        assert cli.main(command + ["--output", str(out)] + TINY) == 1
+        assert capsys.readouterr() == ("", "error: run_grid patched\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "timings=1", "epsilon_reg=1e-6", "baud_gbd=45", "spacing_ghz=50",

@@ -728,14 +728,13 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("grid, n_built", [
         ({"launch_dbm": [-2.0, 0.0, 2.0], "n_spans": [1, 2]}, 6),
-        ({"n_spans": [2, 1, 2]}, 2),
-        ({"launch_dbm": [0.0, 0.0], "n_spans": [2, 2]}, 1),
+        ({"n_spans": [2, 1, 2]}, 3),
+        ({"launch_dbm": [0.0, 0.0], "n_spans": [2, 2]}, 4),
     ], ids=["power_by_tap", "repeated_tap", "repeated_point"])
     def test_builds_only_the_configs_it_runs(self, monkeypatch, grid, n_built):
-        """With cfg.n_spans = 7, outside the taps, each distinct (point, tap)
-        config is built once and no config at 7 spans is built: a point is
-        built at its first tap, and a repeated tap or point reuses its
-        config."""
+        """With cfg.n_spans = 7, outside the taps, the grid's N values x T
+        taps build N*T configs, a repeated tap or point included, and no
+        config at 7 spans is built."""
         monkeypatch.setattr(channel, "ssfm_span", lambda signal, *a: signal)
         cfg = tiny_config(n_spans=7)
         built, build = [], const.build_format

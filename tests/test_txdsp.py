@@ -129,13 +129,13 @@ class TestRrcShape:
             sym = np.zeros((32, 4))
             sym[k, 2] = 1.0
             sig = frame(T.rrc_shape(sym, 8))
-            assert np.argmax(np.abs(sig.y)) == 8 * k
+            assert np.argmax(np.abs(sig.field[1])) == 8 * k
 
     def test_deterministic(self):
         sym = np.random.default_rng(0).normal(size=(32, 4))
         a = frame(T.rrc_shape(sym, 4))
         b = frame(T.rrc_shape(sym, 4))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert np.array_equal(a.field, b.field)
 
 
 class TestCarrier:
@@ -174,13 +174,13 @@ class TestWdmMux:
         out = T.wdm_mux([ch])
         ref = T.SampledSignal(time_domain_shape(pm8qam_points(1, 512), 8),
                               fs=ch.fs)
-        assert np.allclose(out.x, ref.x) and np.allclose(out.y, ref.y)
+        assert np.allclose(out.field, ref.field)
 
     def test_total_power_additive(self):
         chans = [self._channel(s) for s in range(3)]
         out = T.wdm_mux(chans)
-        p_out = np.mean(np.abs(out.x) ** 2 + np.abs(out.y) ** 2)
-        p_sum = sum(np.mean(np.abs(c.x) ** 2 + np.abs(c.y) ** 2)
+        p_out = np.mean(np.abs(out.x) ** 2 + np.abs(out.field[1]) ** 2)
+        p_sum = sum(np.mean(np.abs(c.x) ** 2 + np.abs(c.field[1]) ** 2)
                     for c in map(frame, chans))
         # 0.01 dB for non-overlapping spectra
         assert abs(10 * np.log10(p_out / p_sum)) < 0.01
@@ -228,6 +228,6 @@ class TestLaunchPower:
         _, pts = C.map_bits_to_symbols(bits, c)
         sig = T.rrc_shape(pts, 4)
         sig = frame(T.set_mean_power(sig, 3.0))
-        p = np.mean(np.abs(sig.x) ** 2 + np.abs(sig.y) ** 2)
+        p = np.mean(np.abs(sig.x) ** 2 + np.abs(sig.field[1]) ** 2)
         assert 10 * np.log10(p * 1e3) == pytest.approx(
             3.0, abs=1e-12)
