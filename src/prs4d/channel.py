@@ -219,8 +219,7 @@ def spectral_filter(fld: np.ndarray, h: np.ndarray, tw: np.ndarray) -> np.ndarra
     return fld
 
 
-def _kerr(fld: np.ndarray, gamma: float, dz_eff: float,
-          gain: float = 1.0) -> np.ndarray:
+def _kerr(fld: np.ndarray, gamma: float, dz_eff: float, gain: float) -> np.ndarray:
     """Manakov Kerr rotation (8/9 factor) times a real gain, in place, one
     block of _KERR_BLOCK samples at a time (elementwise, so bit for bit the
     whole-field rotor)."""

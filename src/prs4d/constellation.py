@@ -213,7 +213,6 @@ DEFAULT_RING_RATIO = 1.0 / 0.65  # 6b4D-2A8PSK outer/inner ring ratio
 BUILDERS = {"4d64prs": (build_4d64prs, ("prs_rho", "prs_theta")),
             "pm8qam": (build_pm8qam, ()),
             "6b4d_2a8psk": (build_6b4d_2a8psk, ("ring_ratio",))}
-FORMATS = tuple(BUILDERS)  # build_format's names
 
 
 def build_format(name: str, prs_rho: float = DEFAULT_PRS_RHO,
@@ -221,8 +220,8 @@ def build_format(name: str, prs_rho: float = DEFAULT_PRS_RHO,
                  ring_ratio: float = DEFAULT_RING_RATIO) -> Constellation4D:
     """Build a constellation by format name used in configs and the CLI,
     from the geometry arguments that BUILDERS says the format reads."""
-    if name not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {name!r}")
+    if name not in BUILDERS:
+        raise ValueError(f"format must be one of {tuple(BUILDERS)}, got {name!r}")
     build, keys = BUILDERS[name]
     geometry = {"prs_rho": prs_rho, "prs_theta": prs_theta, "ring_ratio": ring_ratio}
     return build(*(geometry[k] for k in keys))

@@ -40,18 +40,15 @@ _SIGNED_PERMS = (np.eye(4)[list(itertools.permutations(range(4)))][:, None]
 class NoiseModel:
     """Demapper channel law: a stack of 4x4 noise covariances.
 
-    covariances is (M, 4, 4), one per constellation point ("cg"), or
-    (1, 4, 4), one shared by all of them ("iid": sigma2 * I). kind only
-    names the assumption. Every entry must be finite; the demapper rejects
-    a matrix that is not positive definite.
+    covariances is (M, 4, 4), one per constellation point (kind "cg"), or
+    (1, 4, 4), one shared by all of them (kind "iid"; iid(sigma2) builds
+    sigma2 * I). Every entry must be finite; the demapper rejects a matrix
+    that is not positive definite.
     """
 
-    kind: str
     covariances: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("iid", "cg"):
-            raise ValueError(f"unknown noise model kind {self.kind!r}")
         covs = np.asarray(self.covariances, dtype=float)
         if covs.ndim != 3 or covs.shape[1:] != (4, 4):
             raise ValueError(f"covariances must be (K, 4, 4), got {covs.shape}")
@@ -59,15 +56,16 @@ class NoiseModel:
             raise ValueError("noise covariances must be finite")
         object.__setattr__(self, "covariances", covs)
 
+    @property
+    def kind(self) -> str:
+        """The law the stack holds: iid if one covariance is shared, else cg."""
+        return "iid" if len(self.covariances) == 1 else "cg"
+
     @classmethod
     def iid(cls, sigma2: float) -> "NoiseModel":
         if sigma2 < 0:
             raise ValueError("iid model requires sigma2 >= 0")
-        return cls("iid", np.diag(np.full(4, float(sigma2)))[None])
-
-    @classmethod
-    def cg(cls, covariances: np.ndarray) -> "NoiseModel":
-        return cls("cg", covariances)
+        return cls(np.diag(np.full(4, float(sigma2)))[None])
 
 
 @dataclass
@@ -154,17 +152,15 @@ def _logpdf_matrix(c: Constellation4D, model: NoiseModel):
     return at, ia, ib
 
 
-def llrs_for_points(
-    y: np.ndarray, c: Constellation4D, model: NoiseModel, clamp: float = LLR_CLAMP_NATS
-) -> np.ndarray:
-    """(Ns, m) LLR matrix, L = log P0/P1, clipped to [-clamp, clamp].
+def llrs_for_points(y: np.ndarray, c: Constellation4D, model: NoiseModel) -> np.ndarray:
+    """(Ns, m) LLR matrix, L = log P0/P1, clipped to +-LLR_CLAMP_NATS.
 
     Point-major: per row block, E = exp(A^T phi - column max) is (M, B), and
     one product [Z; 1 - Z] E gives both per-bit sums, Z = (labels == 0)^T the
     (m, M) label mask; L is the difference of their logs. The buffers are
     allocated once per call. The column maximum puts a 1 in one sum, so only
     the losing sum can underflow (|L| > ~700 nats): its log is -inf and L
-    saturates to +-clamp with the exact sign.
+    saturates to +-LLR_CLAMP_NATS with the exact sign.
     """
     at, ia, ib = _logpdf_matrix(c, model)
     y = np.asarray(y, dtype=float)
@@ -189,7 +185,7 @@ def llrs_for_points(
         with np.errstate(divide="ignore"):
             np.log(sb, out=sb)
         np.subtract(sb[:c.m], sb[c.m:], out=llrs[rows].T)
-    return np.clip(llrs, -clamp, clamp, out=llrs)
+    return np.clip(llrs, -LLR_CLAMP_NATS, LLR_CLAMP_NATS, out=llrs)
 
 
 def compute_llrs(batch: SymbolBatch, c: Constellation4D, model: NoiseModel) -> LlrBatch:

@@ -14,8 +14,8 @@ records, and find_reach keep to it. optimize_prs_params, the 4D-64PRS design
 search, scores each geometry with the demapper's AWGN reference. The module
 returns data only: cli renders every table.
 
-The system is the paper's and is fixed: txdsp's WDM grid, a genie phase
-estimate over 128 symbols, FiberParams' default fiber (80 km spans at
+The system is the paper's and is fixed: txdsp's WDM grid, rxdsp.PHASE_WINDOW's
+128-symbol genie phase estimate, FiberParams' default fiber (80 km spans at
 0.219 dB/km and 4.255 ps/nm/km) and channel.NF_DB's 5 dB-NF EDFAs. Config
 defaults mirror the headline run (2^16 symbols, 11 channels, inline CDC,
 0.1 km SSFM steps); desk-scale experiments override symbol count, channel
@@ -45,7 +45,6 @@ from .channel import (FIELD_TYPES, FiberParams, LinkConfig, check_fields,
 
 VALID_DEMAPPERS = ("iid", "cg", "both")
 _COV_RIDGE = 1e-6  # ridge on each cg covariance, relative to the iid sigma2
-_PHASE_WINDOW = 128  # symbols in each genie phase estimate
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "launch_dbm", float(self.launch_dbm))
         self.constellation  # the format's and the geometry's checks
         if self.demapper not in VALID_DEMAPPERS:
             raise ValueError(f"demapper must be one of {VALID_DEMAPPERS}")
@@ -191,7 +189,7 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
     c = cfg.constellation
     rx = rxdsp.channel_select(rx_sig, (cfg.n_channels - 1) // 2, cfg.n_channels)
     tx_points = np.take(c.points, tx_indices, axis=0)
-    rx = rxdsp.genie_phase_compensation(rx, tx_points, _PHASE_WINDOW)
+    rx = rxdsp.genie_phase_compensation(rx, tx_points)
     # unbiased gain normalization: keeps clouds centered on the
     # constellation (the LS scale shrinks them by the relative noise power)
     rx = rxdsp.genie_gain(rx, tx_points)
@@ -204,7 +202,7 @@ def _receive(cfg: ExperimentConfig, rx_sig, tx_indices,
         if kind == "iid":
             model = dm.NoiseModel.iid(sigma2)
         else:
-            model = dm.NoiseModel.cg(dm.estimate_point_covariances(
+            model = dm.NoiseModel(dm.estimate_point_covariances(
                 batch, c, epsilon=_COV_RIDGE * sigma2))
         gmis[kind] = dm.gmi_from_llrs(dm.compute_llrs(batch, c, model), c.m)
     runtime = time.perf_counter() - t0

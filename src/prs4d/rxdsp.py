@@ -17,30 +17,35 @@ import numpy as np
 
 from .txdsp import BAUD_HZ, SampledSignal, band_hz, carrier_bin, rrc_support
 
+PHASE_WINDOW = 128  # symbols in each genie phase estimate
 
-@dataclass
+
+@dataclass(frozen=True)
 class SymbolBatch:
     """Sent constellation indices and received 4D symbols, row k for symbol k.
 
     Sent points and bits are c.points[tx_indices] and c.labels[tx_indices],
     so a non-integer index, which a cast would truncate, and a negative one,
-    which numpy would read from the end, are rejected. rx_points must be on
-    the constellation scale (after genie gain and phase compensation).
+    which numpy would read from the end, are rejected; the batch is frozen,
+    so no assignment gets round those checks. rx_points must be on the
+    constellation scale (after genie gain and phase compensation).
     """
 
     tx_indices: np.ndarray
     rx_points: np.ndarray
 
     def __post_init__(self):
-        self.tx_indices = np.asarray(self.tx_indices).ravel()
-        self.rx_points = np.asarray(self.rx_points, dtype=float)
-        if self.rx_points.shape != (self.ns, 4):
-            raise ValueError(f"rx_points must be ({self.ns}, 4), got {self.rx_points.shape}")
-        if self.ns and self.tx_indices.dtype.kind not in "iu":
-            raise ValueError(f"tx_indices must be integers, got dtype {self.tx_indices.dtype}")
-        self.tx_indices = self.tx_indices.astype(np.int64, copy=False)
-        if self.ns and self.tx_indices.min() < 0:
+        idx = np.asarray(self.tx_indices).ravel()
+        rx = np.asarray(self.rx_points, dtype=float)
+        if rx.shape != (idx.size, 4):
+            raise ValueError(f"rx_points must be ({idx.size}, 4), got {rx.shape}")
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"tx_indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
+        if idx.size and idx.min() < 0:
             raise ValueError("tx_indices must be non-negative")
+        object.__setattr__(self, "tx_indices", idx)
+        object.__setattr__(self, "rx_points", rx)
 
     @property
     def ns(self) -> int:
@@ -75,25 +80,21 @@ def channel_select(signal: SampledSignal, k: int, n_channels: int) -> np.ndarray
     return np.ascontiguousarray(sym.T).view(float)
 
 
-def genie_phase_compensation(rx: np.ndarray, tx: np.ndarray,
-                             window_symbols: int) -> np.ndarray:
+def genie_phase_compensation(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """Remove the least-squares common phase per polarization.
 
-    One rotation per window of window_symbols symbols (a window of at
-    least the burst length rotates the whole burst at once). Zero-energy
-    windows are left untouched. Per-symbol magnitudes are preserved.
+    One rotation per window of PHASE_WINDOW symbols (a burst no longer than
+    that is rotated at once). Zero-energy windows are left untouched.
+    Per-symbol magnitudes are preserved.
     """
     out = np.array(rx, dtype=float, order="C")  # rotated in place below
     ref = np.ascontiguousarray(tx, dtype=float).view(complex)
     ns = out.shape[0]
-    w = int(window_symbols)
-    if w < 1:
-        raise ValueError("window must be >= 1 symbol")
     for rc, tc in zip(out.view(complex).T, ref.T):
-        s = np.add.reduceat(rc * np.conj(tc), np.arange(0, ns, w))
+        s = np.add.reduceat(rc * np.conj(tc), np.arange(0, ns, PHASE_WINDOW))
         rot = np.exp(-1j * np.angle(s))
         rot[~(np.abs(s) > 0)] = 1.0
-        rc *= np.repeat(rot, min(w, ns))[:ns]
+        rc *= np.repeat(rot, min(PHASE_WINDOW, ns))[:ns]
     return out
 
 

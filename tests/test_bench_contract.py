@@ -179,6 +179,21 @@ def test_run_point_names_one_llr_span_per_law(tracing):
     assert all(v > 0 for v in metrics.values()), metrics
 
 
+def test_llr_span_is_named_by_the_stack(tracing):
+    """NoiseModel.kind is read from the stack, so a tiled sigma2 * I, one
+    equal covariance per point, is timed as the cg law it runs, and one
+    shared covariance as iid."""
+    from prs4d import constellation, demapper
+
+    c = constellation.build_format("4d64prs")
+    tiled = demapper.NoiseModel(np.tile(0.07 * np.eye(4), (c.M, 1, 1)))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        demapper.llrs_for_points(c.points, c, tiled)
+        demapper.llrs_for_points(c.points, c, demapper.NoiseModel.iid(0.07))
+    assert [s["name"] for s in tracer.ops[0]] == ["demapper.llrs_cg", "demapper.llrs_iid"]
+
+
 def test_traced_link_calls_are_counted(monkeypatch):
     """The tracer shims harness.propagate_link and channel.ssfm_span: one
     run_point calls the first once and the second once per span, and a

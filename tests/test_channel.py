@@ -25,8 +25,8 @@ def mean_power(sig):
 
 
 def kerr_on_copy(sig, gamma, dz_eff):
-    """The Kerr rotor on a copy of sig's field, as one step of ssfm_span."""
-    return replace(sig, field=ch._kerr(sig.field.copy(), gamma, dz_eff))
+    """The Kerr rotor on a copy of sig's field, as one lossless step of ssfm_span."""
+    return replace(sig, field=ch._kerr(sig.field.copy(), gamma, dz_eff, 1.0))
 
 
 def disperse(sig, beta2, dz):

@@ -78,12 +78,14 @@ class TestStandsAlone:
         assert out.strip() == "['prs4d', 'prs4d.constellation']"
 
     def test_formats_are_the_names_build_format_and_the_config_take(self):
-        for name in C.FORMATS:
+        assert tuple(C.BUILDERS) == ("4d64prs", "pm8qam", "6b4d_2a8psk")
+        for name in C.BUILDERS:
             assert C.build_format(name).M == 64
             assert H.ExperimentConfig(format=name).format == name
         for check in (C.build_format, lambda name: H.ExperimentConfig(format=name)):
             with pytest.raises(ValueError, match=re.escape(
-                    f"format must be one of {C.FORMATS}")):
+                    "format must be one of ('4d64prs', 'pm8qam', '6b4d_2a8psk'), "
+                    "got 'qpsk'")):
                 check("qpsk")
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -164,12 +166,12 @@ class TestGeniePhase:
     def test_recovers_fixed_rotation(self):
         _, _, pts, _ = shaped_channel()
         rot = (pts.view(complex) * np.exp(0.3j)).view(float)
-        out = R.genie_phase_compensation(rot, pts, len(pts))
+        out = R.genie_phase_compensation(rot, pts)
         assert np.max(np.abs(out - pts)) < 1e-12
 
     def test_identity_when_aligned(self):
         _, _, pts, _ = shaped_channel()
-        out = R.genie_phase_compensation(pts, pts, len(pts))
+        out = R.genie_phase_compensation(pts, pts)
         assert np.max(np.abs(out - pts)) < 1e-12
 
     def test_windowed_beats_global_on_phase_drift(self):
@@ -177,8 +179,8 @@ class TestGeniePhase:
         _, _, pts, _ = shaped_channel(n_sym=4096)
         drift = np.cumsum(rng.normal(scale=0.01, size=len(pts)))
         rx = (pts.view(complex) * np.exp(1j * drift)[:, None]).view(float)
-        glob = R.genie_phase_compensation(rx, pts, len(pts))
-        wind = R.genie_phase_compensation(rx, pts, 64)
+        glob = windowed_phase_oracle(rx, pts, len(pts))
+        wind = R.genie_phase_compensation(rx, pts)
         assert np.sum((wind - pts) ** 2) < np.sum((glob - pts) ** 2)
 
     def test_inputs_unchanged(self):
@@ -188,7 +190,7 @@ class TestGeniePhase:
         rx = (pts.view(complex) * np.exp(0.7j)).view(float)
         rx += rng.normal(scale=0.1, size=rx.shape)
         rx_in, tx_in = rx.copy(), pts.copy()
-        out = R.genie_phase_compensation(rx, pts, 32)
+        out = R.genie_phase_compensation(rx, pts)
         assert np.array_equal(rx, rx_in) and np.array_equal(pts, tx_in)
         assert not np.shares_memory(out, rx)
 
@@ -196,35 +198,38 @@ class TestGeniePhase:
         rng = np.random.default_rng(1)
         _, _, pts, _ = shaped_channel(n_sym=256)
         rx = pts + rng.normal(scale=0.1, size=pts.shape)
-        out = R.genie_phase_compensation(rx, pts, 32)
+        out = R.genie_phase_compensation(rx, pts)
         mags_in = np.sum(rx**2, axis=1)
         mags_out = np.sum(out**2, axis=1)
         assert np.allclose(mags_in, mags_out, rtol=1e-12)
 
-    @pytest.mark.parametrize("window", [1000, 64, 100, 1, 5000])
-    def test_matches_loop(self, window):
-        """The vectorised windows against the window-by-window loop."""
+    @pytest.mark.parametrize("ns", [1000, 64, 100, 1, 5000, 128, 129])
+    def test_matches_loop(self, ns):
+        """The vectorised windows against the window-by-window loop, on
+        bursts shorter than, equal to and longer than PHASE_WINDOW (a whole
+        number of windows or not)."""
         rng = np.random.default_rng(4)
-        _, _, pts, _ = shaped_channel(n_sym=1000)  # 1000 % 64 and % 100 != 0
-        drift = np.cumsum(rng.normal(scale=0.02, size=len(pts)))
+        _, _, pts, _ = shaped_channel(n_sym=5000)
+        pts = pts[:ns]
+        drift = np.cumsum(rng.normal(scale=0.02, size=ns))
         rx = (pts.view(complex) * np.exp(1j * drift)[:, None]).view(float)
         rx = rx + rng.normal(scale=0.1, size=rx.shape)
-        rx[128:192, :2] = 0.0  # a zero-energy X window when w = 64
-        out = R.genie_phase_compensation(rx, pts, window)
-        ref = windowed_phase_oracle(rx, pts, window)
+        rx[128:256, :2] = 0.0  # X's second window has zero energy
+        out = R.genie_phase_compensation(rx, pts)
+        ref = windowed_phase_oracle(rx, pts, R.PHASE_WINDOW)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
     def test_zero_energy_window_untouched(self):
         _, _, pts, _ = shaped_channel(n_sym=1000)
         rx = (pts.view(complex) * np.exp(0.4j)).view(float)
-        rx[936:, 2:] = 0.0  # the short tail window of Y
-        rx[64:128, :2] = -np.abs(rx[64:128, :2])  # third quadrant only, so
+        rx[896:, 2:] = 0.0  # the short tail window of Y
+        rx[128:256, :2] = -np.abs(rx[128:256, :2])  # third quadrant only, so
         tx = pts.copy()  # with no reference energy the sum is -0 + 0j, angle pi
-        tx[64:128, :2] = 0.0
-        out = R.genie_phase_compensation(rx, tx, 64)
-        assert np.array_equal(out[64:128, :2], rx[64:128, :2])
-        assert np.array_equal(out[936:, 2:], rx[936:, 2:])
-        np.testing.assert_allclose(out[:64], pts[:64], rtol=0, atol=1e-12)
+        tx[128:256, :2] = 0.0
+        out = R.genie_phase_compensation(rx, tx)
+        assert np.array_equal(out[128:256, :2], rx[128:256, :2])
+        assert np.array_equal(out[896:, 2:], rx[896:, 2:])
+        np.testing.assert_allclose(out[:128], pts[:128], rtol=0, atol=1e-12)
 
 
 class TestFullChainIdentity:
@@ -232,7 +237,7 @@ class TestFullChainIdentity:
         bits, idx, pts, sig = shaped_channel(seed=3, n_sym=2048)
         sig = frame(sig)
         rx = R.channel_select(sig, 0, 1)
-        rx = R.genie_phase_compensation(rx, pts, 128)
+        rx = R.genie_phase_compensation(rx, pts)
         rx = R.genie_gain(rx, pts)
         evm = 10 * np.log10(np.sum((rx - pts) ** 2) / np.sum(pts**2))
         assert evm < -40
@@ -268,3 +273,11 @@ class TestSymbolBatch:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="^tx_indices must be non-negative$"):
             R.SymbolBatch([3, -1, 2], np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("name", ["tx_indices", "rx_points"])
+    def test_built_batch_is_frozen(self, name):
+        """An assignment would skip every check: indices shifted below 0
+        would read points from the end of the table."""
+        batch = R.SymbolBatch(np.arange(3), np.zeros((3, 4)))
+        with pytest.raises(FrozenInstanceError):
+            setattr(batch, name, getattr(batch, name) - 64)
